@@ -2,8 +2,8 @@
 
 Commands: run, invert, check, fuzz, oracle, trace.  Program files use the
 ".score" extension, state files ".sst".  Exit status: 0 on success, 1 on
-an assert-semantics abort, 2 on usage or parse errors, 3 on a property
-failure.
+an assert-semantics abort, 2 on usage or parse errors (including programs
+nested too deeply to process), 3 on a property failure.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .semantics import (
     eval_r,
     eval_traced,
 )
-from .state import State, dump_state, parse_state_declarations
+from .state import State, dump_cell, dump_state, parse_state_declarations
 from .syntax import Term, check_well_formed, invert, pretty, variables_of
 
 EXIT_OK = 0
@@ -165,21 +165,22 @@ def cmd_trace(inv: CliInvocation) -> int:
     term = _load_program(inv)
     initial, file_names = _load_state(inv)
     names = variables_of(term) | file_names
-    steps = eval_traced(term, initial, inv.semantics)
-    final = initial
+    steps, final = eval_traced(term, initial, inv.semantics)
+    out = []
     for step in steps:
         if step.abort is not None:
-            print(f"ABORT at step {step.index + 1}: {step.instruction}")
-            print(f"reason: {step.abort.reason}")
             stack = ", ".join(str(e) for e in step.abort.observed.stack)
-            print(f"value: {step.abort.observed.value}")
-            print(f"stack: [{stack}]")
+            out.append(f"ABORT at step {step.index + 1}: {step.instruction}\n")
+            out.append(f"reason: {step.abort.reason}\n")
+            out.append(f"value: {step.abort.observed.value}\n")
+            out.append(f"stack: [{stack}]\n")
+            sys.stdout.write("".join(out))
             return EXIT_ABORT
-        print(f"step {step.index + 1}: {step.instruction}")
-        sys.stdout.write(dump_state(step.state, {step.variable}))
-        final = step.state
-    print("FINAL")
-    sys.stdout.write(dump_state(final, names))
+        out.append(f"step {step.index + 1}: {step.instruction}\n")
+        out.append(dump_cell(step.variable, step.state))
+    out.append("FINAL\n")
+    out.append(dump_state(final, names))
+    sys.stdout.write("".join(out))
     return EXIT_OK
 
 
@@ -258,6 +259,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (IllFormedProgramError, NonzeroCounterError, _UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("error: program nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .semantics import Aborted, Final, eval_a, eval_r, pop_r, push_r
+from .semantics import Aborted, RunOutcome, eval_a, eval_r, pop_r, push_r
 from .state import Cell, DEFAULT_CELL, State, dump_state
 from .syntax import Dec, For, Inc, Pop, Push, Seq, Skip, Term, invert, pretty, variables_of
 
@@ -197,7 +197,10 @@ def check_strong_reversibility(program: Term, initial: State) -> Verdict:
 def check_weak_reversibility_a(program: Term, initial: State) -> Verdict:
     """A completed assert-semantics run must be undone exactly by the
     inverse program; aborting runs pass vacuously."""
-    outcome = eval_a(program, initial)
+    return _weak_reversibility_a(program, initial, eval_a(program, initial))
+
+
+def _weak_reversibility_a(program: Term, initial: State, outcome: RunOutcome) -> Verdict:
     if isinstance(outcome, Aborted):
         return Pass(vacuous=True)
     back = eval_a(invert(program), outcome.state)
@@ -211,10 +214,12 @@ def check_weak_reversibility_a(program: Term, initial: State) -> Verdict:
 def check_agreement_a_r(program: Term, initial: State) -> Verdict:
     """A completed assert-semantics run must match the reversible run with
     all counters 0; aborting runs pass vacuously."""
-    outcome = eval_a(program, initial)
+    return _agreement_a_r(program, initial, eval_a(program, initial), eval_r(program, initial))
+
+
+def _agreement_a_r(program: Term, initial: State, outcome: RunOutcome, reversible: State) -> Verdict:
     if isinstance(outcome, Aborted):
         return Pass(vacuous=True)
-    reversible = eval_r(program, initial)
     if reversible != outcome.state:
         return Fail(program, initial, f"semantics disagree: {_first_diff(outcome.state, reversible)}")
     broken = [n for n in sorted(reversible.variables()) if reversible.get(n).broken]
@@ -240,8 +245,11 @@ class FailureCorrespondence:
 
 
 def check_failure_correspondence(program: Term, initial: State) -> FailureCorrespondence:
-    aborted = isinstance(eval_a(program, initial), Aborted)
-    final = eval_r(program, initial)
+    return _failure_correspondence(eval_a(program, initial), eval_r(program, initial))
+
+
+def _failure_correspondence(outcome: RunOutcome, final: State) -> FailureCorrespondence:
+    aborted = isinstance(outcome, Aborted)
     broken = any(final.get(n).broken for n in final.variables())
     if aborted and not broken:
         witness = "only-if"
@@ -540,7 +548,10 @@ def run_fuzz(cfg: GenConfig, cases: int, *, minimize_failures: bool = True) -> F
                 lambda p, s: isinstance(check_strong_reversibility(p, s), Fail),
             )
 
-        verdict = check_weak_reversibility_a(program, flat_state)
+        # each semantics runs once on the counter-free state; three checks share the runs
+        outcome = eval_a(program, flat_state)
+        reversible = eval_r(program, flat_state)
+        verdict = _weak_reversibility_a(program, flat_state, outcome)
         if not weak.add(verdict):
             record_failure(
                 "weak-reversibility-a",
@@ -548,7 +559,7 @@ def run_fuzz(cfg: GenConfig, cases: int, *, minimize_failures: bool = True) -> F
                 lambda p, s: isinstance(check_weak_reversibility_a(p, s), Fail),
             )
 
-        verdict = check_agreement_a_r(program, flat_state)
+        verdict = _agreement_a_r(program, flat_state, outcome, reversible)
         if not agreement.add(verdict):
             record_failure(
                 "a-r-agreement",
@@ -556,7 +567,7 @@ def run_fuzz(cfg: GenConfig, cases: int, *, minimize_failures: bool = True) -> F
                 lambda p, s: isinstance(check_agreement_a_r(p, s), Fail),
             )
 
-        correspondence = check_failure_correspondence(program, flat_state)
+        correspondence = _failure_correspondence(outcome, reversible)
         if correspondence.direction_witness == "if":
             if_witnesses += 1
             record_failure(

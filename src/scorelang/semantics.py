@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .state import Cell, DEFAULT_CELL, State, hd, tl
+from .state import Cell, DEFAULT_CELL, State
 from .syntax import (
     Dec,
     For,
@@ -44,7 +44,6 @@ from .syntax import (
     Term,
     Violation,
     check_well_formed,
-    invert,
 )
 
 __all__ = [
@@ -114,16 +113,16 @@ RunOutcome = Final | Aborted
 
 @dataclass(frozen=True, slots=True)
 class TraceStep:
-    """Snapshot taken after one executed atomic instruction.
+    """One executed atomic instruction.
 
-    ``state`` is the full state after the step, or None for the final
-    aborting step, in which case ``abort`` carries the record.
+    ``state`` is the cell of ``variable`` after the step, or None for the
+    final aborting step, in which case ``abort`` carries the record.
     """
 
     index: int
     instruction: str
     variable: str
-    state: State | None
+    state: Cell | None
     abort: AbortRecord | None = None
 
 
@@ -162,133 +161,229 @@ def pop_r(cell: Cell) -> Cell:
     return Cell(value, stack, counter + 1)
 
 
-class _AbortSignal(Exception):
-    def __init__(self, record: AbortRecord):
-        self.record = record
+# ---------------------------------------------------------------- the core
+#
+# A run compiles its term into blocks: tuples of flat ``(opcode, arg)``
+# entries, where ``arg`` is a variable's slot for INC/DEC/PUSH/POP.  Each
+# slot indexes three per-run lists (values, stacks with the top at the end,
+# counters), so every step is an O(1) list update.  The three semantics
+# share every opcode except the ones PUSH and POP compile to.
+#
+# A loop entry's arg is ``(leader slot, cache, direction, atoms before)``,
+# direction 1 meaning the body runs inverted.  The cache, one per FOR node
+# and run, holds the loop body and its two blocks, forward and inverted,
+# each compiled on first use and kept for the rest of the run, so no (loop,
+# direction) pair is compiled twice and a direction that never runs is
+# never compiled.  The inverted block is compiled straight from the body
+# term, with the entries in reverse order and INC/DEC and PUSH/POP swapped;
+# a trace adds an observer entry after each atom.
+#
+# Under the assert semantics the abort position needs the number of steps
+# run so far.  Rather than count every step, a run adds the body's atom
+# count (its INC/DEC/PUSH/POP entries) times the iteration count at each
+# loop entry ("scheduled" steps), and an abort returns, frame by frame, the
+# scheduled steps that did not run.  POP_A and loop entries therefore also
+# carry the number of atoms before them in their block.
+
+_INC, _DEC, _PUSH, _PUSH_R, _POP_N, _POP_A, _POP_R, _LOOP, _OBSERVE = range(9)
+
+_KEYWORD = {_INC: "INC", _DEC: "DEC", _PUSH: "PUSH", _PUSH_R: "PUSH", _POP_N: "POP", _POP_A: "POP", _POP_R: "POP"}
 
 
-class _StepLog:
-    """Counts executed atomic instructions; optionally snapshots each one."""
-
-    __slots__ = ("count", "sink")
-
-    def __init__(self, sink=None):
-        self.count = 0
-        self.sink = sink
-
-    def note(self, instruction: str, variable: str, cells: dict[str, Cell]) -> None:
-        index = self.count
-        self.count = index + 1
-        if self.sink is not None:
-            self.sink(TraceStep(index, instruction, variable, State(dict(cells))))
+def _atom_ops(push: int, pop: int) -> tuple[dict, dict]:
+    """The opcode each atom class compiles to, run forward and inverted."""
+    return {Inc: _INC, Dec: _DEC, Push: push, Pop: pop}, {Inc: _DEC, Dec: _INC, Push: pop, Pop: push}
 
 
-def _run(term: Term, cells: dict[str, Cell], mode: str, log: _StepLog | None) -> None:
-    match term:
-        case Seq(first, second):
-            _run(first, cells, mode, log)
-            _run(second, cells, mode, log)
-        case Inc(x):
-            value, stack, counter = cells.get(x, DEFAULT_CELL)
-            cells[x] = Cell(value + 1, stack, counter)
-            if log is not None:
-                log.note(f"INC {x}", x, cells)
-        case Dec(x):
-            value, stack, counter = cells.get(x, DEFAULT_CELL)
-            cells[x] = Cell(value - 1, stack, counter)
-            if log is not None:
-                log.note(f"DEC {x}", x, cells)
-        case Push(x):
-            cell = cells.get(x, DEFAULT_CELL)
-            if mode == "r":
-                cells[x] = push_r(cell)
+_ATOM_OPS = {"n": _atom_ops(_PUSH, _POP_N), "a": _atom_ops(_PUSH, _POP_A), "r": _atom_ops(_PUSH_R, _POP_R)}
+_BODY = 2  # index of the body term in a loop cache; 0 and 1 hold its blocks
+
+
+class _Run:
+    """Slot storage, the compiler, and the optional trace of one evaluation."""
+
+    __slots__ = (
+        "cells", "slots", "names", "values", "stacks", "counters", "ops", "loops", "trace", "scheduled", "failed"
+    )
+
+    def __init__(self, cells: dict[str, Cell], semantics: str, trace: list[TraceStep] | None):
+        self.cells = cells
+        self.slots: dict[str, int] = {}
+        self.names: list[str] = []
+        self.values: list[int] = []
+        self.stacks: list[list[int]] = []
+        self.counters: list[int] = []
+        self.ops = _ATOM_OPS[semantics]
+        self.loops: dict[int, list] = {}
+        self.trace = trace
+        self.scheduled = 0
+        self.failed = -1
+
+    def new_slot(self, name: str) -> int:
+        """Number `name`, met for the first time, and load its initial cell."""
+        slot = self.slots[name] = len(self.names)
+        value, stack, counter = self.cells.get(name, DEFAULT_CELL)
+        self.names.append(name)
+        self.values.append(value)
+        self.stacks.append(list(reversed(stack)))
+        self.counters.append(counter)
+        return slot
+
+    def compile(self, term: Term, inverted: int) -> tuple[tuple, int]:
+        """The block of `term` run forward (0) or inverted (1), and its atom
+        count.  Walks sequences with an explicit stack; a loop body is
+        compiled when `_execute` first enters the loop in that direction."""
+        ops, slots = self.ops[inverted], self.slots
+        trace = self.trace is not None
+        entries: list[tuple] = []
+        atoms = 0
+        todo = [term]
+        while todo:
+            t = todo.pop()
+            kind = type(t)
+            if kind is Seq:
+                todo += (t.first, t.second) if inverted else (t.second, t.first)
+                continue
+            if kind is Skip:
+                continue
+            name = t.leader if kind is For else t.var
+            slot = slots.get(name)
+            if slot is None:
+                slot = self.new_slot(name)
+            if kind is For:
+                cache = self.loops.get(id(t))
+                if cache is None:
+                    cache = self.loops[id(t)] = [None, None, t.body]
+                entries.append((_LOOP, (slot, cache, inverted, atoms)))
             else:
-                cells[x] = Cell(0, (cell.value, *cell.stack), 0)
-            if log is not None:
-                log.note(f"PUSH {x}", x, cells)
-        case Pop(x):
-            cell = cells.get(x, DEFAULT_CELL)
-            if mode == "r":
-                cells[x] = pop_r(cell)
-            elif mode == "n":
-                cells[x] = Cell(hd(cell.stack), tl(cell.stack), 0)
+                op = ops[kind]
+                entries.append((op, (slot, atoms) if op == _POP_A else slot))
+                if trace:
+                    entries.append((_OBSERVE, (f"{_KEYWORD[op]} {name}", name, slot)))
+                atoms += 1
+        return tuple(entries), atoms
+
+    def result(self) -> State:
+        cells = self.cells
+        for name, value, stack, counter in zip(self.names, self.values, self.stacks, self.counters):
+            if value or stack or counter:
+                cells[name] = Cell(value, tuple(reversed(stack)), counter)
             else:
-                value, stack, _ = cell
-                if value != 0:
-                    raise _AbortSignal(
-                        AbortRecord(f"POP {x}", x, "value-nonzero", Cell(value, stack, 0), log.count)
-                    )
-                if not stack:
-                    raise _AbortSignal(
-                        AbortRecord(f"POP {x}", x, "empty-stack", Cell(value, stack, 0), log.count)
-                    )
-                cells[x] = Cell(stack[0], stack[1:], 0)
-            if log is not None:
-                log.note(f"POP {x}", x, cells)
-        case For(leader, body):
-            count = cells.get(leader, DEFAULT_CELL).value
-            program = body if count >= 0 else invert(body)
-            for _ in range(abs(count)):
-                _run(program, cells, mode, log)
-        case Skip():
-            pass
-        case _:
-            raise TypeError(f"not a term: {term!r}")
+                cells.pop(name, None)
+        return State._trusted(cells)
+
+    def abort_record(self, left: int) -> AbortRecord:
+        """The record of the POP that aborted with `left` scheduled steps
+        not run; the state has not changed since."""
+        slot = self.failed
+        value, name = self.values[slot], self.names[slot]
+        reason = "value-nonzero" if value else "empty-stack"
+        observed = Cell(value, tuple(reversed(self.stacks[slot])), 0)
+        return AbortRecord(f"POP {name}", name, reason, observed, self.scheduled - left)
 
 
-def _check_preconditions(term: Term, state: State, *, pair_view: bool) -> None:
+def _execute(run: _Run, block: tuple, atoms: int):
+    """Run one block; None when it completes, else the number of its
+    scheduled steps that did not run because a POP aborted, whose slot
+    is then ``run.failed``."""
+    values, stacks, counters = run.values, run.stacks, run.counters
+    for op, arg in block:
+        if op == _INC:
+            values[arg] += 1
+        elif op == _DEC:
+            values[arg] -= 1
+        elif op == _PUSH:
+            stacks[arg].append(values[arg])
+            values[arg] = 0
+        elif op == _PUSH_R:
+            if not counters[arg]:
+                stacks[arg].append(values[arg])
+                values[arg] = 0
+            elif values[arg] or not stacks[arg]:
+                counters[arg] -= 1
+        elif op == _POP_N:
+            stack = stacks[arg]
+            values[arg] = stack.pop() if stack else 0
+        elif op == _POP_A:
+            slot, before = arg
+            stack = stacks[slot]
+            if values[slot] or not stack:
+                run.failed = slot
+                return atoms - before
+            values[slot] = stack.pop()
+        elif op == _POP_R:
+            if values[arg] or not stacks[arg]:
+                counters[arg] += 1
+            elif not counters[arg]:
+                values[arg] = stacks[arg].pop()
+        elif op == _LOOP:
+            leader, cache, direction, before = arg
+            count = values[leader]
+            if count:
+                if count < 0:
+                    count = -count
+                    direction ^= 1
+                compiled = cache[direction]
+                if compiled is None:
+                    compiled = cache[direction] = run.compile(cache[_BODY], direction)
+                body, body_atoms = compiled
+                run.scheduled += count * body_atoms
+                for done in range(1, count + 1):
+                    left = _execute(run, body, body_atoms)
+                    if left is not None:
+                        return left + (count - done) * body_atoms + atoms - before
+        else:
+            instruction, name, slot = arg
+            trace = run.trace
+            cell = Cell(values[slot], tuple(reversed(stacks[slot])), counters[slot])
+            trace.append(TraceStep(len(trace), instruction, name, cell))
+    return None
+
+
+def _start(term: Term, state: State, semantics: str, trace: list[TraceStep] | None):
+    """Check the preconditions, compile `term` and run it: the finished run
+    and None, or the run and the abort record."""
     violations = check_well_formed(term)
     if violations:
         raise IllFormedProgramError(violations)
-    if pair_view:
-        for name in sorted(state.variables()):
-            if state.get(name).counter != 0:
-                raise NonzeroCounterError(name)
+    cells = state.as_dict()
+    if semantics != "r" and any(cell.counter for cell in cells.values()):
+        raise NonzeroCounterError(min(name for name, cell in cells.items() if cell.counter))
+    run = _Run(cells, semantics, trace)
+    block, atoms = run.compile(term, 0)
+    run.scheduled = atoms
+    left = _execute(run, block, atoms)
+    return run, None if left is None else run.abort_record(left)
 
 
 def eval_n(term: Term, state: State) -> State:
     """Run under the naive pair semantics; counters stay 0 throughout."""
-    _check_preconditions(term, state, pair_view=True)
-    cells = state.as_dict()
-    _run(term, cells, "n", None)
-    return State(cells)
+    return _start(term, state, "n", None)[0].result()
 
 
 def eval_a(term: Term, state: State) -> RunOutcome:
     """Run under the assert semantics: Final(state) or Aborted(record)."""
-    _check_preconditions(term, state, pair_view=True)
-    cells = state.as_dict()
-    log = _StepLog()
-    try:
-        _run(term, cells, "a", log)
-    except _AbortSignal as signal:
-        return Aborted(signal.record)
-    return Final(State(cells))
+    run, record = _start(term, state, "a", None)
+    return Final(run.result()) if record is None else Aborted(record)
 
 
 def eval_r(term: Term, state: State) -> State:
     """Run under the total reversible semantics; legal on every state."""
-    _check_preconditions(term, state, pair_view=False)
-    cells = state.as_dict()
-    _run(term, cells, "r", None)
-    return State(cells)
+    return _start(term, state, "r", None)[0].result()
 
 
-def eval_traced(term: Term, state: State, semantics: str = "r") -> list[TraceStep]:
-    """Run like the chosen evaluator, snapshotting after every executed
+def eval_traced(term: Term, state: State, semantics: str = "r") -> tuple[list[TraceStep], State | None]:
+    """Run like the chosen evaluator, recording every executed
     INC/DEC/PUSH/POP in execution order (loop bodies unfold; SKIP leaves no
-    snapshot).  The last snapshot's state is the run's result, or carries
-    the abort record under the assert semantics.
+    step), each with the cell it touched.  Returns the steps and the final
+    state; under the assert semantics an abort instead ends the steps with
+    one carrying the record, and the final state is None.
     """
     if semantics not in ("n", "a", "r"):
         raise ValueError(f"unknown semantics {semantics!r}; expected 'n', 'a' or 'r'")
-    _check_preconditions(term, state, pair_view=semantics != "r")
     steps: list[TraceStep] = []
-    log = _StepLog(steps.append)
-    cells = state.as_dict()
-    try:
-        _run(term, cells, semantics, log)
-    except _AbortSignal as signal:
-        record = signal.record
+    run, record = _start(term, state, semantics, steps)
+    if record is not None:
         steps.append(TraceStep(record.trace_position, record.instruction, record.variable, None, record))
-    return steps
+        return steps, None
+    return steps, run.result()

@@ -23,7 +23,8 @@ omitted fields defaulting (empty stack, zero counter).
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, NamedTuple
+from collections.abc import Iterable, Mapping
+from typing import NamedTuple
 
 from .parser import ParseError, split_lines
 from .syntax import KEYWORDS, is_identifier
@@ -37,6 +38,7 @@ __all__ = [
     "parse_state",
     "parse_state_declarations",
     "dump_state",
+    "dump_cell",
 ]
 
 
@@ -98,6 +100,15 @@ class State:
                 store[name] = cell
         self._cells = store
 
+    @classmethod
+    def _trusted(cls, cells: dict[str, Cell]) -> "State":
+        """A state owning `cells`, skipping validation: the caller vouches
+        for valid names and `Cell` values with tuple stacks, none of them
+        the default cell."""
+        new = object.__new__(cls)
+        new._cells = cells
+        return new
+
     def get(self, name: str) -> Cell:
         """The cell bound to `name`, defaulting to (0, (), 0)."""
         return self._cells.get(name, DEFAULT_CELL)
@@ -113,9 +124,7 @@ class State:
             store.pop(name, None)
         else:
             store[name] = cell
-        new = object.__new__(State)
-        new._cells = store
-        return new
+        return State._trusted(store)
 
     def variables(self) -> frozenset[str]:
         """The support: names bound to a non-default cell."""
@@ -251,9 +260,11 @@ def dump_state(state: State, names: Iterable[str]) -> str:
 
     Round trip: parsing the output agrees with `state` on `names`.
     """
-    lines = []
-    for name in sorted(set(names)):
-        value, stack, counter = state.get(name)
-        inner = ", ".join(str(e) for e in stack)
-        lines.append(f"{name} = {value}, [{inner}], {counter}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(dump_cell(name, state.get(name)) for name in sorted(set(names)))
+
+
+def dump_cell(name: str, cell: Cell) -> str:
+    """One binding line of the state file format, all fields explicit."""
+    value, stack, counter = cell
+    inner = ", ".join(str(e) for e in stack)
+    return f"{name} = {value}, [{inner}], {counter}\n"

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import scorelang
 from scorelang import parse_state
 from scorelang.cli import main
 
@@ -261,6 +266,34 @@ class TestTrace:
             "x = 2, [], 0\n"
             "y = 2, [], 0\n"
         )
+
+
+class TestDeepPrograms:
+    """Programs deep enough to exhaust Python's recursion limit must end with
+    a usage error, not a traceback under exit 1, the code for an abort."""
+
+    SOURCES = {
+        "flat": "; ".join(("INC x", "PUSH y", "POP y", "DEC z")[i % 4] for i in range(1200)),
+        "nest": "FOR a0 { " + "".join(f"FOR a{i} {{ " for i in range(1, 600)) + "INC x" + " }" * 600,
+    }
+
+    @pytest.mark.parametrize("command", ["check", "invert", "run", "trace"])
+    @pytest.mark.parametrize("shape", ["flat", "nest"])
+    def test_exits_cleanly(self, workspace, command, shape):
+        program = workspace("deep.score", self.SOURCES[shape])
+        src = str(Path(scorelang.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "scorelang", command, program],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode in (0, 2), proc.stderr[-500:]
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 2:
+            assert proc.stderr == "error: program nested too deeply\n"
 
 
 class TestUsage:

@@ -277,32 +277,35 @@ class TestReversibleSemantics:
 
 class TestTracedEvaluation:
     def test_single_step(self):
-        steps = eval_traced(parse("INC x"), State(), "r")
+        steps, final = eval_traced(parse("INC x"), State(), "r")
         assert len(steps) == 1
         assert steps[0].instruction == "INC x"
         assert steps[0].variable == "x"
         assert steps[0].index == 0
-        assert steps[0].state == State({"x": Cell(1)})
+        assert steps[0].state == Cell(1)
+        assert final == State({"x": Cell(1)})
 
     def test_loop_unfolds(self):
-        steps = eval_traced(parse("FOR x {INC y}"), State({"x": Cell(2)}), "r")
+        steps, final = eval_traced(parse("FOR x {INC y}"), State({"x": Cell(2)}), "r")
         assert [s.instruction for s in steps] == ["INC y", "INC y"]
-        assert steps[-1].state == State({"x": Cell(2), "y": Cell(2)})
+        assert [s.state for s in steps] == [Cell(1), Cell(2)]
+        assert final == State({"x": Cell(2), "y": Cell(2)})
 
     def test_negative_loop_shows_inverted_instructions(self):
-        steps = eval_traced(parse("FOR x {INC y}"), State({"x": Cell(-2)}), "n")
+        steps, _ = eval_traced(parse("FOR x {INC y}"), State({"x": Cell(-2)}), "n")
         assert [s.instruction for s in steps] == ["DEC y", "DEC y"]
 
     def test_abort_snapshot(self):
-        steps = eval_traced(parse("POP x"), State({"x": Cell(5, (2,), 0)}), "a")
+        steps, final = eval_traced(parse("POP x"), State({"x": Cell(5, (2,), 0)}), "a")
         assert len(steps) == 1
         assert steps[0].abort is not None
         assert steps[0].abort.reason == "value-nonzero"
         assert steps[0].state is None
+        assert final is None
 
     def test_skip_leaves_no_snapshot(self):
-        assert eval_traced(Skip(), State(), "r") == []
-        assert eval_traced(parse("SKIP; SKIP"), State(), "a") == []
+        assert eval_traced(Skip(), State(), "r") == ([], State())
+        assert eval_traced(parse("SKIP; SKIP"), State(), "a") == ([], State())
 
     def test_unknown_semantics_rejected(self):
         with pytest.raises(ValueError):
@@ -311,12 +314,13 @@ class TestTracedEvaluation:
     @settings(max_examples=50)
     @given(wf_terms(), states)
     def test_last_snapshot_matches_eval_r(self, term, state):
-        steps = eval_traced(term, state, "r")
-        final = steps[-1].state if steps else state
+        steps, final = eval_traced(term, state, "r")
         assert final == eval_r(term, state)
+        if steps:
+            assert steps[-1].state == final.get(steps[-1].variable)
 
     @settings(max_examples=50)
     @given(wf_terms(), flat_states)
     def test_trace_indices_are_sequential(self, term, state):
-        steps = eval_traced(term, state, "a")
+        steps, _ = eval_traced(term, state, "a")
         assert [s.index for s in steps] == list(range(len(steps)))
