@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .harness import (
@@ -41,16 +40,6 @@ EXIT_USAGE = 2
 EXIT_PROPERTY = 3
 
 
-@dataclass(frozen=True)
-class CliInvocation:
-    command: str
-    program_path: str | None = None
-    state_path: str | None = None
-    semantics: str = "r"
-    backward: bool = False
-    options: dict = field(default_factory=dict)
-
-
 class _UsageError(Exception):
     pass
 
@@ -62,17 +51,17 @@ def _read(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _load_program(inv: CliInvocation) -> Term:
-    term = parse(_read(inv.program_path))
-    if inv.backward:
+def _load_program(args: argparse.Namespace) -> Term:
+    term = parse(_read(args.program))
+    if args.backward:
         term = invert(term)
     return term
 
 
-def _load_state(inv: CliInvocation) -> tuple[State, frozenset[str]]:
-    if inv.state_path is None:
+def _load_state(args: argparse.Namespace) -> tuple[State, frozenset[str]]:
+    if args.state is None:
         return State(), frozenset()
-    declarations = parse_state_declarations(_read(inv.state_path))
+    declarations = parse_state_declarations(_read(args.state))
     return State(declarations), frozenset(name for name, _ in declarations)
 
 
@@ -88,11 +77,18 @@ def _abort_lines(record: AbortRecord) -> list[str]:
     ]
 
 
-def cmd_run(inv: CliInvocation) -> int:
-    term = _load_program(inv)
-    initial, file_names = _load_state(inv)
+def _require_non_negative(args: argparse.Namespace, *options: str) -> None:
+    for option in options:
+        value = getattr(args, option)
+        if value < 0:
+            raise _UsageError(f"--{option.replace('_', '-')} must not be negative, got {value}")
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    term = _load_program(args)
+    initial, file_names = _load_state(args)
     names = variables_of(term) | file_names
-    if inv.semantics == "a":
+    if args.semantics == "a":
         outcome = eval_a(term, initial)
         if isinstance(outcome, Aborted):
             print("ABORT")
@@ -100,7 +96,7 @@ def cmd_run(inv: CliInvocation) -> int:
                 print(line)
             return EXIT_ABORT
         final = outcome.state
-    elif inv.semantics == "n":
+    elif args.semantics == "n":
         final = eval_n(term, initial)
     else:
         final = eval_r(term, initial)
@@ -109,15 +105,15 @@ def cmd_run(inv: CliInvocation) -> int:
     return EXIT_OK
 
 
-def cmd_invert(inv: CliInvocation) -> int:
-    term = parse(_read(inv.program_path))
+def cmd_invert(args: argparse.Namespace) -> int:
+    term = parse(_read(args.program))
     print(pretty(invert(term)))
     return EXIT_OK
 
 
-def cmd_check(inv: CliInvocation) -> int:
-    term = parse(_read(inv.program_path))
-    violations = check_well_formed(term, relaxed=inv.options.get("relaxed", False))
+def cmd_check(args: argparse.Namespace) -> int:
+    term = parse(_read(args.program))
+    violations = check_well_formed(term, relaxed=args.relaxed)
     if not violations:
         print("ok")
         return EXIT_OK
@@ -126,33 +122,33 @@ def cmd_check(inv: CliInvocation) -> int:
     return EXIT_PROPERTY
 
 
-def cmd_fuzz(inv: CliInvocation) -> int:
-    opts = inv.options
+def cmd_fuzz(args: argparse.Namespace) -> int:
+    _require_non_negative(args, "cases")
     cfg = GenConfig(
-        seed=opts["seed"],
-        max_depth=opts["max_depth"],
-        max_vars=opts["max_vars"],
-        value_range=(opts["value_min"], opts["value_max"]),
-        max_stack_len=opts["max_stack_len"],
-        max_counter=opts["max_counter"],
+        seed=args.seed,
+        max_depth=args.max_depth,
+        max_vars=args.max_vars,
+        value_range=(args.value_min, args.value_max),
+        max_stack_len=args.max_stack_len,
+        max_counter=args.max_counter,
     )
-    report = run_fuzz(cfg, opts["cases"])
-    if opts.get("json"):
+    report = run_fuzz(cfg, args.cases)
+    if args.json:
         print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
     else:
         sys.stdout.write(report.to_text())
     return EXIT_OK if report.ok else EXIT_PROPERTY
 
 
-def cmd_oracle(inv: CliInvocation) -> int:
-    opts = inv.options
-    bounds = (opts["value"], opts["stack_len"], opts["elem"], opts["counter"])
+def cmd_oracle(args: argparse.Namespace) -> int:
+    _require_non_negative(args, "value", "stack_len", "elem", "counter")
+    bounds = (args.value, args.stack_len, args.elem, args.counter)
     verdict = exhaustive_pop_push_inverse(*bounds)
     if isinstance(verdict, Fail):
         print(f"FAIL: {verdict.details}")
         return EXIT_PROPERTY
     print(f"{verdict.cases_run} cells checked")
-    if opts.get("injectivity"):
+    if args.injectivity:
         injective = exhaustive_pop_injective(*bounds)
         if isinstance(injective, Fail):
             print(f"FAIL: {injective.details}")
@@ -161,11 +157,11 @@ def cmd_oracle(inv: CliInvocation) -> int:
     return EXIT_OK
 
 
-def cmd_trace(inv: CliInvocation) -> int:
-    term = _load_program(inv)
-    initial, file_names = _load_state(inv)
+def cmd_trace(args: argparse.Namespace) -> int:
+    term = _load_program(args)
+    initial, file_names = _load_state(args)
     names = variables_of(term) | file_names
-    steps, final = eval_traced(term, initial, inv.semantics)
+    steps, final = eval_traced(term, initial, args.semantics)
     out = []
     for step in steps:
         if step.abort is not None:
@@ -226,19 +222,6 @@ def _build_argparser() -> argparse.ArgumentParser:
     return top
 
 
-def _invocation(args: argparse.Namespace) -> CliInvocation:
-    known = {"command", "program", "state", "semantics", "backward"}
-    options = {k: v for k, v in vars(args).items() if k not in known}
-    return CliInvocation(
-        command=args.command,
-        program_path=getattr(args, "program", None),
-        state_path=getattr(args, "state", None),
-        semantics=getattr(args, "semantics", "r"),
-        backward=getattr(args, "backward", False),
-        options=options,
-    )
-
-
 _COMMANDS = {
     "run": cmd_run,
     "invert": cmd_invert,
@@ -251,9 +234,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_argparser().parse_args(argv)
-    inv = _invocation(args)
     try:
-        return _COMMANDS[inv.command](inv)
+        return _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

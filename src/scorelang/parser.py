@@ -16,7 +16,8 @@ insignificant.  Program files conventionally use the ".score" extension.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from itertools import islice
+from typing import NoReturn
 
 from .syntax import KEYWORDS, Dec, For, Inc, Pop, Push, Seq, Skip, Term
 
@@ -34,15 +35,12 @@ class ParseError(Exception):
         self.expected = tuple(expected)
 
 
-class Token(NamedTuple):
-    kind: str  # "keyword" | "ident" | "semi" | "lbrace" | "rbrace" | "eof"
-    text: str
-    line: int
-    column: int
-
-
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_PUNCT_KINDS = {";": "semi", "{": "lbrace", "}": "rbrace"}
+_COMMENT_RE = re.compile(r"#[^\r\n]*")
+# A character outside the lexicon, or a digit that does not continue a word
+# (matching any digit, then ruling out one after a word character, keeps
+# the search to a fast scan for a character class).
+_FAULT_RE = re.compile(r"[^A-Za-z_;{} \t\f\v\r\n](?<![A-Za-z0-9_][0-9])")
+_LEXEME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[;{}]")
 
 
 def split_lines(src: str) -> list[str]:
@@ -50,112 +48,111 @@ def split_lines(src: str) -> list[str]:
     return src.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def tokenize(src: str) -> list[Token]:
-    tokens: list[Token] = []
-    lines = split_lines(src)
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0]
-        pos = 0
-        while pos < len(line):
-            ch = line[pos]
-            if ch in " \t\f\v":
-                pos += 1
-                continue
-            if ch in _PUNCT_KINDS:
-                tokens.append(Token(_PUNCT_KINDS[ch], ch, lineno, pos + 1))
-                pos += 1
-                continue
-            m = _WORD_RE.match(line, pos)
-            if m is None:
-                raise ParseError(lineno, pos + 1, f"unexpected character {ch!r}")
-            word = m.group()
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, lineno, pos + 1))
-            pos = m.end()
-    tokens.append(Token("eof", "", len(lines), len(lines[-1]) + 1))
-    return tokens
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of `offset` in `text`, under any newline
+    convention.  Replacing each comment by a space keeps every line break
+    (and keeps a CR before a comment apart from an LF after it) and changes
+    a line only after its last lexeme, so an offset into the comment-free
+    text has the same position in the source."""
+    head = text[:offset]
+    line = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
+    return line, offset - max(head.rfind("\n"), head.rfind("\r"))
 
 
-def _show(tok: Token) -> str:
-    return "end of input" if tok.kind == "eof" else f"'{tok.text}'"
+def tokenize(src: str) -> list[str]:
+    """The lexemes of `src` in order (words, ";", "{" and "}"), followed by
+    "" for the end of input.  Raises ParseError at the first character
+    that no lexeme, whitespace or comment accounts for."""
+    code = _COMMENT_RE.sub(" ", src) if "#" in src else src
+    fault = _FAULT_RE.search(code)
+    if fault is not None:
+        raise ParseError(*_position(code, fault.start()), f"unexpected character {fault.group()!r}")
+    lexemes = _LEXEME_RE.findall(code)
+    lexemes.append("")
+    return lexemes
+
+
+def _fail(src: str, lexemes: list[str], i: int, message: str, expected: tuple[str, ...] = ()) -> NoReturn:
+    """Raise a ParseError at lexeme `i`, whose position is found only now."""
+    if lexemes[i]:
+        code = _COMMENT_RE.sub(" ", src)
+        position = _position(code, next(islice(_LEXEME_RE.finditer(code), i, None)).start())
+    else:
+        position = _position(src, len(src))
+    raise ParseError(*position, message, expected)
+
+
+def _found(lexeme: str) -> str:
+    return f", found '{lexeme}'" if lexeme else ", found end of input"
 
 
 _ATOM_EXPECTED = ("SKIP", "INC", "DEC", "PUSH", "POP", "FOR")
 _UNARY = {"INC": Inc, "DEC": Dec, "PUSH": Push, "POP": Pop}
+_NOT_NAMES = KEYWORDS | {";", "{", "}", ""}
 
 
-def _atom(tokens: list[Token], i: int) -> tuple[Term, int]:
-    tok = tokens[i]
-    if tok.kind == "keyword":
-        if tok.text == "SKIP":
-            return Skip(), i + 1
-        if tok.text in _UNARY:
-            name = tokens[i + 1]
-            if name.kind != "ident":
-                raise ParseError(
-                    name.line,
-                    name.column,
-                    f"expected a variable name after {tok.text}, found {_show(name)}",
-                    expected=("identifier",),
-                )
-            return _UNARY[tok.text](name.text), i + 2
-        if tok.text == "FOR":
-            name = tokens[i + 1]
-            if name.kind != "ident":
-                raise ParseError(
-                    name.line,
-                    name.column,
-                    f"expected a variable name after FOR, found {_show(name)}",
-                    expected=("identifier",),
-                )
-            opener = tokens[i + 2]
-            if opener.kind != "lbrace":
-                raise ParseError(
-                    opener.line,
-                    opener.column,
-                    f"expected '{{' after FOR {name.text}, found {_show(opener)}",
-                    expected=("{",),
-                )
-            body, j = _seq(tokens, i + 3)
-            closer = tokens[j]
-            if closer.kind != "rbrace":
-                raise ParseError(
-                    closer.line,
-                    closer.column,
-                    f"expected '}}' to close FOR {name.text}, found {_show(closer)}",
-                    expected=("}",),
-                )
-            return For(name.text, body), j + 1
-    raise ParseError(
-        tok.line,
-        tok.column,
-        f"expected an instruction, found {_show(tok)}",
-        expected=_ATOM_EXPECTED,
-    )
-
-
-def _seq(tokens: list[Token], i: int) -> tuple[Term, int]:
-    parts: list[Term] = []
-    term, i = _atom(tokens, i)
-    parts.append(term)
-    while tokens[i].kind == "semi":
-        term, i = _atom(tokens, i + 1)
-        parts.append(term)
+def _fold(parts: list[Term]) -> Term:
+    """The right-associated sequence of `parts`."""
     node = parts[-1]
-    for left in reversed(parts[:-1]):
-        node = Seq(left, node)
-    return node, i
+    for k in range(len(parts) - 2, -1, -1):
+        node = Seq(parts[k], node)
+    return node
 
 
 def parse(src: str) -> Term:
-    """Parse program text into a term, raising ParseError on the first fault."""
-    tokens = tokenize(src)
-    term, i = _seq(tokens, 0)
-    tok = tokens[i]
-    if tok.kind != "eof":
-        if tok.kind == "rbrace":
-            raise ParseError(tok.line, tok.column, "unmatched '}'")
-        raise ParseError(
-            tok.line, tok.column, f"expected ';' or end of input, found {_show(tok)}", expected=(";",)
-        )
-    return term
+    """Parse program text into a term, raising ParseError on the first fault.
+
+    One loop over the lexemes: `parts` collects the atoms of the sequence
+    being read and `open_loops` holds, per enclosing FOR, the enclosing
+    sequence's parts and the loop's leader, so no nesting recurses."""
+    lexemes = tokenize(src)
+    # Terms are immutable, so each distinct atom is built (and its name
+    # checked) once and then shared.
+    atoms: dict[tuple[str, str], Term] = {}
+    open_loops: list[tuple[list[Term], str]] = []
+    parts: list[Term] = []
+    i = 0
+    while True:
+        word = lexemes[i]
+        make = _UNARY.get(word)
+        if make is not None:
+            name = lexemes[i + 1]
+            if name in _NOT_NAMES:
+                _fail(src, lexemes, i + 1, f"expected a variable name after {word}" + _found(name), ("identifier",))
+            atom = atoms.get((word, name))
+            if atom is None:
+                atom = atoms[word, name] = make(name)
+            parts.append(atom)
+            i += 2
+        elif word == "SKIP":
+            parts.append(Skip())
+            i += 1
+        elif word == "FOR":
+            name = lexemes[i + 1]
+            if name in _NOT_NAMES:
+                _fail(src, lexemes, i + 1, "expected a variable name after FOR" + _found(name), ("identifier",))
+            if lexemes[i + 2] != "{":
+                _fail(src, lexemes, i + 2, f"expected '{{' after FOR {name}" + _found(lexemes[i + 2]), ("{",))
+            open_loops.append((parts, name))
+            parts = []
+            i += 3
+            continue
+        else:
+            _fail(src, lexemes, i, "expected an instruction" + _found(word), _ATOM_EXPECTED)
+        # An instruction ended: close every sequence, and loop, that ends here.
+        word = lexemes[i]
+        while word != ";":
+            body = _fold(parts)
+            if not open_loops:
+                if not word:
+                    return body
+                if word == "}":
+                    _fail(src, lexemes, i, "unmatched '}'")
+                _fail(src, lexemes, i, "expected ';' or end of input" + _found(word), (";",))
+            parts, leader = open_loops.pop()
+            if word != "}":
+                _fail(src, lexemes, i, f"expected '}}' to close FOR {leader}" + _found(word), ("}",))
+            parts.append(For(leader, body))
+            i += 1
+            word = lexemes[i]
+        i += 1

@@ -47,7 +47,9 @@ class Skip(Term):
 
 
 @dataclass(frozen=True, slots=True)
-class Inc(Term):
+class _Unary(Term):
+    """The shared shape of INC, DEC, PUSH and POP: one target variable."""
+
     var: Identifier
 
     def __post_init__(self) -> None:
@@ -55,27 +57,23 @@ class Inc(Term):
 
 
 @dataclass(frozen=True, slots=True)
-class Dec(Term):
-    var: Identifier
-
-    def __post_init__(self) -> None:
-        _require_identifier(self.var)
+class Inc(_Unary):
+    pass
 
 
 @dataclass(frozen=True, slots=True)
-class Push(Term):
-    var: Identifier
-
-    def __post_init__(self) -> None:
-        _require_identifier(self.var)
+class Dec(_Unary):
+    pass
 
 
 @dataclass(frozen=True, slots=True)
-class Pop(Term):
-    var: Identifier
+class Push(_Unary):
+    pass
 
-    def __post_init__(self) -> None:
-        _require_identifier(self.var)
+
+@dataclass(frozen=True, slots=True)
+class Pop(_Unary):
+    pass
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,6 +91,33 @@ class For(Term):
         _require_identifier(self.leader)
 
 
+# The walkers below keep their own stack of pending work instead of
+# recursing, so neither long sequences nor deep loop nests reach Python's
+# recursion limit.  They dispatch on the exact class of each node.
+
+_INVERSE = {Inc: Dec, Dec: Inc, Push: Pop, Pop: Push}
+_KEYWORD = {Inc: "INC ", Dec: "DEC ", Push: "PUSH ", Pop: "POP "}
+
+
+class _Mark:
+    """A pending step on a walker's stack, told apart from terms (and from
+    anything else a malformed term may hold) by its class."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str | None) -> None:
+        self.text = text
+
+
+_JOIN = _Mark(None)
+_SEMI = _Mark("; ")
+_CLOSE = _Mark(" }")
+
+
+def _not_a_term(t: object) -> TypeError:
+    return TypeError(f"not a term: {t!r}")
+
+
 def invert(term: Term) -> Term:
     """Structural inverse of a term.
 
@@ -101,22 +126,36 @@ def invert(term: Term) -> Term:
     function is total (it does not require well-formedness, but preserves
     it) and self-dual: ``invert(invert(t)) == t``.
     """
-    match term:
-        case Skip():
-            return term
-        case Inc(x):
-            return Dec(x)
-        case Dec(x):
-            return Inc(x)
-        case Push(x):
-            return Pop(x)
-        case Pop(x):
-            return Push(x)
-        case Seq(first, second):
-            return Seq(invert(second), invert(first))
-        case For(leader, body):
-            return For(leader, invert(body))
-    raise TypeError(f"not a term: {term!r}")
+    # `todo` holds terms still to invert and, for each Seq or For met, a
+    # mark to assemble its inverse from the finished ones on `done`: _JOIN
+    # for a Seq, one holding the leader for a For.
+    done: list[Term] = []
+    todo: list = [term]
+    # Each distinct atom's inverse is built once and then shared.
+    inverses: dict[tuple[type, str], Term] = {}
+    while todo:
+        t = todo.pop()
+        cls = type(t)
+        swap = _INVERSE.get(cls)
+        if swap is not None:
+            inverse = inverses.get((cls, t.var))
+            if inverse is None:
+                inverse = inverses[cls, t.var] = swap(t.var)
+            done.append(inverse)
+        elif cls is Seq:
+            todo += (_JOIN, t.first, t.second)
+        elif cls is For:
+            todo += (_Mark(t.leader), t.body)
+        elif t is _JOIN:
+            first = done.pop()
+            done[-1] = Seq(done[-1], first)
+        elif cls is _Mark:
+            done[-1] = For(t.text, done[-1])
+        elif cls is Skip:
+            done.append(t)
+        else:
+            raise _not_a_term(t)
+    return done[0]
 
 
 def variables_of(term: Term) -> frozenset[Identifier]:
@@ -125,19 +164,16 @@ def variables_of(term: Term) -> frozenset[Identifier]:
     todo = [term]
     while todo:
         t = todo.pop()
-        match t:
-            case Inc(x) | Dec(x) | Push(x) | Pop(x):
-                names.add(x)
-            case Seq(first, second):
-                todo.append(first)
-                todo.append(second)
-            case For(leader, body):
-                names.add(leader)
-                todo.append(body)
-            case Skip():
-                pass
-            case _:
-                raise TypeError(f"not a term: {t!r}")
+        cls = type(t)
+        if cls is Seq:
+            todo += (t.first, t.second)
+        elif cls in _INVERSE:
+            names.add(t.var)
+        elif cls is For:
+            names.add(t.leader)
+            todo.append(t.body)
+        elif cls is not Skip:
+            raise _not_a_term(t)
     return frozenset(names)
 
 
@@ -153,6 +189,16 @@ class Violation:
     path: tuple[str, ...]
 
 
+def _path(link: tuple | None) -> tuple[str, ...]:
+    """Unwind a node's link, (field name, parent's link), into a root-first path."""
+    names = []
+    while link is not None:
+        field, link = link
+        names.append(field)
+    names.reverse()
+    return tuple(names)
+
+
 def check_well_formed(term: Term, *, relaxed: bool = False) -> list[Violation]:
     """Collect loop-proviso violations; an empty list means well formed.
 
@@ -160,31 +206,39 @@ def check_well_formed(term: Term, *, relaxed: bool = False) -> list[Violation]:
     its body: INC/DEC/PUSH/POP targets and nested FOR leaders alike, since
     all of them can disturb the leader's cell and hence the iteration
     count.  With ``relaxed=True`` only INC and DEC of the leader are
-    rejected.
+    rejected.  Violations come in source order.
     """
     violations: list[Violation] = []
-
-    def scan(t: Term, path: tuple[str, ...], banned: frozenset[str]) -> None:
-        match t:
-            case Skip():
-                pass
-            case Inc(x) | Dec(x):
-                if x in banned:
-                    violations.append(Violation(x, path))
-            case Push(x) | Pop(x):
-                if not relaxed and x in banned:
-                    violations.append(Violation(x, path))
-            case Seq(first, second):
-                scan(first, path + ("first",), banned)
-                scan(second, path + ("second",), banned)
-            case For(leader, body):
-                if not relaxed and leader in banned:
-                    violations.append(Violation(leader, path))
-                scan(body, path + ("body",), banned | {leader})
-            case _:
-                raise TypeError(f"not a term: {t!r}")
-
-    scan(term, (), frozenset())
+    # How many enclosing loops each leader leads.
+    banned: dict[str, int] = {}
+    # Entries are (node, its link), the root's link being None; a path is
+    # built from a link only for a violation.  (_JOIN, leader) marks the end
+    # of that leader's loop body.
+    todo: list[tuple] = [(term, None)]
+    while todo:
+        t, link = todo.pop()
+        cls = type(t)
+        if cls is Seq:
+            todo += ((t.second, ("second", link)), (t.first, ("first", link)))
+        elif cls is Inc or cls is Dec:
+            if t.var in banned:
+                violations.append(Violation(t.var, _path(link)))
+        elif cls is Push or cls is Pop:
+            if not relaxed and t.var in banned:
+                violations.append(Violation(t.var, _path(link)))
+        elif cls is For:
+            leader = t.leader
+            if not relaxed and leader in banned:
+                violations.append(Violation(leader, _path(link)))
+            banned[leader] = banned.get(leader, 0) + 1
+            todo += ((_JOIN, leader), (t.body, ("body", link)))
+        elif t is _JOIN:
+            if banned[link] == 1:
+                del banned[link]
+            else:
+                banned[link] -= 1
+        elif cls is not Skip:
+            raise _not_a_term(t)
     return violations
 
 
@@ -194,19 +248,23 @@ def pretty(term: Term) -> str:
     Sequences render flat ("A; B; C") and loop bodies in braces, so the
     output of any parsed term parses back to an equal term.
     """
-    match term:
-        case Skip():
-            return "SKIP"
-        case Inc(x):
-            return f"INC {x}"
-        case Dec(x):
-            return f"DEC {x}"
-        case Push(x):
-            return f"PUSH {x}"
-        case Pop(x):
-            return f"POP {x}"
-        case Seq(first, second):
-            return f"{pretty(first)}; {pretty(second)}"
-        case For(leader, body):
-            return f"FOR {leader} {{ {pretty(body)} }}"
-    raise TypeError(f"not a term: {term!r}")
+    # `todo` holds terms still to print and marks holding the text between them.
+    out: list[str] = []
+    todo: list = [term]
+    while todo:
+        t = todo.pop()
+        cls = type(t)
+        keyword = _KEYWORD.get(cls)
+        if keyword is not None:
+            out += (keyword, t.var)
+        elif cls is Seq:
+            todo += (t.second, _SEMI, t.first)
+        elif cls is _Mark:
+            out.append(t.text)
+        elif cls is For:
+            todo += (_CLOSE, t.body, _Mark(f"FOR {t.leader} {{ "))
+        elif cls is Skip:
+            out.append("SKIP")
+        else:
+            raise _not_a_term(t)
+    return "".join(out)

@@ -199,6 +199,11 @@ class TestFuzz:
         assert code == 2
         assert "error" in err
 
+    def test_negative_cases_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "fuzz", "--cases", "-5")
+        assert (code, out) == (2, "")
+        assert err == "error: --cases must not be negative, got -5\n"
+
 
 class TestOracle:
     def test_default_bounds(self, capsys):
@@ -217,6 +222,12 @@ class TestOracle:
         code, out, _ = run_cli(capsys, "oracle", "--injectivity")
         assert code == 0
         assert out == "600 cells checked\n0 collisions\n"
+
+    @pytest.mark.parametrize("option", ["--value", "--stack-len", "--elem", "--counter"])
+    def test_negative_bound_exits_two(self, capsys, option):
+        code, out, err = run_cli(capsys, "oracle", "--injectivity", option, "-1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {option} must not be negative, got -1\n"
 
 
 class TestTrace:
@@ -269,13 +280,31 @@ class TestTrace:
 
 
 class TestDeepPrograms:
-    """Programs deep enough to exhaust Python's recursion limit must end with
-    a usage error, not a traceback under exit 1, the code for an abort."""
+    """A flat program of any length goes through every command.  A loop nest
+    deep enough to exhaust Python's recursion limit in `run` and `trace`,
+    which still recurse once per loop level, must end with a usage error,
+    not a traceback under exit 1, the code for an abort."""
 
+    CYCLES = 300
     SOURCES = {
-        "flat": "; ".join(("INC x", "PUSH y", "POP y", "DEC z")[i % 4] for i in range(1200)),
+        "flat": "; ".join(("INC x", "PUSH y", "POP y", "DEC z") * CYCLES),
         "nest": "FOR a0 { " + "".join(f"FOR a{i} {{ " for i in range(1, 600)) + "INC x" + " }" * 600,
     }
+
+    def flat_stdout(self, command):
+        n = self.CYCLES
+        final = f"FINAL\nx = {n}, [], 0\ny = 0, [], 0\nz = -{n}, [], 0\n"
+        if command == "check":
+            return "ok\n"
+        if command == "invert":
+            return "; ".join(("INC z", "PUSH y", "POP y", "DEC x") * n) + "\n"
+        if command == "run":
+            return final
+        blocks = []
+        for k in range(1, n + 1):
+            blocks += [f"INC x\nx = {k}", "PUSH y\ny = 0, [0]", "POP y\ny = 0, []", f"DEC z\nz = -{k}"]
+        blocks = [b if b.endswith("]") else b + ", []" for b in blocks]
+        return "".join(f"step {i}: {b}, 0\n" for i, b in enumerate(blocks, start=1)) + final
 
     @pytest.mark.parametrize("command", ["check", "invert", "run", "trace"])
     @pytest.mark.parametrize("shape", ["flat", "nest"])
@@ -290,6 +319,10 @@ class TestDeepPrograms:
             env=env,
             timeout=120,
         )
+        if shape == "flat":
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert proc.stdout == self.flat_stdout(command)
+            return
         assert proc.returncode in (0, 2), proc.stderr[-500:]
         assert "Traceback" not in proc.stderr
         if proc.returncode == 2:

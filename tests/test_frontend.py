@@ -1,0 +1,149 @@
+"""The one-scan tokenizer, the explicit-stack parser and the loop-based
+walkers against the recursive front end they replaced, and on inputs deep
+enough to exhaust Python's recursion limit."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_frontend as ref
+from scorelang import (
+    For,
+    Inc,
+    ParseError,
+    Seq,
+    check_well_formed,
+    invert,
+    parse,
+    pretty,
+    variables_of,
+)
+from scorelang.parser import tokenize
+from term_strategies import raw_terms, wf_terms
+
+# Lexemes, near-lexemes and every kind of space, line break and fault the
+# tokenizer tells apart, joined at random; a word followed by a word run
+# together, so "INC" "x1" also yields "INCx1" and "1x" a leading digit.
+PIECES = (
+    "SKIP", "INC", "DEC", "PUSH", "POP", "FOR", "x", "y1", "_z", "inc", "1x", "42",
+    ";", "{", "}", " ", "  ", "\t", "\v", "\f", "\n", "\r", "\r\n", "#", "# note\n", "é", "\x1c", "@",
+)  # fmt: skip
+pieced_sources = st.lists(st.sampled_from(PIECES), max_size=24).map("".join)
+# Valid programs with spacing, comments and every line-break convention.
+SPACES = (" ", "\n", "\r", "\r\n", "\t", "\v", "\f", " # c\r\n", "#\n", " #c\r", "")
+spaced_programs = st.tuples(raw_terms(max_depth=5), st.lists(st.sampled_from(SPACES), min_size=1)).map(
+    lambda pair: "".join(
+        lexeme + pair[1][k % len(pair[1])] for k, lexeme in enumerate(pretty(pair[0]).replace(";", " ;").split())
+    )
+)
+character_soup = st.text(alphabet="INCDEPOSKFRxy19_;{}# \t\v\f\n\r\x1cé@", max_size=40)
+
+
+def outcome(parse_fn, src):
+    try:
+        return "term", parse_fn(src)
+    except ParseError as err:
+        return "error", err.line, err.column, err.message, err.expected, str(err)
+
+
+class TestTokenizerAgainstReference:
+    @settings(max_examples=400)
+    @given(st.one_of(pieced_sources, spaced_programs, character_soup))
+    def test_same_lexemes_or_same_fault(self, src):
+        try:
+            expected = [token.text for token in ref.tokenize(src)]
+        except ParseError as err:
+            with pytest.raises(ParseError) as info:
+                tokenize(src)
+            got = info.value
+            assert (got.line, got.column, got.message, got.expected) == (
+                err.line,
+                err.column,
+                err.message,
+                err.expected,
+            )
+        else:
+            assert tokenize(src) == expected  # the reference's end token has text ""
+
+    @pytest.mark.parametrize(
+        "src, position, char",
+        [
+            ("INC x\r# c\nINC 1", (3, 5), "1"),  # a comment between CR and LF keeps both breaks
+            ("INC x\r\nINC é", (2, 5), "é"),
+            ("INC x # é\n\tDEC \x1c", (2, 6), "\x1c"),
+            ("INC x;\v\fINC 9y", (1, 13), "9"),
+        ],
+    )
+    def test_fault_positions(self, src, position, char):
+        with pytest.raises(ParseError) as info:
+            tokenize(src)
+        assert (info.value.line, info.value.column) == position
+        assert info.value.message == f"unexpected character {char!r}"
+
+
+class TestParserAgainstReference:
+    @settings(max_examples=400)
+    @given(st.one_of(pieced_sources, spaced_programs, character_soup))
+    def test_same_term_or_same_error(self, src):
+        assert outcome(parse, src) == outcome(ref.parse, src)
+
+    @given(raw_terms(max_depth=5))
+    def test_printed_terms_parse_alike(self, term):
+        src = pretty(term)
+        assert outcome(parse, src) == outcome(ref.parse, src)
+
+
+class TestWalkersAgainstReference:
+    @settings(max_examples=300)
+    @given(st.one_of(raw_terms(max_depth=6), wf_terms(max_depth=6)))
+    def test_check_well_formed_strict_and_relaxed(self, term):
+        for relaxed in (False, True):
+            assert check_well_formed(term, relaxed=relaxed) == ref.check_well_formed(term, relaxed=relaxed)
+
+    def test_violation_order_and_paths(self):
+        term = For("x", Seq(For("y", Seq(Inc("x"), For("x", Inc("y")))), Seq(Inc("y"), Inc("x"))))
+        for relaxed in (False, True):
+            assert check_well_formed(term, relaxed=relaxed) == ref.check_well_formed(term, relaxed=relaxed)
+
+    @settings(max_examples=300)
+    @given(raw_terms(max_depth=6))
+    def test_invert_pretty_variables_of(self, term):
+        assert invert(term) == ref.invert(term)
+        assert pretty(term) == ref.pretty(term)
+        assert variables_of(term) == ref.variables_of(term)
+
+    @pytest.mark.parametrize("walker", [invert, pretty, variables_of, check_well_formed])
+    def test_rejects_non_terms(self, walker):
+        with pytest.raises(TypeError, match="not a term"):
+            walker(Seq(Inc("x"), "INC y"))
+
+
+FLAT_ATOMS = 100_000
+NEST_DEPTH = 2_000
+
+
+class TestBeyondRecursionLimit:
+    """Sizes far past Python's default recursion limit of 1000.  Deep terms
+    are compared through their printed text, since `==` on them recurses."""
+
+    def test_flat_program(self):
+        cycle = ("INC x", "PUSH y", "POP y", "DEC z")
+        src = "; ".join(cycle * (FLAT_ATOMS // 4))
+        term = parse(src)
+        assert pretty(term) == src
+        assert check_well_formed(term) == []
+        assert pretty(invert(term)) == "; ".join(("INC z", "PUSH y", "POP y", "DEC x") * (FLAT_ATOMS // 4))
+        assert variables_of(term) == {"x", "y", "z"}
+
+    def test_deep_nest(self):
+        src = "".join(f"FOR a{i} {{ " for i in range(NEST_DEPTH)) + "INC x" + " }" * NEST_DEPTH
+        term = parse(src)
+        assert pretty(term) == src
+        assert check_well_formed(term) == []
+        assert pretty(invert(term)) == src.replace("INC x", "DEC x")
+
+    def test_deep_nest_violation_path(self):
+        src = "FOR x { " + "FOR a { " * NEST_DEPTH + "INC x" + " }" * (NEST_DEPTH + 1)
+        violations = check_well_formed(parse(src), relaxed=True)
+        assert [v.leader for v in violations] == ["x"]
+        assert violations[0].path == ("body",) * (NEST_DEPTH + 1)
