@@ -13,13 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .harness import (
-    Fail,
-    GenConfig,
-    exhaustive_pop_injective,
-    exhaustive_pop_push_inverse,
-    run_fuzz,
-)
+from .harness import Fail, GenConfig, _grid_oracle, run_fuzz
 from .parser import ParseError, parse
 from .semantics import (
     AbortRecord,
@@ -143,13 +137,12 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     _require_non_negative(args, "value", "stack_len", "elem", "counter")
     bounds = (args.value, args.stack_len, args.elem, args.counter)
-    verdict = exhaustive_pop_push_inverse(*bounds)
+    verdict, injective = _grid_oracle(bounds, injective=args.injectivity)
     if isinstance(verdict, Fail):
         print(f"FAIL: {verdict.details}")
         return EXIT_PROPERTY
     print(f"{verdict.cases_run} cells checked")
-    if args.injectivity:
-        injective = exhaustive_pop_injective(*bounds)
+    if injective is not None:
         if isinstance(injective, Fail):
             print(f"FAIL: {injective.details}")
             return EXIT_PROPERTY
@@ -165,11 +158,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     out = []
     for step in steps:
         if step.abort is not None:
-            stack = ", ".join(str(e) for e in step.abort.observed.stack)
             out.append(f"ABORT at step {step.index + 1}: {step.instruction}\n")
-            out.append(f"reason: {step.abort.reason}\n")
-            out.append(f"value: {step.abort.observed.value}\n")
-            out.append(f"stack: [{stack}]\n")
+            out += (f"{line}\n" for line in _abort_lines(step.abort)[3:])  # reason, value, stack
             sys.stdout.write("".join(out))
             return EXIT_ABORT
         out.append(f"step {step.index + 1}: {step.instruction}\n")

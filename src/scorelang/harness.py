@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .semantics import Aborted, RunOutcome, eval_a, eval_r, pop_r, push_r
 from .state import Cell, DEFAULT_CELL, State, dump_state
-from .syntax import Dec, For, Inc, Pop, Push, Seq, Skip, Term, invert, pretty, variables_of
+from .syntax import Dec, For, Inc, Pop, Push, Seq, Skip, Term, _parts, _sequence, invert, pretty, variables_of
 
 __all__ = [
     "GenConfig",
@@ -135,11 +135,12 @@ def _gen(cfg: GenConfig, rng: random.Random, names: list[str], depth: int, allow
     if ctor == "pop":
         return Pop(rng.choice(names))
     if ctor == "seq":
-        # first arm never a Seq, so spines come out right-associated and
-        # therefore identical to what the parser would produce
+        # a first part that is never a sequence, then a rest that may be one
+        # and whose parts follow: this order of draws fixes each seed's
+        # programs, and so its fuzz reports
         first = _gen(cfg, rng, names, depth - 1, allow_seq=False)
         second = _gen(cfg, rng, names, depth - 1, allow_seq=True)
-        return Seq(first, second)
+        return _sequence((first, *_parts(second)))
     leader = rng.choice(names)
     body = _gen(cfg, rng, [n for n in names if n != leader], depth - 1, allow_seq=True)
     return For(leader, body)
@@ -184,11 +185,15 @@ def _first_diff(expected: State, got: State) -> str:
 
 def check_strong_reversibility(program: Term, initial: State) -> Verdict:
     """P;-P and -P;P must both restore `initial` exactly under eval_r."""
-    inverse = invert(program)
-    after = eval_r(Seq(program, inverse), initial)
+    return _strong_reversibility(program, invert(program), initial)
+
+
+def _strong_reversibility(program: Term, inverse: Term, initial: State) -> Verdict:
+    forward, backward = _parts(program), _parts(inverse)
+    after = eval_r(_sequence(forward + backward), initial)
     if after != initial:
         return Fail(program, initial, f"P;-P changed the state: {_first_diff(initial, after)}")
-    after = eval_r(Seq(inverse, program), initial)
+    after = eval_r(_sequence(backward + forward), initial)
     if after != initial:
         return Fail(program, initial, f"-P;P changed the state: {_first_diff(initial, after)}")
     return Pass()
@@ -197,13 +202,13 @@ def check_strong_reversibility(program: Term, initial: State) -> Verdict:
 def check_weak_reversibility_a(program: Term, initial: State) -> Verdict:
     """A completed assert-semantics run must be undone exactly by the
     inverse program; aborting runs pass vacuously."""
-    return _weak_reversibility_a(program, initial, eval_a(program, initial))
+    return _weak_reversibility_a(program, invert(program), initial, eval_a(program, initial))
 
 
-def _weak_reversibility_a(program: Term, initial: State, outcome: RunOutcome) -> Verdict:
+def _weak_reversibility_a(program: Term, inverse: Term, initial: State, outcome: RunOutcome) -> Verdict:
     if isinstance(outcome, Aborted):
         return Pass(vacuous=True)
-    back = eval_a(invert(program), outcome.state)
+    back = eval_a(inverse, outcome.state)
     if isinstance(back, Aborted):
         return Fail(program, initial, f"inverse run aborted: {back.record.reason} on {back.record.variable}")
     if back.state != initial:
@@ -279,51 +284,60 @@ def exhaustive_pop_push_inverse(
     """Brute-force check that pop and push are mutual inverses on every
     cell with |value| <= value_bound, stack length <= stack_len_bound,
     |elements| <= elem_bound, and counter <= counter_bound."""
-    count = 0
-    for cell in _enumerate_cells(value_bound, stack_len_bound, elem_bound, counter_bound):
-        count += 1
-        roundtrip = pop_r(push_r(cell))
-        if roundtrip != cell:
-            return Fail(None, None, f"pop(push({tuple(cell)})) = {tuple(roundtrip)}")
-        roundtrip = push_r(pop_r(cell))
-        if roundtrip != cell:
-            return Fail(None, None, f"push(pop({tuple(cell)})) = {tuple(roundtrip)}")
-    return Pass(cases_run=count)
+    return _grid_oracle((value_bound, stack_len_bound, elem_bound, counter_bound), injective=False)[0]
 
 
 def exhaustive_pop_injective(
     value_bound: int, stack_len_bound: int, elem_bound: int, counter_bound: int
 ) -> Verdict:
     """Check that pop_r never maps two distinct grid cells to equal cells."""
-    seen: dict[Cell, Cell] = {}
+    return _grid_oracle((value_bound, stack_len_bound, elem_bound, counter_bound), inverse=False)[1]
+
+
+def _grid_oracle(bounds: tuple[int, int, int, int], *, inverse: bool = True, injective: bool = True) -> tuple:
+    """The inverse and the injectivity verdicts, None for a check not asked
+    for, from one pass over the grid that pops each cell once for both.  A
+    collision ends only the collision map, so that an inverse failure later
+    in the grid still comes first."""
+    seen: set[Cell] = set()
+    collision = None
     count = 0
-    for cell in _enumerate_cells(value_bound, stack_len_bound, elem_bound, counter_bound):
-        count += 1
+    for count, cell in enumerate(_enumerate_cells(*bounds), 1):
         image = pop_r(cell)
-        other = seen.get(image)
-        if other is not None:
-            return Fail(None, None, f"pop collision: {tuple(other)} and {tuple(cell)} -> {tuple(image)}")
-        seen[image] = cell
-    return Pass(cases_run=count)
+        if inverse:
+            for outer, inner, roundtrip in (("pop", "push", pop_r(push_r(cell))), ("push", "pop", push_r(image))):
+                if roundtrip != cell:
+                    return Fail(None, None, f"{outer}({inner}({tuple(cell)})) = {tuple(roundtrip)}"), None
+        if injective and collision is None:
+            if image in seen:  # the earlier cell is found again, not kept for every cell
+                other = next(c for c in _enumerate_cells(*bounds) if pop_r(c) == image)
+                collision = Fail(None, None, f"pop collision: {tuple(other)} and {tuple(cell)} -> {tuple(image)}")
+            seen.add(image)
+    passed = Pass(cases_run=count)
+    return (passed if inverse else None), ((collision or passed) if injective else None)
 
 
 def _term_shrinks(term: Term) -> Iterator[Term]:
-    match term:
-        case Seq(first, second):
-            yield first
-            yield second
-            for smaller in _term_shrinks(first):
-                yield Seq(smaller, second)
-            for smaller in _term_shrinks(second):
-                yield Seq(first, smaller)
-        case For(leader, body):
-            yield body
-            for smaller in _term_shrinks(body):
-                yield For(leader, smaller)
-        case Skip():
-            return
-        case _:
-            yield Skip()
+    """Smaller terms.  A sequence splits into halves: each half alone, then
+    each half's shrinks beside the other, so any run of parts can go in a
+    few steps and no recursion is deeper than the log of the length.  A
+    loop gives its body, then the body's shrinks in place; an atom gives
+    SKIP."""
+    if type(term) is Seq:
+        half = len(term.parts) // 2
+        left, right = _sequence(term.parts[:half]), _sequence(term.parts[half:])
+        yield left
+        yield right
+        for smaller in _term_shrinks(left):
+            yield Seq(smaller, right)
+        for smaller in _term_shrinks(right):
+            yield Seq(left, smaller)
+    elif type(term) is For:
+        yield term.body
+        for smaller in _term_shrinks(term.body):
+            yield For(term.leader, smaller)
+    elif type(term) is not Skip:
+        yield Skip()
 
 
 def _toward_zero(value: int) -> list[int]:
@@ -472,30 +486,19 @@ class FuzzReport:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        def witness_dict(w: FuzzWitness) -> dict:
-            return {"check": w.check, "program": w.program, "state": w.state, "details": w.details}
-
         return {
             "seed": self.seed,
             "cases": self.cases,
             "strong": {"passed": self.strong.passed, "failed": self.strong.failed},
-            "weak": {
-                "passed": self.weak.passed,
-                "vacuous": self.weak.vacuous,
-                "failed": self.weak.failed,
-            },
-            "agreement": {
-                "passed": self.agreement.passed,
-                "vacuous": self.agreement.vacuous,
-                "failed": self.agreement.failed,
-            },
+            "weak": asdict(self.weak),
+            "agreement": asdict(self.agreement),
             "correspondence": {
                 "if_direction_witnesses": self.if_direction_witnesses,
                 "only_if_witnesses": self.only_if_witnesses,
             },
             "seeded_only_if_reported": self.seeded_only_if_reported,
-            "failures": [witness_dict(w) for w in self.failures],
-            "only_if_samples": [witness_dict(w) for w in self.only_if_samples],
+            "failures": [asdict(w) for w in self.failures],
+            "only_if_samples": [asdict(w) for w in self.only_if_samples],
             "ok": self.ok,
         }
 
@@ -540,7 +543,8 @@ def run_fuzz(cfg: GenConfig, cases: int, *, minimize_failures: bool = True) -> F
         full_state = gen_state(cfg, variables_of(program), rng=rng)
         flat_state = zero_counters(full_state)
 
-        verdict = check_strong_reversibility(program, full_state)
+        inverse = invert(program)
+        verdict = _strong_reversibility(program, inverse, full_state)
         if not strong.add(verdict):
             record_failure(
                 "strong-reversibility",
@@ -551,7 +555,7 @@ def run_fuzz(cfg: GenConfig, cases: int, *, minimize_failures: bool = True) -> F
         # each semantics runs once on the counter-free state; three checks share the runs
         outcome = eval_a(program, flat_state)
         reversible = eval_r(program, flat_state)
-        verdict = _weak_reversibility_a(program, flat_state, outcome)
+        verdict = _weak_reversibility_a(program, inverse, flat_state, outcome)
         if not weak.add(verdict):
             record_failure(
                 "weak-reversibility-a",

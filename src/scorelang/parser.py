@@ -3,7 +3,7 @@
 Grammar::
 
     program := seq
-    seq     := atom (";" atom)*            -- ";" associates to the right
+    seq     := atom (";" atom)*            -- one Seq of all the atoms
     atom    := "SKIP" | "INC" ident | "DEC" ident | "PUSH" ident
              | "POP" ident | "FOR" ident "{" seq "}"
     ident   := [A-Za-z_][A-Za-z0-9_]*      -- keywords are reserved
@@ -19,7 +19,7 @@ import re
 from itertools import islice
 from typing import NoReturn
 
-from .syntax import KEYWORDS, Dec, For, Inc, Pop, Push, Seq, Skip, Term
+from .syntax import KEYWORDS, Dec, For, Inc, Pop, Push, Skip, Term, _sequence
 
 __all__ = ["ParseError", "parse"]
 
@@ -91,14 +91,6 @@ _UNARY = {"INC": Inc, "DEC": Dec, "PUSH": Push, "POP": Pop}
 _NOT_NAMES = KEYWORDS | {";", "{", "}", ""}
 
 
-def _fold(parts: list[Term]) -> Term:
-    """The right-associated sequence of `parts`."""
-    node = parts[-1]
-    for k in range(len(parts) - 2, -1, -1):
-        node = Seq(parts[k], node)
-    return node
-
-
 def parse(src: str) -> Term:
     """Parse program text into a term, raising ParseError on the first fault.
 
@@ -142,7 +134,7 @@ def parse(src: str) -> Term:
         # An instruction ended: close every sequence, and loop, that ends here.
         word = lexemes[i]
         while word != ";":
-            body = _fold(parts)
+            body = _sequence(parts)
             if not open_loops:
                 if not word:
                     return body

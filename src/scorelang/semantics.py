@@ -31,20 +31,11 @@ semantics additionally refuse input states with a nonzero counter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import length_hint
 
 from .state import Cell, DEFAULT_CELL, State
-from .syntax import (
-    Dec,
-    For,
-    Inc,
-    Pop,
-    Push,
-    Seq,
-    Skip,
-    Term,
-    Violation,
-    check_well_formed,
-)
+from .syntax import Dec, For, Inc, Pop, Push, Skip, Term, Violation, _parts, check_well_formed
 
 __all__ = [
     "AbortRecord",
@@ -181,8 +172,8 @@ def pop_r(cell: Cell) -> Cell:
 # Under the assert semantics the abort position needs the number of steps
 # run so far.  Rather than count every step, a run adds the body's atom
 # count (its INC/DEC/PUSH/POP entries) times the iteration count at each
-# loop entry ("scheduled" steps), and an abort returns, frame by frame, the
-# scheduled steps that did not run.  POP_A and loop entries therefore also
+# loop entry ("scheduled" steps), and an abort adds up, over the open
+# loops, the scheduled steps that did not run.  POP_A and loop entries therefore also
 # carry the number of atoms before them in their block.
 
 _INC, _DEC, _PUSH, _PUSH_R, _POP_N, _POP_A, _POP_R, _LOOP, _OBSERVE = range(9)
@@ -231,19 +222,16 @@ class _Run:
 
     def compile(self, term: Term, inverted: int) -> tuple[tuple, int]:
         """The block of `term` run forward (0) or inverted (1), and its atom
-        count.  Walks sequences with an explicit stack; a loop body is
-        compiled when `_execute` first enters the loop in that direction."""
+        count.  No part of a sequence is a sequence, and a loop body is
+        compiled when `_execute` first enters the loop in that direction,
+        so this is one pass over the parts."""
         ops, slots = self.ops[inverted], self.slots
         trace = self.trace is not None
         entries: list[tuple] = []
         atoms = 0
-        todo = [term]
-        while todo:
-            t = todo.pop()
+        parts = _parts(term)
+        for t in parts[::-1] if inverted else parts:
             kind = type(t)
-            if kind is Seq:
-                todo += (t.first, t.second) if inverted else (t.second, t.first)
-                continue
             if kind is Skip:
                 continue
             name = t.leader if kind is For else t.var
@@ -285,59 +273,70 @@ class _Run:
 def _execute(run: _Run, block: tuple, atoms: int):
     """Run one block; None when it completes, else the number of its
     scheduled steps that did not run because a POP aborted, whose slot
-    is then ``run.failed``."""
+    is then ``run.failed``.  A loop entry pushes a frame (enclosing iterator,
+    its atoms, atoms before the entry, body atoms, repeats left) and goes on
+    with the body's block repeated, so nesting does not recurse."""
     values, stacks, counters = run.values, run.stacks, run.counters
-    for op, arg in block:
-        if op == _INC:
-            values[arg] += 1
-        elif op == _DEC:
-            values[arg] -= 1
-        elif op == _PUSH:
-            stacks[arg].append(values[arg])
-            values[arg] = 0
-        elif op == _PUSH_R:
-            if not counters[arg]:
+    frames: list[tuple] = []
+    it = iter(block)
+    while True:
+        for op, arg in it:
+            if op == _INC:
+                values[arg] += 1
+            elif op == _DEC:
+                values[arg] -= 1
+            elif op == _PUSH:
                 stacks[arg].append(values[arg])
                 values[arg] = 0
-            elif values[arg] or not stacks[arg]:
-                counters[arg] -= 1
-        elif op == _POP_N:
-            stack = stacks[arg]
-            values[arg] = stack.pop() if stack else 0
-        elif op == _POP_A:
-            slot, before = arg
-            stack = stacks[slot]
-            if values[slot] or not stack:
-                run.failed = slot
-                return atoms - before
-            values[slot] = stack.pop()
-        elif op == _POP_R:
-            if values[arg] or not stacks[arg]:
-                counters[arg] += 1
-            elif not counters[arg]:
-                values[arg] = stacks[arg].pop()
-        elif op == _LOOP:
-            leader, cache, direction, before = arg
-            count = values[leader]
-            if count:
-                if count < 0:
-                    count = -count
-                    direction ^= 1
-                compiled = cache[direction]
-                if compiled is None:
-                    compiled = cache[direction] = run.compile(cache[_BODY], direction)
-                body, body_atoms = compiled
-                run.scheduled += count * body_atoms
-                for done in range(1, count + 1):
-                    left = _execute(run, body, body_atoms)
-                    if left is not None:
-                        return left + (count - done) * body_atoms + atoms - before
+            elif op == _PUSH_R:
+                if not counters[arg]:
+                    stacks[arg].append(values[arg])
+                    values[arg] = 0
+                elif values[arg] or not stacks[arg]:
+                    counters[arg] -= 1
+            elif op == _POP_N:
+                stack = stacks[arg]
+                values[arg] = stack.pop() if stack else 0
+            elif op == _POP_A:
+                slot, before = arg
+                stack = stacks[slot]
+                if values[slot] or not stack:
+                    run.failed = slot
+                    left = atoms - before
+                    for _, outer_atoms, entry_before, body_atoms, repeats in frames:
+                        left += length_hint(repeats) * body_atoms + outer_atoms - entry_before
+                    return left
+                values[slot] = stack.pop()
+            elif op == _POP_R:
+                if values[arg] or not stacks[arg]:
+                    counters[arg] += 1
+                elif not counters[arg]:
+                    values[arg] = stacks[arg].pop()
+            elif op == _LOOP:
+                leader, cache, direction, before = arg
+                count = values[leader]
+                if count:
+                    if count < 0:
+                        count = -count
+                        direction ^= 1
+                    compiled = cache[direction]
+                    if compiled is None:
+                        compiled = cache[direction] = run.compile(cache[_BODY], direction)
+                    body, body_atoms = compiled
+                    run.scheduled += count * body_atoms
+                    repeats = repeat(body, count)
+                    frames.append((it, atoms, before, body_atoms, repeats))
+                    it, atoms = chain.from_iterable(repeats), body_atoms
+                    break
+            else:
+                instruction, name, slot = arg
+                trace = run.trace
+                cell = Cell(values[slot], tuple(reversed(stacks[slot])), counters[slot])
+                trace.append(TraceStep(len(trace), instruction, name, cell))
         else:
-            instruction, name, slot = arg
-            trace = run.trace
-            cell = Cell(values[slot], tuple(reversed(stacks[slot])), counters[slot])
-            trace.append(TraceStep(len(trace), instruction, name, cell))
-    return None
+            if not frames:
+                return None
+            it, atoms = frames.pop()[:2]
 
 
 def _start(term: Term, state: State, semantics: str, trace: list[TraceStep] | None):

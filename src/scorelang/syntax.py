@@ -34,8 +34,8 @@ def _require_identifier(name: str) -> None:
 class Term:
     """Base class for program terms.
 
-    Terms are immutable trees compared structurally; `Seq` is binary and
-    non-associative at this level (the pretty-printer flattens it).
+    Terms are immutable trees compared structurally; a `Seq` holds a flat
+    run of parts, so sequencing is associative.
     """
 
     __slots__ = ()
@@ -76,10 +76,38 @@ class Pop(_Unary):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Seq(Term):
-    first: Term
-    second: Term
+    """Two or more terms run in order.  Nested sequences are spliced in, so
+    ``Seq(a, Seq(b, c)) == Seq(Seq(a, b), c) == Seq(a, b, c)`` and no part
+    of a Seq is a Seq."""
+
+    parts: tuple[Term, ...]
+
+    def __init__(self, *parts: Term) -> None:
+        if Seq in map(type, parts):
+            flat: list[Term] = []
+            for part in parts:
+                flat += part.parts if type(part) is Seq else (part,)
+            parts = tuple(flat)
+        if len(parts) < 2:
+            raise ValueError(f"a sequence needs at least two parts, got {len(parts)}")
+        object.__setattr__(self, "parts", parts)
+
+
+def _parts(term: Term) -> tuple[Term, ...]:
+    """The parts of a sequence; any other term is a run of one part."""
+    return term.parts if type(term) is Seq else (term,)
+
+
+def _sequence(parts: tuple[Term, ...] | list[Term]) -> Term:
+    """The sequence of one or more `parts`, or its only part, built without
+    the constructor's scan: the caller vouches that no part is a Seq."""
+    if len(parts) == 1:
+        return parts[0]
+    new = object.__new__(Seq)
+    object.__setattr__(new, "parts", tuple(parts))
+    return new
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,15 +129,15 @@ _KEYWORD = {Inc: "INC ", Dec: "DEC ", Push: "PUSH ", Pop: "POP "}
 
 class _Mark:
     """A pending step on a walker's stack, told apart from terms (and from
-    anything else a malformed term may hold) by its class."""
+    anything else a malformed term may hold) by its class: text to print,
+    a loop leader, or the number of finished parts to join."""
 
-    __slots__ = ("text",)
+    __slots__ = ("value",)
 
-    def __init__(self, text: str | None) -> None:
-        self.text = text
+    def __init__(self, value: str | int) -> None:
+        self.value = value
 
 
-_JOIN = _Mark(None)
 _SEMI = _Mark("; ")
 _CLOSE = _Mark(" }")
 
@@ -121,14 +149,15 @@ def _not_a_term(t: object) -> TypeError:
 def invert(term: Term) -> Term:
     """Structural inverse of a term.
 
-    INC and DEC swap, PUSH and POP swap, sequences reverse and invert both
-    arms, loops invert their body in place, SKIP is a fixed point.  The
+    INC and DEC swap, PUSH and POP swap, sequences reverse and invert each
+    part, loops invert their body in place, SKIP is a fixed point.  The
     function is total (it does not require well-formedness, but preserves
     it) and self-dual: ``invert(invert(t)) == t``.
     """
     # `todo` holds terms still to invert and, for each Seq or For met, a
-    # mark to assemble its inverse from the finished ones on `done`: _JOIN
-    # for a Seq, one holding the leader for a For.
+    # mark to assemble its inverse from the finished ones on `done`: the
+    # number of parts for a Seq, the leader for a For.  A Seq's parts go on
+    # `todo` in order, so their inverses come off it last part first.
     done: list[Term] = []
     todo: list = [term]
     # Each distinct atom's inverse is built once and then shared.
@@ -143,14 +172,16 @@ def invert(term: Term) -> Term:
                 inverse = inverses[cls, t.var] = swap(t.var)
             done.append(inverse)
         elif cls is Seq:
-            todo += (_JOIN, t.first, t.second)
+            todo.append(_Mark(len(t.parts)))
+            todo += t.parts
         elif cls is For:
             todo += (_Mark(t.leader), t.body)
-        elif t is _JOIN:
-            first = done.pop()
-            done[-1] = Seq(done[-1], first)
         elif cls is _Mark:
-            done[-1] = For(t.text, done[-1])
+            value = t.value
+            if type(value) is int:
+                done[-value:] = (_sequence(done[-value:]),)
+            else:
+                done[-1] = For(value, done[-1])
         elif cls is Skip:
             done.append(t)
         else:
@@ -166,7 +197,7 @@ def variables_of(term: Term) -> frozenset[Identifier]:
         t = todo.pop()
         cls = type(t)
         if cls is Seq:
-            todo += (t.first, t.second)
+            todo += t.parts
         elif cls in _INVERSE:
             names.add(t.var)
         elif cls is For:
@@ -181,8 +212,10 @@ def variables_of(term: Term) -> frozenset[Identifier]:
 class Violation:
     """A loop leader occurring inside its own body.
 
-    `path` is the chain of field names (``first``/``second``/``body``) from
-    the checked term's root down to the offending node.
+    `path` is the chain of field names from the checked term's root down
+    to the offending node: ``body`` into a loop, and into part k of a
+    sequence of n parts ``second`` k times, then ``first`` unless k is the
+    last part (the names a right-nested pairing of the parts gives).
     """
 
     leader: Identifier
@@ -190,11 +223,16 @@ class Violation:
 
 
 def _path(link: tuple | None) -> tuple[str, ...]:
-    """Unwind a node's link, (field name, parent's link), into a root-first path."""
+    """Unwind a node's link into a root-first path.  A link is (index k,
+    number of parts n, the link of the run of parts), or (None, 0, the
+    loop's link) for a loop body."""
     names = []
     while link is not None:
-        field, link = link
-        names.append(field)
+        k, n, link = link
+        if k is None:
+            names.append("body")
+        else:  # leaf first: "first" unless the last part, after k "second"s
+            names += ("first",) * (k < n - 1) + ("second",) * k
     names.reverse()
     return tuple(names)
 
@@ -209,36 +247,33 @@ def check_well_formed(term: Term, *, relaxed: bool = False) -> list[Violation]:
     rejected.  Violations come in source order.
     """
     violations: list[Violation] = []
-    # How many enclosing loops each leader leads.
+    # How many enclosing loops each name leads; a name is banned while positive.
     banned: dict[str, int] = {}
-    # Entries are (node, its link), the root's link being None; a path is
-    # built from a link only for a violation.  (_JOIN, leader) marks the end
-    # of that leader's loop body.
-    todo: list[tuple] = [(term, None)]
-    while todo:
-        t, link = todo.pop()
-        cls = type(t)
-        if cls is Seq:
-            todo += ((t.second, ("second", link)), (t.first, ("first", link)))
-        elif cls is Inc or cls is Dec:
-            if t.var in banned:
-                violations.append(Violation(t.var, _path(link)))
-        elif cls is Push or cls is Pop:
-            if not relaxed and t.var in banned:
-                violations.append(Violation(t.var, _path(link)))
-        elif cls is For:
-            leader = t.leader
-            if not relaxed and leader in banned:
-                violations.append(Violation(leader, _path(link)))
-            banned[leader] = banned.get(leader, 0) + 1
-            todo += ((_JOIN, leader), (t.body, ("body", link)))
-        elif t is _JOIN:
-            if banned[link] == 1:
-                del banned[link]
-            else:
-                banned[link] -= 1
-        elif cls is not Skip:
-            raise _not_a_term(t)
+    # One frame per run of parts being checked, the root's and each open
+    # loop body's: its (index, part) pairs still to check, its length, its
+    # link and the leader it bans.  A path is built only for a violation.
+    parts = _parts(term)
+    frames: list[tuple] = [(enumerate(parts), len(parts), None, None)]
+    while frames:
+        items, n, link, leader = frames[-1]
+        for k, t in items:
+            cls = type(t)
+            if cls in _INVERSE:
+                if banned.get(t.var) and (cls is Inc or cls is Dec or not relaxed):
+                    violations.append(Violation(t.var, _path((k, n, link))))
+            elif cls is For:
+                if not relaxed and banned.get(t.leader):
+                    violations.append(Violation(t.leader, _path((k, n, link))))
+                banned[t.leader] = banned.get(t.leader, 0) + 1
+                parts = _parts(t.body)
+                frames.append((enumerate(parts), len(parts), (None, 0, (k, n, link)), t.leader))
+                break
+            elif cls is not Skip:
+                raise _not_a_term(t)
+        else:
+            frames.pop()
+            if leader is not None:
+                banned[leader] -= 1
     return violations
 
 
@@ -246,7 +281,7 @@ def pretty(term: Term) -> str:
     """Concrete syntax for a term.
 
     Sequences render flat ("A; B; C") and loop bodies in braces, so the
-    output of any parsed term parses back to an equal term.
+    output of any term parses back to an equal term.
     """
     # `todo` holds terms still to print and marks holding the text between them.
     out: list[str] = []
@@ -258,9 +293,11 @@ def pretty(term: Term) -> str:
         if keyword is not None:
             out += (keyword, t.var)
         elif cls is Seq:
-            todo += (t.second, _SEMI, t.first)
+            pending = [_SEMI] * (2 * len(t.parts) - 1)
+            pending[::2] = t.parts[::-1]
+            todo += pending
         elif cls is _Mark:
-            out.append(t.text)
+            out.append(t.value)
         elif cls is For:
             todo += (_CLOSE, t.body, _Mark(f"FOR {t.leader} {{ "))
         elif cls is Skip:

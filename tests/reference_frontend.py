@@ -4,8 +4,8 @@ and loop-based walkers replaced.
 Kept here, unoptimized, as the oracle the package is checked against: the
 tokenizer steps through the source one character at a time and builds a
 `Token` per lexeme, the parser is recursive descent, and `invert`,
-`pretty` and `check_well_formed` recurse along sequences with a `match`
-per node, so they are only fit for small terms.
+`pretty` and `check_well_formed` recurse into every part and loop body
+with a `match` per node, so they are only fit for shallow terms.
 """
 
 from __future__ import annotations
@@ -124,10 +124,7 @@ def _seq(tokens: list[Token], i: int) -> tuple[Term, int]:
     while tokens[i].kind == "semi":
         term, i = _atom(tokens, i + 1)
         parts.append(term)
-    node = parts[-1]
-    for left in reversed(parts[:-1]):
-        node = Seq(left, node)
-    return node, i
+    return (parts[0] if len(parts) == 1 else Seq(*parts)), i
 
 
 def parse(src: str) -> Term:
@@ -147,8 +144,8 @@ def parse(src: str) -> Term:
 def invert(term: Term) -> Term:
     """Structural inverse of a term.
 
-    INC and DEC swap, PUSH and POP swap, sequences reverse and invert both
-    arms, loops invert their body in place, SKIP is a fixed point.  The
+    INC and DEC swap, PUSH and POP swap, sequences reverse and invert each
+    part, loops invert their body in place, SKIP is a fixed point.  The
     function is total (it does not require well-formedness, but preserves
     it) and self-dual: ``invert(invert(t)) == t``.
     """
@@ -163,8 +160,8 @@ def invert(term: Term) -> Term:
             return Pop(x)
         case Pop(x):
             return Push(x)
-        case Seq(first, second):
-            return Seq(invert(second), invert(first))
+        case Seq(parts):
+            return Seq(*(invert(part) for part in reversed(parts)))
         case For(leader, body):
             return For(leader, invert(body))
     raise TypeError(f"not a term: {term!r}")
@@ -179,9 +176,8 @@ def variables_of(term: Term) -> frozenset[str]:
         match t:
             case Inc(x) | Dec(x) | Push(x) | Pop(x):
                 names.add(x)
-            case Seq(first, second):
-                todo.append(first)
-                todo.append(second)
+            case Seq(parts):
+                todo.extend(parts)
             case For(leader, body):
                 names.add(leader)
                 todo.append(body)
@@ -213,9 +209,10 @@ def check_well_formed(term: Term, *, relaxed: bool = False) -> list[Violation]:
             case Push(x) | Pop(x):
                 if not relaxed and x in banned:
                     violations.append(Violation(x, path))
-            case Seq(first, second):
-                scan(first, path + ("first",), banned)
-                scan(second, path + ("second",), banned)
+            case Seq(parts):
+                # part k is reached as in a right-nested pair of first and rest
+                for k, part in enumerate(parts):
+                    scan(part, path + ("second",) * k + ("first",) * (k < len(parts) - 1), banned)
             case For(leader, body):
                 if not relaxed and leader in banned:
                     violations.append(Violation(leader, path))
@@ -244,8 +241,8 @@ def pretty(term: Term) -> str:
             return f"PUSH {x}"
         case Pop(x):
             return f"POP {x}"
-        case Seq(first, second):
-            return f"{pretty(first)}; {pretty(second)}"
+        case Seq(parts):
+            return "; ".join(pretty(part) for part in parts)
         case For(leader, body):
             return f"FOR {leader} {{ {pretty(body)} }}"
     raise TypeError(f"not a term: {term!r}")

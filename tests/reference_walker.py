@@ -67,9 +67,9 @@ class _StepLog:
 
 def _run(term: Term, cells: dict[str, Cell], mode: str, log: _StepLog | None) -> None:
     match term:
-        case Seq(first, second):
-            _run(first, cells, mode, log)
-            _run(second, cells, mode, log)
+        case Seq(parts):
+            for part in parts:
+                _run(part, cells, mode, log)
         case Inc(x):
             value, stack, counter = cells.get(x, DEFAULT_CELL)
             cells[x] = Cell(value + 1, stack, counter)

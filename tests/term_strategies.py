@@ -20,7 +20,8 @@ _VAR_ATOMS = {"inc": Inc, "dec": Dec, "push": Push, "pop": Pop}
 
 @st.composite
 def raw_terms(draw, max_depth=4):
-    """Arbitrary terms: possibly ill-formed, arbitrary Seq nesting."""
+    """Arbitrary terms: possibly ill-formed, arbitrary Seq nesting (which
+    the constructor flattens, so every shape prints and parses back equal)."""
     kinds = ["skip", "inc", "dec", "push", "pop"]
     if max_depth > 1:
         kinds += ["seq", "for"]
@@ -30,14 +31,14 @@ def raw_terms(draw, max_depth=4):
     if kind in _VAR_ATOMS:
         return _VAR_ATOMS[kind](draw(idents))
     if kind == "seq":
-        return Seq(draw(raw_terms(max_depth - 1)), draw(raw_terms(max_depth - 1)))
+        return Seq(*draw(st.lists(raw_terms(max_depth - 1), min_size=2, max_size=4)))
     return For(draw(idents), draw(raw_terms(max_depth - 1)))
 
 
 @st.composite
 def wf_terms(draw, max_depth=4, names=NAMES, stack_ops=True):
     """Well-formed terms (loop leaders barred from their bodies), with
-    arbitrary Seq nesting including left-leaning shapes."""
+    arbitrary Seq nesting."""
     names = tuple(names)
     kinds = ["skip"]
     if names:
@@ -52,33 +53,7 @@ def wf_terms(draw, max_depth=4, names=NAMES, stack_ops=True):
     if kind in _VAR_ATOMS:
         return _VAR_ATOMS[kind](draw(st.sampled_from(names)))
     if kind == "seq":
-        return Seq(
-            draw(wf_terms(max_depth - 1, names, stack_ops)),
-            draw(wf_terms(max_depth - 1, names, stack_ops)),
-        )
+        return Seq(*draw(st.lists(wf_terms(max_depth - 1, names, stack_ops), min_size=2, max_size=4)))
     leader = draw(st.sampled_from(names))
     rest = tuple(n for n in names if n != leader)
     return For(leader, draw(wf_terms(max_depth - 1, rest, stack_ops)))
-
-
-@st.composite
-def parseable_terms(draw, max_depth=4, allow_seq=True):
-    """Terms whose shape the grammar can express: Seq spines associate to
-    the right.  Well-formedness is not required (the parser accepts any
-    shape the grammar derives)."""
-    kinds = ["skip", "inc", "dec", "push", "pop"]
-    if max_depth > 1:
-        kinds.append("for")
-        if allow_seq:
-            kinds.append("seq")
-    kind = draw(st.sampled_from(kinds))
-    if kind == "skip":
-        return Skip()
-    if kind in _VAR_ATOMS:
-        return _VAR_ATOMS[kind](draw(idents))
-    if kind == "seq":
-        return Seq(
-            draw(parseable_terms(max_depth - 1, allow_seq=False)),
-            draw(parseable_terms(max_depth - 1, allow_seq=True)),
-        )
-    return For(draw(idents), draw(parseable_terms(max_depth - 1)))

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import scorelang
-from scorelang import parse_state
+from scorelang import Cell, Fail, Pass, exhaustive_pop_injective, harness, parse_state, pop_r
 from scorelang.cli import main
 
 
@@ -223,6 +224,43 @@ class TestOracle:
         assert code == 0
         assert out == "600 cells checked\n0 collisions\n"
 
+    @pytest.mark.parametrize(
+        "name, fake",
+        [
+            ("push_r", lambda cell: Cell(0, (cell.value, *cell.stack), 0)),  # never repairs
+            ("pop_r", lambda cell: Cell(cell.value, cell.stack, min(cell.counter + 1, 2))),  # counter capped
+            ("pop_r", lambda cell: Cell(0, cell.stack[1:], 0) if len(cell.stack) == 3 else pop_r(cell)),
+        ],
+    )
+    def test_broken_push_pop_fail_lines_match_two_passes(self, capsys, monkeypatch, name, fake):
+        monkeypatch.setattr(harness, name, fake)
+        push, pop = harness.push_r, harness.pop_r
+        stacks = [s for n in range(4) for s in product((-1, 0, 1), repeat=n)]
+        grid = [Cell(v, s, c) for v in range(-2, 3) for s in stacks for c in range(3)]
+        # the two passes the one-pass oracle replaced: every inverse first, then the collisions
+        inverse = next(
+            (
+                f"FAIL: {outer}({inner}({tuple(cell)})) = {tuple(back)}"
+                for cell in grid
+                for outer, inner, back in (("pop", "push", pop(push(cell))), ("push", "pop", push(pop(cell))))
+                if back != cell
+            ),
+            None,
+        )
+        seen = {}
+        collision = next(
+            (
+                f"FAIL: pop collision: {tuple(seen[pop(cell)])} and {tuple(cell)} -> {tuple(pop(cell))}"
+                for cell in grid
+                if seen.setdefault(pop(cell), cell) is not cell
+            ),
+            None,
+        )
+        assert inverse is not None
+        assert run_cli(capsys, "oracle", "--injectivity") == (3, inverse + "\n", "")
+        injective = exhaustive_pop_injective(2, 3, 1, 2)
+        assert injective == (Pass(cases_run=600) if collision is None else Fail(None, None, collision[6:]))
+
     @pytest.mark.parametrize("option", ["--value", "--stack-len", "--elem", "--counter"])
     def test_negative_bound_exits_two(self, capsys, option):
         code, out, err = run_cli(capsys, "oracle", "--injectivity", option, "-1")
@@ -280,16 +318,17 @@ class TestTrace:
 
 
 class TestDeepPrograms:
-    """A flat program of any length goes through every command.  A loop nest
-    deep enough to exhaust Python's recursion limit in `run` and `trace`,
-    which still recurse once per loop level, must end with a usage error,
-    not a traceback under exit 1, the code for an abort."""
+    """A long flat program, and a deep loop nest whose loops all run, go
+    through every command with exit 0 and the exact output."""
 
     CYCLES = 300
+    DEPTH = 600
     SOURCES = {
         "flat": "; ".join(("INC x", "PUSH y", "POP y", "DEC z") * CYCLES),
-        "nest": "FOR a0 { " + "".join(f"FOR a{i} {{ " for i in range(1, 600)) + "INC x" + " }" * 600,
+        "nest": "".join(f"FOR a{i} {{ " for i in range(DEPTH)) + "INC x" + " }" * DEPTH,
     }
+    # every leader of the nest is 1, so each of its loops runs once
+    STATES = {"flat": "", "nest": "".join(f"a{i} = 1\n" for i in range(DEPTH))}
 
     def flat_stdout(self, command):
         n = self.CYCLES
@@ -306,27 +345,34 @@ class TestDeepPrograms:
         blocks = [b if b.endswith("]") else b + ", []" for b in blocks]
         return "".join(f"step {i}: {b}, 0\n" for i, b in enumerate(blocks, start=1)) + final
 
+    def nest_stdout(self, command):
+        names = sorted([f"a{i}" for i in range(self.DEPTH)] + ["x"])
+        final = "FINAL\n" + "".join(f"{name} = 1, [], 0\n" for name in names)
+        if command == "check":
+            return "ok\n"
+        if command == "invert":
+            return self.SOURCES["nest"].replace("INC x", "DEC x") + "\n"
+        if command == "run":
+            return final
+        return "step 1: INC x\nx = 1, [], 0\n" + final
+
     @pytest.mark.parametrize("command", ["check", "invert", "run", "trace"])
     @pytest.mark.parametrize("shape", ["flat", "nest"])
     def test_exits_cleanly(self, workspace, command, shape):
         program = workspace("deep.score", self.SOURCES[shape])
+        state = [workspace("deep.sst", self.STATES[shape])] if command in ("run", "trace") else []
         src = str(Path(scorelang.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
-            [sys.executable, "-m", "scorelang", command, program],
+            [sys.executable, "-m", "scorelang", command, program, *state],
             capture_output=True,
             text=True,
             env=env,
             timeout=120,
         )
-        if shape == "flat":
-            assert (proc.returncode, proc.stderr) == (0, "")
-            assert proc.stdout == self.flat_stdout(command)
-            return
-        assert proc.returncode in (0, 2), proc.stderr[-500:]
-        assert "Traceback" not in proc.stderr
-        if proc.returncode == 2:
-            assert proc.stderr == "error: program nested too deeply\n"
+        assert (proc.returncode, proc.stderr) == (0, "")
+        expected = self.flat_stdout(command) if shape == "flat" else self.nest_stdout(command)
+        assert proc.stdout == expected
 
 
 class TestUsage:

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 
 import scorelang
 from scorelang import (
+    AbortRecord,
     Aborted,
     Cell,
     For,
     GenConfig,
     Inc,
+    Pop,
     Push,
     Seq,
     State,
@@ -134,3 +136,30 @@ class TestLoopCompilation:
             eval_traced(program, state, semantics)
         assert got == expected
         assert calls == []
+
+
+class TestDeepNests:
+    """A nest far deeper than Python's recursion limit runs, since a loop
+    entry pushes a frame instead of recursing.  The outermost loop runs
+    twice, every other once; the second POP y meets a nonzero value."""
+
+    DEPTH = 2_000
+
+    def setup_method(self):
+        leaders = [f"a{i}" for i in range(self.DEPTH)]
+        self.program = nest(leaders, Seq(Inc("x"), Pop("y")))
+        self.state = State({"y": Cell(0, (7,), 0), "a0": Cell(2), **{name: Cell(1) for name in leaders[1:]}})
+
+    def test_each_semantics(self):
+        assert eval_n(self.program, self.state) == self.state.set("x", Cell(2)).set("y", Cell(0))
+        assert eval_r(self.program, self.state) == self.state.set("x", Cell(2)).set("y", Cell(7, (), 1))
+        record = AbortRecord("POP y", "y", "value-nonzero", Cell(7), 3)
+        assert eval_a(self.program, self.state) == Aborted(record)
+
+    def test_traced(self):
+        steps, final = eval_traced(self.program, self.state, "a")
+        assert [(s.index, s.instruction) for s in steps] == [(0, "INC x"), (1, "POP y"), (2, "INC x"), (3, "POP y")]
+        assert final is None
+        steps, final = eval_traced(self.program, self.state, "r")
+        assert [s.state for s in steps] == [Cell(1), Cell(7), Cell(2), Cell(7, (), 1)]
+        assert final == eval_r(self.program, self.state)

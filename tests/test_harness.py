@@ -33,9 +33,12 @@ from scorelang.harness import _var_names
 
 
 def term_depth(term):
+    """Depth, counting a sequence as the right-nested pairs it is drawn as:
+    part k of n sits k + 1 pairs deep, the last part n - 1."""
     match term:
-        case Seq(first, second):
-            return 1 + max(term_depth(first), term_depth(second))
+        case Seq(parts):
+            last = len(parts) - 1
+            return max(min(k + 1, last) + term_depth(part) for k, part in enumerate(parts))
         case For(_, body):
             return 1 + term_depth(body)
         case _:
@@ -210,6 +213,18 @@ class TestMinimize:
         assert all(not fails(p, small_s) for p in _term_shrinks(small_p))
         assert all(not fails(small_p, s) for s in _state_shrinks(small_s))
 
+    def test_long_sequence_shrinks_in_few_calls(self):
+        # halving keeps the recursion and the number of calls logarithmic
+        program = Seq(*[Inc("y")] * 1500, Pop("x"), *[Inc("y")] * 1500)
+        calls = []
+
+        def fails(p, s):
+            calls.append(p)
+            return _contains_pop_x(p)
+
+        assert minimize(program, State(), fails) == (Pop("x"), State())
+        assert len(calls) < 50
+
     def test_rejects_passing_input(self):
         with pytest.raises(ValueError):
             minimize(Skip(), State(), lambda p, s: False)
@@ -219,8 +234,8 @@ def _contains_pop_x(term):
     match term:
         case Pop("x"):
             return True
-        case Seq(first, second):
-            return _contains_pop_x(first) or _contains_pop_x(second)
+        case Seq(parts):
+            return any(_contains_pop_x(part) for part in parts)
         case For(_, body):
             return _contains_pop_x(body)
         case _:

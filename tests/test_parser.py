@@ -14,7 +14,7 @@ from scorelang import (
     parse,
     pretty,
 )
-from term_strategies import parseable_terms
+from term_strategies import raw_terms
 
 
 class TestParse:
@@ -116,13 +116,13 @@ class TestParseErrors:
 
 
 class TestRoundTrip:
-    @given(parseable_terms())
+    @given(raw_terms())
     def test_parse_pretty_identity(self, term):
         assert parse(pretty(term)) == term
 
     def test_dense_and_spaced_sources_agree(self):
         assert parse("FOR x {POP s}") == parse("FOR x { POP s }")
 
-    @given(parseable_terms())
+    @given(raw_terms())
     def test_pretty_is_stable_over_reparse(self, term):
         assert pretty(parse(pretty(term))) == pretty(term)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 
@@ -18,6 +20,29 @@ from scorelang import (
     variables_of,
 )
 from term_strategies import raw_terms, wf_terms
+
+
+class TestSeq:
+    A, B, C = Inc("x"), Dec("y"), For("z", Pop("x"))
+
+    def test_one_tuple_field_named_parts(self):
+        term = Seq(self.A, self.B)
+        assert tuple(f.name for f in dataclasses.fields(term)) == ("parts",)
+        assert type(term.parts) is tuple and term.parts == (self.A, self.B)
+
+    def test_nested_sequences_flatten(self):
+        a, b, c = self.A, self.B, self.C
+        shapes = [Seq(a, Seq(b, c)), Seq(Seq(a, b), c), Seq(a, b, c), Seq(Seq(a, b, c))]
+        assert all(shape == Seq(a, b, c) and hash(shape) == hash(Seq(a, b, c)) for shape in shapes)
+        assert Seq(Seq(a, b), Seq(c, a)).parts == (a, b, c, a)
+
+    @pytest.mark.parametrize("parts", [(), (Inc("x"),)])
+    def test_needs_two_parts(self, parts):
+        with pytest.raises(ValueError):
+            Seq(*parts)
+
+    def test_repr(self):
+        assert repr(Seq(self.A, self.B)) == "Seq(parts=(Inc(var='x'), Dec(var='y')))"
 
 
 class TestInvert:
@@ -95,6 +120,15 @@ class TestWellFormed:
         assert check_well_formed(term) == [
             Violation("x", ("body", "first")),
             Violation("x", ("body", "second")),
+        ]
+
+    def test_paths_name_parts_as_right_nested_pairs(self):
+        # part k of n: "second" k times, then "first" unless it is the last
+        term = For("x", Seq(Seq(Inc("x"), Dec("y")), Pop("x"), Inc("x")))
+        assert check_well_formed(term) == [
+            Violation("x", ("body", "first")),
+            Violation("x", ("body", "second", "second", "first")),
+            Violation("x", ("body", "second", "second", "second")),
         ]
 
     @given(wf_terms())
