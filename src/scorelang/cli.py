@@ -174,16 +174,12 @@ def _build_argparser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="scorelang", description="Reversible stack language workbench.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_program_command(name: str, help_text: str, with_state: bool = True):
+    def add_program_command(name: str, help_text: str) -> None:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("program", help="program file (.score)")
-        if with_state:
-            p.add_argument("state", nargs="?", default=None, help="initial state file (.sst)")
-            p.add_argument(
-                "--semantics", "-s", choices=("n", "a", "r"), default="r", help="evaluator (default r)"
-            )
-            p.add_argument("--backward", action="store_true", help="run the inverted program")
-        return p
+        p.add_argument("state", nargs="?", default=None, help="initial state file (.sst)")
+        p.add_argument("--semantics", "-s", choices=("n", "a", "r"), default="r", help="evaluator (default r)")
+        p.add_argument("--backward", action="store_true", help="run the inverted program")
 
     add_program_command("run", "run a program and print the final state")
     add_program_command("trace", "run a program printing one block per executed instruction")

@@ -11,11 +11,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 from .semantics import Aborted, RunOutcome, eval_a, eval_r, pop_r, push_r
 from .state import Cell, DEFAULT_CELL, State, dump_state
-from .syntax import Dec, For, Inc, Pop, Push, Seq, Skip, Term, _parts, _sequence, invert, pretty, variables_of
+from .syntax import _KEYWORD, For, Pop, Push, Seq, Skip, Term, _parts, _sequence, invert, pretty, variables_of
 
 __all__ = [
     "GenConfig",
@@ -39,19 +39,14 @@ __all__ = [
     "zero_counters",
 ]
 
-_CONSTRUCTORS = ("skip", "inc", "dec", "push", "pop", "seq", "for")
-
-
-def _uniform_weights() -> dict[str, int]:
-    return dict.fromkeys(_CONSTRUCTORS, 1)
-
-
 @dataclass(frozen=True)
 class GenConfig:
-    """Knobs for random program and state generation.
+    """The seed and the size bounds of random programs and states.
 
-    The defaults keep worst-case loop-unfolding products small while still
-    covering every push/pop clause combination.
+    Each node of a program is drawn uniformly from the constructors that
+    the remaining depth and names allow.  The defaults keep worst-case
+    loop-unfolding products small while still covering every push/pop
+    clause combination.
     """
 
     seed: int = 1
@@ -60,7 +55,6 @@ class GenConfig:
     value_range: tuple[int, int] = (-5, 5)
     max_stack_len: int = 4
     max_counter: int = 2
-    weights: Mapping[str, int] = field(default_factory=_uniform_weights)
 
     def __post_init__(self) -> None:
         lo, hi = self.value_range
@@ -70,13 +64,6 @@ class GenConfig:
             raise ValueError("max_depth and max_vars must be positive")
         if self.max_stack_len < 0 or self.max_counter < 0:
             raise ValueError("max_stack_len and max_counter must be non-negative")
-        unknown = set(self.weights) - set(_CONSTRUCTORS)
-        if unknown:
-            raise ValueError(f"unknown constructor weights: {sorted(unknown)}")
-        if any(w < 0 for w in self.weights.values()):
-            raise ValueError("weights must be non-negative")
-        if not any(self.weights.get(c, 0) > 0 for c in _CONSTRUCTORS):
-            raise ValueError("at least one constructor weight must be positive")
 
 
 @dataclass(frozen=True)
@@ -106,44 +93,29 @@ def _var_names(count: int) -> list[str]:
     return [_NAME_POOL[i] if i < len(_NAME_POOL) else f"x{i}" for i in range(count)]
 
 
-def _gen(cfg: GenConfig, rng: random.Random, names: list[str], depth: int, allow_seq: bool) -> Term:
-    choices: list[str] = []
-    weights: list[int] = []
-    for ctor in _CONSTRUCTORS:
-        w = cfg.weights.get(ctor, 0)
-        if w <= 0:
-            continue
-        if ctor in ("inc", "dec", "push", "pop", "for") and not names:
-            continue
-        if ctor in ("seq", "for") and depth < 2:
-            continue
-        if ctor == "seq" and not allow_seq:
-            continue
-        choices.append(ctor)
-        weights.append(w)
-    if not choices:
+_ATOMS = tuple(_KEYWORD)
+
+
+def _gen(rng: random.Random, names: list[str], depth: int, allow_seq: bool) -> Term:
+    # The kinds, and their order, fix each seed's programs, and so its fuzz reports.
+    kinds: list[type] = [Skip, *_ATOMS] if names else [Skip]
+    if depth >= 2 and allow_seq:
+        kinds.append(Seq)
+    if depth >= 2 and names:
+        kinds.append(For)
+    kind = rng.choices(kinds)[0]
+    if kind is Skip:
         return Skip()
-    ctor = rng.choices(choices, weights)[0]
-    if ctor == "skip":
-        return Skip()
-    if ctor == "inc":
-        return Inc(rng.choice(names))
-    if ctor == "dec":
-        return Dec(rng.choice(names))
-    if ctor == "push":
-        return Push(rng.choice(names))
-    if ctor == "pop":
-        return Pop(rng.choice(names))
-    if ctor == "seq":
+    if kind is Seq:
         # a first part that is never a sequence, then a rest that may be one
-        # and whose parts follow: this order of draws fixes each seed's
-        # programs, and so its fuzz reports
-        first = _gen(cfg, rng, names, depth - 1, allow_seq=False)
-        second = _gen(cfg, rng, names, depth - 1, allow_seq=True)
+        # and whose parts follow
+        first = _gen(rng, names, depth - 1, allow_seq=False)
+        second = _gen(rng, names, depth - 1, allow_seq=True)
         return _sequence((first, *_parts(second)))
-    leader = rng.choice(names)
-    body = _gen(cfg, rng, [n for n in names if n != leader], depth - 1, allow_seq=True)
-    return For(leader, body)
+    if kind is For:
+        leader = rng.choice(names)
+        return For(leader, _gen(rng, [n for n in names if n != leader], depth - 1, allow_seq=True))
+    return kind(rng.choice(names))
 
 
 def gen_term(cfg: GenConfig, rng: random.Random | None = None) -> Term:
@@ -154,7 +126,7 @@ def gen_term(cfg: GenConfig, rng: random.Random | None = None) -> Term:
     """
     if rng is None:
         rng = random.Random(cfg.seed)
-    return _gen(cfg, rng, _var_names(cfg.max_vars), cfg.max_depth, allow_seq=True)
+    return _gen(rng, _var_names(cfg.max_vars), cfg.max_depth, allow_seq=True)
 
 
 def gen_state(cfg: GenConfig, names: Iterable[str], rng: random.Random | None = None) -> State:
@@ -377,26 +349,24 @@ def minimize(
     result still fails and every single further shrink step passes."""
     if not fails(program, initial):
         raise ValueError("minimize requires a failing (program, state) pair")
-    changed = True
-    while changed:
-        changed = False
-        progress = True
-        while progress:
-            progress = False
-            for candidate in _term_shrinks(program):
-                if fails(candidate, initial):
-                    program = candidate
-                    progress = changed = True
-                    break
-        progress = True
-        while progress:
-            progress = False
-            for candidate in _state_shrinks(initial):
-                if fails(program, candidate):
-                    initial = candidate
-                    progress = changed = True
-                    break
-    return program, initial
+    while True:
+        smaller = _shrink(program, _term_shrinks, lambda p: fails(p, initial))
+        simpler = _shrink(initial, _state_shrinks, lambda s: fails(smaller, s))
+        if smaller is program and simpler is initial:
+            return program, initial
+        program, initial = smaller, simpler
+
+
+def _shrink(value, shrinks: Callable[[object], Iterator], fails: Callable[[object], bool]):
+    """Replace `value` by its first failing shrink until none fails.  A
+    shrink is always a new object, so an unchanged result is `value`."""
+    while True:
+        for candidate in shrinks(value):
+            if fails(candidate):
+                value = candidate
+                break
+        else:
+            return value
 
 
 @dataclass
@@ -443,14 +413,14 @@ class FuzzReport:
 
     seed: int
     cases: int
-    strong: CheckCounts
-    weak: CheckCounts
-    agreement: CheckCounts
-    if_direction_witnesses: int
-    only_if_witnesses: int
-    failures: list[FuzzWitness]
-    only_if_samples: list[FuzzWitness]
-    seeded_only_if_reported: bool
+    strong: CheckCounts = field(default_factory=CheckCounts)
+    weak: CheckCounts = field(default_factory=CheckCounts)
+    agreement: CheckCounts = field(default_factory=CheckCounts)
+    if_direction_witnesses: int = 0
+    only_if_witnesses: int = 0
+    failures: list[FuzzWitness] = field(default_factory=list)
+    only_if_samples: list[FuzzWitness] = field(default_factory=list)
+    seeded_only_if_reported: bool = False
 
     @property
     def ok(self) -> bool:
@@ -508,34 +478,50 @@ def _witness(check: str, program: Term, state: State, details: str) -> FuzzWitne
     return FuzzWitness(check, pretty(program), dumped, details)
 
 
-def run_fuzz(cfg: GenConfig, cases: int, *, minimize_failures: bool = True) -> FuzzReport:
+_BROKEN_WITHOUT_ABORT = "reversible run ended broken without an abort"
+
+
+def _if_direction(program: Term, initial: State) -> Verdict:
+    """The "if" direction of failure correspondence as a verdict."""
+    if check_failure_correspondence(program, initial).direction_witness == "if":
+        return Fail(program, initial, _BROKEN_WITHOUT_ABORT)
+    return Pass()
+
+
+# The checks a fuzz batch reports on, by name; a failure is shrunk and
+# described again with its own check.
+_CHECKS: dict[str, Callable[[Term, State], Verdict]] = {
+    "strong-reversibility": check_strong_reversibility,
+    "weak-reversibility-a": check_weak_reversibility_a,
+    "a-r-agreement": check_agreement_a_r,
+    "failure-correspondence": _if_direction,
+}
+
+
+def run_fuzz(cfg: GenConfig, cases: int) -> FuzzReport:
     """Run the four randomized checks over `cases` generated pairs.
 
     Strong reversibility sees the raw generated states; the three checks
     defined on the pair semantics see the same states with counters zeroed.
-    Failures are shrunk before reporting unless `minimize_failures` is off.
+    Each reported failure is shrunk, and its details are those of the
+    shrunk pair.
     """
     master = random.Random(cfg.seed)
-    strong = CheckCounts()
-    weak = CheckCounts()
-    agreement = CheckCounts()
-    if_witnesses = 0
-    only_if = 0
-    failures: list[FuzzWitness] = []
-    only_if_samples: list[FuzzWitness] = []
+    report = FuzzReport(cfg.seed, cases)
 
-    def record_failure(check: str, verdict: Fail, fails: Callable[[Term, State], bool]) -> None:
-        program, initial = verdict.program, verdict.initial
-        minimized = False
-        if minimize_failures:
-            try:
-                program, initial = minimize(program, initial, fails)
-                minimized = True
-            except ValueError:
-                pass
-        if len(failures) < _MAX_STORED_WITNESSES:
-            note = verdict.details + (" (minimized)" if minimized else "")
-            failures.append(_witness(check, program, initial, note))
+    def record_failure(check: str, verdict: Fail) -> None:
+        if len(report.failures) >= _MAX_STORED_WITNESSES:
+            return
+        recheck = _CHECKS[check]
+        try:
+            program, initial = minimize(
+                verdict.program, verdict.initial, lambda p, s: isinstance(recheck(p, s), Fail)
+            )
+        except ValueError:  # the check passes when run again on the same pair
+            report.failures.append(_witness(check, verdict.program, verdict.initial, verdict.details))
+        else:
+            details = recheck(program, initial).details + " (minimized)"
+            report.failures.append(_witness(check, program, initial, details))
 
     for _ in range(cases):
         rng = random.Random(master.getrandbits(64))
@@ -545,57 +531,31 @@ def run_fuzz(cfg: GenConfig, cases: int, *, minimize_failures: bool = True) -> F
 
         inverse = invert(program)
         verdict = _strong_reversibility(program, inverse, full_state)
-        if not strong.add(verdict):
-            record_failure(
-                "strong-reversibility",
-                verdict,
-                lambda p, s: isinstance(check_strong_reversibility(p, s), Fail),
-            )
+        if not report.strong.add(verdict):
+            record_failure("strong-reversibility", verdict)
 
         # each semantics runs once on the counter-free state; three checks share the runs
         outcome = eval_a(program, flat_state)
         reversible = eval_r(program, flat_state)
         verdict = _weak_reversibility_a(program, inverse, flat_state, outcome)
-        if not weak.add(verdict):
-            record_failure(
-                "weak-reversibility-a",
-                verdict,
-                lambda p, s: isinstance(check_weak_reversibility_a(p, s), Fail),
-            )
+        if not report.weak.add(verdict):
+            record_failure("weak-reversibility-a", verdict)
 
         verdict = _agreement_a_r(program, flat_state, outcome, reversible)
-        if not agreement.add(verdict):
-            record_failure(
-                "a-r-agreement",
-                verdict,
-                lambda p, s: isinstance(check_agreement_a_r(p, s), Fail),
-            )
+        if not report.agreement.add(verdict):
+            record_failure("a-r-agreement", verdict)
 
         correspondence = _failure_correspondence(outcome, reversible)
         if correspondence.direction_witness == "if":
-            if_witnesses += 1
-            record_failure(
-                "failure-correspondence",
-                Fail(program, flat_state, "reversible run ended broken without an abort"),
-                lambda p, s: check_failure_correspondence(p, s).direction_witness == "if",
-            )
+            report.if_direction_witnesses += 1
+            record_failure("failure-correspondence", Fail(program, flat_state, _BROKEN_WITHOUT_ABORT))
         elif correspondence.direction_witness == "only-if":
-            only_if += 1
-            if len(only_if_samples) < _MAX_ONLY_IF_SAMPLES:
-                only_if_samples.append(
+            report.only_if_witnesses += 1
+            if len(report.only_if_samples) < _MAX_ONLY_IF_SAMPLES:
+                report.only_if_samples.append(
                     _witness("failure-correspondence", program, flat_state, "abort repaired by counters")
                 )
 
     seeded = check_failure_correspondence(_SEEDED_WITNESS_PROGRAM, _SEEDED_WITNESS_STATE)
-    return FuzzReport(
-        seed=cfg.seed,
-        cases=cases,
-        strong=strong,
-        weak=weak,
-        agreement=agreement,
-        if_direction_witnesses=if_witnesses,
-        only_if_witnesses=only_if,
-        failures=failures,
-        only_if_samples=only_if_samples,
-        seeded_only_if_reported=seeded.direction_witness == "only-if",
-    )
+    report.seeded_only_if_reported = seeded.direction_witness == "only-if"
+    return report

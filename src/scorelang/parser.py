@@ -19,7 +19,7 @@ import re
 from itertools import islice
 from typing import NoReturn
 
-from .syntax import KEYWORDS, Dec, For, Inc, Pop, Push, Skip, Term, _sequence
+from .syntax import _KEYWORD, KEYWORDS, For, Skip, Term, _sequence
 
 __all__ = ["ParseError", "parse"]
 
@@ -86,8 +86,8 @@ def _found(lexeme: str) -> str:
     return f", found '{lexeme}'" if lexeme else ", found end of input"
 
 
-_ATOM_EXPECTED = ("SKIP", "INC", "DEC", "PUSH", "POP", "FOR")
-_UNARY = {"INC": Inc, "DEC": Dec, "PUSH": Push, "POP": Pop}
+_ATOM_EXPECTED = ("SKIP", *_KEYWORD.values(), "FOR")
+_UNARY = {keyword: cls for cls, keyword in _KEYWORD.items()}
 _NOT_NAMES = KEYWORDS | {";", "{", "}", ""}
 
 

@@ -35,7 +35,7 @@ from itertools import chain, repeat
 from operator import length_hint
 
 from .state import Cell, DEFAULT_CELL, State
-from .syntax import Dec, For, Inc, Pop, Push, Skip, Term, Violation, _parts, check_well_formed
+from .syntax import _INVERSE, _KEYWORD, Dec, For, Inc, Pop, Push, Skip, Term, Violation, _parts, check_well_formed
 
 __all__ = [
     "AbortRecord",
@@ -178,15 +178,16 @@ def pop_r(cell: Cell) -> Cell:
 
 _INC, _DEC, _PUSH, _PUSH_R, _POP_N, _POP_A, _POP_R, _LOOP, _OBSERVE = range(9)
 
-_KEYWORD = {_INC: "INC", _DEC: "DEC", _PUSH: "PUSH", _PUSH_R: "PUSH", _POP_N: "POP", _POP_A: "POP", _POP_R: "POP"}
-
 
 def _atom_ops(push: int, pop: int) -> tuple[dict, dict]:
     """The opcode each atom class compiles to, run forward and inverted."""
-    return {Inc: _INC, Dec: _DEC, Push: push, Pop: pop}, {Inc: _DEC, Dec: _INC, Push: pop, Pop: push}
+    forward = {Inc: _INC, Dec: _DEC, Push: push, Pop: pop}
+    return forward, {cls: forward[inverse] for cls, inverse in _INVERSE.items()}
 
 
 _ATOM_OPS = {"n": _atom_ops(_PUSH, _POP_N), "a": _atom_ops(_PUSH, _POP_A), "r": _atom_ops(_PUSH_R, _POP_R)}
+# The keyword of each atom opcode, for trace labels.
+_OP_KEYWORD = {op: _KEYWORD[cls] for forward, _ in _ATOM_OPS.values() for cls, op in forward.items()}
 _BODY = 2  # index of the body term in a loop cache; 0 and 1 hold its blocks
 
 
@@ -247,7 +248,7 @@ class _Run:
                 op = ops[kind]
                 entries.append((op, (slot, atoms) if op == _POP_A else slot))
                 if trace:
-                    entries.append((_OBSERVE, (f"{_KEYWORD[op]} {name}", name, slot)))
+                    entries.append((_OBSERVE, (f"{_OP_KEYWORD[op]} {name}", name, slot)))
                 atoms += 1
         return tuple(entries), atoms
 

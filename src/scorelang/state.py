@@ -23,7 +23,8 @@ omitted fields defaulting (empty stack, zero counter).
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
+from itertools import islice
 from typing import NamedTuple
 
 from .parser import ParseError, split_lines
@@ -147,87 +148,62 @@ class State:
         return f"State({{{inner}}})"
 
 
-_STATE_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|-?\d+|[=,\[\]]")
+# A token, or a character that starts none (a fault, whose group is empty).
+_STATE_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|-?\d+|[=,\[\]])|[^ \t\f\v]")
 _INT_RE = re.compile(r"-?\d+\Z")
+_SEPARATORS = frozenset({",", "]"})  # what may follow a stack element
 
 
-def _line_tokens(line: str, lineno: int) -> list[tuple[str, int]]:
-    tokens: list[tuple[str, int]] = []
-    pos = 0
-    while pos < len(line):
-        ch = line[pos]
-        if ch in " \t\f\v":
-            pos += 1
-            continue
-        m = _STATE_TOKEN_RE.match(line, pos)
-        if m is None:
-            raise ParseError(lineno, pos + 1, f"unexpected character {ch!r}")
-        tokens.append((m.group(), pos + 1))
-        pos = m.end()
-    return tokens
+def _column(line: str, k: int) -> int:
+    """The 1-based column of token `k` of `line`, or of the end of the line."""
+    m = next(islice(_STATE_TOKEN_RE.finditer(line), k, None), None)
+    return m.start() + 1 if m else len(line) + 1
 
 
-def _parse_binding(line: str, lineno: int) -> tuple[str, Cell, int]:
-    tokens = _line_tokens(line, lineno)
-    end_col = len(line) + 1
+def _parse_binding(line: str, lineno: int) -> tuple[str, Cell]:
+    """The name and the cell of one binding line.  Columns are worked out
+    only for an error."""
+    words = _STATE_TOKEN_RE.findall(line)
+    count = len(words)
+    if "" in words:
+        column = _column(line, words.index(""))
+        raise ParseError(lineno, column, f"unexpected character {line[column - 1]!r}")
+    words.reverse()  # the next token is the last
+    name = words[-1]
 
-    def at(i: int) -> tuple[str, int]:
-        return tokens[i] if i < len(tokens) else ("", end_col)
+    def take(ok: Callable[[str], object], message: str, expected: tuple[str, ...]) -> str:
+        """The next token ("" at the end of the line) if `ok` holds for it;
+        else a ParseError at it, whose message may name the binding's
+        `{name}`, formatted only then."""
+        word = words.pop() if words else ""
+        if not ok(word):
+            column = _column(line, count - len(words) - 1) if word else len(line) + 1
+            raise ParseError(lineno, column, message.format(name=name), expected)
+        return word
 
-    name, name_col = at(0)
     if name in KEYWORDS:
-        raise ParseError(lineno, name_col, f"keyword {name!r} cannot be a variable name")
-    if not is_identifier(name):
-        raise ParseError(lineno, name_col, f"expected a variable name, found {name!r}", ("identifier",))
-    eq, eq_col = at(1)
-    if eq != "=":
-        raise ParseError(lineno, eq_col, f"expected '=' after {name!r}", ("=",))
-    value_tok, value_col = at(2)
-    if not _INT_RE.match(value_tok):
-        raise ParseError(lineno, value_col, "expected an integer value", ("integer",))
-    value = int(value_tok)
-    stack: tuple[int, ...] = ()
+        raise ParseError(lineno, _column(line, 0), f"keyword {name!r} cannot be a variable name")
+    take(is_identifier, "expected a variable name, found {name!r}", ("identifier",))
+    take("=".__eq__, "expected '=' after {name!r}", ("=",))
+    value = int(take(_INT_RE.match, "expected an integer value", ("integer",)))
+    stack: list[int] = []
     counter = 0
-    i = 3
-    if i < len(tokens):
-        comma, comma_col = at(i)
-        if comma != ",":
-            raise ParseError(lineno, comma_col, "expected ',' or end of line", (",",))
-        opener, opener_col = at(i + 1)
-        if opener != "[":
-            raise ParseError(lineno, opener_col, "expected '[' to open the stack", ("[",))
-        i += 2
-        elems: list[int] = []
-        tok, col = at(i)
-        if tok != "]":
-            while True:
-                tok, col = at(i)
-                if not _INT_RE.match(tok):
-                    raise ParseError(lineno, col, "expected a stack element", ("integer",))
-                elems.append(int(tok))
-                i += 1
-                tok, col = at(i)
-                if tok == ",":
-                    i += 1
-                    continue
-                break
-        if tok != "]":
-            raise ParseError(lineno, col, "expected ']' to close the stack", ("]",))
-        i += 1
-        stack = tuple(elems)
-        if i < len(tokens):
-            comma, comma_col = at(i)
-            if comma != ",":
-                raise ParseError(lineno, comma_col, "expected ',' or end of line", (",",))
-            counter_tok, counter_col = at(i + 1)
-            if not counter_tok.isdigit():
-                raise ParseError(lineno, counter_col, "counter must be a non-negative integer", ("nat",))
-            counter = int(counter_tok)
-            i += 2
-    if i < len(tokens):
-        tok, col = at(i)
-        raise ParseError(lineno, col, f"unexpected trailing input {tok!r}")
-    return name, Cell(value, stack, counter), name_col
+    if words:
+        take(",".__eq__, "expected ',' or end of line", (",",))
+        take("[".__eq__, "expected '[' to open the stack", ("[",))
+        if words and words[-1] == "]":
+            words.pop()
+        else:
+            separator = ","
+            while separator == ",":
+                stack.append(int(take(_INT_RE.match, "expected a stack element", ("integer",))))
+                separator = take(_SEPARATORS.__contains__, "expected ']' to close the stack", ("]",))
+        if words:
+            take(",".__eq__, "expected ',' or end of line", (",",))
+            counter = int(take(str.isdigit, "counter must be a non-negative integer", ("nat",)))
+    if words:
+        raise ParseError(lineno, _column(line, count - len(words)), f"unexpected trailing input {words[-1]!r}")
+    return name, Cell(value, tuple(stack), counter)
 
 
 def parse_state_declarations(src: str) -> list[tuple[str, Cell]]:
@@ -242,9 +218,9 @@ def parse_state_declarations(src: str) -> list[tuple[str, Cell]]:
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        name, cell, name_col = _parse_binding(line, lineno)
+        name, cell = _parse_binding(line, lineno)
         if name in seen:
-            raise ParseError(lineno, name_col, f"duplicate binding for {name!r}")
+            raise ParseError(lineno, _column(line, 0), f"duplicate binding for {name!r}")
         seen.add(name)
         declarations.append((name, cell))
     return declarations

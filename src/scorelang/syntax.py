@@ -12,8 +12,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-KEYWORDS = frozenset({"SKIP", "INC", "DEC", "PUSH", "POP", "FOR"})
-
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 Identifier = str
@@ -119,13 +117,16 @@ class For(Term):
         _require_identifier(self.leader)
 
 
+# The atoms' keywords and inverses.  The parser's, the printer's, the
+# evaluator's and the generator's tables of atoms are derived from these.
+_KEYWORD = {Inc: "INC", Dec: "DEC", Push: "PUSH", Pop: "POP"}
+_INVERSE = {Inc: Dec, Dec: Inc, Push: Pop, Pop: Push}
+KEYWORDS = frozenset({"SKIP", *_KEYWORD.values(), "FOR"})
+
+
 # The walkers below keep their own stack of pending work instead of
 # recursing, so neither long sequences nor deep loop nests reach Python's
 # recursion limit.  They dispatch on the exact class of each node.
-
-_INVERSE = {Inc: Dec, Dec: Inc, Push: Pop, Pop: Push}
-_KEYWORD = {Inc: "INC ", Dec: "DEC ", Push: "PUSH ", Pop: "POP "}
-
 
 class _Mark:
     """A pending step on a walker's stack, told apart from terms (and from
@@ -140,6 +141,7 @@ class _Mark:
 
 _SEMI = _Mark("; ")
 _CLOSE = _Mark(" }")
+_PREFIX = {cls: keyword + " " for cls, keyword in _KEYWORD.items()}
 
 
 def _not_a_term(t: object) -> TypeError:
@@ -289,9 +291,9 @@ def pretty(term: Term) -> str:
     while todo:
         t = todo.pop()
         cls = type(t)
-        keyword = _KEYWORD.get(cls)
-        if keyword is not None:
-            out += (keyword, t.var)
+        prefix = _PREFIX.get(cls)
+        if prefix is not None:
+            out += (prefix, t.var)
         elif cls is Seq:
             pending = [_SEMI] * (2 * len(t.parts) - 1)
             pending[::2] = t.parts[::-1]

@@ -46,6 +46,13 @@ class TestRun:
         assert "reason: value-nonzero" in out
         assert "instruction: POP x" in out
 
+    def test_assert_run_that_completes(self, workspace, capsys):
+        program = workspace("p.score", "FOR n { PUSH x; INC x }; DEC x; POP x")
+        state = workspace("s.sst", "n = 2\nx = 4, [9]")
+        code, out, err = run_cli(capsys, "run", "-s", "a", program, state)
+        assert (code, err) == (0, "")
+        assert out == "FINAL\nn = 2, [], 0\nx = 1, [4, 9], 0\n"
+
     def test_skip_prints_only_header(self, workspace, capsys):
         program = workspace("skip.score", "SKIP")
         code, out, err = run_cli(capsys, "run", program)

@@ -1,10 +1,13 @@
 import dataclasses
+import itertools
+import random
 
 import pytest
 
 from scorelang import (
     Cell,
     Fail,
+    Final,
     For,
     GenConfig,
     Inc,
@@ -19,16 +22,21 @@ from scorelang import (
     check_strong_reversibility,
     check_weak_reversibility_a,
     check_well_formed,
+    eval_n,
+    eval_r,
     exhaustive_pop_injective,
     exhaustive_pop_push_inverse,
     gen_state,
     gen_term,
     minimize,
     parse,
+    parse_state,
+    pretty,
     run_fuzz,
     variables_of,
     zero_counters,
 )
+from scorelang import harness
 from scorelang.harness import _var_names
 
 
@@ -69,16 +77,53 @@ class TestGenTerm:
             cfg = GenConfig(seed=seed, max_vars=2)
             assert variables_of(gen_term(cfg)) <= set(_var_names(2))
 
-    def test_all_weight_on_skip(self):
-        weights = dict.fromkeys(("inc", "dec", "push", "pop", "seq", "for"), 0) | {"skip": 1}
-        assert gen_term(GenConfig(weights=weights)) == Skip()
-
     def test_single_variable_loops_still_possible(self):
         # with one name, a FOR body cannot reference any variable
         cfg = GenConfig(seed=7, max_vars=1)
         for seed in range(100):
             term = gen_term(dataclasses.replace(cfg, seed=seed))
             assert check_well_formed(term) == []
+
+
+# The programs some seeds draw.  A change to the generator that keeps each
+# seed's programs (and so its fuzz reports) keeps these.
+DEPTH_8 = {"max_depth": 8, "max_vars": 3}
+GENERATED = [
+    ({}, 2, "FOR x { SKIP }"),
+    ({}, 20, "FOR y { INC w }"),
+    ({}, 23, "FOR z { FOR x { SKIP } }"),
+    ({}, 68, "FOR x { POP y }; PUSH z"),
+    ({}, 78, "SKIP; FOR z { FOR w { INC y }; INC w; PUSH w }"),
+    ({}, 84, "FOR x { PUSH w }; FOR z { DEC w; DEC x; PUSH w }"),
+    ({}, 86, "SKIP; INC x; POP z; POP x; FOR x { POP z }"),
+    (DEPTH_8, 20, "FOR z { FOR x { INC y }; FOR x { SKIP } }"),
+    (DEPTH_8, 52, "FOR x { FOR z { DEC y; FOR y { SKIP; SKIP; SKIP } } }"),
+    (DEPTH_8, 68, "FOR z { PUSH x; PUSH y }; POP y; FOR y { INC x }"),
+    (DEPTH_8, 84, "FOR x { PUSH z }; DEC z; DEC x; PUSH z"),
+    (DEPTH_8, 231, "FOR y { FOR z { FOR x { SKIP }; POP x; PUSH x } }; PUSH z; DEC z"),
+]
+
+FUZZ_SEED_2_100_CASES = """\
+fuzz report
+seed: 2
+cases: 100
+strong-reversibility: passed 100, failed 0
+weak-reversibility-a: passed 81, vacuous 19, failed 0
+a-r-agreement: passed 81, vacuous 19, failed 0
+failure-correspondence: if-direction witnesses 0, only-if witnesses 1
+seeded witness 'POP x; PUSH x' from 'x = 5, [2], 0': only-if discrepancy reported
+only-if sample: POP y; PUSH y from y = -4, [0, -4, -1, -5], 0
+result: PASS
+"""
+
+
+class TestGeneratorPins:
+    @pytest.mark.parametrize(("sizes", "seed", "text"), GENERATED)
+    def test_seed_draws_its_program(self, sizes, seed, text):
+        assert pretty(gen_term(GenConfig(seed=seed, **sizes))) == text
+
+    def test_seed_gives_its_fuzz_report(self):
+        assert run_fuzz(GenConfig(seed=2), 100).to_text() == FUZZ_SEED_2_100_CASES
 
 
 class TestGenState:
@@ -109,14 +154,6 @@ class TestGenConfigValidation:
     def test_empty_value_range(self):
         with pytest.raises(ValueError):
             GenConfig(value_range=(3, -3))
-
-    def test_all_zero_weights(self):
-        with pytest.raises(ValueError):
-            GenConfig(weights=dict.fromkeys(("skip", "inc", "dec", "push", "pop", "seq", "for"), 0))
-
-    def test_unknown_weight_key(self):
-        with pytest.raises(ValueError):
-            GenConfig(weights={"while": 1})
 
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -276,3 +313,113 @@ class TestRunFuzz:
         assert set(summary["strong"]) == {"passed", "failed"}
         assert set(summary["weak"]) == {"passed", "vacuous", "failed"}
         assert "if_direction_witnesses" in summary["correspondence"]
+
+
+# Evaluator faults injected into the harness, each a (name, factory) pair;
+# the factory gets the real function.
+FAULTS = {
+    "r-forgets-counters": ("eval_r", lambda real: lambda p, s: zero_counters(real(p, s))),
+    "a-never-aborts": ("eval_a", lambda real: lambda p, s: Final(eval_n(p, s))),
+}
+RECHECK = {
+    "strong-reversibility": check_strong_reversibility,
+    "weak-reversibility-a": check_weak_reversibility_a,
+    "a-r-agreement": check_agreement_a_r,
+}
+
+
+def _replay(program_text, state_text):
+    return parse(program_text), parse_state(state_text.replace("; ", "\n"))
+
+
+@pytest.fixture(params=sorted(FAULTS))
+def faulty_report(request, monkeypatch):
+    """A 200-case batch run against a broken evaluator, which stays
+    patched in while the test replays the report."""
+    name, fault = FAULTS[request.param]
+    monkeypatch.setattr(harness, name, fault(getattr(harness, name)))
+    cfg = GenConfig(seed=20)
+    return cfg, run_fuzz(cfg, 200)
+
+
+class TestInjectedFaults:
+    def test_report_fails(self, faulty_report):
+        _, report = faulty_report
+        assert not report.ok
+        assert report.to_text().endswith("result: FAIL\n")
+
+    def test_failure_counts_match_a_recount(self, faulty_report):
+        cfg, report = faulty_report
+        master = random.Random(cfg.seed)
+        counts = dict.fromkeys(("strong", "weak", "agreement", "if"), 0)
+        for _ in range(report.cases):
+            rng = random.Random(master.getrandbits(64))
+            program = gen_term(cfg, rng=rng)
+            state = gen_state(cfg, variables_of(program), rng=rng)
+            flat = zero_counters(state)
+            counts["strong"] += isinstance(check_strong_reversibility(program, state), Fail)
+            counts["weak"] += isinstance(check_weak_reversibility_a(program, flat), Fail)
+            counts["agreement"] += isinstance(check_agreement_a_r(program, flat), Fail)
+            counts["if"] += check_failure_correspondence(program, flat).direction_witness == "if"
+        assert counts == {
+            "strong": report.strong.failed,
+            "weak": report.weak.failed,
+            "agreement": report.agreement.failed,
+            "if": report.if_direction_witnesses,
+        }
+        assert sum(counts.values()) > 0
+        assert len(report.failures) == min(10, sum(counts.values()))
+
+    def test_text_and_json_agree(self, faulty_report):
+        _, report = faulty_report
+        summary = report.to_json_dict()
+        text = report.to_text()
+        blocks = []
+        for w in summary["failures"]:
+            blocks += (f"FAIL [{w['check']}] program: {w['program']}", f"  state: {w['state']}", f"  {w['details']}")
+        assert [line for line in text.splitlines() if line.startswith(("FAIL [", "  "))] == blocks
+        strong, weak, agreement = summary["strong"], summary["weak"], summary["agreement"]
+        correspondence = summary["correspondence"]
+        assert f"strong-reversibility: passed {strong['passed']}, failed {strong['failed']}\n" in text
+        for label, c in (("weak-reversibility-a", weak), ("a-r-agreement", agreement)):
+            assert f"{label}: passed {c['passed']}, vacuous {c['vacuous']}, failed {c['failed']}\n" in text
+        assert (
+            f"failure-correspondence: if-direction witnesses {correspondence['if_direction_witnesses']}, "
+            f"only-if witnesses {correspondence['only_if_witnesses']}\n"
+        ) in text
+        assert summary["ok"] is False
+
+    def test_fail_details_match_the_printed_pair(self, faulty_report):
+        _, report = faulty_report
+        assert report.failures
+        for witness in report.failures:
+            program, state = _replay(witness.program, witness.state)
+            if witness.check == "failure-correspondence":
+                assert check_failure_correspondence(program, state).direction_witness == "if"
+                details = "reversible run ended broken without an abort"
+            else:
+                verdict = RECHECK[witness.check](program, state)
+                assert isinstance(verdict, Fail)
+                details = verdict.details
+            assert witness.details == details + " (minimized)"
+
+    def test_failure_that_does_not_recur_is_reported_unshrunk(self, monkeypatch):
+        # only the very first reversible run is broken, so the check passes
+        # when run again and the case is reported as it was generated
+        real, calls = harness.eval_r, itertools.count()
+
+        def first_run_broken(program, state):
+            final = real(program, state)
+            return zero_counters(final) if next(calls) == 0 else final
+
+        monkeypatch.setattr(harness, "eval_r", first_run_broken)
+        report = run_fuzz(GenConfig(seed=3), 1)
+        assert report.strong.failed == 1
+        assert report.failures == [
+            harness.FuzzWitness(
+                "strong-reversibility",
+                "DEC z",
+                "z = 5, [-1], 1",
+                "P;-P changed the state: z: expected (5, (-1,), 1), got (5, (-1,), 0)",
+            )
+        ]

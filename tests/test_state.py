@@ -158,6 +158,48 @@ class TestParseStateFile:
             parse_state("x = 1, [], 0 extra")
 
 
+# (source, line, column, message, expected) of every fault the state-file
+# parser reports; a fault character is reported before any grammar fault.
+STATE_FILE_FAULTS = [
+    ("x = 1 @", 1, 7, "unexpected character '@'", ()),
+    ("x 1 @", 1, 5, "unexpected character '@'", ()),
+    ("x = 1, [2,\u00e9]", 1, 11, "unexpected character '\u00e9'", ()),
+    ("x\t=\v-", 1, 5, "unexpected character '-'", ()),
+    ("x = 1\xa0", 1, 6, "unexpected character '\\xa0'", ()),
+    ("FOR = 1", 1, 1, "keyword 'FOR' cannot be a variable name", ()),
+    ("= 1", 1, 1, "expected a variable name, found '='", ("identifier",)),
+    ("1x = 2", 1, 1, "expected a variable name, found '1'", ("identifier",)),
+    ("x", 1, 2, "expected '=' after 'x'", ("=",)),
+    ("x 1", 1, 3, "expected '=' after 'x'", ("=",)),
+    ("x = # comment", 1, 5, "expected an integer value", ("integer",)),
+    ("x = y", 1, 5, "expected an integer value", ("integer",)),
+    ("x = 1 2", 1, 7, "expected ',' or end of line", (",",)),
+    ("x = 1,", 1, 7, "expected '[' to open the stack", ("[",)),
+    ("x = 1, 2", 1, 8, "expected '[' to open the stack", ("[",)),
+    ("x = 1, [", 1, 9, "expected a stack element", ("integer",)),
+    ("x = 1, [1,]", 1, 11, "expected a stack element", ("integer",)),
+    ("x = 1, [a]", 1, 9, "expected a stack element", ("integer",)),
+    ("x = 1, [2 3]", 1, 11, "expected ']' to close the stack", ("]",)),
+    ("x = 1, [2, 3", 1, 13, "expected ']' to close the stack", ("]",)),
+    ("x = 1, [] 2", 1, 11, "expected ',' or end of line", (",",)),
+    ("x = 1, [], -1", 1, 12, "counter must be a non-negative integer", ("nat",)),
+    ("x = 1, [],", 1, 11, "counter must be a non-negative integer", ("nat",)),
+    ("x = 1, [], 0 extra", 1, 14, "unexpected trailing input 'extra'", ()),
+    ("x = 1, [], 0,", 1, 13, "unexpected trailing input ','", ()),
+    ("y = 2\r\n\n  x = 1, [], 0, 5", 3, 15, "unexpected trailing input ','", ()),
+    ("x = 1\nx = 2", 2, 1, "duplicate binding for 'x'", ()),
+]
+
+
+class TestStateFileFaults:
+    @pytest.mark.parametrize(("src", "line", "column", "message", "expected"), STATE_FILE_FAULTS)
+    def test_position_message_and_expected(self, src, line, column, message, expected):
+        with pytest.raises(ParseError) as info:
+            parse_state(src)
+        error = info.value
+        assert (error.line, error.column, error.message, error.expected) == (line, column, message, expected)
+
+
 class TestDumpState:
     def test_always_writes_three_fields(self):
         state = State({"x": Cell(0, (2, 1), 0)})
