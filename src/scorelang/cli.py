@@ -9,6 +9,7 @@ nested too deeply to process), 3 on a property failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -20,13 +21,12 @@ from .semantics import (
     Aborted,
     IllFormedProgramError,
     NonzeroCounterError,
-    eval_a,
-    eval_n,
-    eval_r,
-    eval_traced,
+    Program,
+    TraceStep,
+    compile_program,
 )
 from .state import State, dump_cell, dump_state, parse_state_declarations
-from .syntax import Term, check_well_formed, invert, pretty, variables_of
+from .syntax import check_well_formed, invert, pretty
 
 EXIT_OK = 0
 EXIT_ABORT = 1
@@ -45,18 +45,15 @@ def _read(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _load_program(args: argparse.Namespace) -> Term:
+def _load(args: argparse.Namespace) -> tuple[Program, State, set[str]]:
+    """The program, the initial state, and the names to print: the
+    program's and the state file's.  The state file is read before the
+    program is checked, so its errors come first."""
     term = parse(_read(args.program))
-    if args.backward:
-        term = invert(term)
-    return term
-
-
-def _load_state(args: argparse.Namespace) -> tuple[State, frozenset[str]]:
-    if args.state is None:
-        return State(), frozenset()
-    declarations = parse_state_declarations(_read(args.state))
-    return State(declarations), frozenset(name for name, _ in declarations)
+    declarations = [] if args.state is None else parse_state_declarations(_read(args.state))
+    program = compile_program(term)
+    names = {*program.variables, *(name for name, _ in declarations)}
+    return program, State(declarations), names
 
 
 def _abort_lines(record: AbortRecord) -> list[str]:
@@ -79,23 +76,15 @@ def _require_non_negative(args: argparse.Namespace, *options: str) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    term = _load_program(args)
-    initial, file_names = _load_state(args)
-    names = variables_of(term) | file_names
-    if args.semantics == "a":
-        outcome = eval_a(term, initial)
-        if isinstance(outcome, Aborted):
-            print("ABORT")
-            for line in _abort_lines(outcome.record):
-                print(line)
-            return EXIT_ABORT
-        final = outcome.state
-    elif args.semantics == "n":
-        final = eval_n(term, initial)
-    else:
-        final = eval_r(term, initial)
+    program, initial, names = _load(args)
+    outcome = program.run(initial, args.semantics, "-" if args.backward else "+")
+    if isinstance(outcome, Aborted):
+        print("ABORT")
+        for line in _abort_lines(outcome.record):
+            print(line)
+        return EXIT_ABORT
     print("FINAL")
-    sys.stdout.write(dump_state(final, names))
+    sys.stdout.write(dump_state(outcome.state, names))
     return EXIT_OK
 
 
@@ -151,10 +140,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    term = _load_program(args)
-    initial, file_names = _load_state(args)
-    names = variables_of(term) | file_names
-    steps, final = eval_traced(term, initial, args.semantics)
+    program, initial, names = _load(args)
+    steps: list[TraceStep] = []
+    outcome = program.run(initial, args.semantics, "-" if args.backward else "+", steps)
     out = []
     for step in steps:
         if step.abort is not None:
@@ -165,12 +153,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
         out.append(f"step {step.index + 1}: {step.instruction}\n")
         out.append(dump_cell(step.variable, step.state))
     out.append("FINAL\n")
-    out.append(dump_state(final, names))
+    out.append(dump_state(outcome.state, names))
     sys.stdout.write("".join(out))
     return EXIT_OK
 
 
-def _build_argparser() -> argparse.ArgumentParser:
+@functools.cache  # built once per process: building it costs more than a small run
+def _argparser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="scorelang", description="Reversible stack language workbench.")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -219,7 +208,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_argparser().parse_args(argv)
+    args = _argparser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except ParseError as exc:

@@ -13,9 +13,9 @@ import random
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .semantics import Aborted, RunOutcome, eval_a, eval_r, pop_r, push_r
+from .semantics import Aborted, Program, RunOutcome, compile_program, pop_r, push_r
 from .state import Cell, DEFAULT_CELL, State, dump_state
-from .syntax import _KEYWORD, For, Pop, Push, Seq, Skip, Term, _parts, _sequence, invert, pretty, variables_of
+from .syntax import _KEYWORD, For, Pop, Push, Seq, Skip, Term, _parts, _sequence, pretty
 
 __all__ = [
     "GenConfig",
@@ -80,7 +80,6 @@ class Fail:
     program: Term | None
     initial: State | None
     details: str
-    minimized: bool = False
 
 
 Verdict = Pass | Fail
@@ -155,53 +154,56 @@ def _first_diff(expected: State, got: State) -> str:
     return "states differ"
 
 
+# Each check below is a wrapper that compiles its program once and hands the
+# runs to a helper, which `run_fuzz` calls with the runs it shares.
+
+
 def check_strong_reversibility(program: Term, initial: State) -> Verdict:
     """P;-P and -P;P must both restore `initial` exactly under eval_r."""
-    return _strong_reversibility(program, invert(program), initial)
+    return _strong_reversibility(compile_program(program), initial)
 
 
-def _strong_reversibility(program: Term, inverse: Term, initial: State) -> Verdict:
-    forward, backward = _parts(program), _parts(inverse)
-    after = eval_r(_sequence(forward + backward), initial)
-    if after != initial:
-        return Fail(program, initial, f"P;-P changed the state: {_first_diff(initial, after)}")
-    after = eval_r(_sequence(backward + forward), initial)
-    if after != initial:
-        return Fail(program, initial, f"-P;P changed the state: {_first_diff(initial, after)}")
+def _strong_reversibility(program: Program, initial: State) -> Verdict:
+    for order, label in (("+-", "P;-P"), ("-+", "-P;P")):
+        after = program.run(initial, "r", order).state
+        if after != initial:
+            return Fail(program.term, initial, f"{label} changed the state: {_first_diff(initial, after)}")
     return Pass()
 
 
 def check_weak_reversibility_a(program: Term, initial: State) -> Verdict:
     """A completed assert-semantics run must be undone exactly by the
     inverse program; aborting runs pass vacuously."""
-    return _weak_reversibility_a(program, invert(program), initial, eval_a(program, initial))
+    compiled = compile_program(program)
+    return _weak_reversibility_a(compiled, initial, compiled.run(initial, "a"))
 
 
-def _weak_reversibility_a(program: Term, inverse: Term, initial: State, outcome: RunOutcome) -> Verdict:
+def _weak_reversibility_a(program: Program, initial: State, outcome: RunOutcome) -> Verdict:
     if isinstance(outcome, Aborted):
         return Pass(vacuous=True)
-    back = eval_a(inverse, outcome.state)
+    back = program.run(outcome.state, "a", "-")
     if isinstance(back, Aborted):
-        return Fail(program, initial, f"inverse run aborted: {back.record.reason} on {back.record.variable}")
+        return Fail(program.term, initial, f"inverse run aborted: {back.record.reason} on {back.record.variable}")
     if back.state != initial:
-        return Fail(program, initial, f"inverse run missed the start: {_first_diff(initial, back.state)}")
+        return Fail(program.term, initial, f"inverse run missed the start: {_first_diff(initial, back.state)}")
     return Pass()
 
 
 def check_agreement_a_r(program: Term, initial: State) -> Verdict:
     """A completed assert-semantics run must match the reversible run with
     all counters 0; aborting runs pass vacuously."""
-    return _agreement_a_r(program, initial, eval_a(program, initial), eval_r(program, initial))
+    compiled = compile_program(program)
+    return _agreement_a_r(compiled, initial, compiled.run(initial, "a"), compiled.run(initial, "r").state)
 
 
-def _agreement_a_r(program: Term, initial: State, outcome: RunOutcome, reversible: State) -> Verdict:
+def _agreement_a_r(program: Program, initial: State, outcome: RunOutcome, reversible: State) -> Verdict:
     if isinstance(outcome, Aborted):
         return Pass(vacuous=True)
     if reversible != outcome.state:
-        return Fail(program, initial, f"semantics disagree: {_first_diff(outcome.state, reversible)}")
+        return Fail(program.term, initial, f"semantics disagree: {_first_diff(outcome.state, reversible)}")
     broken = [n for n in sorted(reversible.variables()) if reversible.get(n).broken]
     if broken:
-        return Fail(program, initial, f"reversible run left broken variables: {broken}")
+        return Fail(program.term, initial, f"reversible run left broken variables: {broken}")
     return Pass()
 
 
@@ -222,7 +224,8 @@ class FailureCorrespondence:
 
 
 def check_failure_correspondence(program: Term, initial: State) -> FailureCorrespondence:
-    return _failure_correspondence(eval_a(program, initial), eval_r(program, initial))
+    compiled = compile_program(program)
+    return _failure_correspondence(compiled.run(initial, "a"), compiled.run(initial, "r").state)
 
 
 def _failure_correspondence(outcome: RunOutcome, final: State) -> FailureCorrespondence:
@@ -312,33 +315,26 @@ def _term_shrinks(term: Term) -> Iterator[Term]:
         yield Skip()
 
 
-def _toward_zero(value: int) -> list[int]:
-    candidates = []
-    if value != 0:
-        candidates.append(0)
-        half = int(value / 2)
-        if half != value:
-            candidates.append(half)
-        step = value - 1 if value > 0 else value + 1
-        if step not in (value, *candidates):
-            candidates.append(step)
-    return candidates
-
-
 def _state_shrinks(state: State) -> Iterator[State]:
+    """Smaller states, one variable's cell at a time: the default cell,
+    then the value toward zero, the stack without its top, its bottom or
+    with a zero top, then the counter toward zero.  A cell that two of
+    these give is offered once: `minimize` takes the first copy if it
+    fails, so a repeat could only pass."""
     for name in sorted(state.variables()):
         value, stack, counter = state.get(name)
-        yield state.set(name, DEFAULT_CELL)
-        for smaller in _toward_zero(value):
-            yield state.set(name, Cell(smaller, stack, counter))
+        cells = [DEFAULT_CELL]
+        if value:
+            step = value - 1 if value > 0 else value + 1
+            cells += (Cell(smaller, stack, counter) for smaller in (0, int(value / 2), step))
         if stack:
-            yield state.set(name, Cell(value, stack[1:], counter))
-            yield state.set(name, Cell(value, stack[:-1], counter))
+            cells += (Cell(value, stack[1:], counter), Cell(value, stack[:-1], counter))
             if stack[0] != 0:
-                yield state.set(name, Cell(value, (0, *stack[1:]), counter))
+                cells.append(Cell(value, (0, *stack[1:]), counter))
         if counter > 0:
-            yield state.set(name, Cell(value, stack, 0))
-            yield state.set(name, Cell(value, stack, counter - 1))
+            cells += (Cell(value, stack, 0), Cell(value, stack, counter - 1))
+        for cell in dict.fromkeys(cells):
+            yield state.set(name, cell)
 
 
 def minimize(
@@ -525,19 +521,18 @@ def run_fuzz(cfg: GenConfig, cases: int) -> FuzzReport:
 
     for _ in range(cases):
         rng = random.Random(master.getrandbits(64))
-        program = gen_term(cfg, rng=rng)
-        full_state = gen_state(cfg, variables_of(program), rng=rng)
+        program = compile_program(gen_term(cfg, rng=rng))
+        full_state = gen_state(cfg, program.variables, rng=rng)
         flat_state = zero_counters(full_state)
 
-        inverse = invert(program)
-        verdict = _strong_reversibility(program, inverse, full_state)
+        verdict = _strong_reversibility(program, full_state)
         if not report.strong.add(verdict):
             record_failure("strong-reversibility", verdict)
 
         # each semantics runs once on the counter-free state; three checks share the runs
-        outcome = eval_a(program, flat_state)
-        reversible = eval_r(program, flat_state)
-        verdict = _weak_reversibility_a(program, inverse, flat_state, outcome)
+        outcome = program.run(flat_state, "a")
+        reversible = program.run(flat_state, "r").state
+        verdict = _weak_reversibility_a(program, flat_state, outcome)
         if not report.weak.add(verdict):
             record_failure("weak-reversibility-a", verdict)
 
@@ -548,12 +543,12 @@ def run_fuzz(cfg: GenConfig, cases: int) -> FuzzReport:
         correspondence = _failure_correspondence(outcome, reversible)
         if correspondence.direction_witness == "if":
             report.if_direction_witnesses += 1
-            record_failure("failure-correspondence", Fail(program, flat_state, _BROKEN_WITHOUT_ABORT))
+            record_failure("failure-correspondence", Fail(program.term, flat_state, _BROKEN_WITHOUT_ABORT))
         elif correspondence.direction_witness == "only-if":
             report.only_if_witnesses += 1
             if len(report.only_if_samples) < _MAX_ONLY_IF_SAMPLES:
                 report.only_if_samples.append(
-                    _witness("failure-correspondence", program, flat_state, "abort repaired by counters")
+                    _witness("failure-correspondence", program.term, flat_state, "abort repaired by counters")
                 )
 
     seeded = check_failure_correspondence(_SEEDED_WITNESS_PROGRAM, _SEEDED_WITNESS_STATE)

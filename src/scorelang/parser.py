@@ -19,7 +19,7 @@ import re
 from itertools import islice
 from typing import NoReturn
 
-from .syntax import _KEYWORD, KEYWORDS, For, Skip, Term, _sequence
+from .syntax import _KEYWORD, KEYWORDS, Skip, Term, _loop, _sequence
 
 __all__ = ["ParseError", "parse"]
 
@@ -144,7 +144,7 @@ def parse(src: str) -> Term:
             parts, leader = open_loops.pop()
             if word != "}":
                 _fail(src, lexemes, i, f"expected '}}' to close FOR {leader}" + _found(word), ("}",))
-            parts.append(For(leader, body))
+            parts.append(_loop(leader, body))  # the lexer vouches for the leader
             i += 1
             word = lexemes[i]
         i += 1

@@ -24,8 +24,12 @@ cannot occur in a well-formed body, every run terminates with work bounded
 by the program size times the product of loop-entry magnitudes; no fuel or
 timeout is involved.
 
-All evaluators refuse ill-formed programs up front, and the two pair
-semantics additionally refuse input states with a nonzero counter.
+`compile_program` checks a program and numbers its variables once, and
+the `Program` it returns runs any number of states under any of the three
+semantics, forward, inverted, or one direction after the other (P;-P),
+compiling each block on first use.  The four `eval_*` functions compile
+and run once.  An ill-formed program is refused when it is compiled, and
+the two pair semantics refuse input states with a nonzero counter.
 """
 
 from __future__ import annotations
@@ -35,7 +39,21 @@ from itertools import chain, repeat
 from operator import length_hint
 
 from .state import Cell, DEFAULT_CELL, State
-from .syntax import _INVERSE, _KEYWORD, Dec, For, Inc, Pop, Push, Skip, Term, Violation, _parts, check_well_formed
+from .syntax import (
+    _INVERSE,
+    _KEYWORD,
+    Dec,
+    For,
+    Inc,
+    Pop,
+    Push,
+    Skip,
+    Term,
+    Violation,
+    _not_a_term,
+    _parts,
+    check_well_formed,
+)
 
 __all__ = [
     "AbortRecord",
@@ -46,6 +64,8 @@ __all__ = [
     "EvalError",
     "IllFormedProgramError",
     "NonzeroCounterError",
+    "Program",
+    "compile_program",
     "push_r",
     "pop_r",
     "eval_n",
@@ -154,20 +174,28 @@ def pop_r(cell: Cell) -> Cell:
 
 # ---------------------------------------------------------------- the core
 #
-# A run compiles its term into blocks: tuples of flat ``(opcode, arg)``
-# entries, where ``arg`` is a variable's slot for INC/DEC/PUSH/POP.  Each
-# slot indexes three per-run lists (values, stacks with the top at the end,
-# counters), so every step is an O(1) list update.  The three semantics
-# share every opcode except the ones PUSH and POP compile to.
+# `compile_program` checks a term and numbers its variables in one walk:
+# each name gets a slot, in order of first occurrence, loop bodies
+# included, so every block of the program agrees on the slots whichever run
+# compiles it.  A run loads each slot from its state into three lists
+# (values, stacks with the top at the end, counters), so every step is an
+# O(1) list update.
+#
+# A program compiles into blocks: tuples of flat ``(opcode, arg)`` entries,
+# where ``arg`` is a variable's slot for INC/DEC/PUSH/POP.  The three
+# semantics share every opcode except the ones PUSH and POP compile to, and
+# a traced run adds an observer entry after each atom, so a program keeps
+# one set of blocks per semantics, and another per semantics for traced
+# runs, which every later run reuses.
 #
 # A loop entry's arg is ``(leader slot, cache, direction, atoms before)``,
 # direction 1 meaning the body runs inverted.  The cache, one per FOR node
-# and run, holds the loop body and its two blocks, forward and inverted,
-# each compiled on first use and kept for the rest of the run, so no (loop,
-# direction) pair is compiled twice and a direction that never runs is
-# never compiled.  The inverted block is compiled straight from the body
-# term, with the entries in reverse order and INC/DEC and PUSH/POP swapped;
-# a trace adds an observer entry after each atom.
+# and set of blocks, holds the loop's two blocks, forward and inverted,
+# each compiled on first use, and its body; the whole program has such a
+# cache too.  So no (loop, direction) pair is compiled twice, and a
+# direction that never runs is never compiled.  The inverted block is
+# compiled straight from the term, with the entries in reverse order and
+# INC/DEC and PUSH/POP swapped.
 #
 # Under the assert semantics the abort position needs the number of steps
 # run so far.  Rather than count every step, a run adds the body's atom
@@ -189,45 +217,42 @@ _ATOM_OPS = {"n": _atom_ops(_PUSH, _POP_N), "a": _atom_ops(_PUSH, _POP_A), "r": 
 # The keyword of each atom opcode, for trace labels.
 _OP_KEYWORD = {op: _KEYWORD[cls] for forward, _ in _ATOM_OPS.values() for cls, op in forward.items()}
 _BODY = 2  # index of the body term in a loop cache; 0 and 1 hold its blocks
+_DIRECTION = {"+": 0, "-": 1}  # the passes of `Program.run`'s order
+# Builds a Cell from a (value, stack, counter) tuple without the Python-level
+# `Cell.__new__`, which costs more than the rest of storing a cell.
+_new_cell = tuple.__new__
 
 
-class _Run:
-    """Slot storage, the compiler, and the optional trace of one evaluation."""
+def _unknown_semantics(semantics: str) -> ValueError:
+    return ValueError(f"unknown semantics {semantics!r}; expected 'n', 'a' or 'r'")
 
-    __slots__ = (
-        "cells", "slots", "names", "values", "stacks", "counters", "ops", "loops", "trace", "scheduled", "failed"
-    )
 
-    def __init__(self, cells: dict[str, Cell], semantics: str, trace: list[TraceStep] | None):
-        self.cells = cells
-        self.slots: dict[str, int] = {}
-        self.names: list[str] = []
-        self.values: list[int] = []
-        self.stacks: list[list[int]] = []
-        self.counters: list[int] = []
+class _Code:
+    """One set of blocks of a program: `top` is the whole program's cache
+    and `loops` each FOR node's, by the node's id."""
+
+    __slots__ = ("ops", "slots", "traced", "loops", "top")
+
+    def __init__(self, term: Term, slots: dict[str, int], semantics: str, traced: bool):
         self.ops = _ATOM_OPS[semantics]
+        self.slots = slots
+        self.traced = traced
         self.loops: dict[int, list] = {}
-        self.trace = trace
-        self.scheduled = 0
-        self.failed = -1
+        self.top = [None, None, term]
 
-    def new_slot(self, name: str) -> int:
-        """Number `name`, met for the first time, and load its initial cell."""
-        slot = self.slots[name] = len(self.names)
-        value, stack, counter = self.cells.get(name, DEFAULT_CELL)
-        self.names.append(name)
-        self.values.append(value)
-        self.stacks.append(list(reversed(stack)))
-        self.counters.append(counter)
-        return slot
+    def block(self, cache: list, direction: int) -> tuple[tuple, int]:
+        """The block of a cache's term in `direction`, compiled on first use."""
+        compiled = cache[direction]
+        if compiled is None:
+            compiled = cache[direction] = self.compile(cache[_BODY], direction)
+        return compiled
 
     def compile(self, term: Term, inverted: int) -> tuple[tuple, int]:
         """The block of `term` run forward (0) or inverted (1), and its atom
         count.  No part of a sequence is a sequence, and a loop body is
         compiled when `_execute` first enters the loop in that direction,
         so this is one pass over the parts."""
-        ops, slots = self.ops[inverted], self.slots
-        trace = self.trace is not None
+        ops, slots, loops, traced = self.ops[inverted], self.slots, self.loops, self.traced
         entries: list[tuple] = []
         atoms = 0
         parts = _parts(term)
@@ -235,49 +260,30 @@ class _Run:
             kind = type(t)
             if kind is Skip:
                 continue
-            name = t.leader if kind is For else t.var
-            slot = slots.get(name)
-            if slot is None:
-                slot = self.new_slot(name)
             if kind is For:
-                cache = self.loops.get(id(t))
+                cache = loops.get(id(t))
                 if cache is None:
-                    cache = self.loops[id(t)] = [None, None, t.body]
-                entries.append((_LOOP, (slot, cache, inverted, atoms)))
+                    cache = loops[id(t)] = [None, None, t.body]
+                entries.append((_LOOP, (slots[t.leader], cache, inverted, atoms)))
             else:
+                name = t.var
+                slot = slots[name]
                 op = ops[kind]
                 entries.append((op, (slot, atoms) if op == _POP_A else slot))
-                if trace:
+                if traced:
                     entries.append((_OBSERVE, (f"{_OP_KEYWORD[op]} {name}", name, slot)))
                 atoms += 1
         return tuple(entries), atoms
 
-    def result(self) -> State:
-        cells = self.cells
-        for name, value, stack, counter in zip(self.names, self.values, self.stacks, self.counters):
-            if value or stack or counter:
-                cells[name] = Cell(value, tuple(reversed(stack)), counter)
-            else:
-                cells.pop(name, None)
-        return State._trusted(cells)
 
-    def abort_record(self, left: int) -> AbortRecord:
-        """The record of the POP that aborted with `left` scheduled steps
-        not run; the state has not changed since."""
-        slot = self.failed
-        value, name = self.values[slot], self.names[slot]
-        reason = "value-nonzero" if value else "empty-stack"
-        observed = Cell(value, tuple(reversed(self.stacks[slot])), 0)
-        return AbortRecord(f"POP {name}", name, reason, observed, self.scheduled - left)
-
-
-def _execute(run: _Run, block: tuple, atoms: int):
-    """Run one block; None when it completes, else the number of its
-    scheduled steps that did not run because a POP aborted, whose slot
-    is then ``run.failed``.  A loop entry pushes a frame (enclosing iterator,
-    its atoms, atoms before the entry, body atoms, repeats left) and goes on
-    with the body's block repeated, so nesting does not recurse."""
-    values, stacks, counters = run.values, run.stacks, run.counters
+def _execute(code: _Code, block: tuple, atoms: int, scheduled: int, values, stacks, counters, trace) -> tuple[int, int]:
+    """Run one block of `code` on the slot lists, `scheduled` counting the
+    steps scheduled so far, the block's own included.  Returns the number
+    of steps run and -1 when the block completes, else the number run
+    before a POP aborted and the POP's slot.  A loop entry pushes a frame
+    (enclosing iterator, its atoms, atoms before the entry, body atoms,
+    repeats left) and goes on with the body's block repeated, so nesting
+    does not recurse."""
     frames: list[tuple] = []
     it = iter(block)
     while True:
@@ -302,11 +308,10 @@ def _execute(run: _Run, block: tuple, atoms: int):
                 slot, before = arg
                 stack = stacks[slot]
                 if values[slot] or not stack:
-                    run.failed = slot
                     left = atoms - before
                     for _, outer_atoms, entry_before, body_atoms, repeats in frames:
                         left += length_hint(repeats) * body_atoms + outer_atoms - entry_before
-                    return left
+                    return scheduled - left, slot
                 values[slot] = stack.pop()
             elif op == _POP_R:
                 if values[arg] or not stacks[arg]:
@@ -320,56 +325,143 @@ def _execute(run: _Run, block: tuple, atoms: int):
                     if count < 0:
                         count = -count
                         direction ^= 1
-                    compiled = cache[direction]
-                    if compiled is None:
-                        compiled = cache[direction] = run.compile(cache[_BODY], direction)
-                    body, body_atoms = compiled
-                    run.scheduled += count * body_atoms
+                    body, body_atoms = cache[direction] or code.block(cache, direction)
+                    scheduled += count * body_atoms
                     repeats = repeat(body, count)
                     frames.append((it, atoms, before, body_atoms, repeats))
                     it, atoms = chain.from_iterable(repeats), body_atoms
                     break
             else:
                 instruction, name, slot = arg
-                trace = run.trace
                 cell = Cell(values[slot], tuple(reversed(stacks[slot])), counters[slot])
                 trace.append(TraceStep(len(trace), instruction, name, cell))
         else:
             if not frames:
-                return None
+                return scheduled, -1
             it, atoms = frames.pop()[:2]
 
 
-def _start(term: Term, state: State, semantics: str, trace: list[TraceStep] | None):
-    """Check the preconditions, compile `term` and run it: the finished run
-    and None, or the run and the abort record."""
-    violations = check_well_formed(term)
-    if violations:
-        raise IllFormedProgramError(violations)
-    cells = state.as_dict()
-    if semantics != "r" and any(cell.counter for cell in cells.values()):
-        raise NonzeroCounterError(min(name for name, cell in cells.items() if cell.counter))
-    run = _Run(cells, semantics, trace)
-    block, atoms = run.compile(term, 0)
-    run.scheduled = atoms
-    left = _execute(run, block, atoms)
-    return run, None if left is None else run.abort_record(left)
+class Program:
+    """A well-formed term, checked and numbered once, to run over many states.
+
+    `variables` holds every name of the term, loop leaders and the names of
+    bodies that never run included, in order of first occurrence.  Blocks
+    are compiled on first use and kept, per semantics and direction and
+    apart for traced runs, so each later run only executes.
+    """
+
+    __slots__ = ("term", "variables", "_slots", "_code")
+
+    def __init__(self, term: Term, slots: dict[str, int]):
+        self.term = term
+        self.variables: tuple[str, ...] = tuple(slots)
+        self._slots = slots
+        self._code: dict[tuple[str, bool], _Code] = {}
+
+    def run(
+        self, state: State, semantics: str = "r", order: str = "+", trace: list[TraceStep] | None = None
+    ) -> RunOutcome:
+        """Run from `state` under semantics "n", "a" or "r".
+
+        `order` lists the passes, run one after another as one program:
+        "+" is the program and "-" its inverse, so "+-" runs P; -P.  The
+        result is Final(state), or Aborted(record) when an assert run
+        aborts.  Given `trace`, an empty list, the run appends a TraceStep
+        for every executed INC/DEC/PUSH/POP (loop bodies unfold; SKIP leaves
+        no step), each with the cell it touched, and for an abort a last one
+        carrying the record.  The pair semantics refuse a state with a
+        nonzero counter.
+        """
+        traced = trace is not None
+        code = self._code.get((semantics, traced))
+        if code is None:
+            if semantics not in _ATOM_OPS:
+                raise _unknown_semantics(semantics)
+            code = self._code[semantics, traced] = _Code(self.term, self._slots, semantics, traced)
+        if order.strip("+-"):
+            raise ValueError(f"order must be made of '+' and '-', got {order!r}")
+        cells = state.as_dict()
+        if semantics != "r" and any(cell.counter for cell in cells.values()):
+            raise NonzeroCounterError(min(name for name, cell in cells.items() if cell.counter))
+        names = self.variables
+        loaded = [cells.get(name, DEFAULT_CELL) for name in names]
+        values = [cell[0] for cell in loaded]
+        stacks = [[*cell[1][::-1]] for cell in loaded]
+        counters = [cell[2] for cell in loaded]
+        steps = 0
+        for sign in order:
+            block, atoms = code.block(code.top, _DIRECTION[sign])
+            steps, failed = _execute(code, block, atoms, steps + atoms, values, stacks, counters, trace)
+            if failed >= 0:
+                value, name = values[failed], names[failed]
+                reason = "value-nonzero" if value else "empty-stack"
+                observed = Cell(value, tuple(reversed(stacks[failed])), 0)
+                record = AbortRecord(f"POP {name}", name, reason, observed, steps)
+                if traced:
+                    trace.append(TraceStep(steps, record.instruction, name, None, record))
+                return Aborted(record)
+        for name, value, stack, counter in zip(names, values, stacks, counters):
+            if value or stack or counter:
+                cells[name] = _new_cell(Cell, (value, tuple(stack[::-1]), counter))
+            else:
+                cells.pop(name, None)
+        return Final(State._trusted(cells))
+
+
+def compile_program(term: Term) -> Program:
+    """Check `term` against the strict leader proviso and number its
+    variables, in one walk.  A program that breaks the proviso raises
+    IllFormedProgramError with every violation."""
+    slots: dict[str, int] = {}
+    leading: list[int] = []  # per slot, how many open loops it leads
+    well_formed = True
+    # One frame per run of parts being walked, the root's and each open
+    # loop body's: its parts still to walk and the slot of the loop's leader.
+    frames: list[tuple] = [(iter(_parts(term)), -1)]
+    while frames:
+        items, leader = frames[-1]
+        for t in items:
+            cls = type(t)
+            if cls is For:
+                name = t.leader
+            elif cls in _INVERSE:
+                name = t.var
+            elif cls is Skip:
+                continue
+            else:
+                raise _not_a_term(t)
+            slot = slots.get(name)
+            if slot is None:  # a name met for the first time leads no open loop
+                slot = slots[name] = len(leading)
+                leading.append(0)
+            elif leading[slot]:
+                well_formed = False
+            if cls is For:
+                leading[slot] += 1
+                frames.append((iter(_parts(t.body)), slot))
+                break
+        else:
+            frames.pop()
+            if leader >= 0:
+                leading[leader] -= 1
+    if not well_formed:
+        raise IllFormedProgramError(check_well_formed(term))
+    return Program(term, slots)
 
 
 def eval_n(term: Term, state: State) -> State:
     """Run under the naive pair semantics; counters stay 0 throughout."""
-    return _start(term, state, "n", None)[0].result()
+    return compile_program(term).run(state, "n").state
 
 
 def eval_a(term: Term, state: State) -> RunOutcome:
     """Run under the assert semantics: Final(state) or Aborted(record)."""
-    run, record = _start(term, state, "a", None)
-    return Final(run.result()) if record is None else Aborted(record)
+    return compile_program(term).run(state, "a")
 
 
 def eval_r(term: Term, state: State) -> State:
     """Run under the total reversible semantics; legal on every state."""
-    return _start(term, state, "r", None)[0].result()
+    return compile_program(term).run(state, "r").state
 
 
 def eval_traced(term: Term, state: State, semantics: str = "r") -> tuple[list[TraceStep], State | None]:
@@ -379,11 +471,8 @@ def eval_traced(term: Term, state: State, semantics: str = "r") -> tuple[list[Tr
     state; under the assert semantics an abort instead ends the steps with
     one carrying the record, and the final state is None.
     """
-    if semantics not in ("n", "a", "r"):
-        raise ValueError(f"unknown semantics {semantics!r}; expected 'n', 'a' or 'r'")
+    if semantics not in _ATOM_OPS:
+        raise _unknown_semantics(semantics)
     steps: list[TraceStep] = []
-    run, record = _start(term, state, semantics, steps)
-    if record is not None:
-        steps.append(TraceStep(record.trace_position, record.instruction, record.variable, None, record))
-        return steps, None
-    return steps, run.result()
+    outcome = compile_program(term).run(state, semantics, trace=steps)
+    return steps, None if type(outcome) is Aborted else outcome.state

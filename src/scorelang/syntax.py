@@ -117,6 +117,15 @@ class For(Term):
         _require_identifier(self.leader)
 
 
+def _loop(leader: Identifier, body: Term) -> For:
+    """The loop over `body` led by `leader`, built without the constructor's
+    check: the caller vouches that `leader` is a valid identifier."""
+    new = object.__new__(For)
+    object.__setattr__(new, "leader", leader)
+    object.__setattr__(new, "body", body)
+    return new
+
+
 # The atoms' keywords and inverses.  The parser's, the printer's, the
 # evaluator's and the generator's tables of atoms are derived from these.
 _KEYWORD = {Inc: "INC", Dec: "DEC", Push: "PUSH", Pop: "POP"}
@@ -183,7 +192,7 @@ def invert(term: Term) -> Term:
             if type(value) is int:
                 done[-value:] = (_sequence(done[-value:]),)
             else:
-                done[-1] = For(value, done[-1])
+                done[-1] = _loop(value, done[-1])
         elif cls is Skip:
             done.append(t)
         else:

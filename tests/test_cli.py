@@ -28,6 +28,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(*argv):
+    """`python -m scorelang` in a fresh process: (exit code, stdout, stderr)."""
+    src = str(Path(scorelang.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "scorelang", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 class TestRun:
     def test_identity_loop_pair(self, workspace, capsys):
         program = workspace("example.score", "FOR x {POP s}; FOR x {PUSH s}")
@@ -368,18 +378,10 @@ class TestDeepPrograms:
     def test_exits_cleanly(self, workspace, command, shape):
         program = workspace("deep.score", self.SOURCES[shape])
         state = [workspace("deep.sst", self.STATES[shape])] if command in ("run", "trace") else []
-        src = str(Path(scorelang.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "scorelang", command, program, *state],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert (proc.returncode, proc.stderr) == (0, "")
+        code, out, err = run_fresh(command, program, *state)
+        assert (code, err) == (0, "")
         expected = self.flat_stdout(command) if shape == "flat" else self.nest_stdout(command)
-        assert proc.stdout == expected
+        assert out == expected
 
 
 class TestUsage:
@@ -398,3 +400,19 @@ class TestUsage:
         with pytest.raises(SystemExit) as info:
             main(["run", "--semantics", "x", program])
         assert info.value.code == 2
+
+    def test_usage_error_then_run_in_one_process(self, workspace, capsys):
+        # the argument parser is built once per process and reused, so a
+        # call after a usage error must behave as in a fresh process
+        program = workspace("p.score", "INC x; PUSH y")
+        calls = [["run", "--semantics", "x", program], ["run", "-s", "a", "--backward", program]]
+        in_process = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exit_:
+                code = exit_.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        assert in_process == [run_fresh(*argv) for argv in calls]
+        assert [code for code, _, _ in in_process] == [2, 1]

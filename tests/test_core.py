@@ -11,6 +11,7 @@ from scorelang import (
     AbortRecord,
     Aborted,
     Cell,
+    Final,
     For,
     GenConfig,
     Inc,
@@ -18,6 +19,7 @@ from scorelang import (
     Push,
     Seq,
     State,
+    compile_program,
     eval_a,
     eval_n,
     eval_r,
@@ -35,7 +37,12 @@ from term_strategies import states, wf_terms
 
 def assert_same_trace(term, state, semantics):
     steps, final = eval_traced(term, state, semantics)
-    expected = ref_eval_traced(term, state, semantics)
+    assert_trace_matches(steps, final, ref_eval_traced(term, state, semantics), state)
+
+
+def assert_trace_matches(steps, final, expected, state):
+    """`steps` and `final` of a traced run from `state` match the reference
+    walker's snapshots `expected`."""
     assert [(s.index, s.instruction, s.variable, s.abort) for s in steps] == [
         (e.index, e.instruction, e.variable, e.abort) for e in expected
     ]
@@ -95,6 +102,85 @@ class TestAgainstReferenceWalker:
         assert outcome == ref_eval_a(program, state)
         assert isinstance(outcome, Aborted)
         assert_same_trace(program, state, "a")
+
+
+REFERENCE = {"n": ref_eval_n, "a": ref_eval_a, "r": ref_eval_r}
+# What each pass order of `Program.run` runs, spelled out as one term.
+SPELLED = {
+    "+": lambda t: t,
+    "-": invert,
+    "+-": lambda t: Seq(t, invert(t)),
+    "-+": lambda t: Seq(invert(t), t),
+}
+
+
+def assert_runs_match_reference(term, states):
+    """One Program of `term` runs every state in turn, under each semantics
+    and pass order, untraced and traced, and each run agrees with the
+    reference walker on the term the passes spell out.  The pair semantics
+    see the states with counters zeroed."""
+    program = compile_program(term)
+    for semantics in "nar":
+        for order, spell in SPELLED.items():
+            spelled = spell(term)
+            for state in states:
+                start = state if semantics == "r" else zero_counters(state)
+                expected = REFERENCE[semantics](spelled, start)
+                outcome = program.run(start, semantics, order)
+                assert outcome == (expected if semantics == "a" else Final(expected))
+                steps = []
+                outcome = program.run(start, semantics, order, steps)
+                final = None if isinstance(outcome, Aborted) else outcome.state
+                assert_trace_matches(steps, final, ref_eval_traced(spelled, start, semantics), start)
+
+
+class TestOneProgramManyStates:
+    def test_fuzz_programs(self):
+        cfg = GenConfig(seed=8)
+        rng = random.Random(8)
+        for program, full, _ in fuzz_corpus(cfg, 120):
+            names = compile_program(program).variables
+            assert_runs_match_reference(program, [full, *(gen_state(cfg, names, rng) for _ in range(3))])
+
+    def test_loops_first_entered_in_a_later_run(self):
+        # The first state enters no loop.  The later ones enter the inner
+        # loops, one of them first negatively, whose names occur nowhere
+        # else, so their blocks are compiled by a later run than the first.
+        program = parse("FOR n { FOR m { INC y; PUSH z }; FOR k { POP w; DEC v } }; INC u")
+        states = [
+            State(),
+            State({"n": Cell(1), "k": Cell(-2), "w": Cell(3, (1,), 0)}),
+            State({"n": Cell(2), "m": Cell(3), "k": Cell(1), "w": Cell(0, (4, 5), 1)}),
+            State({"n": Cell(-2), "m": Cell(-1), "k": Cell(2), "z": Cell(0, (1, 2, 3), 2)}),
+        ]
+        assert compile_program(program).variables == ("n", "m", "y", "z", "k", "w", "v", "u")
+        assert_runs_match_reference(program, states)
+
+    def test_abort_positions_inside_nested_loops(self):
+        # y's stack of -1s feeds the inner loop's POP y until it runs out,
+        # and negative counts run inverted bodies, whose POP z runs out
+        # instead, so each state but the last aborts at another POP, in
+        # another iteration of the outer and the inner loops
+        program = parse("FOR n { INC m; FOR m { POP y; INC y; PUSH z }; INC w; POP x; PUSH x; POP x }")
+        x = Cell(0, (0,) * 6, 0)
+        states = [
+            State({"n": Cell(5), "x": x, "y": Cell(0, (-1,) * 4, 0)}),
+            State({"n": Cell(5), "x": x, "y": Cell(0, (-1,) * 8, 0)}),
+            State({"n": Cell(3), "m": Cell(-3), "x": x, "z": Cell(0, (0, 0), 0)}),
+            State({"n": Cell(2), "x": Cell(1), "y": Cell(0, (-1,), 0)}),
+            State({"n": Cell(-2), "m": Cell(2), "x": x, "z": Cell(0, (0, 0), 0)}),
+            State({"n": Cell(2), "x": x, "y": Cell(0, (-1,) * 3, 0)}),
+        ]
+        runs = compile_program(program)
+        outcomes = [runs.run(state, "a") for state in states]
+        positions = [o.record.trace_position for o in outcomes if isinstance(o, Aborted)]
+        assert len(set(positions)) == len(positions) == 5
+        assert_runs_match_reference(program, states)
+
+    @pytest.mark.parametrize(("semantics", "order"), [("q", "+"), ("r", "+x"), ("a", "*")])
+    def test_rejects_unknown_semantics_and_passes(self, semantics, order):
+        with pytest.raises(ValueError):
+            compile_program(Inc("x")).run(State(), semantics, order)
 
 
 def nest(leaders, body):

@@ -1,10 +1,13 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
 from scorelang import (
+    Aborted,
     Cell,
     Fail,
     Final,
@@ -13,6 +16,7 @@ from scorelang import (
     Inc,
     Pass,
     Pop,
+    Program,
     Push,
     Seq,
     Skip,
@@ -22,7 +26,7 @@ from scorelang import (
     check_strong_reversibility,
     check_weak_reversibility_a,
     check_well_formed,
-    eval_n,
+    eval_a,
     eval_r,
     exhaustive_pop_injective,
     exhaustive_pop_push_inverse,
@@ -116,6 +120,20 @@ only-if sample: POP y; PUSH y from y = -4, [0, -4, -1, -5], 0
 result: PASS
 """
 
+# Per configuration, the sha256 of the text and JSON reports of seeds 1-10,
+# 200 cases each.  A change to the generator, the evaluator or the checks
+# that keeps every report keeps these.
+FUZZ_CONFIGS = {
+    "default": {},
+    "deep": {"max_depth": 8, "max_vars": 2},
+    "wide": {"max_depth": 5, "max_vars": 6, "max_counter": 3, "value_range": (-3, 7)},
+}
+FUZZ_REPORT_HASHES = {
+    "default": "5f99bade35e749aeeb786aef55f9d7404415c62e561630df9ccc6d3efe55b786",
+    "deep": "85410119820662522a25f0807c279de225862b8387d4121d802e1d445f0d9636",
+    "wide": "4314ed537b04a132c183354a9f52ae37c01affaa46db85facb63056c1cc75691",
+}
+
 
 class TestGeneratorPins:
     @pytest.mark.parametrize(("sizes", "seed", "text"), GENERATED)
@@ -124,6 +142,15 @@ class TestGeneratorPins:
 
     def test_seed_gives_its_fuzz_report(self):
         assert run_fuzz(GenConfig(seed=2), 100).to_text() == FUZZ_SEED_2_100_CASES
+
+    @pytest.mark.parametrize("config", sorted(FUZZ_REPORT_HASHES))
+    def test_seeds_give_their_fuzz_reports(self, config):
+        digest = hashlib.sha256()
+        for seed in range(1, 11):
+            report = run_fuzz(GenConfig(seed=seed, **FUZZ_CONFIGS[config]), 200)
+            digest.update(report.to_text().encode())
+            digest.update(json.dumps(report.to_json_dict(), sort_keys=True, indent=2).encode())
+        assert digest.hexdigest() == FUZZ_REPORT_HASHES[config]
 
 
 class TestGenState:
@@ -266,6 +293,79 @@ class TestMinimize:
         with pytest.raises(ValueError):
             minimize(Skip(), State(), lambda p, s: False)
 
+    def test_state_shrinks_are_distinct(self):
+        from scorelang.harness import _state_shrinks
+
+        assert list(_state_shrinks(State({"x": Cell(1)}))) == [State()]
+        state = State({"x": Cell(2, (5,), 1), "y": Cell(-1, (0, 3), 2), "z": Cell(0, (0,), 0)})
+        shrinks, with_repeats = list(_state_shrinks(state)), list(_state_shrinks_with_repeats(state))
+        assert set(shrinks) == set(with_repeats)
+        assert (len(shrinks), len(set(shrinks)), len(with_repeats)) == (13, 13, 18)
+
+    def test_dropping_repeated_states_keeps_every_result(self, monkeypatch):
+        # two predicates, each on some 200 generated pairs it holds for
+        def aborts(p, s):
+            return isinstance(eval_a(p, s), Aborted)
+
+        def ends_high(p, s):
+            return any(cell.value >= 2 for cell in eval_r(p, s).as_dict().values())
+
+        master = random.Random(4)
+        cases = []
+        for fails in (aborts, ends_high):
+            cfg, found = GenConfig(seed=4), 0
+            while found < 200:
+                rng = random.Random(master.getrandbits(64))
+                program = gen_term(cfg, rng=rng)
+                state = gen_state(cfg, variables_of(program), rng=rng)
+                state = zero_counters(state) if fails is aborts else state
+                if fails(program, state):
+                    cases.append((program, state, fails))
+                    found += 1
+
+        def minimize_all():
+            """Every case's minimized pair, and the predicate calls made."""
+            calls = []
+
+            def counted(fails):
+                def predicate(p, s):
+                    calls.append(p)
+                    return fails(p, s)
+
+                return predicate
+
+            return [minimize(p, s, counted(fails)) for p, s, fails in cases], len(calls)
+
+        results, calls = minimize_all()
+        monkeypatch.setattr(harness, "_state_shrinks", _state_shrinks_with_repeats)
+        results_with_repeats, calls_with_repeats = minimize_all()
+        assert results == results_with_repeats
+        assert calls < calls_with_repeats
+
+
+def _state_shrinks_with_repeats(state):
+    """The reference state shrinks, which offer a cell again each time two
+    of their rules give it: dropping the repeats must not change what
+    `minimize` returns."""
+    for name in sorted(state.variables()):
+        value, stack, counter = state.get(name)
+        yield state.set(name, Cell(0))
+        if value != 0:
+            toward_zero = [0, int(value / 2)]  # the same for a value of 1 or -1
+            step = value - 1 if value > 0 else value + 1
+            if step not in toward_zero:
+                toward_zero.append(step)
+            for smaller in toward_zero:
+                yield state.set(name, Cell(smaller, stack, counter))
+        if stack:
+            yield state.set(name, Cell(value, stack[1:], counter))
+            yield state.set(name, Cell(value, stack[:-1], counter))
+            if stack[0] != 0:
+                yield state.set(name, Cell(value, (0, *stack[1:]), counter))
+        if counter > 0:
+            yield state.set(name, Cell(value, stack, 0))
+            yield state.set(name, Cell(value, stack, counter - 1))
+
 
 def _contains_pop_x(term):
     match term:
@@ -315,12 +415,24 @@ class TestRunFuzz:
         assert "if_direction_witnesses" in summary["correspondence"]
 
 
-# Evaluator faults injected into the harness, each a (name, factory) pair;
-# the factory gets the real function.
-FAULTS = {
-    "r-forgets-counters": ("eval_r", lambda real: lambda p, s: zero_counters(real(p, s))),
-    "a-never-aborts": ("eval_a", lambda real: lambda p, s: Final(eval_n(p, s))),
-}
+# Evaluator faults injected at `Program.run`, through which `run_fuzz` and
+# every check run their programs; each factory gets the real method.
+def _r_forgets_counters(real):
+    def run(self, state, semantics="r", order="+", trace=None):
+        outcome = real(self, state, semantics, order, trace)
+        return Final(zero_counters(outcome.state)) if semantics == "r" else outcome
+
+    return run
+
+
+def _a_never_aborts(real):
+    def run(self, state, semantics="r", order="+", trace=None):
+        return real(self, state, "n" if semantics == "a" else semantics, order, trace)
+
+    return run
+
+
+FAULTS = {"r-forgets-counters": _r_forgets_counters, "a-never-aborts": _a_never_aborts}
 RECHECK = {
     "strong-reversibility": check_strong_reversibility,
     "weak-reversibility-a": check_weak_reversibility_a,
@@ -336,8 +448,7 @@ def _replay(program_text, state_text):
 def faulty_report(request, monkeypatch):
     """A 200-case batch run against a broken evaluator, which stays
     patched in while the test replays the report."""
-    name, fault = FAULTS[request.param]
-    monkeypatch.setattr(harness, name, fault(getattr(harness, name)))
+    monkeypatch.setattr(Program, "run", FAULTS[request.param](Program.run))
     cfg = GenConfig(seed=20)
     return cfg, run_fuzz(cfg, 200)
 
@@ -406,13 +517,13 @@ class TestInjectedFaults:
     def test_failure_that_does_not_recur_is_reported_unshrunk(self, monkeypatch):
         # only the very first reversible run is broken, so the check passes
         # when run again and the case is reported as it was generated
-        real, calls = harness.eval_r, itertools.count()
+        real, calls = Program.run, itertools.count()
 
-        def first_run_broken(program, state):
-            final = real(program, state)
-            return zero_counters(final) if next(calls) == 0 else final
+        def first_run_broken(self, state, semantics="r", order="+", trace=None):
+            outcome = real(self, state, semantics, order, trace)
+            return Final(zero_counters(outcome.state)) if next(calls) == 0 else outcome
 
-        monkeypatch.setattr(harness, "eval_r", first_run_broken)
+        monkeypatch.setattr(Program, "run", first_run_broken)
         report = run_fuzz(GenConfig(seed=3), 1)
         assert report.strong.failed == 1
         assert report.failures == [
