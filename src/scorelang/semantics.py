@@ -50,9 +50,8 @@ from .syntax import (
     Skip,
     Term,
     Violation,
-    _not_a_term,
     _parts,
-    check_well_formed,
+    _scan,
 )
 
 __all__ = [
@@ -174,12 +173,14 @@ def pop_r(cell: Cell) -> Cell:
 
 # ---------------------------------------------------------------- the core
 #
-# `compile_program` checks a term and numbers its variables in one walk:
-# each name gets a slot, in order of first occurrence, loop bodies
-# included, so every block of the program agrees on the slots whichever run
-# compiles it.  A run loads each slot from its state into three lists
-# (values, stacks with the top at the end, counters), so every step is an
-# O(1) list update.
+# `compile_program` checks a term against the strict leader proviso and
+# numbers its variables from one walk, `syntax._scan`, the walk that
+# `check_well_formed` and `variables_of` also read, so the rule is checked
+# in one place.  Each name gets a slot, in order of first occurrence, loop
+# bodies included, so every block of the program agrees on the slots
+# whichever run compiles it.  A run loads each slot from its state into
+# three lists (values, stacks with the top at the end, counters), so every
+# step is an O(1) list update.
 #
 # A program compiles into blocks: tuples of flat ``(opcode, arg)`` entries,
 # where ``arg`` is a variable's slot for INC/DEC/PUSH/POP.  The three
@@ -412,40 +413,9 @@ def compile_program(term: Term) -> Program:
     """Check `term` against the strict leader proviso and number its
     variables, in one walk.  A program that breaks the proviso raises
     IllFormedProgramError with every violation."""
-    slots: dict[str, int] = {}
-    leading: list[int] = []  # per slot, how many open loops it leads
-    well_formed = True
-    # One frame per run of parts being walked, the root's and each open
-    # loop body's: its parts still to walk and the slot of the loop's leader.
-    frames: list[tuple] = [(iter(_parts(term)), -1)]
-    while frames:
-        items, leader = frames[-1]
-        for t in items:
-            cls = type(t)
-            if cls is For:
-                name = t.leader
-            elif cls in _INVERSE:
-                name = t.var
-            elif cls is Skip:
-                continue
-            else:
-                raise _not_a_term(t)
-            slot = slots.get(name)
-            if slot is None:  # a name met for the first time leads no open loop
-                slot = slots[name] = len(leading)
-                leading.append(0)
-            elif leading[slot]:
-                well_formed = False
-            if cls is For:
-                leading[slot] += 1
-                frames.append((iter(_parts(t.body)), slot))
-                break
-        else:
-            frames.pop()
-            if leader >= 0:
-                leading[leader] -= 1
-    if not well_formed:
-        raise IllFormedProgramError(check_well_formed(term))
+    violations, slots = _scan(term, False)
+    if violations:
+        raise IllFormedProgramError(violations)
     return Program(term, slots)
 
 

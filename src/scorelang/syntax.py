@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import length_hint
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -37,6 +38,22 @@ class Term:
     """
 
     __slots__ = ()
+
+
+class _Compound(Term):
+    """`Seq` and `For` compare and hash through their printed text, which
+    is canonical (``parse(pretty(t)) == t``), so no nest is too deep for
+    `==` or `hash`, unlike the recursive methods `dataclass` generates."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return pretty(self) == pretty(other)
+
+    def __hash__(self) -> int:
+        return hash(pretty(self))
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,8 +91,8 @@ class Pop(_Unary):
     pass
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Seq(Term):
+@dataclass(frozen=True, slots=True, init=False, eq=False)
+class Seq(_Compound):
     """Two or more terms run in order.  Nested sequences are spliced in, so
     ``Seq(a, Seq(b, c)) == Seq(Seq(a, b), c) == Seq(a, b, c)`` and no part
     of a Seq is a Seq."""
@@ -108,8 +125,8 @@ def _sequence(parts: tuple[Term, ...] | list[Term]) -> Term:
     return new
 
 
-@dataclass(frozen=True, slots=True)
-class For(Term):
+@dataclass(frozen=True, slots=True, eq=False)
+class For(_Compound):
     leader: Identifier
     body: Term
 
@@ -202,21 +219,7 @@ def invert(term: Term) -> Term:
 
 def variables_of(term: Term) -> frozenset[Identifier]:
     """All identifiers occurring syntactically in `term` (targets and leaders)."""
-    names: set[str] = set()
-    todo = [term]
-    while todo:
-        t = todo.pop()
-        cls = type(t)
-        if cls is Seq:
-            todo += t.parts
-        elif cls in _INVERSE:
-            names.add(t.var)
-        elif cls is For:
-            names.add(t.leader)
-            todo.append(t.body)
-        elif cls is not Skip:
-            raise _not_a_term(t)
-    return frozenset(names)
+    return frozenset(_scan(term, True)[1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,17 +236,17 @@ class Violation:
     path: tuple[str, ...]
 
 
-def _path(link: tuple | None) -> tuple[str, ...]:
-    """Unwind a node's link into a root-first path.  A link is (index k,
-    number of parts n, the link of the run of parts), or (None, 0, the
-    loop's link) for a loop body."""
+def _path(frame: tuple) -> tuple[str, ...]:
+    """The root-first path to the part just taken from `frame`'s run of
+    parts.  Each open run's iterator stands just past the part it is in,
+    so its index is worked out from how many parts are left."""
     names = []
-    while link is not None:
-        k, n, link = link
-        if k is None:
-            names.append("body")
-        else:  # leaf first: "first" unless the last part, after k "second"s
-            names += ("first",) * (k < n - 1) + ("second",) * k
+    while frame is not None:
+        items, n, frame, _ = frame
+        k = n - length_hint(items) - 1
+        # leaf first: "first" unless the last part, after k "second"s, then
+        # "body" unless this is the root's run
+        names += ("first",) * (k < n - 1) + ("second",) * k + ("body",) * (frame is not None)
     names.reverse()
     return tuple(names)
 
@@ -257,35 +260,51 @@ def check_well_formed(term: Term, *, relaxed: bool = False) -> list[Violation]:
     count.  With ``relaxed=True`` only INC and DEC of the leader are
     rejected.  Violations come in source order.
     """
+    return _scan(term, relaxed)[0]
+
+
+def _scan(term: Term, relaxed: bool) -> tuple[list[Violation], dict[Identifier, int]]:
+    """The one walk behind `check_well_formed`, `variables_of` and
+    `semantics.compile_program`: the proviso's violations in source order,
+    and every name of `term`, loop bodies included, numbered in order of
+    first occurrence."""
     violations: list[Violation] = []
-    # How many enclosing loops each name leads; a name is banned while positive.
-    banned: dict[str, int] = {}
-    # One frame per run of parts being checked, the root's and each open
-    # loop body's: its (index, part) pairs still to check, its length, its
-    # link and the leader it bans.  A path is built only for a violation.
+    slots: dict[str, int] = {}
+    opens: list[int] = []  # per slot, how many open loops that name leads
+    # A frame is a run of parts being checked, the root's or an open loop
+    # body's: its parts still to check, its length, the frame of the run
+    # holding the loop (None for the root) and the loop leader's slot.  The
+    # frames of the open runs form a chain, which `_path` follows.
     parts = _parts(term)
-    frames: list[tuple] = [(enumerate(parts), len(parts), None, None)]
-    while frames:
-        items, n, link, leader = frames[-1]
-        for k, t in items:
+    frame: tuple | None = (iter(parts), len(parts), None, -1)
+    while frame is not None:
+        items, _, up, leader = frame
+        for t in items:
             cls = type(t)
-            if cls in _INVERSE:
-                if banned.get(t.var) and (cls is Inc or cls is Dec or not relaxed):
-                    violations.append(Violation(t.var, _path((k, n, link))))
-            elif cls is For:
-                if not relaxed and banned.get(t.leader):
-                    violations.append(Violation(t.leader, _path((k, n, link))))
-                banned[t.leader] = banned.get(t.leader, 0) + 1
-                parts = _parts(t.body)
-                frames.append((enumerate(parts), len(parts), (None, 0, (k, n, link)), t.leader))
-                break
-            elif cls is not Skip:
+            if cls is For:
+                name = t.leader
+            elif cls in _INVERSE:
+                name = t.var
+            elif cls is Skip:
+                continue
+            else:
                 raise _not_a_term(t)
+            slot = slots.get(name)
+            if slot is None:  # a name met for the first time leads no open loop
+                slot = slots[name] = len(opens)
+                opens.append(0)
+            elif opens[slot] and (cls is Inc or cls is Dec or not relaxed):
+                violations.append(Violation(name, _path(frame)))
+            if cls is For:
+                opens[slot] += 1
+                parts = _parts(t.body)
+                frame = (iter(parts), len(parts), frame, slot)
+                break
         else:
-            frames.pop()
-            if leader is not None:
-                banned[leader] -= 1
-    return violations
+            if leader >= 0:
+                opens[leader] -= 1
+            frame = up
+    return violations, slots
 
 
 def pretty(term: Term) -> str:

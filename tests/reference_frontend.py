@@ -5,7 +5,10 @@ Kept here, unoptimized, as the oracle the package is checked against: the
 tokenizer steps through the source one character at a time and builds a
 `Token` per lexeme, the parser is recursive descent, and `invert`,
 `pretty` and `check_well_formed` recurse into every part and loop body
-with a `match` per node, so they are only fit for shallow terms.
+with a `match` per node, so they are only fit for shallow terms.  So do
+two oracles for what the package reads off its own walks:
+`variables_in_order`, the variable order of a compiled program, and
+`equal`, structural equality of terms.
 """
 
 from __future__ import annotations
@@ -186,6 +189,45 @@ def variables_of(term: Term) -> frozenset[str]:
             case _:
                 raise TypeError(f"not a term: {t!r}")
     return frozenset(names)
+
+
+def variables_in_order(term: Term) -> tuple[str, ...]:
+    """Every identifier of `term`, in order of first occurrence: a loop's
+    leader before its body, the parts of a sequence left to right."""
+    names: dict[str, None] = {}
+
+    def scan(t: Term) -> None:
+        match t:
+            case Inc(x) | Dec(x) | Push(x) | Pop(x):
+                names.setdefault(x)
+            case Seq(parts):
+                for part in parts:
+                    scan(part)
+            case For(leader, body):
+                names.setdefault(leader)
+                scan(body)
+            case Skip():
+                pass
+            case _:
+                raise TypeError(f"not a term: {t!r}")
+
+    scan(term)
+    return tuple(names)
+
+
+def equal(a: Term, b: Term) -> bool:
+    """Structural equality: the same constructor, the same names and equal
+    children, recursively."""
+    match a, b:
+        case Skip(), Skip():
+            return True
+        case (Inc(x), Inc(y)) | (Dec(x), Dec(y)) | (Push(x), Push(y)) | (Pop(x), Pop(y)):
+            return x == y
+        case Seq(xs), Seq(ys):
+            return len(xs) == len(ys) and all(equal(x, y) for x, y in zip(xs, ys))
+        case For(x, xbody), For(y, ybody):
+            return x == y and equal(xbody, ybody)
+    return False
 
 
 def check_well_formed(term: Term, *, relaxed: bool = False) -> list[Violation]:

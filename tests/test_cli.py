@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import product
@@ -416,3 +418,76 @@ class TestUsage:
             in_process.append((code, captured.out, captured.err))
         assert in_process == [run_fresh(*argv) for argv in calls]
         assert [code for code, _, _ in in_process] == [2, 1]
+
+
+# The corpus of `TestGoldenOutput`: 60 seeded programs, each a sequence of
+# six generated terms, every third made ill-formed by putting a loop's leader
+# into its own body (or, for a program with no loop, by wrapping it in a loop
+# whose leader it then increments).
+GOLDEN_SEEDS = range(1, 61)
+GOLDEN_PLANTS = ("PUSH {0}; ", "INC {0}; ", "FOR {0} {{ SKIP }}; ")
+GOLDEN_COMMANDS = {
+    "check": ("check",),
+    "check_relaxed": ("check", "--relaxed"),
+    "invert": ("invert",),
+    "run_r": ("run", "-s", "r"),
+    "run_a_backward": ("run", "-s", "a", "--backward"),
+    "trace_r": ("trace", "-s", "r"),
+    "trace_a_backward": ("trace", "-s", "a", "--backward"),
+}
+# Computed before the loop proviso and the variable order moved into one walk.
+GOLDEN_HASHES = {
+    "check": "908bad2ce714c5f98adba20bde1435d939d9fb9c0d80bf7a5d564d6a7c8aedc5",
+    "check_relaxed": "8f447e17c867e616a6d9d060bfe9d6898075d09cf10090061afc30d6c2fe8f77",
+    "invert": "1a1150f5b637e9acb9bcbdbe3e5fb5e7e84794413b71a2aeefa14ab03c69629b",
+    "run_a_backward": "c8aa728da7ec68eb47e1a6ca75c7673bf2dba8f625f67bd1d707a88aec67d6d5",
+    "run_r": "aec80c88ac8d83990f3d93278467f3060ca373a49dad8e7ec12330d3813fec17",
+    "trace_a_backward": "ff321c57c867bb98f81d51e62be163bb1ca630f36bdb4aa9c13742d1d1d7169b",
+    "trace_r": "a0e962fd2a0859445137244a9196d5ecb220296d98c233379f0bb157e4247aaa",
+}
+
+
+def golden_source(seed):
+    rng = random.Random(seed)
+    src = "; ".join(scorelang.pretty(scorelang.gen_term(scorelang.GenConfig(), rng)) for _ in range(6))
+    loops = [k for k in range(len(src)) if src.startswith("FOR ", k)]
+    if seed % 3:
+        return src
+    if not loops:
+        return f"FOR v {{ {src}; INC v }}"
+    plant = GOLDEN_PLANTS[seed // 3 % len(GOLDEN_PLANTS)]
+    start = loops[seed % len(loops)]
+    leader = src[start + 4 : src.index(" ", start + 4)]
+    body = src.index("{ ", start) + 2
+    return src[:body] + plant.format(leader) + src[body:]
+
+
+@pytest.fixture(scope="module")
+def golden_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("golden")
+    files = []
+    for seed in GOLDEN_SEEDS:
+        src = golden_source(seed)
+        # most states have zero counters, so the assert runs get past their check
+        cfg = scorelang.GenConfig(seed=seed, max_counter=2 if seed % 4 == 0 else 0)
+        state = scorelang.gen_state(cfg, scorelang.variables_of(scorelang.parse(src)))
+        program, state_file = folder / f"p{seed}.score", folder / f"s{seed}.sst"
+        program.write_text(src, encoding="utf-8")
+        state_file.write_text(scorelang.dump_state(state, state.variables()), encoding="utf-8")
+        files.append((str(program), str(state_file)))
+    return files
+
+
+class TestGoldenOutput:
+    """CLI stdout, stderr and exit code, byte for byte, on a fixed corpus:
+    one sha256 per command over all 60 programs."""
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN_COMMANDS))
+    def test_command_output_is_pinned(self, command, golden_files, capsys):
+        argv = GOLDEN_COMMANDS[command]
+        digest = hashlib.sha256()
+        for program, state in golden_files:
+            state_arg = (state,) if argv[0] in ("run", "trace") else ()
+            code, out, err = run_cli(capsys, *argv, program, *state_arg)
+            digest.update(f"{code}\0{out}\0{err}\0".encode())
+        assert digest.hexdigest() == GOLDEN_HASHES[command]

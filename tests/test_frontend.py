@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 import reference_frontend as ref
 from scorelang import (
+    Dec,
     For,
     Inc,
     ParseError,
+    Pop,
+    Push,
     Seq,
     check_well_formed,
     invert,
@@ -112,6 +115,21 @@ class TestWalkersAgainstReference:
         assert pretty(term) == ref.pretty(term)
         assert variables_of(term) == ref.variables_of(term)
 
+    @settings(max_examples=400)
+    @given(
+        st.one_of(
+            st.tuples(raw_terms(max_depth=3), raw_terms(max_depth=3)),
+            raw_terms(max_depth=6).map(lambda t: (t, parse(pretty(t)))),
+            raw_terms(max_depth=6).map(lambda t: (t, invert(t))),
+        )
+    )
+    def test_equality_and_hash(self, pair):
+        a, b = pair
+        assert (a == b) is ref.equal(a, b)
+        assert (a != b) is not ref.equal(a, b)
+        if a == b:
+            assert hash(a) == hash(b)
+
     @pytest.mark.parametrize("walker", [invert, pretty, variables_of, check_well_formed])
     def test_rejects_non_terms(self, walker):
         with pytest.raises(TypeError, match="not a term"):
@@ -122,9 +140,15 @@ FLAT_ATOMS = 100_000
 NEST_DEPTH = 2_000
 
 
+def for_nest(depth, leaf):
+    term = leaf
+    for i in reversed(range(depth)):
+        term = For(f"a{i}", term)
+    return term
+
+
 class TestBeyondRecursionLimit:
-    """Sizes far past Python's default recursion limit of 1000.  Deep terms
-    are compared through their printed text, since `==` on them recurses."""
+    """Sizes far past Python's default recursion limit of 1000."""
 
     def test_flat_program(self):
         cycle = ("INC x", "PUSH y", "POP y", "DEC z")
@@ -132,15 +156,28 @@ class TestBeyondRecursionLimit:
         term = parse(src)
         assert pretty(term) == src
         assert check_well_formed(term) == []
-        assert pretty(invert(term)) == "; ".join(("INC z", "PUSH y", "POP y", "DEC x") * (FLAT_ATOMS // 4))
+        assert invert(term) == Seq(*(Inc("z"), Push("y"), Pop("y"), Dec("x")) * (FLAT_ATOMS // 4))
         assert variables_of(term) == {"x", "y", "z"}
 
     def test_deep_nest(self):
         src = "".join(f"FOR a{i} {{ " for i in range(NEST_DEPTH)) + "INC x" + " }" * NEST_DEPTH
         term = parse(src)
         assert pretty(term) == src
+        assert term == for_nest(NEST_DEPTH, Inc("x"))
         assert check_well_formed(term) == []
-        assert pretty(invert(term)) == src.replace("INC x", "DEC x")
+        assert invert(term) == for_nest(NEST_DEPTH, Dec("x"))
+
+    def test_deep_nests_that_are_equal(self):
+        a, b = for_nest(NEST_DEPTH, Inc("z")), for_nest(NEST_DEPTH, Inc("z"))
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert {a: "nest"}[b] == "nest"
+
+    def test_deep_nests_that_differ_at_the_leaf(self):
+        a, b = for_nest(NEST_DEPTH, Inc("z")), for_nest(NEST_DEPTH, Dec("z"))
+        assert a != b and not a == b
+        assert len({a, b}) == 2
 
     def test_deep_nest_violation_path(self):
         src = "FOR x { " + "FOR a { " * NEST_DEPTH + "INC x" + " }" * (NEST_DEPTH + 1)

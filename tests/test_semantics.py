@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_frontend as ref
 from scorelang import (
     Aborted,
     Cell,
@@ -17,6 +18,8 @@ from scorelang import (
     Seq,
     Skip,
     State,
+    Violation,
+    compile_program,
     eval_a,
     eval_n,
     eval_r,
@@ -26,7 +29,7 @@ from scorelang import (
     pop_r,
     push_r,
 )
-from term_strategies import cells, flat_states, states, wf_terms
+from term_strategies import cells, flat_states, raw_terms, states, wf_terms
 
 
 def grid_cells(value_bound, len_bound, elem_bound, counter_bound):
@@ -93,6 +96,34 @@ class TestPushPopCells:
         else:
             expected = Cell(value, stack, counter - 1)
         assert push_r(cell) == expected
+
+
+class TestCompileProgram:
+    """`compile_program` reads its violations and its variable order off the
+    same walk as `check_well_formed` and `variables_of`."""
+
+    @settings(max_examples=400)
+    @given(st.one_of(raw_terms(max_depth=6), wf_terms(max_depth=6)))
+    def test_violations_or_variables_against_reference(self, term):
+        violations = ref.check_well_formed(term)
+        if violations:
+            with pytest.raises(IllFormedProgramError) as info:
+                compile_program(term)
+            assert info.value.violations == violations
+        else:
+            assert compile_program(term).variables == ref.variables_in_order(term)
+
+    def test_name_only_in_a_body_that_never_runs(self):
+        program = compile_program(parse("INC y; FOR n { PUSH z; FOR y { POP w } }"))
+        assert program.variables == ("y", "n", "z", "w")
+        assert program.run(State({"y": Cell(0, (5,), 0)}), "a") == Final(State({"y": Cell(1, (5,), 0)}))
+
+    def test_leader_reused_after_its_loop_then_a_violation(self):
+        term = parse("FOR x { INC y }; INC x; PUSH x; FOR y { DEC x; PUSH y }")
+        with pytest.raises(IllFormedProgramError) as info:
+            compile_program(term)
+        assert info.value.violations == [Violation("y", ("second", "second", "second", "body", "second"))]
+        assert str(info.value) == "program is not well formed (leader(s) occur in loop body: y)"
 
 
 class TestNaiveSemantics:
