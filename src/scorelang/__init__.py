@@ -6,143 +6,23 @@ inverter, a parser and pretty-printer, three big-step evaluators (naive,
 assert-based, total reversible), and a property-testing harness that
 checks the reversibility guarantees by exhaustive enumeration and random
 generation.
+
+Each module's `__all__` is the one list of its public names; the package
+re-exports them all.
 """
 
-from .harness import (
-    CheckCounts,
-    Fail,
-    FailureCorrespondence,
-    FuzzReport,
-    FuzzWitness,
-    GenConfig,
-    Pass,
-    Verdict,
-    check_agreement_a_r,
-    check_failure_correspondence,
-    check_strong_reversibility,
-    check_weak_reversibility_a,
-    exhaustive_pop_injective,
-    exhaustive_pop_push_inverse,
-    gen_state,
-    gen_term,
-    minimize,
-    run_fuzz,
-    zero_counters,
-)
-from .parser import ParseError, parse
-from .semantics import (
-    AbortRecord,
-    Aborted,
-    EvalError,
-    Final,
-    IllFormedProgramError,
-    NonzeroCounterError,
-    Program,
-    RunOutcome,
-    TraceStep,
-    compile_program,
-    eval_a,
-    eval_n,
-    eval_r,
-    eval_traced,
-    pop_r,
-    push_r,
-)
-from .state import (
-    Cell,
-    DEFAULT_CELL,
-    State,
-    dump_state,
-    hd,
-    parse_state,
-    parse_state_declarations,
-    tl,
-)
-from .syntax import (
-    Dec,
-    For,
-    Identifier,
-    Inc,
-    Pop,
-    Push,
-    Seq,
-    Skip,
-    Term,
-    Violation,
-    check_well_formed,
-    invert,
-    is_identifier,
-    pretty,
-    variables_of,
-)
+from . import harness, parser, semantics, state, syntax
+from .harness import *
+from .parser import *
+from .semantics import *
+from .state import *
+from .syntax import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # syntax
-    "Term",
-    "Skip",
-    "Inc",
-    "Dec",
-    "Push",
-    "Pop",
-    "Seq",
-    "For",
-    "Identifier",
-    "Violation",
-    "invert",
-    "check_well_formed",
-    "variables_of",
-    "pretty",
-    "is_identifier",
-    # parser
-    "parse",
-    "ParseError",
-    # state
-    "Cell",
-    "DEFAULT_CELL",
-    "State",
-    "hd",
-    "tl",
-    "parse_state",
-    "parse_state_declarations",
-    "dump_state",
-    # semantics
-    "push_r",
-    "pop_r",
-    "compile_program",
-    "Program",
-    "eval_n",
-    "eval_a",
-    "eval_r",
-    "eval_traced",
-    "Final",
-    "Aborted",
-    "RunOutcome",
-    "AbortRecord",
-    "TraceStep",
-    "EvalError",
-    "IllFormedProgramError",
-    "NonzeroCounterError",
-    # harness
-    "GenConfig",
-    "Pass",
-    "Fail",
-    "Verdict",
-    "FailureCorrespondence",
-    "CheckCounts",
-    "FuzzWitness",
-    "FuzzReport",
-    "gen_term",
-    "gen_state",
-    "zero_counters",
-    "check_strong_reversibility",
-    "check_weak_reversibility_a",
-    "check_agreement_a_r",
-    "check_failure_correspondence",
-    "exhaustive_pop_push_inverse",
-    "exhaustive_pop_injective",
-    "minimize",
-    "run_fuzz",
-]
+__all__ = ["__version__"]
+__all__ += syntax.__all__
+__all__ += parser.__all__
+__all__ += state.__all__
+__all__ += semantics.__all__
+__all__ += harness.__all__

@@ -44,9 +44,10 @@ class GenConfig:
     """The seed and the size bounds of random programs and states.
 
     Each node of a program is drawn uniformly from the constructors that
-    the remaining depth and names allow.  The defaults keep worst-case
-    loop-unfolding products small while still covering every push/pop
-    clause combination.
+    the remaining depth and names allow.  The defaults reach every
+    `push_r`/`pop_r` clause, but they do not bound the loop-unfolding
+    product: a nest of loops can draw a program that needs far too many
+    steps to finish (see ROADMAP item 1).
     """
 
     seed: int = 1

@@ -184,10 +184,13 @@ def pop_r(cell: Cell) -> Cell:
 #
 # A program compiles into blocks: tuples of flat ``(opcode, arg)`` entries,
 # where ``arg`` is a variable's slot for INC/DEC/PUSH/POP.  The three
-# semantics share every opcode except the ones PUSH and POP compile to, and
-# a traced run adds an observer entry after each atom, so a program keeps
-# one set of blocks per semantics, and another per semantics for traced
-# runs, which every later run reuses.
+# semantics share every opcode except the one POP compiles to.  PUSH is
+# `push_r` under all three: the pair semantics run only on states whose
+# counters are 0, and only `push_r` and `pop_r` ever change a counter, so
+# there `push_r` always takes its first clause, the pair push.  A traced
+# run adds an observer entry after each atom, so a program keeps one set
+# of blocks per semantics, and another per semantics for traced runs,
+# which every later run reuses.
 #
 # A loop entry's arg is ``(leader slot, cache, direction, atoms before)``,
 # direction 1 meaning the body runs inverted.  The cache, one per FOR node
@@ -205,16 +208,16 @@ def pop_r(cell: Cell) -> Cell:
 # loops, the scheduled steps that did not run.  POP_A and loop entries therefore also
 # carry the number of atoms before them in their block.
 
-_INC, _DEC, _PUSH, _PUSH_R, _POP_N, _POP_A, _POP_R, _LOOP, _OBSERVE = range(9)
+_INC, _DEC, _PUSH, _POP_N, _POP_A, _POP_R, _LOOP, _OBSERVE = range(8)
 
 
-def _atom_ops(push: int, pop: int) -> tuple[dict, dict]:
+def _atom_ops(pop: int) -> tuple[dict, dict]:
     """The opcode each atom class compiles to, run forward and inverted."""
-    forward = {Inc: _INC, Dec: _DEC, Push: push, Pop: pop}
+    forward = {Inc: _INC, Dec: _DEC, Push: _PUSH, Pop: pop}
     return forward, {cls: forward[inverse] for cls, inverse in _INVERSE.items()}
 
 
-_ATOM_OPS = {"n": _atom_ops(_PUSH, _POP_N), "a": _atom_ops(_PUSH, _POP_A), "r": _atom_ops(_PUSH_R, _POP_R)}
+_ATOM_OPS = {"n": _atom_ops(_POP_N), "a": _atom_ops(_POP_A), "r": _atom_ops(_POP_R)}
 # The keyword of each atom opcode, for trace labels.
 _OP_KEYWORD = {op: _KEYWORD[cls] for forward, _ in _ATOM_OPS.values() for cls, op in forward.items()}
 _BODY = 2  # index of the body term in a loop cache; 0 and 1 hold its blocks
@@ -294,9 +297,6 @@ def _execute(code: _Code, block: tuple, atoms: int, scheduled: int, values, stac
             elif op == _DEC:
                 values[arg] -= 1
             elif op == _PUSH:
-                stacks[arg].append(values[arg])
-                values[arg] = 0
-            elif op == _PUSH_R:
                 if not counters[arg]:
                     stacks[arg].append(values[arg])
                     values[arg] = 0

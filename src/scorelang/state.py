@@ -39,7 +39,6 @@ __all__ = [
     "parse_state",
     "parse_state_declarations",
     "dump_state",
-    "dump_cell",
 ]
 
 

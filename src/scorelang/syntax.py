@@ -13,6 +13,24 @@ import re
 from dataclasses import dataclass
 from operator import length_hint
 
+__all__ = [
+    "Term",
+    "Skip",
+    "Inc",
+    "Dec",
+    "Push",
+    "Pop",
+    "Seq",
+    "For",
+    "Identifier",
+    "Violation",
+    "invert",
+    "check_well_formed",
+    "variables_of",
+    "pretty",
+    "is_identifier",
+]
+
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 Identifier = str

@@ -26,12 +26,14 @@ from scorelang import (
     check_strong_reversibility,
     check_weak_reversibility_a,
     check_well_formed,
+    compile_program,
     eval_a,
     eval_r,
     exhaustive_pop_injective,
     exhaustive_pop_push_inverse,
     gen_state,
     gen_term,
+    invert,
     minimize,
     parse,
     parse_state,
@@ -42,6 +44,8 @@ from scorelang import (
 )
 from scorelang import harness
 from scorelang.harness import _var_names
+
+import reference_walker
 
 
 def term_depth(term):
@@ -151,6 +155,44 @@ class TestGeneratorPins:
             digest.update(report.to_text().encode())
             digest.update(json.dumps(report.to_json_dict(), sort_keys=True, indent=2).encode())
         assert digest.hexdigest() == FUZZ_REPORT_HASHES[config]
+
+
+def push_clause(cell):
+    """The `push_r` clause that fires on `cell`, numbered as in its docstring."""
+    value, stack, counter = cell
+    return 1 if counter == 0 else 2 if value == 0 and stack else 3
+
+
+def pop_clause(cell):
+    """The `pop_r` clause that fires on `cell`, numbered as in its docstring."""
+    value, stack, counter = cell
+    return 3 if value or not stack else 1 if counter == 0 else 2
+
+
+def test_default_generator_reaches_every_push_pop_clause(monkeypatch):
+    """P; -P on the first 500 cases `run_fuzz` draws at the default
+    configuration fires all three clauses of `push_r` and of `pop_r`.  The
+    reference walker calls both for every PUSH and POP under `r`, where the
+    compiled core inlines them, so this counts what the generator reaches."""
+    hits = set()
+
+    def counting(kind, fn, clause):
+        def wrapper(cell):
+            hits.add((kind, clause(cell)))
+            return fn(cell)
+
+        return wrapper
+
+    monkeypatch.setattr(reference_walker, "push_r", counting("push", reference_walker.push_r, push_clause))
+    monkeypatch.setattr(reference_walker, "pop_r", counting("pop", reference_walker.pop_r, pop_clause))
+    cfg = GenConfig()
+    master = random.Random(cfg.seed)
+    for _ in range(500):
+        rng = random.Random(master.getrandbits(64))
+        program = gen_term(cfg, rng=rng)
+        state = gen_state(cfg, compile_program(program).variables, rng=rng)
+        assert reference_walker.ref_eval_r(Seq(program, invert(program)), state) == state
+    assert sorted(hits) == [(kind, clause) for kind in ("pop", "push") for clause in (1, 2, 3)]
 
 
 class TestGenState:
