@@ -25,7 +25,7 @@ from .semantics import (
     TraceStep,
     compile_program,
 )
-from .state import State, dump_cell, dump_state, parse_state_declarations
+from .state import State, _declared_state, dump_cell, dump_state, parse_state_declarations
 from .syntax import check_well_formed, invert, pretty
 
 EXIT_OK = 0
@@ -53,7 +53,7 @@ def _load(args: argparse.Namespace) -> tuple[Program, State, set[str]]:
     declarations = [] if args.state is None else parse_state_declarations(_read(args.state))
     program = compile_program(term)
     names = {*program.variables, *(name for name, _ in declarations)}
-    return program, State(declarations), names
+    return program, _declared_state(declarations), names
 
 
 def _abort_lines(record: AbortRecord) -> list[str]:

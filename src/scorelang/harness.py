@@ -13,9 +13,9 @@ import random
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .semantics import Aborted, Program, RunOutcome, compile_program, pop_r, push_r
+from .semantics import AbortRecord, Program, compile_program, pop_r, push_r
 from .state import Cell, DEFAULT_CELL, State, dump_state
-from .syntax import _KEYWORD, For, Pop, Push, Seq, Skip, Term, _parts, _sequence, pretty
+from .syntax import _KEYWORD, For, Pop, Push, Seq, Skip, Term, _parts, _sequence, is_identifier, pretty
 
 __all__ = [
     "GenConfig",
@@ -136,16 +136,19 @@ def gen_state(cfg: GenConfig, names: Iterable[str], rng: random.Random | None = 
     lo, hi = cfg.value_range
     cells: dict[str, Cell] = {}
     for name in sorted(set(names)):
+        if not is_identifier(name):
+            raise ValueError(f"invalid variable name: {name!r}")
         value = rng.randint(lo, hi)
         stack = tuple(rng.randint(lo, hi) for _ in range(rng.randint(0, cfg.max_stack_len)))
         counter = rng.randint(0, cfg.max_counter)
-        cells[name] = Cell(value, stack, counter)
-    return State(cells)
+        if value or stack or counter:
+            cells[name] = Cell(value, stack, counter)
+    return State._trusted(cells)
 
 
 def zero_counters(state: State) -> State:
     """The same state with every counter projected to 0."""
-    return State({name: Cell(c.value, c.stack, 0) for name, c in state.as_dict().items()})
+    return State._trusted({name: Cell(v, s, 0) for name, (v, s, _) in state.as_dict().items() if v or s})
 
 
 def _first_diff(expected: State, got: State) -> str:
@@ -155,20 +158,39 @@ def _first_diff(expected: State, got: State) -> str:
     return "states differ"
 
 
-# Each check below is a wrapper that compiles its program once and hands the
-# runs to a helper, which `run_fuzz` calls with the runs it shares.
+# Each check below is a wrapper that compiles its program, loads the state
+# into slot lists once and hands them to a helper, which `run_fuzz` calls
+# with the runs it shares.  Every run works on a copy of the lists it starts
+# from, and the helpers compare lists; a State is built only to describe a
+# failure.
+
+
+def _run(program: Program, slots: tuple, semantics: str, order: str = "+") -> tuple[tuple, AbortRecord | None]:
+    """A run on a copy of `slots`: the slot lists it ends with, and its
+    AbortRecord or None."""
+    values, stacks, counters = slots
+    after = [*values], [[*stack] for stack in stacks], [*counters]
+    return after, program._exec(*after, semantics, order)
+
+
+def _pair_runs(program: Program, slots: tuple) -> tuple[tuple, tuple]:
+    """The assert run from `slots`, as `_run` gives it, and the slot lists
+    the reversible run ends with."""
+    return _run(program, slots, "a"), _run(program, slots, "r")[0]
 
 
 def check_strong_reversibility(program: Term, initial: State) -> Verdict:
     """P;-P and -P;P must both restore `initial` exactly under eval_r."""
-    return _strong_reversibility(compile_program(program), initial)
+    compiled = compile_program(program)
+    return _strong_reversibility(compiled, initial, compiled._load(initial, "r"))
 
 
-def _strong_reversibility(program: Program, initial: State) -> Verdict:
+def _strong_reversibility(program: Program, initial: State, slots: tuple) -> Verdict:
     for order, label in (("+-", "P;-P"), ("-+", "-P;P")):
-        after = program.run(initial, "r", order).state
-        if after != initial:
-            return Fail(program.term, initial, f"{label} changed the state: {_first_diff(initial, after)}")
+        after, _ = _run(program, slots, "r", order)
+        if after != slots:
+            diff = _first_diff(initial, program._store(initial, *after))
+            return Fail(program.term, initial, f"{label} changed the state: {diff}")
     return Pass()
 
 
@@ -176,17 +198,20 @@ def check_weak_reversibility_a(program: Term, initial: State) -> Verdict:
     """A completed assert-semantics run must be undone exactly by the
     inverse program; aborting runs pass vacuously."""
     compiled = compile_program(program)
-    return _weak_reversibility_a(compiled, initial, compiled.run(initial, "a"))
+    slots = compiled._load(initial, "a")
+    return _weak_reversibility_a(compiled, initial, slots, _run(compiled, slots, "a"))
 
 
-def _weak_reversibility_a(program: Program, initial: State, outcome: RunOutcome) -> Verdict:
-    if isinstance(outcome, Aborted):
+def _weak_reversibility_a(program: Program, initial: State, slots: tuple, forward: tuple) -> Verdict:
+    after, aborted = forward
+    if aborted is not None:
         return Pass(vacuous=True)
-    back = program.run(outcome.state, "a", "-")
-    if isinstance(back, Aborted):
-        return Fail(program.term, initial, f"inverse run aborted: {back.record.reason} on {back.record.variable}")
-    if back.state != initial:
-        return Fail(program.term, initial, f"inverse run missed the start: {_first_diff(initial, back.state)}")
+    back, record = _run(program, after, "a", "-")
+    if record is not None:
+        return Fail(program.term, initial, f"inverse run aborted: {record.reason} on {record.variable}")
+    if back != slots:
+        diff = _first_diff(initial, program._store(initial, *back))
+        return Fail(program.term, initial, f"inverse run missed the start: {diff}")
     return Pass()
 
 
@@ -194,15 +219,17 @@ def check_agreement_a_r(program: Term, initial: State) -> Verdict:
     """A completed assert-semantics run must match the reversible run with
     all counters 0; aborting runs pass vacuously."""
     compiled = compile_program(program)
-    return _agreement_a_r(compiled, initial, compiled.run(initial, "a"), compiled.run(initial, "r").state)
+    return _agreement_a_r(compiled, initial, *_pair_runs(compiled, compiled._load(initial, "a")))
 
 
-def _agreement_a_r(program: Program, initial: State, outcome: RunOutcome, reversible: State) -> Verdict:
-    if isinstance(outcome, Aborted):
+def _agreement_a_r(program: Program, initial: State, forward: tuple, reversible: tuple) -> Verdict:
+    after, aborted = forward
+    if aborted is not None:
         return Pass(vacuous=True)
-    if reversible != outcome.state:
-        return Fail(program.term, initial, f"semantics disagree: {_first_diff(outcome.state, reversible)}")
-    broken = [n for n in sorted(reversible.variables()) if reversible.get(n).broken]
+    if reversible != after:
+        diff = _first_diff(program._store(initial, *after), program._store(initial, *reversible))
+        return Fail(program.term, initial, f"semantics disagree: {diff}")
+    broken = sorted(name for name, counter in zip(program.variables, reversible[2]) if counter)
     if broken:
         return Fail(program.term, initial, f"reversible run left broken variables: {broken}")
     return Pass()
@@ -226,12 +253,12 @@ class FailureCorrespondence:
 
 def check_failure_correspondence(program: Term, initial: State) -> FailureCorrespondence:
     compiled = compile_program(program)
-    return _failure_correspondence(compiled.run(initial, "a"), compiled.run(initial, "r").state)
+    return _failure_correspondence(*_pair_runs(compiled, compiled._load(initial, "a")))
 
 
-def _failure_correspondence(outcome: RunOutcome, final: State) -> FailureCorrespondence:
-    aborted = isinstance(outcome, Aborted)
-    broken = any(final.get(n).broken for n in final.variables())
+def _failure_correspondence(forward: tuple, reversible: tuple) -> FailureCorrespondence:
+    aborted = forward[1] is not None
+    broken = any(reversible[2])
     if aborted and not broken:
         witness = "only-if"
     elif broken and not aborted:
@@ -495,6 +522,27 @@ _CHECKS: dict[str, Callable[[Term, State], Verdict]] = {
 }
 
 
+def _check_case(program: Program, full_state: State) -> tuple:
+    """The counter-free state and the four results `run_fuzz` counts for
+    one generated pair.  Strong reversibility sees `full_state`; the three
+    checks defined on the pair semantics see it with counters zeroed and
+    share one assert and one reversible run.  The state is loaded once:
+    the counter-free lists share its values and stacks, which no run
+    changes, since each run works on a copy."""
+    full = program._load(full_state, "r")
+    strong = _strong_reversibility(program, full_state, full)
+    flat_state = zero_counters(full_state)
+    flat = full[0], full[1], [0] * len(full[2])
+    forward, reversible = _pair_runs(program, flat)
+    return (
+        flat_state,
+        strong,
+        _weak_reversibility_a(program, flat_state, flat, forward),
+        _agreement_a_r(program, flat_state, forward, reversible),
+        _failure_correspondence(forward, reversible),
+    )
+
+
 def run_fuzz(cfg: GenConfig, cases: int) -> FuzzReport:
     """Run the four randomized checks over `cases` generated pairs.
 
@@ -520,28 +568,19 @@ def run_fuzz(cfg: GenConfig, cases: int) -> FuzzReport:
             details = recheck(program, initial).details + " (minimized)"
             report.failures.append(_witness(check, program, initial, details))
 
+    rng = random.Random()
     for _ in range(cases):
-        rng = random.Random(master.getrandbits(64))
+        rng.seed(master.getrandbits(64))
         program = compile_program(gen_term(cfg, rng=rng))
         full_state = gen_state(cfg, program.variables, rng=rng)
-        flat_state = zero_counters(full_state)
+        flat_state, strong, weak, agreement, correspondence = _check_case(program, full_state)
 
-        verdict = _strong_reversibility(program, full_state)
-        if not report.strong.add(verdict):
-            record_failure("strong-reversibility", verdict)
-
-        # each semantics runs once on the counter-free state; three checks share the runs
-        outcome = program.run(flat_state, "a")
-        reversible = program.run(flat_state, "r").state
-        verdict = _weak_reversibility_a(program, flat_state, outcome)
-        if not report.weak.add(verdict):
-            record_failure("weak-reversibility-a", verdict)
-
-        verdict = _agreement_a_r(program, flat_state, outcome, reversible)
-        if not report.agreement.add(verdict):
-            record_failure("a-r-agreement", verdict)
-
-        correspondence = _failure_correspondence(outcome, reversible)
+        if not report.strong.add(strong):
+            record_failure("strong-reversibility", strong)
+        if not report.weak.add(weak):
+            record_failure("weak-reversibility-a", weak)
+        if not report.agreement.add(agreement):
+            record_failure("a-r-agreement", agreement)
         if correspondence.direction_witness == "if":
             report.if_direction_witnesses += 1
             record_failure("failure-correspondence", Fail(program.term, flat_state, _BROKEN_WITHOUT_ABORT))

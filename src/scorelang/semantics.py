@@ -373,40 +373,58 @@ class Program:
         carrying the record.  The pair semantics refuse a state with a
         nonzero counter.
         """
-        traced = trace is not None
-        code = self._code.get((semantics, traced))
-        if code is None:
-            if semantics not in _ATOM_OPS:
-                raise _unknown_semantics(semantics)
-            code = self._code[semantics, traced] = _Code(self.term, self._slots, semantics, traced)
+        if semantics not in _ATOM_OPS:
+            raise _unknown_semantics(semantics)
         if order.strip("+-"):
             raise ValueError(f"order must be made of '+' and '-', got {order!r}")
+        slots = self._load(state, semantics)
+        record = self._exec(*slots, semantics, order, trace)
+        if record is not None:
+            return Aborted(record)
+        return Final(self._store(state, *slots))
+
+    # `run` composes the three steps below.  The harness's checks call them
+    # apart, to load a state once and run each pass on a copy of its lists.
+
+    def _load(self, state: State, semantics: str) -> tuple[list, list, list]:
+        """The slot lists of `state`: values, stacks with the top at the
+        end, and counters.  The pair semantics refuse a nonzero counter."""
         cells = state.as_dict()
         if semantics != "r" and any(cell.counter for cell in cells.values()):
             raise NonzeroCounterError(min(name for name, cell in cells.items() if cell.counter))
-        names = self.variables
-        loaded = [cells.get(name, DEFAULT_CELL) for name in names]
-        values = [cell[0] for cell in loaded]
-        stacks = [[*cell[1][::-1]] for cell in loaded]
-        counters = [cell[2] for cell in loaded]
+        loaded = [cells.get(name, DEFAULT_CELL) for name in self.variables]
+        return [cell[0] for cell in loaded], [[*cell[1][::-1]] for cell in loaded], [cell[2] for cell in loaded]
+
+    def _exec(self, values, stacks, counters, semantics: str, order: str, trace: list[TraceStep] | None = None):
+        """Run the passes of `order` in place on the slot lists.  Returns
+        None, or the AbortRecord of an assert run that aborts."""
+        traced = trace is not None
+        code = self._code.get((semantics, traced))
+        if code is None:
+            code = self._code[semantics, traced] = _Code(self.term, self._slots, semantics, traced)
         steps = 0
         for sign in order:
             block, atoms = code.block(code.top, _DIRECTION[sign])
             steps, failed = _execute(code, block, atoms, steps + atoms, values, stacks, counters, trace)
             if failed >= 0:
-                value, name = values[failed], names[failed]
+                value, name = values[failed], self.variables[failed]
                 reason = "value-nonzero" if value else "empty-stack"
                 observed = Cell(value, tuple(reversed(stacks[failed])), 0)
                 record = AbortRecord(f"POP {name}", name, reason, observed, steps)
                 if traced:
                     trace.append(TraceStep(steps, record.instruction, name, None, record))
-                return Aborted(record)
-        for name, value, stack, counter in zip(names, values, stacks, counters):
+                return record
+        return None
+
+    def _store(self, state: State, values, stacks, counters) -> State:
+        """`state` with the program's names set from the slot lists."""
+        cells = state.as_dict()
+        for name, value, stack, counter in zip(self.variables, values, stacks, counters):
             if value or stack or counter:
                 cells[name] = _new_cell(Cell, (value, tuple(stack[::-1]), counter))
             else:
                 cells.pop(name, None)
-        return Final(State._trusted(cells))
+        return State._trusted(cells)
 
 
 def compile_program(term: Term) -> Program:

@@ -66,16 +66,21 @@ def tl(stack: tuple[int, ...]) -> tuple[int, ...]:
     return stack[1:]
 
 
+_is_int = int.__instancecheck__
+
+
 def _as_cell(cell) -> Cell:
+    """`cell` as a Cell with a tuple stack, after checking every field."""
     value, stack, counter = cell
-    stack = tuple(stack)
+    if type(stack) is not tuple:
+        stack = tuple(stack)
     if not isinstance(value, int):
         raise ValueError(f"cell value must be an integer, got {value!r}")
-    if not all(isinstance(e, int) for e in stack):
+    if not all(map(_is_int, stack)):
         raise ValueError(f"cell stack must contain integers, got {stack!r}")
     if not isinstance(counter, int) or counter < 0:
         raise ValueError(f"cell counter must be a non-negative integer, got {counter!r}")
-    return Cell(value, stack, counter)
+    return cell if type(cell) is Cell and stack is cell[1] else Cell(value, stack, counter)
 
 
 class State:
@@ -94,8 +99,7 @@ class State:
         for name, cell in items:
             if not is_identifier(name):
                 raise ValueError(f"invalid variable name: {name!r}")
-            if type(cell) is not Cell or type(cell.stack) is not tuple:
-                cell = _as_cell(cell)
+            cell = _as_cell(cell)
             if cell != DEFAULT_CELL:
                 store[name] = cell
         self._cells = store
@@ -117,8 +121,7 @@ class State:
         """A new state with `name` bound to `cell`; the receiver is unchanged."""
         if not is_identifier(name):
             raise ValueError(f"invalid variable name: {name!r}")
-        if type(cell) is not Cell or type(cell.stack) is not tuple:
-            cell = _as_cell(cell)
+        cell = _as_cell(cell)
         store = dict(self._cells)
         if cell == DEFAULT_CELL:
             store.pop(name, None)
@@ -227,7 +230,13 @@ def parse_state_declarations(src: str) -> list[tuple[str, Cell]]:
 
 def parse_state(src: str) -> State:
     """Parse a state file into a State, raising ParseError on any fault."""
-    return State(parse_state_declarations(src))
+    return _declared_state(parse_state_declarations(src))
+
+
+def _declared_state(declarations: list[tuple[str, Cell]]) -> State:
+    """The state of `parse_state_declarations`' bindings, whose names and
+    cells the parser has checked, so only the default cells go."""
+    return State._trusted({name: cell for name, cell in declarations if cell != DEFAULT_CELL})
 
 
 def dump_state(state: State, names: Iterable[str]) -> str:

@@ -9,8 +9,8 @@ import pytest
 from scorelang import (
     Aborted,
     Cell,
+    Dec,
     Fail,
-    Final,
     For,
     GenConfig,
     Inc,
@@ -45,6 +45,7 @@ from scorelang import (
 from scorelang import harness
 from scorelang.harness import _var_names
 
+import reference_checks
 import reference_walker
 
 
@@ -457,21 +458,24 @@ class TestRunFuzz:
         assert "if_direction_witnesses" in summary["correspondence"]
 
 
-# Evaluator faults injected at `Program.run`, through which `run_fuzz` and
-# every check run their programs; each factory gets the real method.
+# Evaluator faults injected at `Program._exec`, the step that runs the
+# passes on slot lists, through which `Program.run`, `run_fuzz` and every
+# check run their programs; each factory gets the real method.
 def _r_forgets_counters(real):
-    def run(self, state, semantics="r", order="+", trace=None):
-        outcome = real(self, state, semantics, order, trace)
-        return Final(zero_counters(outcome.state)) if semantics == "r" else outcome
+    def exec_(self, values, stacks, counters, semantics, order, trace=None):
+        record = real(self, values, stacks, counters, semantics, order, trace)
+        if semantics == "r":
+            counters[:] = [0] * len(counters)
+        return record
 
-    return run
+    return exec_
 
 
 def _a_never_aborts(real):
-    def run(self, state, semantics="r", order="+", trace=None):
-        return real(self, state, "n" if semantics == "a" else semantics, order, trace)
+    def exec_(self, values, stacks, counters, semantics, order, trace=None):
+        return real(self, values, stacks, counters, "n" if semantics == "a" else semantics, order, trace)
 
-    return run
+    return exec_
 
 
 FAULTS = {"r-forgets-counters": _r_forgets_counters, "a-never-aborts": _a_never_aborts}
@@ -490,7 +494,7 @@ def _replay(program_text, state_text):
 def faulty_report(request, monkeypatch):
     """A 200-case batch run against a broken evaluator, which stays
     patched in while the test replays the report."""
-    monkeypatch.setattr(Program, "run", FAULTS[request.param](Program.run))
+    monkeypatch.setattr(Program, "_exec", FAULTS[request.param](Program._exec))
     cfg = GenConfig(seed=20)
     return cfg, run_fuzz(cfg, 200)
 
@@ -559,13 +563,15 @@ class TestInjectedFaults:
     def test_failure_that_does_not_recur_is_reported_unshrunk(self, monkeypatch):
         # only the very first reversible run is broken, so the check passes
         # when run again and the case is reported as it was generated
-        real, calls = Program.run, itertools.count()
+        real, calls = Program._exec, itertools.count()
 
-        def first_run_broken(self, state, semantics="r", order="+", trace=None):
-            outcome = real(self, state, semantics, order, trace)
-            return Final(zero_counters(outcome.state)) if next(calls) == 0 else outcome
+        def first_run_broken(self, values, stacks, counters, semantics, order, trace=None):
+            record = real(self, values, stacks, counters, semantics, order, trace)
+            if next(calls) == 0:
+                counters[:] = [0] * len(counters)
+            return record
 
-        monkeypatch.setattr(Program, "run", first_run_broken)
+        monkeypatch.setattr(Program, "_exec", first_run_broken)
         report = run_fuzz(GenConfig(seed=3), 1)
         assert report.strong.failed == 1
         assert report.failures == [
@@ -576,3 +582,45 @@ class TestInjectedFaults:
                 "P;-P changed the state: z: expected (5, (-1,), 1), got (5, (-1,), 0)",
             )
         ]
+
+
+# Calls that each fault above must be able to change, so that the seam
+# cannot quietly stop reaching the checks.
+SEAM_PROBES = {
+    "Program.run": lambda: compile_program(Pop("x")).run(State({"x": Cell(5, (2,), 1)}), "r"),
+    "check_strong_reversibility": lambda: check_strong_reversibility(Dec("z"), State({"z": Cell(5, (-1,), 1)})),
+    "check_weak_reversibility_a": lambda: check_weak_reversibility_a(Pop("x"), State({"x": Cell(5, (2,), 0)})),
+    "check_agreement_a_r": lambda: check_agreement_a_r(Pop("x"), State({"x": Cell(5, (2,), 0)})),
+    "check_failure_correspondence": lambda: check_failure_correspondence(Pop("x"), State({"x": Cell(5, (2,), 0)})),
+    "run_fuzz": lambda: run_fuzz(GenConfig(seed=20), 50).to_text(),
+}
+
+
+def test_injected_faults_reach_every_run(monkeypatch):
+    healthy = {name: probe() for name, probe in SEAM_PROBES.items()}
+    changed = set()
+    for fault in FAULTS.values():
+        with monkeypatch.context() as patch:
+            patch.setattr(Program, "_exec", fault(Program._exec))
+            changed |= {name for name, probe in SEAM_PROBES.items() if probe() != healthy[name]}
+    assert changed == set(SEAM_PROBES)
+
+
+@pytest.mark.parametrize("fault", [None, *sorted(FAULTS)])
+def test_slot_list_checks_match_the_state_checks(monkeypatch, fault):
+    """On the first 300 pairs `run_fuzz` draws, healthy and under each
+    injected fault, the slot-list checks give the verdicts of the checks
+    written on States, details text included."""
+    if fault is not None:
+        monkeypatch.setattr(Program, "_exec", FAULTS[fault](Program._exec))
+    cfg = GenConfig(seed=20)
+    master = random.Random(cfg.seed)
+    failed = 0
+    for _ in range(300):
+        rng = random.Random(master.getrandbits(64))
+        program = compile_program(gen_term(cfg, rng=rng))
+        state = gen_state(cfg, program.variables, rng=rng)
+        results = harness._check_case(program, state)
+        assert results == reference_checks.check_case(program, state)
+        failed += any(isinstance(verdict, Fail) for verdict in results[1:4])
+    assert (failed > 0) == (fault is not None)

@@ -82,6 +82,29 @@ class TestStateMap:
         with pytest.raises(ValueError):
             State({"x": (1, (), -1)})
 
+    @pytest.mark.parametrize(
+        ("fields", "message"),
+        [
+            ((1, (), -1), "cell counter must be a non-negative integer, got -1"),
+            ((1, (), 0.5), "cell counter must be a non-negative integer, got 0.5"),
+            (("5", (), 0), "cell value must be an integer, got '5'"),
+            ((1.5, (), 0), "cell value must be an integer, got 1.5"),
+            ((1, ("a",), 0), "cell stack must contain integers, got ('a',)"),
+        ],
+    )
+    @pytest.mark.parametrize("as_cell", [False, True])
+    def test_every_way_in_rejects_a_bad_cell(self, fields, message, as_cell):
+        cell = Cell(*fields) if as_cell else fields
+        for build in (
+            lambda: State({"x": cell}),
+            lambda: State([("x", cell)]),
+            lambda: State().set("x", cell),
+            lambda: State({"y": Cell(1)}).set("x", cell),
+        ):
+            with pytest.raises(ValueError) as raised:
+                build()
+            assert str(raised.value) == message
+
     def test_rejects_bad_name(self):
         with pytest.raises(ValueError):
             State({"FOR": Cell(1)})
