@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator
 
 from .semantics import AbortRecord, Program, compile_program, pop_r, push_r
 from .state import Cell, DEFAULT_CELL, State, dump_state
-from .syntax import _KEYWORD, For, Pop, Push, Seq, Skip, Term, _parts, _sequence, is_identifier, pretty
+from .syntax import _KEYWORD, For, Pop, Push, Seq, Skip, Term, _loop, _parts, _sequence, is_identifier, pretty
 
 __all__ = [
     "GenConfig",
@@ -323,24 +323,39 @@ def _grid_oracle(bounds: tuple[int, int, int, int], *, inverse: bool = True, inj
 def _term_shrinks(term: Term) -> Iterator[Term]:
     """Smaller terms.  A sequence splits into halves: each half alone, then
     each half's shrinks beside the other, so any run of parts can go in a
-    few steps and no recursion is deeper than the log of the length.  A
-    loop gives its body, then the body's shrinks in place; an atom gives
-    SKIP."""
-    if type(term) is Seq:
-        half = len(term.parts) // 2
-        left, right = _sequence(term.parts[:half]), _sequence(term.parts[half:])
-        yield left
-        yield right
-        for smaller in _term_shrinks(left):
-            yield Seq(smaller, right)
-        for smaller in _term_shrinks(right):
-            yield Seq(left, smaller)
-    elif type(term) is For:
-        yield term.body
-        for smaller in _term_shrinks(term.body):
-            yield For(term.leader, smaller)
-    elif type(term) is not Skip:
-        yield Skip()
+    few steps.  A loop gives its body, then the body's shrinks in place; an
+    atom gives SKIP.  The walk keeps the subterms still to shrink on a
+    stack, each with the way back out to `term`, so no nest is too deep."""
+    todo = [(term, None)]
+    while todo:
+        term, outer = todo.pop()
+        if type(term) is Seq:
+            half = len(term.parts) // 2
+            left, right = _sequence(term.parts[:half]), _sequence(term.parts[half:])
+            yield _plug(left, outer)
+            yield _plug(right, outer)
+            todo += (right, (_RIGHT_OF, left, outer)), (left, (_LEFT_OF, right, outer))
+        elif type(term) is For:
+            yield _plug(term.body, outer)
+            todo.append((term.body, (_BODY_OF, term.leader, outer)))
+        elif type(term) is not Skip:
+            yield _plug(Skip(), outer)
+
+
+# Where a subterm sits in its enclosing term: the links of the way out,
+# ``(where, sibling or leader, next link)``, that `_term_shrinks` keeps.
+_LEFT_OF, _RIGHT_OF, _BODY_OF = range(3)
+
+
+def _plug(term: Term, outer: tuple | None) -> Term:
+    """`term` put in the place that the links `outer` lead out from."""
+    while outer is not None:
+        where, other, outer = outer
+        if where == _BODY_OF:
+            term = _loop(other, term)
+        else:
+            term = Seq(term, other) if where == _LEFT_OF else Seq(other, term)
+    return term
 
 
 def _state_shrinks(state: State) -> Iterator[State]:

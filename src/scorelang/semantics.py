@@ -1,16 +1,19 @@
 """Big-step evaluators for score programs.
 
-Three semantics share the same control structure and differ only in how
-PUSH and POP touch a variable's cell:
+Three semantics share the same control structure.  From a state whose
+counters are all 0, which the two pair semantics require, they agree on
+every step but one.  PUSH saves a variable's value on its stack and zeroes
+it, and a legal POP, one that finds a zero value and a non-empty stack,
+moves the top of the stack into the value.  They differ only in what an
+illegal POP does, one whose value is nonzero or whose stack is empty:
 
-* ``eval_n`` -- the naive pair semantics.  PUSH saves the value on the
-  stack and zeroes it; POP overwrites the value with the total head of the
-  stack.  Total, but not reversible: POP forgets the value it overwrites.
+* ``eval_n`` -- the naive pair semantics.  An illegal POP overwrites the
+  value with the total head of the stack (0 when it is empty).  Total, but
+  not reversible: POP forgets the value it overwrites.
 
-* ``eval_a`` -- the assert-based pair semantics.  POP additionally demands
-  a zero value and a non-empty stack and aborts the whole run otherwise,
-  so every completed run can be undone.  Programs denote partial injective
-  functions; aborts are reported as data, never as exceptions.
+* ``eval_a`` -- the assert-based pair semantics.  An illegal POP aborts the
+  whole run, so every completed run can be undone.  Programs denote partial
+  injective functions; aborts are reported as data, never as exceptions.
 
 * ``eval_r`` -- the total reversible semantics on full (value, stack,
   counter) triples via `push_r` and `pop_r`.  No run ever aborts: an
@@ -27,9 +30,10 @@ timeout is involved.
 `compile_program` checks a program and numbers its variables once, and
 the `Program` it returns runs any number of states under any of the three
 semantics, forward, inverted, or one direction after the other (P;-P),
-compiling each block on first use.  The four `eval_*` functions compile
-and run once.  An ill-formed program is refused when it is compiled, and
-the two pair semantics refuse input states with a nonzero counter.
+compiling each block on first use, once for all three semantics.  The
+four `eval_*` functions compile and run once.  An ill-formed program is
+refused when it is compiled, and the two pair semantics refuse input
+states with a nonzero counter.
 """
 
 from __future__ import annotations
@@ -183,44 +187,41 @@ def pop_r(cell: Cell) -> Cell:
 # step is an O(1) list update.
 #
 # A program compiles into blocks: tuples of flat ``(opcode, arg)`` entries,
-# where ``arg`` is a variable's slot for INC/DEC/PUSH/POP.  The three
-# semantics share every opcode except the one POP compiles to.  PUSH is
-# `push_r` under all three: the pair semantics run only on states whose
-# counters are 0, and only `push_r` and `pop_r` ever change a counter, so
-# there `push_r` always takes its first clause, the pair push.  A traced
-# run adds an observer entry after each atom, so a program keeps one set
-# of blocks per semantics, and another per semantics for traced runs,
-# which every later run reuses.
+# where ``arg`` is a variable's slot for INC/DEC/PUSH, and the slot and the
+# atoms before it for POP.  The blocks do not depend on the semantics, which
+# is an argument of the run: the three agree on every step but an illegal
+# POP, one whose value is nonzero or whose stack is empty, and only that
+# branch of `_execute` reads it.  PUSH is `push_r` under all three: the
+# pair semantics run only on states whose counters are 0, and only an
+# illegal POP under `r` ever raises a counter, so there `push_r` always
+# takes its first clause, the pair push, and a legal POP is the pair pop.
+# A traced run adds an observer entry after each atom, so a program keeps
+# one set of blocks for untraced runs and one for traced runs.
 #
-# A loop entry's arg is ``(leader slot, cache, direction, atoms before)``,
-# direction 1 meaning the body runs inverted.  The cache, one per FOR node
-# and set of blocks, holds the loop's two blocks, forward and inverted,
-# each compiled on first use, and its body; the whole program has such a
-# cache too.  So no (loop, direction) pair is compiled twice, and a
-# direction that never runs is never compiled.  The inverted block is
-# compiled straight from the term, with the entries in reverse order and
-# INC/DEC and PUSH/POP swapped.
+# A loop entry's arg is ``(leader slot, cache, index, atoms before)``.  The
+# cache, one per FOR node, holds the loop's four blocks, each compiled on
+# first use, and its body; the whole program has such a cache too.  A
+# block's index is its direction (1 meaning the body runs inverted) plus 2
+# when traced, so a negative count flips the direction with ``^= 1``.  So
+# no (loop, direction, traced) block is compiled twice, and one that never
+# runs is never compiled.  The inverted block is compiled straight from the
+# term, with the entries in reverse order and INC/DEC and PUSH/POP swapped.
 #
 # Under the assert semantics the abort position needs the number of steps
 # run so far.  Rather than count every step, a run adds the body's atom
 # count (its INC/DEC/PUSH/POP entries) times the iteration count at each
 # loop entry ("scheduled" steps), and an abort adds up, over the open
-# loops, the scheduled steps that did not run.  POP_A and loop entries therefore also
-# carry the number of atoms before them in their block.
+# loops, the scheduled steps that did not run.  POP and loop entries
+# therefore also carry the number of atoms before them in their block.
 
-_INC, _DEC, _PUSH, _POP_N, _POP_A, _POP_R, _LOOP, _OBSERVE = range(8)
-
-
-def _atom_ops(pop: int) -> tuple[dict, dict]:
-    """The opcode each atom class compiles to, run forward and inverted."""
-    forward = {Inc: _INC, Dec: _DEC, Push: _PUSH, Pop: pop}
-    return forward, {cls: forward[inverse] for cls, inverse in _INVERSE.items()}
-
-
-_ATOM_OPS = {"n": _atom_ops(_POP_N), "a": _atom_ops(_POP_A), "r": _atom_ops(_POP_R)}
+_INC, _DEC, _PUSH, _POP, _LOOP, _OBSERVE = range(6)
+_SEMANTICS = ("n", "a", "r")
+# The opcode each atom class compiles to, run forward and inverted.
+_FORWARD = {Inc: _INC, Dec: _DEC, Push: _PUSH, Pop: _POP}
+_OPCODES = (_FORWARD, {cls: _FORWARD[inverse] for cls, inverse in _INVERSE.items()})
 # The keyword of each atom opcode, for trace labels.
-_OP_KEYWORD = {op: _KEYWORD[cls] for forward, _ in _ATOM_OPS.values() for cls, op in forward.items()}
-_BODY = 2  # index of the body term in a loop cache; 0 and 1 hold its blocks
+_OP_KEYWORD = {op: _KEYWORD[cls] for cls, op in _FORWARD.items()}
+_BODY = 4  # index of the body term in a loop cache; 0 to 3 hold its blocks
 _DIRECTION = {"+": 0, "-": 1}  # the passes of `Program.run`'s order
 # Builds a Cell from a (value, stack, counter) tuple without the Python-level
 # `Cell.__new__`, which costs more than the rest of storing a cell.
@@ -231,63 +232,14 @@ def _unknown_semantics(semantics: str) -> ValueError:
     return ValueError(f"unknown semantics {semantics!r}; expected 'n', 'a' or 'r'")
 
 
-class _Code:
-    """One set of blocks of a program: `top` is the whole program's cache
-    and `loops` each FOR node's, by the node's id."""
-
-    __slots__ = ("ops", "slots", "traced", "loops", "top")
-
-    def __init__(self, term: Term, slots: dict[str, int], semantics: str, traced: bool):
-        self.ops = _ATOM_OPS[semantics]
-        self.slots = slots
-        self.traced = traced
-        self.loops: dict[int, list] = {}
-        self.top = [None, None, term]
-
-    def block(self, cache: list, direction: int) -> tuple[tuple, int]:
-        """The block of a cache's term in `direction`, compiled on first use."""
-        compiled = cache[direction]
-        if compiled is None:
-            compiled = cache[direction] = self.compile(cache[_BODY], direction)
-        return compiled
-
-    def compile(self, term: Term, inverted: int) -> tuple[tuple, int]:
-        """The block of `term` run forward (0) or inverted (1), and its atom
-        count.  No part of a sequence is a sequence, and a loop body is
-        compiled when `_execute` first enters the loop in that direction,
-        so this is one pass over the parts."""
-        ops, slots, loops, traced = self.ops[inverted], self.slots, self.loops, self.traced
-        entries: list[tuple] = []
-        atoms = 0
-        parts = _parts(term)
-        for t in parts[::-1] if inverted else parts:
-            kind = type(t)
-            if kind is Skip:
-                continue
-            if kind is For:
-                cache = loops.get(id(t))
-                if cache is None:
-                    cache = loops[id(t)] = [None, None, t.body]
-                entries.append((_LOOP, (slots[t.leader], cache, inverted, atoms)))
-            else:
-                name = t.var
-                slot = slots[name]
-                op = ops[kind]
-                entries.append((op, (slot, atoms) if op == _POP_A else slot))
-                if traced:
-                    entries.append((_OBSERVE, (f"{_OP_KEYWORD[op]} {name}", name, slot)))
-                atoms += 1
-        return tuple(entries), atoms
-
-
-def _execute(code: _Code, block: tuple, atoms: int, scheduled: int, values, stacks, counters, trace) -> tuple[int, int]:
-    """Run one block of `code` on the slot lists, `scheduled` counting the
-    steps scheduled so far, the block's own included.  Returns the number
-    of steps run and -1 when the block completes, else the number run
-    before a POP aborted and the POP's slot.  A loop entry pushes a frame
-    (enclosing iterator, its atoms, atoms before the entry, body atoms,
-    repeats left) and goes on with the body's block repeated, so nesting
-    does not recurse."""
+def _execute(program: Program, block, atoms: int, scheduled: int, values, stacks, counters, semantics, trace) -> tuple:
+    """Run one block of `program` on the slot lists under `semantics`,
+    `scheduled` counting the steps scheduled so far, the block's own
+    included.  Returns the number of steps run and -1 when the block
+    completes, else the number run before a POP aborted and the POP's slot.
+    A loop entry pushes a frame (enclosing iterator, its atoms, atoms before
+    the entry, body atoms, repeats left) and goes on with the body's block
+    repeated, so nesting does not recurse."""
     frames: list[tuple] = []
     it = iter(block)
     while True:
@@ -302,31 +254,29 @@ def _execute(code: _Code, block: tuple, atoms: int, scheduled: int, values, stac
                     values[arg] = 0
                 elif values[arg] or not stacks[arg]:
                     counters[arg] -= 1
-            elif op == _POP_N:
-                stack = stacks[arg]
-                values[arg] = stack.pop() if stack else 0
-            elif op == _POP_A:
+            elif op == _POP:
                 slot, before = arg
                 stack = stacks[slot]
-                if values[slot] or not stack:
-                    left = atoms - before
-                    for _, outer_atoms, entry_before, body_atoms, repeats in frames:
-                        left += length_hint(repeats) * body_atoms + outer_atoms - entry_before
-                    return scheduled - left, slot
-                values[slot] = stack.pop()
-            elif op == _POP_R:
-                if values[arg] or not stacks[arg]:
-                    counters[arg] += 1
-                elif not counters[arg]:
-                    values[arg] = stacks[arg].pop()
+                if values[slot] or not stack:  # an illegal pop: only here do the semantics differ
+                    if semantics == "r":
+                        counters[slot] += 1
+                    elif semantics == "n":
+                        values[slot] = stack.pop() if stack else 0
+                    else:
+                        left = atoms - before
+                        for _, outer_atoms, entry_before, body_atoms, repeats in frames:
+                            left += length_hint(repeats) * body_atoms + outer_atoms - entry_before
+                        return scheduled - left, slot
+                elif not counters[slot]:
+                    values[slot] = stack.pop()
             elif op == _LOOP:
-                leader, cache, direction, before = arg
+                leader, cache, index, before = arg
                 count = values[leader]
                 if count:
                     if count < 0:
                         count = -count
-                        direction ^= 1
-                    body, body_atoms = cache[direction] or code.block(cache, direction)
+                        index ^= 1
+                    body, body_atoms = cache[index] or program._block(cache, index)
                     scheduled += count * body_atoms
                     repeats = repeat(body, count)
                     frames.append((it, atoms, before, body_atoms, repeats))
@@ -347,17 +297,19 @@ class Program:
 
     `variables` holds every name of the term, loop leaders and the names of
     bodies that never run included, in order of first occurrence.  Blocks
-    are compiled on first use and kept, per semantics and direction and
-    apart for traced runs, so each later run only executes.
+    are compiled on first use and kept, per direction and apart for traced
+    runs, and all three semantics run the same blocks, so each later run
+    only executes.
     """
 
-    __slots__ = ("term", "variables", "_slots", "_code")
+    __slots__ = ("term", "variables", "_slots", "_loops", "_top")
 
     def __init__(self, term: Term, slots: dict[str, int]):
         self.term = term
         self.variables: tuple[str, ...] = tuple(slots)
         self._slots = slots
-        self._code: dict[tuple[str, bool], _Code] = {}
+        self._loops: dict[int, list] = {}  # each FOR node's cache, by the node's id
+        self._top = [None, None, None, None, term]  # the whole program's cache
 
     def run(
         self, state: State, semantics: str = "r", order: str = "+", trace: list[TraceStep] | None = None
@@ -373,7 +325,7 @@ class Program:
         carrying the record.  The pair semantics refuse a state with a
         nonzero counter.
         """
-        if semantics not in _ATOM_OPS:
+        if semantics not in _SEMANTICS:
             raise _unknown_semantics(semantics)
         if order.strip("+-"):
             raise ValueError(f"order must be made of '+' and '-', got {order!r}")
@@ -399,13 +351,10 @@ class Program:
         """Run the passes of `order` in place on the slot lists.  Returns
         None, or the AbortRecord of an assert run that aborts."""
         traced = trace is not None
-        code = self._code.get((semantics, traced))
-        if code is None:
-            code = self._code[semantics, traced] = _Code(self.term, self._slots, semantics, traced)
         steps = 0
         for sign in order:
-            block, atoms = code.block(code.top, _DIRECTION[sign])
-            steps, failed = _execute(code, block, atoms, steps + atoms, values, stacks, counters, trace)
+            block, atoms = self._block(self._top, _DIRECTION[sign] + 2 * traced)
+            steps, failed = _execute(self, block, atoms, steps + atoms, values, stacks, counters, semantics, trace)
             if failed >= 0:
                 value, name = values[failed], self.variables[failed]
                 reason = "value-nonzero" if value else "empty-stack"
@@ -425,6 +374,42 @@ class Program:
             else:
                 cells.pop(name, None)
         return State._trusted(cells)
+
+    def _block(self, cache: list, index: int) -> tuple[tuple, int]:
+        """The block of a cache's term at `index`, compiled on first use."""
+        compiled = cache[index]
+        if compiled is None:
+            compiled = cache[index] = self._compile(cache[_BODY], index)
+        return compiled
+
+    def _compile(self, term: Term, index: int) -> tuple[tuple, int]:
+        """The block of `term` at `index` (run inverted when odd, traced from
+        2 on), and its atom count.  No part of a sequence is a sequence, and
+        a loop body is compiled when `_execute` first enters the loop in
+        that direction, so this is one pass over the parts."""
+        inverted, traced = index & 1, index >> 1
+        ops, slots, loops = _OPCODES[inverted], self._slots, self._loops
+        entries: list[tuple] = []
+        atoms = 0
+        parts = _parts(term)
+        for t in parts[::-1] if inverted else parts:
+            kind = type(t)
+            if kind is Skip:
+                continue
+            if kind is For:
+                cache = loops.get(id(t))
+                if cache is None:
+                    cache = loops[id(t)] = [None, None, None, None, t.body]
+                entries.append((_LOOP, (slots[t.leader], cache, index, atoms)))
+            else:
+                name = t.var
+                slot = slots[name]
+                op = ops[kind]
+                entries.append((op, (slot, atoms) if op == _POP else slot))
+                if traced:
+                    entries.append((_OBSERVE, (f"{_OP_KEYWORD[op]} {name}", name, slot)))
+                atoms += 1
+        return tuple(entries), atoms
 
 
 def compile_program(term: Term) -> Program:
@@ -459,7 +444,7 @@ def eval_traced(term: Term, state: State, semantics: str = "r") -> tuple[list[Tr
     state; under the assert semantics an abort instead ends the steps with
     one carrying the record, and the final state is None.
     """
-    if semantics not in _ATOM_OPS:
+    if semantics not in _SEMANTICS:
         raise _unknown_semantics(semantics)
     steps: list[TraceStep] = []
     outcome = compile_program(term).run(state, semantics, trace=steps)

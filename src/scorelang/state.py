@@ -70,15 +70,17 @@ _is_int = int.__instancecheck__
 
 
 def _as_cell(cell) -> Cell:
-    """`cell` as a Cell with a tuple stack, after checking every field."""
+    """`cell` as a Cell with a tuple stack, after checking every field.  A
+    bool is an int, but not an integer here: it would be dumped as True or
+    False, which no state file can hold."""
     value, stack, counter = cell
     if type(stack) is not tuple:
         stack = tuple(stack)
-    if not isinstance(value, int):
+    if not isinstance(value, int) or type(value) is bool:
         raise ValueError(f"cell value must be an integer, got {value!r}")
-    if not all(map(_is_int, stack)):
+    if not all(map(_is_int, stack)) or bool in map(type, stack):
         raise ValueError(f"cell stack must contain integers, got {stack!r}")
-    if not isinstance(counter, int) or counter < 0:
+    if not isinstance(counter, int) or type(counter) is bool or counter < 0:
         raise ValueError(f"cell counter must be a non-negative integer, got {counter!r}")
     return cell if type(cell) is Cell and stack is cell[1] else Cell(value, stack, counter)
 

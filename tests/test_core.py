@@ -16,6 +16,7 @@ from scorelang import (
     GenConfig,
     Inc,
     Pop,
+    Program,
     Push,
     Seq,
     State,
@@ -114,13 +115,13 @@ SPELLED = {
 }
 
 
-def assert_runs_match_reference(term, states):
+def assert_runs_match_reference(term, states, semantics_order="nar"):
     """One Program of `term` runs every state in turn, under each semantics
-    and pass order, untraced and traced, and each run agrees with the
-    reference walker on the term the passes spell out.  The pair semantics
-    see the states with counters zeroed."""
+    (in `semantics_order`) and pass order, untraced and traced, and each
+    run agrees with the reference walker on the term the passes spell out.
+    The pair semantics see the states with counters zeroed."""
     program = compile_program(term)
-    for semantics in "nar":
+    for semantics in semantics_order:
         for order, spell in SPELLED.items():
             spelled = spell(term)
             for state in states:
@@ -155,6 +156,20 @@ class TestOneProgramManyStates:
         ]
         assert compile_program(program).variables == ("n", "m", "y", "z", "k", "w", "v", "u")
         assert_runs_match_reference(program, states)
+
+    def test_loops_first_entered_by_an_aborting_assert_run(self):
+        # The semantics run in the order a, r, n, so assert runs compile
+        # every block first, some of them in a run that aborts in the block
+        # (POP w in k's body, POP z in m's inverted body); the r and n runs
+        # then reuse those blocks and take their own illegal pops.
+        program = parse("FOR n { FOR m { INC y; PUSH z }; FOR k { POP w; DEC v } }; INC u")
+        states = [
+            State(),
+            State({"n": Cell(1), "k": Cell(2), "w": Cell(3, (1,), 0)}),
+            State({"n": Cell(-1), "m": Cell(2), "k": Cell(-1), "z": Cell(0, (7,), 0)}),
+            State({"n": Cell(2), "m": Cell(-1), "k": Cell(1), "w": Cell(0, (4, 5), 1)}),
+        ]
+        assert_runs_match_reference(program, states, "arn")
 
     def test_abort_positions_inside_nested_loops(self):
         # y's stack of -1s feeds the inner loop's POP y until it runs out,
@@ -222,6 +237,53 @@ class TestLoopCompilation:
             eval_traced(program, state, semantics)
         assert got == expected
         assert calls == []
+
+
+@pytest.fixture
+def compiled_blocks(monkeypatch):
+    """The (term id, block index) of every block compiled while it is in use."""
+    compiled = []
+    real = Program._compile
+
+    def logged(self, term, index):
+        compiled.append((id(term), index))
+        return real(self, term, index)
+
+    monkeypatch.setattr(Program, "_compile", logged)
+    return compiled
+
+
+class TestSharedBlocks:
+    """A Program compiles each (node, direction, traced) block once, for all
+    three semantics."""
+
+    def test_each_block_compiles_once_for_all_semantics(self, compiled_blocks):
+        # Every POP is legal, so the three semantics run the same steps: the
+        # first enters every loop the others do.  Forward, m's count of -1
+        # runs its body inverted; backward, inside n's inverted body, forward.
+        program = compile_program(parse("FOR n { INC x; FOR m { POP y; PUSH y } }; PUSH z; POP z"))
+        state = State({"n": Cell(2), "m": Cell(-1), "y": Cell(0, (1,), 0)})
+        for trace in (None, []):
+            for order in "+-":
+                for semantics in "nar":
+                    before = len(compiled_blocks)
+                    assert isinstance(program.run(state, semantics, order, trace), Final)
+                    assert semantics == "n" or len(compiled_blocks) == before
+        # the program, n's loop and m's loop, both directions, plain and traced
+        assert len(compiled_blocks) == len(set(compiled_blocks)) == 3 * 2 * 2
+
+    def test_blocks_compiled_by_an_aborting_run_are_reused(self, compiled_blocks):
+        # the assert run aborts at POP w inside k's body, which it compiled;
+        # the other two run past that POP through the same block
+        program = compile_program(parse("FOR n { FOR m { INC y; PUSH z }; FOR k { POP w; DEC v } }; INC u"))
+        state = State({"n": Cell(1), "k": Cell(2), "w": Cell(3, (1,), 0)})
+        assert isinstance(program.run(state, "a"), Aborted)
+        n_body = program.term.parts[0].body
+        assert compiled_blocks == [(id(program.term), 0), (id(n_body), 0), (id(n_body.parts[1].body), 0)]
+        agreed = {"n": Cell(1), "k": Cell(2), "u": Cell(1), "v": Cell(-2)}  # w alone differs
+        assert program.run(state, "r").state == State({**agreed, "w": Cell(3, (1,), 2)})
+        assert program.run(state, "n").state == State(agreed)
+        assert len(compiled_blocks) == 3
 
 
 class TestDeepNests:

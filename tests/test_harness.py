@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from scorelang import (
     Aborted,
@@ -46,7 +47,9 @@ from scorelang import harness
 from scorelang.harness import _var_names
 
 import reference_checks
+import reference_shrinks
 import reference_walker
+from term_strategies import raw_terms
 
 
 def term_depth(term):
@@ -335,6 +338,43 @@ class TestMinimize:
     def test_rejects_passing_input(self):
         with pytest.raises(ValueError):
             minimize(Skip(), State(), lambda p, s: False)
+
+    @settings(max_examples=300)
+    @given(raw_terms(max_depth=5))
+    def test_term_shrinks_match_the_recursive_shrinks(self, term):
+        # the same candidates in the same order, so `minimize` makes the
+        # same predicate calls
+        shrinks = list(harness._term_shrinks(term))
+        assert shrinks == list(reference_shrinks.term_shrinks(term))
+        assert [pretty(t) for t in shrinks] == [pretty(t) for t in reference_shrinks.term_shrinks(term)]
+
+    def test_deep_loop_nest_shrinks(self):
+        # The pair fails while POP x is the whole innermost body, or while
+        # all 2,000 loops still run INC x; POP x.  So the first round passes
+        # every loop's drop and drops INC x at the bottom of the nest, where
+        # a walk that recursed per loop level would raise RecursionError;
+        # every later round drops the outermost loop.
+        depth = 2000
+        program = Seq(Inc("x"), Pop("x"))
+        for level in reversed(range(depth)):
+            program = For(f"v{level}", program)
+        calls = []
+
+        def fails(p, s):
+            calls.append(p)
+            loops = 0
+            while type(p) is For:
+                p, loops = p.body, loops + 1
+            return p == Pop("x") or (loops == depth and p == Seq(Inc("x"), Pop("x")))
+
+        try:
+            shrunk = minimize(program, State(), fails)
+        except RecursionError:
+            # reported as a plain failure: pytest would spend minutes on the
+            # traceback, comparing the locals of its 1,000 frames
+            shrunk = None
+        assert shrunk == (Pop("x"), State())
+        assert len(calls) == 1 + (depth + 2) + depth + 2
 
     def test_state_shrinks_are_distinct(self):
         from scorelang.harness import _state_shrinks

@@ -90,6 +90,9 @@ class TestStateMap:
             (("5", (), 0), "cell value must be an integer, got '5'"),
             ((1.5, (), 0), "cell value must be an integer, got 1.5"),
             ((1, ("a",), 0), "cell stack must contain integers, got ('a',)"),
+            ((True, (), 0), "cell value must be an integer, got True"),
+            ((0, (1, False), 0), "cell stack must contain integers, got (1, False)"),
+            ((1, (), True), "cell counter must be a non-negative integer, got True"),
         ],
     )
     @pytest.mark.parametrize("as_cell", [False, True])
