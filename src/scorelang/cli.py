@@ -179,13 +179,14 @@ def _argparser() -> argparse.ArgumentParser:
 
     fuzz_p = sub.add_parser("fuzz", help="randomized reversibility checks")
     fuzz_p.add_argument("--cases", type=int, default=1000)
-    fuzz_p.add_argument("--seed", type=int, default=1)
-    fuzz_p.add_argument("--max-depth", type=int, default=6)
-    fuzz_p.add_argument("--max-vars", type=int, default=4)
-    fuzz_p.add_argument("--value-min", type=int, default=-5)
-    fuzz_p.add_argument("--value-max", type=int, default=5)
-    fuzz_p.add_argument("--max-stack-len", type=int, default=4)
-    fuzz_p.add_argument("--max-counter", type=int, default=2)
+    defaults = GenConfig()  # the seed and bounds default to GenConfig's
+    fuzz_p.add_argument("--seed", type=int, default=defaults.seed)
+    fuzz_p.add_argument("--max-depth", type=int, default=defaults.max_depth)
+    fuzz_p.add_argument("--max-vars", type=int, default=defaults.max_vars)
+    fuzz_p.add_argument("--value-min", type=int, default=defaults.value_range[0])
+    fuzz_p.add_argument("--value-max", type=int, default=defaults.value_range[1])
+    fuzz_p.add_argument("--max-stack-len", type=int, default=defaults.max_stack_len)
+    fuzz_p.add_argument("--max-counter", type=int, default=defaults.max_counter)
     fuzz_p.add_argument("--json", action="store_true", help="print a machine-readable summary")
 
     oracle_p = sub.add_parser("oracle", help="exhaustive push/pop inverse check on a cell grid")

@@ -158,81 +158,28 @@ def _first_diff(expected: State, got: State) -> str:
     return "states differ"
 
 
-# Each check below is a wrapper that compiles its program, loads the state
-# into slot lists once and hands them to a helper, which `run_fuzz` calls
-# with the runs it shares.  Every run works on a copy of the lists it starts
-# from, and the helpers compare lists; a State is built only to describe a
-# failure.
-
-
-def _run(program: Program, slots: tuple, semantics: str, order: str = "+") -> tuple[tuple, AbortRecord | None]:
-    """A run on a copy of `slots`: the slot lists it ends with, and its
-    AbortRecord or None."""
-    values, stacks, counters = slots
-    after = [*values], [[*stack] for stack in stacks], [*counters]
-    return after, program._exec(*after, semantics, order)
-
-
-def _pair_runs(program: Program, slots: tuple) -> tuple[tuple, tuple]:
-    """The assert run from `slots`, as `_run` gives it, and the slot lists
-    the reversible run ends with."""
-    return _run(program, slots, "a"), _run(program, slots, "r")[0]
+# The four checks are defined once, in `_check_case`, from five runs of one
+# compiled program.  `run_fuzz` counts its results, re-checks a shrunk
+# witness through it, and each public check below returns its entry of it.
+# Every run works on a copy of the slot lists it starts from, and the checks
+# compare lists; a State is built only to describe a failure.
 
 
 def check_strong_reversibility(program: Term, initial: State) -> Verdict:
     """P;-P and -P;P must both restore `initial` exactly under eval_r."""
-    compiled = compile_program(program)
-    return _strong_reversibility(compiled, initial, compiled._load(initial, "r"))
-
-
-def _strong_reversibility(program: Program, initial: State, slots: tuple) -> Verdict:
-    for order, label in (("+-", "P;-P"), ("-+", "-P;P")):
-        after, _ = _run(program, slots, "r", order)
-        if after != slots:
-            diff = _first_diff(initial, program._store(initial, *after))
-            return Fail(program.term, initial, f"{label} changed the state: {diff}")
-    return Pass()
+    return _check_case(compile_program(program), initial)[1]
 
 
 def check_weak_reversibility_a(program: Term, initial: State) -> Verdict:
     """A completed assert-semantics run must be undone exactly by the
     inverse program; aborting runs pass vacuously."""
-    compiled = compile_program(program)
-    slots = compiled._load(initial, "a")
-    return _weak_reversibility_a(compiled, initial, slots, _run(compiled, slots, "a"))
-
-
-def _weak_reversibility_a(program: Program, initial: State, slots: tuple, forward: tuple) -> Verdict:
-    after, aborted = forward
-    if aborted is not None:
-        return Pass(vacuous=True)
-    back, record = _run(program, after, "a", "-")
-    if record is not None:
-        return Fail(program.term, initial, f"inverse run aborted: {record.reason} on {record.variable}")
-    if back != slots:
-        diff = _first_diff(initial, program._store(initial, *back))
-        return Fail(program.term, initial, f"inverse run missed the start: {diff}")
-    return Pass()
+    return _pair_case(program, initial)[2]
 
 
 def check_agreement_a_r(program: Term, initial: State) -> Verdict:
     """A completed assert-semantics run must match the reversible run with
     all counters 0; aborting runs pass vacuously."""
-    compiled = compile_program(program)
-    return _agreement_a_r(compiled, initial, *_pair_runs(compiled, compiled._load(initial, "a")))
-
-
-def _agreement_a_r(program: Program, initial: State, forward: tuple, reversible: tuple) -> Verdict:
-    after, aborted = forward
-    if aborted is not None:
-        return Pass(vacuous=True)
-    if reversible != after:
-        diff = _first_diff(program._store(initial, *after), program._store(initial, *reversible))
-        return Fail(program.term, initial, f"semantics disagree: {diff}")
-    broken = sorted(name for name, counter in zip(program.variables, reversible[2]) if counter)
-    if broken:
-        return Fail(program.term, initial, f"reversible run left broken variables: {broken}")
-    return Pass()
+    return _pair_case(program, initial)[3]
 
 
 @dataclass(frozen=True)
@@ -252,20 +199,70 @@ class FailureCorrespondence:
 
 
 def check_failure_correspondence(program: Term, initial: State) -> FailureCorrespondence:
+    return _pair_case(program, initial)[4]
+
+
+def _pair_case(program: Term, initial: State) -> tuple:
+    """`_check_case` for a check defined on the pair semantics, which
+    refuse a state with a nonzero counter."""
     compiled = compile_program(program)
-    return _failure_correspondence(*_pair_runs(compiled, compiled._load(initial, "a")))
+    compiled._load(initial, "a")  # raises NonzeroCounterError
+    return _check_case(compiled, initial)
 
 
-def _failure_correspondence(forward: tuple, reversible: tuple) -> FailureCorrespondence:
-    aborted = forward[1] is not None
-    broken = any(reversible[2])
+def _run(program: Program, slots: tuple, semantics: str, order: str = "+") -> tuple[tuple, AbortRecord | None]:
+    """A run on a copy of `slots`: the slot lists it ends with, and its
+    AbortRecord or None."""
+    values, stacks, counters = slots
+    after = [*values], [[*stack] for stack in stacks], [*counters]
+    return after, program._exec(*after, semantics, order)
+
+
+def _check_case(program: Program, full_state: State) -> tuple:
+    """The counter-free state and the results of the four checks on one
+    pair, from up to five runs: strong reversibility, weak reversibility, a-r
+    agreement and the FailureCorrespondence.  Strong reversibility runs
+    P;-P and -P;P on `full_state`; the three checks defined on the pair
+    semantics see it with counters zeroed and share one assert and one
+    reversible run, and weak reversibility adds the assert run of the
+    inverse when the first one completes.  The state is loaded once:
+    the counter-free lists share its values and stacks, which no run
+    changes, since each run works on a copy."""
+    full = program._load(full_state, "r")
+    strong = Pass()
+    for order, label in (("+-", "P;-P"), ("-+", "-P;P")):
+        after, _ = _run(program, full, "r", order)
+        if after != full:
+            diff = _first_diff(full_state, program._store(full_state, *after))
+            strong = Fail(program.term, full_state, f"{label} changed the state: {diff}")
+            break
+
+    flat_state = zero_counters(full_state)
+    flat = full[0], full[1], [0] * len(full[2])
+    after, abort = _run(program, flat, "a")
+    reversible = _run(program, flat, "r")[0]
+    broken = sorted(name for name, counter in zip(program.variables, reversible[2]) if counter)
+    aborted = abort is not None
+    weak = agreement = Pass(vacuous=aborted)
+    if not aborted:
+        back, record = _run(program, after, "a", "-")
+        if record is not None:
+            weak = Fail(program.term, flat_state, f"inverse run aborted: {record.reason} on {record.variable}")
+        elif back != flat:
+            diff = _first_diff(flat_state, program._store(flat_state, *back))
+            weak = Fail(program.term, flat_state, f"inverse run missed the start: {diff}")
+        if reversible != after:
+            diff = _first_diff(program._store(flat_state, *after), program._store(flat_state, *reversible))
+            agreement = Fail(program.term, flat_state, f"semantics disagree: {diff}")
+        elif broken:
+            agreement = Fail(program.term, flat_state, f"reversible run left broken variables: {broken}")
     if aborted and not broken:
         witness = "only-if"
     elif broken and not aborted:
         witness = "if"
     else:
         witness = None
-    return FailureCorrespondence(aborted, broken, witness)
+    return flat_state, strong, weak, agreement, FailureCorrespondence(aborted, bool(broken), witness)
 
 
 def _enumerate_cells(
@@ -517,45 +514,17 @@ def _witness(check: str, program: Term, state: State, details: str) -> FuzzWitne
     return FuzzWitness(check, pretty(program), dumped, details)
 
 
+_CHECK_NAMES = ("strong-reversibility", "weak-reversibility-a", "a-r-agreement", "failure-correspondence")
 _BROKEN_WITHOUT_ABORT = "reversible run ended broken without an abort"
 
 
-def _if_direction(program: Term, initial: State) -> Verdict:
-    """The "if" direction of failure correspondence as a verdict."""
-    if check_failure_correspondence(program, initial).direction_witness == "if":
-        return Fail(program, initial, _BROKEN_WITHOUT_ABORT)
-    return Pass()
-
-
-# The checks a fuzz batch reports on, by name; a failure is shrunk and
-# described again with its own check.
-_CHECKS: dict[str, Callable[[Term, State], Verdict]] = {
-    "strong-reversibility": check_strong_reversibility,
-    "weak-reversibility-a": check_weak_reversibility_a,
-    "a-r-agreement": check_agreement_a_r,
-    "failure-correspondence": _if_direction,
-}
-
-
-def _check_case(program: Program, full_state: State) -> tuple:
-    """The counter-free state and the four results `run_fuzz` counts for
-    one generated pair.  Strong reversibility sees `full_state`; the three
-    checks defined on the pair semantics see it with counters zeroed and
-    share one assert and one reversible run.  The state is loaded once:
-    the counter-free lists share its values and stacks, which no run
-    changes, since each run works on a copy."""
-    full = program._load(full_state, "r")
-    strong = _strong_reversibility(program, full_state, full)
-    flat_state = zero_counters(full_state)
-    flat = full[0], full[1], [0] * len(full[2])
-    forward, reversible = _pair_runs(program, flat)
-    return (
-        flat_state,
-        strong,
-        _weak_reversibility_a(program, flat_state, flat, forward),
-        _agreement_a_r(program, flat_state, forward, reversible),
-        _failure_correspondence(forward, reversible),
-    )
+def _failure_details(check: int, program: Term, initial: State) -> str | None:
+    """How check number `check` of `_check_case` fails on the pair, or
+    None if it passes; failure correspondence fails in its "if" direction."""
+    result = _check_case(compile_program(program), initial)[check + 1]
+    if isinstance(result, FailureCorrespondence):
+        return _BROKEN_WITHOUT_ABORT if result.direction_witness == "if" else None
+    return result.details if isinstance(result, Fail) else None
 
 
 def run_fuzz(cfg: GenConfig, cases: int) -> FuzzReport:
@@ -569,41 +538,35 @@ def run_fuzz(cfg: GenConfig, cases: int) -> FuzzReport:
     master = random.Random(cfg.seed)
     report = FuzzReport(cfg.seed, cases)
 
-    def record_failure(check: str, verdict: Fail) -> None:
+    def record_failure(check: int, program: Term, initial: State, details: str) -> None:
         if len(report.failures) >= _MAX_STORED_WITNESSES:
             return
-        recheck = _CHECKS[check]
         try:
-            program, initial = minimize(
-                verdict.program, verdict.initial, lambda p, s: isinstance(recheck(p, s), Fail)
-            )
+            program, initial = minimize(program, initial, lambda p, s: _failure_details(check, p, s) is not None)
         except ValueError:  # the check passes when run again on the same pair
-            report.failures.append(_witness(check, verdict.program, verdict.initial, verdict.details))
+            pass
         else:
-            details = recheck(program, initial).details + " (minimized)"
-            report.failures.append(_witness(check, program, initial, details))
+            details = _failure_details(check, program, initial) + " (minimized)"
+        report.failures.append(_witness(_CHECK_NAMES[check], program, initial, details))
 
     rng = random.Random()
     for _ in range(cases):
         rng.seed(master.getrandbits(64))
         program = compile_program(gen_term(cfg, rng=rng))
         full_state = gen_state(cfg, program.variables, rng=rng)
-        flat_state, strong, weak, agreement, correspondence = _check_case(program, full_state)
+        flat_state, *verdicts, correspondence = _check_case(program, full_state)
 
-        if not report.strong.add(strong):
-            record_failure("strong-reversibility", strong)
-        if not report.weak.add(weak):
-            record_failure("weak-reversibility-a", weak)
-        if not report.agreement.add(agreement):
-            record_failure("a-r-agreement", agreement)
+        for check, (counts, verdict) in enumerate(zip((report.strong, report.weak, report.agreement), verdicts)):
+            if not counts.add(verdict):
+                record_failure(check, verdict.program, verdict.initial, verdict.details)
         if correspondence.direction_witness == "if":
             report.if_direction_witnesses += 1
-            record_failure("failure-correspondence", Fail(program.term, flat_state, _BROKEN_WITHOUT_ABORT))
+            record_failure(3, program.term, flat_state, _BROKEN_WITHOUT_ABORT)
         elif correspondence.direction_witness == "only-if":
             report.only_if_witnesses += 1
             if len(report.only_if_samples) < _MAX_ONLY_IF_SAMPLES:
                 report.only_if_samples.append(
-                    _witness("failure-correspondence", program.term, flat_state, "abort repaired by counters")
+                    _witness(_CHECK_NAMES[3], program.term, flat_state, "abort repaired by counters")
                 )
 
     seeded = check_failure_correspondence(_SEEDED_WITNESS_PROGRAM, _SEEDED_WITNESS_STATE)

@@ -185,11 +185,22 @@ def _parse_binding(line: str, lineno: int) -> tuple[str, Cell]:
             raise ParseError(lineno, column, message.format(name=name), expected)
         return word
 
+    def number(ok: Callable[[str], object], message: str, expected: tuple[str, ...]) -> int:
+        """The next token as an integer, as `take` checks it.  A token too
+        long for `int` is refused here, without a change to the limit
+        (a setting of the whole process)."""
+        word = take(ok, message, expected)
+        try:
+            return int(word)
+        except ValueError:
+            column = _column(line, count - len(words) - 1)
+            raise ParseError(lineno, column, f"integer too long: {len(word.lstrip('-'))} digits") from None
+
     if name in KEYWORDS:
         raise ParseError(lineno, _column(line, 0), f"keyword {name!r} cannot be a variable name")
     take(is_identifier, "expected a variable name, found {name!r}", ("identifier",))
     take("=".__eq__, "expected '=' after {name!r}", ("=",))
-    value = int(take(_INT_RE.match, "expected an integer value", ("integer",)))
+    value = number(_INT_RE.match, "expected an integer value", ("integer",))
     stack: list[int] = []
     counter = 0
     if words:
@@ -200,11 +211,11 @@ def _parse_binding(line: str, lineno: int) -> tuple[str, Cell]:
         else:
             separator = ","
             while separator == ",":
-                stack.append(int(take(_INT_RE.match, "expected a stack element", ("integer",))))
+                stack.append(number(_INT_RE.match, "expected a stack element", ("integer",)))
                 separator = take(_SEPARATORS.__contains__, "expected ']' to close the stack", ("]",))
         if words:
             take(",".__eq__, "expected ',' or end of line", (",",))
-            counter = int(take(str.isdigit, "counter must be a non-negative integer", ("nat",)))
+            counter = number(str.isdigit, "counter must be a non-negative integer", ("nat",))
     if words:
         raise ParseError(lineno, _column(line, count - len(words)), f"unexpected trailing input {words[-1]!r}")
     return name, Cell(value, tuple(stack), counter)

@@ -214,6 +214,11 @@ class TestFuzz:
         assert summary["ok"] is True
         assert summary["cases"] == 25
 
+    def test_bounds_default_to_gen_config(self, capsys):
+        code, out, _ = run_cli(capsys, "fuzz", "--json", "--cases", "200")
+        assert code == 0
+        assert json.loads(out) == harness.run_fuzz(harness.GenConfig(), 200).to_json_dict()
+
     def test_bad_range_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "fuzz", "--value-min", "5", "--value-max", "-5")
         assert code == 2

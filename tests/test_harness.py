@@ -15,6 +15,7 @@ from scorelang import (
     For,
     GenConfig,
     Inc,
+    NonzeroCounterError,
     Pass,
     Pop,
     Program,
@@ -284,6 +285,16 @@ class TestChecks:
         report = check_failure_correspondence(Skip(), State())
         assert not report.a_aborted and not report.r_final_broken
         assert report.direction_witness is None
+
+    def test_pair_checks_refuse_counters(self):
+        # strong reversibility is a property of R-semantics, which takes any
+        # counter; the other three are defined on the pair semantics only
+        state = State({"x": Cell(5, (2,), 0), "y": Cell(0, (), 1)})
+        assert check_strong_reversibility(Pop("x"), state) == Pass()
+        for check in (check_weak_reversibility_a, check_agreement_a_r, check_failure_correspondence):
+            with pytest.raises(NonzeroCounterError) as info:
+                check(Pop("x"), state)
+            assert info.value.variable == "y"
 
 
 class TestExhaustiveOracles:

@@ -214,6 +214,10 @@ STATE_FILE_FAULTS = [
     ("x = 1, [], 0,", 1, 13, "unexpected trailing input ','", ()),
     ("y = 2\r\n\n  x = 1, [], 0, 5", 3, 15, "unexpected trailing input ','", ()),
     ("x = 1\nx = 2", 2, 1, "duplicate binding for 'x'", ()),
+    # longer than the interpreter's default int-string limit (4,300 digits)
+    ("x = -" + "1" * 5000, 1, 5, "integer too long: 5000 digits", ()),
+    ("x = 1, [0, " + "2" * 5000 + "]", 1, 12, "integer too long: 5000 digits", ()),
+    ("x = 1, [], " + "3" * 5000, 1, 12, "integer too long: 5000 digits", ()),
 ]
 
 
