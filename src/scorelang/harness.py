@@ -365,8 +365,8 @@ def _state_shrinks(state: State) -> Iterator[State]:
         value, stack, counter = state.get(name)
         cells = [DEFAULT_CELL]
         if value:
-            step = value - 1 if value > 0 else value + 1
-            cells += (Cell(smaller, stack, counter) for smaller in (0, int(value / 2), step))
+            half, step = (value // 2, value - 1) if value > 0 else (-(-value // 2), value + 1)
+            cells += (Cell(smaller, stack, counter) for smaller in (0, half, step))
         if stack:
             cells += (Cell(value, stack[1:], counter), Cell(value, stack[:-1], counter))
             if stack[0] != 0:

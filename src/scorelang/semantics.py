@@ -51,6 +51,7 @@ from .syntax import (
     Inc,
     Pop,
     Push,
+    Seq,
     Skip,
     Term,
     Violation,
@@ -200,12 +201,19 @@ def pop_r(cell: Cell) -> Cell:
 #
 # A loop entry's arg is ``(leader slot, cache, index, atoms before)``.  The
 # cache, one per FOR node, holds the loop's four blocks, each compiled on
-# first use, and its body; the whole program has such a cache too.  A
-# block's index is its direction (1 meaning the body runs inverted) plus 2
-# when traced, so a negative count flips the direction with ``^= 1``.  So
-# no (loop, direction, traced) block is compiled twice, and one that never
-# runs is never compiled.  The inverted block is compiled straight from the
-# term, with the entries in reverse order and INC/DEC and PUSH/POP swapped.
+# first use, its body, its two leaf functions (below), its heat and whether
+# it is idle; the whole program has such a cache too.  A block's index is
+# its direction (1 meaning the body runs inverted) plus 2 when traced, so a
+# negative count flips the direction with ``^= 1``.  So no (loop,
+# direction, traced) block is compiled twice, and one that never runs is
+# never compiled.  The inverted block is compiled straight from the term,
+# with the entries in reverse order and INC/DEC and PUSH/POP swapped.
+#
+# An idle loop, one whose body holds no atom at any depth, changes nothing
+# however large its count, so a run skips it at entry.  Only a body whose
+# block holds no atom of its own can be idle, and a loop that runs its body
+# once costs no more than its body, so only such a loop with a count above
+# 1 is asked.
 #
 # Under the assert semantics the abort position needs the number of steps
 # run so far.  Rather than count every step, a run adds the body's atom
@@ -213,6 +221,20 @@ def pop_r(cell: Cell) -> Cell:
 # loop entry ("scheduled" steps), and an abort adds up, over the open
 # loops, the scheduled steps that did not run.  POP and loop entries
 # therefore also carry the number of atoms before them in their block.
+#
+# A leaf loop, one whose block holds no loop entry, runs hot in an
+# untraced run through a Python function generated from its block
+# (`_leaf_function`): each slot's value and counter in a local, each stack
+# list aliased, and the body's atoms written out under ``for i in
+# range(count)``, with the same meaning as `_execute`'s branches and the
+# same semantics argument read only by an illegal POP.  Compiling the
+# function costs about as much as stepping its body 500 times, whatever
+# the body's size, so a loop's heat counts the iterations its entries
+# have scheduled, in either direction, and a (loop, direction) gets its
+# function on the first entry past `_HOT`.  The function lives in the
+# loop's cache, so a Program generates it at most once, and a fresh
+# Program pays for it again.  `_execute` still runs every nest and every
+# traced run.
 
 _INC, _DEC, _PUSH, _POP, _LOOP, _OBSERVE = range(6)
 _SEMANTICS = ("n", "a", "r")
@@ -221,7 +243,11 @@ _FORWARD = {Inc: _INC, Dec: _DEC, Push: _PUSH, Pop: _POP}
 _OPCODES = (_FORWARD, {cls: _FORWARD[inverse] for cls, inverse in _INVERSE.items()})
 # The keyword of each atom opcode, for trace labels.
 _OP_KEYWORD = {op: _KEYWORD[cls] for cls, op in _FORWARD.items()}
-_BODY = 4  # index of the body term in a loop cache; 0 to 3 hold its blocks
+# A loop cache: 0 to 3 hold its blocks, then its body term, the leaf
+# functions of its two directions (None until hot, False for a loop that is
+# no leaf), its heat, and whether it is idle (None until asked).
+_BODY, _LEAF, _HEAT, _IDLE = 4, 5, 7, 8
+_HOT = 500  # iterations a loop schedules before its leaf functions are generated
 _DIRECTION = {"+": 0, "-": 1}  # the passes of `Program.run`'s order
 # Builds a Cell from a (value, stack, counter) tuple without the Python-level
 # `Cell.__new__`, which costs more than the rest of storing a cell.
@@ -232,13 +258,92 @@ def _unknown_semantics(semantics: str) -> ValueError:
     return ValueError(f"unknown semantics {semantics!r}; expected 'n', 'a' or 'r'")
 
 
+# The lines of each atom in a leaf function, over the locals of its slot
+# k: v{k} and c{k} hold the value and the counter, s{k} is the stack list.
+_LEAF_LINES = {
+    _INC: ("v{k} += 1",),
+    _DEC: ("v{k} -= 1",),
+    _PUSH: ("if not c{k}:", "    s{k}.append(v{k})", "    v{k} = 0", "elif v{k} or not s{k}:", "    c{k} -= 1"),
+    _POP: (
+        "if v{k} or not s{k}:",
+        "    if semantics == 'r':",
+        "        c{k} += 1",
+        "    elif semantics == 'n':",
+        "        v{k} = s{k}.pop() if s{k} else 0",
+        "    else:",
+        "        return i, {before}, {k}",
+        "elif not c{k}:",
+        "    v{k} = s{k}.pop()",
+    ),
+}
+
+
+def _leaf_function(block: tuple):
+    """The function ``leaf(values, stacks, counters, count, semantics)``
+    that runs `block`, an untraced loop body, `count` times on the slot
+    lists, or False when the block holds a loop entry or nothing.  It
+    returns None when every iteration completes, else the iteration, the
+    atoms before the aborting POP in the block, and the POP's slot."""
+    stacked: dict[int, bool] = {}  # each slot of the block: whether it uses its stack
+    body = []
+    for op, arg in block:
+        if op == _LOOP:
+            return False
+        slot, before = arg if op == _POP else (arg, 0)
+        stacked[slot] = stacked.get(slot, False) or op == _PUSH or op == _POP
+        body += (" " * 12 + line.format(k=slot, before=before) for line in _LEAF_LINES[op])
+    if not body:
+        return False
+    load, store = [], []
+    for k, uses_stack in stacked.items():
+        load.append(f"    v{k} = values[{k}]")
+        store.append(f"        values[{k}] = v{k}")
+        if uses_stack:
+            load += (f"    s{k} = stacks[{k}]", f"    c{k} = counters[{k}]")
+            store.append(f"        counters[{k}] = c{k}")
+    head = "def leaf(values, stacks, counters, count, semantics):"
+    loop = ("    try:", "        for i in range(count):")
+    source = "\n".join((head, *load, *loop, *body, "    finally:", *store))
+    namespace: dict = {}
+    exec(compile(source, "<leaf loop>", "exec"), namespace)
+    return namespace["leaf"]
+
+
+def _idle(cache: list) -> bool:
+    """Whether the loop of `cache` is idle: its body holds no atom at any
+    depth.  The answer is kept in the cache."""
+    idle = cache[_IDLE]
+    if idle is None:
+        idle, todo = True, [cache[_BODY]]
+        while todo and idle:
+            t = todo.pop()
+            kind = type(t)
+            if kind is Seq:
+                todo += t.parts
+            elif kind is For:
+                todo.append(t.body)
+            else:
+                idle = kind is Skip
+        cache[_IDLE] = idle
+    return idle
+
+
+def _abort_position(scheduled: int, left: int, frames: list[tuple]) -> int:
+    """The steps run before an abort: `scheduled` less the `left` steps of
+    the innermost block that did not run and those of each open loop."""
+    for _, outer_atoms, entry_before, body_atoms, repeats in frames:
+        left += length_hint(repeats) * body_atoms + outer_atoms - entry_before
+    return scheduled - left
+
+
 def _execute(program: Program, block, atoms: int, scheduled: int, values, stacks, counters, semantics, trace) -> tuple:
     """Run one block of `program` on the slot lists under `semantics`,
     `scheduled` counting the steps scheduled so far, the block's own
     included.  Returns the number of steps run and -1 when the block
     completes, else the number run before a POP aborted and the POP's slot.
-    A loop entry pushes a frame (enclosing iterator, its atoms, atoms before
-    the entry, body atoms, repeats left) and goes on with the body's block
+    A loop entry runs a hot leaf loop's function in an untraced run; else
+    it pushes a frame (enclosing iterator, its atoms, atoms before the
+    entry, body atoms, repeats left) and goes on with the body's block
     repeated, so nesting does not recurse."""
     frames: list[tuple] = []
     it = iter(block)
@@ -263,10 +368,7 @@ def _execute(program: Program, block, atoms: int, scheduled: int, values, stacks
                     elif semantics == "n":
                         values[slot] = stack.pop() if stack else 0
                     else:
-                        left = atoms - before
-                        for _, outer_atoms, entry_before, body_atoms, repeats in frames:
-                            left += length_hint(repeats) * body_atoms + outer_atoms - entry_before
-                        return scheduled - left, slot
+                        return _abort_position(scheduled, atoms - before, frames), slot
                 elif not counters[slot]:
                     values[slot] = stack.pop()
             elif op == _LOOP:
@@ -277,7 +379,22 @@ def _execute(program: Program, block, atoms: int, scheduled: int, values, stacks
                         count = -count
                         index ^= 1
                     body, body_atoms = cache[index] or program._block(cache, index)
+                    if not body_atoms and count > 1 and _idle(cache):
+                        continue
                     scheduled += count * body_atoms
+                    if trace is None:
+                        leaf = cache[_LEAF + index]
+                        if leaf is None:
+                            cache[_HEAT] += count
+                            if cache[_HEAT] > _HOT:
+                                leaf = cache[_LEAF + index] = _leaf_function(body)
+                        if leaf:
+                            stop = leaf(values, stacks, counters, count, semantics)
+                            if stop is None:
+                                continue
+                            iteration, pop_before, slot = stop
+                            left = (count - iteration) * body_atoms - pop_before + atoms - before
+                            return _abort_position(scheduled, left, frames), slot
                     repeats = repeat(body, count)
                     frames.append((it, atoms, before, body_atoms, repeats))
                     it, atoms = chain.from_iterable(repeats), body_atoms
@@ -309,7 +426,7 @@ class Program:
         self.variables: tuple[str, ...] = tuple(slots)
         self._slots = slots
         self._loops: dict[int, list] = {}  # each FOR node's cache, by the node's id
-        self._top = [None, None, None, None, term]  # the whole program's cache
+        self._top = [None, None, None, None, term, None, None, 0, None]  # the whole program's cache
 
     def run(
         self, state: State, semantics: str = "r", order: str = "+", trace: list[TraceStep] | None = None
@@ -399,7 +516,7 @@ class Program:
             if kind is For:
                 cache = loops.get(id(t))
                 if cache is None:
-                    cache = loops[id(t)] = [None, None, None, None, t.body]
+                    cache = loops[id(t)] = [None, None, None, None, t.body, None, None, 0, None]
                 entries.append((_LOOP, (slots[t.leader], cache, index, atoms)))
             else:
                 name = t.var

@@ -152,12 +152,18 @@ class For(_Compound):
         _require_identifier(self.leader)
 
 
+# The slots of `For`, set straight through their member descriptors, past
+# the frozen class's `__setattr__`.
+_set_leader = For.__dict__["leader"].__set__
+_set_body = For.__dict__["body"].__set__
+
+
 def _loop(leader: Identifier, body: Term) -> For:
     """The loop over `body` led by `leader`, built without the constructor's
     check: the caller vouches that `leader` is a valid identifier."""
     new = object.__new__(For)
-    object.__setattr__(new, "leader", leader)
-    object.__setattr__(new, "body", body)
+    _set_leader(new, leader)
+    _set_body(new, body)
     return new
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import scorelang
+import scorelang.semantics as core
 from scorelang import (
     AbortRecord,
     Aborted,
@@ -311,3 +312,149 @@ class TestDeepNests:
         steps, final = eval_traced(self.program, self.state, "r")
         assert [s.state for s in steps] == [Cell(1), Cell(7), Cell(2), Cell(7, (), 1)]
         assert final == eval_r(self.program, self.state)
+
+
+class TestIdleLoops:
+    """A loop whose body holds no atom at any depth changes nothing, so it
+    compiles to no entry and its count, however large, costs nothing."""
+
+    @pytest.mark.parametrize(
+        "source", ["FOR n { SKIP }", "FOR n { FOR m { SKIP } }", "FOR n { SKIP; FOR m { FOR k { SKIP; SKIP } } }"]
+    )
+    @pytest.mark.parametrize("counts", [(10**18, 1 - 10**18, 10**18), (-(10**18), 1, -1)])
+    def test_huge_counts_finish_at_once(self, source, counts):
+        program = compile_program(parse(source))
+        state = State({name: Cell(count) for name, count in zip("nmk", counts)})
+        for semantics in "nar":
+            for order in SPELLED:
+                assert program.run(state, semantics, order) == Final(state)
+                steps = []
+                assert program.run(state, semantics, order, steps) == Final(state)
+                assert steps == []
+
+    def test_idle_loops_among_busy_ones(self):
+        # the idle loops run no step, so the positions of the steps after
+        # them, aborts included, do not depend on their counts
+        program = parse("INC x; FOR n { FOR m { SKIP } }; FOR k { INC y; FOR n { SKIP } }; POP x")
+        small = State({"n": Cell(3), "m": Cell(-2), "k": Cell(2), "x": Cell(-1, (5,), 0)})
+        aborting = small.set("x", Cell(0, (5,), 0))
+        assert_runs_match_reference(program, [small, aborting])
+        runs = compile_program(program)
+        for state in (small, aborting):
+            huge = state.set("n", Cell(10**18))
+            for semantics in "nar":
+                expected = runs.run(state, semantics, "+-")
+                if isinstance(expected, Final):
+                    expected = Final(expected.state.set("n", Cell(10**18)))
+                assert runs.run(huge, semantics, "+-") == expected
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """The blocks that `_leaf_function` is asked to generate a function
+    for while the fixture is in use."""
+    blocks = []
+    real = core._leaf_function
+
+    def logged(block):
+        blocks.append(block)
+        return real(block)
+
+    monkeypatch.setattr(core, "_leaf_function", logged)
+    return blocks
+
+
+@pytest.fixture
+def hot(monkeypatch, generated):
+    """`generated`, with every loop hot from its first entry."""
+    monkeypatch.setattr(core, "_HOT", 0)
+    return generated
+
+
+BIG = 10**30
+
+
+class TestLeafFunctions:
+    """Untraced runs of hot leaf loops call a function generated from the
+    loop's block.  With the heat threshold at 0 every leaf loop does so from
+    its first entry, and every run still agrees with the reference walker."""
+
+    def test_fuzz_corpus(self, hot):
+        cfg = GenConfig(seed=12)
+        rng = random.Random(12)
+        for program, full, _ in fuzz_corpus(cfg, 500):
+            names = compile_program(program).variables
+            assert_runs_match_reference(program, [full, *(gen_state(cfg, names, rng) for _ in range(2))])
+        assert hot
+
+    @settings(max_examples=100)
+    @given(wf_terms(), states)
+    def test_hypothesis_terms(self, term, full):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_HOT", 0)
+            assert_runs_match_reference(term, [full])
+
+    def test_abort_positions_inside_leaf_loops(self, hot):
+        # k's leaf loop runs forward (POP y runs out) or inverted (POP w
+        # runs out), inside n's loop run forward or inverted, so each state
+        # aborts in another iteration of both loops
+        program = parse("FOR n { INC v; FOR k { INC x; POP y; PUSH w }; DEC u }")
+        zeros = Cell(0, (0,) * 6, 0)
+        states = [
+            State({"n": Cell(3), "k": Cell(4), "y": zeros}),
+            State({"n": Cell(3), "k": Cell(4), "y": Cell(0, (0,) * 9, 0)}),
+            State({"n": Cell(3), "k": Cell(-4), "w": Cell(0, (0,) * 5, 0)}),
+            State({"n": Cell(-2), "k": Cell(3), "w": Cell(0, (0,) * 4, 0)}),
+            State({"n": Cell(-3), "k": Cell(-2), "y": Cell(0, (0, 0, 0), 0)}),
+        ]
+        runs = compile_program(program)
+        positions = [runs.run(state, "a").record.trace_position for state in states]
+        assert len(set(positions)) == len(positions)
+        assert_runs_match_reference(program, states)
+        assert hot
+
+    def test_big_values(self, hot):
+        program = parse("FOR n { INC x; PUSH x; POP y; DEC z; FOR k { POP z; INC w; PUSH z; DEC x } }")
+        states = [
+            State({"n": Cell(3), "k": Cell(2), "x": Cell(BIG, (BIG, -BIG), 0), "y": Cell(0, (BIG,) * 3, 0)}),
+            State({"n": Cell(2), "k": Cell(-3), "z": Cell(-BIG, (0, BIG), 1), "w": Cell(BIG - 1, (-BIG,), 2)}),
+            State({"n": Cell(-3), "k": Cell(1), "x": Cell(-BIG, (), 3), "y": Cell(BIG + 1, (BIG,), 0)}),
+        ]
+        assert_runs_match_reference(program, states)
+        assert hot
+
+    def test_abort_after_the_loop_turns_hot(self, generated):
+        # 2,000 iterations make the loop hot at its first entry, so the
+        # untraced run aborts in the generated function, in iteration 1,500;
+        # the traced run steps through `_execute` to the same record
+        program = parse("INC u; FOR n { INC x; POP y; DEC z }; INC u")
+        state = State({"n": Cell(2000), "y": Cell(0, (0,) * 1500, 0)})
+        outcome = eval_a(program, state)
+        assert outcome == ref_eval_a(program, state)
+        assert outcome.record.trace_position == 1 + 1500 * 3 + 1
+        steps, _ = eval_traced(program, state, "a")
+        assert steps[-1].abort == outcome.record
+        assert len(generated) == 1
+
+    def test_traced_runs_generate_nothing(self, hot):
+        program = compile_program(parse("FOR n { INC x; FOR m { POP y; PUSH y } }; FOR k { DEC z }"))
+        state = State({"n": Cell(2), "m": Cell(-1), "k": Cell(3), "y": Cell(0, (1,), 0)})
+        for semantics in "nar":
+            for order in SPELLED:
+                program.run(state, semantics, order, [])
+        assert hot == []
+        program.run(state, "r")
+        assert hot
+
+    def test_each_leaf_generates_once_for_all_semantics(self, hot):
+        # forward: n's block (no leaf), m's inverted block, k's block;
+        # backward: k's inverted block, n's inverted block, m's block
+        program = compile_program(parse("FOR n { INC x; FOR m { POP y; PUSH y } }; PUSH z; FOR k { DEC w; POP z }"))
+        state = State({"n": Cell(2), "m": Cell(-1), "k": Cell(1), "y": Cell(0, (1,), 0)})
+        for order in "+-":
+            for semantics in "nar":
+                before = len(hot)
+                assert isinstance(program.run(state, semantics, order), Final)
+                assert semantics == "n" or len(hot) == before
+        assert len(hot) == len({id(block) for block in hot}) == 6
+        assert [any(op == core._LOOP for op, _ in block) for block in hot] == [True, False, False, False, True, False]

@@ -396,6 +396,17 @@ class TestMinimize:
         assert set(shrinks) == set(with_repeats)
         assert (len(shrinks), len(set(shrinks)), len(with_repeats)) == (13, 13, 18)
 
+    @pytest.mark.parametrize(
+        ("value", "half"), [(10**400, 10**400 // 2), (-(10**400), -(10**400) // 2), (2**54 + 6, 2**53 + 3), (-7, -3)]
+    )
+    def test_state_shrinks_halve_values_exactly(self, value, half):
+        # a float halving overflows above about 1.8e308 and rounds above 2**53
+        from scorelang.harness import _state_shrinks
+
+        shrinks = [state.get("x") for state in _state_shrinks(State({"x": Cell(value)}))]
+        step = value - 1 if value > 0 else value + 1
+        assert shrinks == [Cell(0), Cell(half), Cell(step)]
+
     def test_dropping_repeated_states_keeps_every_result(self, monkeypatch):
         # two predicates, each on some 200 generated pairs it holds for
         def aborts(p, s):
