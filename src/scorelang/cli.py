@@ -57,7 +57,7 @@ def _load(args: argparse.Namespace) -> tuple[Program, State, set[str]]:
 
 
 def _abort_lines(record: AbortRecord) -> list[str]:
-    stack = ", ".join(str(e) for e in record.observed.stack)
+    stack = ", ".join(map(str, record.observed.stack))
     return [
         f"step: {record.trace_position + 1}",
         f"instruction: {record.instruction}",
@@ -150,8 +150,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             out += (f"{line}\n" for line in _abort_lines(step.abort)[3:])  # reason, value, stack
             sys.stdout.write("".join(out))
             return EXIT_ABORT
-        out.append(f"step {step.index + 1}: {step.instruction}\n")
-        out.append(dump_cell(step.variable, step.state))
+        out.append(f"step {step.index + 1}: {step.instruction}\n{dump_cell(step.variable, step.state)}")
     out.append("FINAL\n")
     out.append(dump_state(outcome.state, names))
     sys.stdout.write("".join(out))

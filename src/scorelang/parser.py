@@ -67,7 +67,10 @@ def tokenize(src: str) -> list[str]:
     fault = _FAULT_RE.search(code)
     if fault is not None:
         raise ParseError(*_position(code, fault.start()), f"unexpected character {fault.group()!r}")
-    lexemes = _LEXEME_RE.findall(code)
+    # Past the fault check every word starts with a letter or "_", so
+    # splitting at blanks, with blanks around ";", "{" and "}", gives the
+    # lexemes that `_LEXEME_RE` finds, faster.
+    lexemes = code.replace(";", " ; ").replace("{", " { ").replace("}", " } ").split()
     lexemes.append("")
     return lexemes
 

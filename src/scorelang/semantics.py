@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import length_hint
 
-from .state import Cell, DEFAULT_CELL, State
+from .state import Cell, DEFAULT_CELL, State, _new_cell
 from .syntax import (
     _INVERSE,
     _KEYWORD,
@@ -139,6 +139,14 @@ class TraceStep:
     variable: str
     state: Cell | None
     abort: AbortRecord | None = None
+
+
+# The slots of `TraceStep`, set straight through their member descriptors,
+# past the frozen class's `__init__` and `__setattr__`, for a traced run's
+# steps.
+_set_index, _set_instruction, _set_variable, _set_state, _set_abort = (
+    TraceStep.__dict__[field].__set__ for field in TraceStep.__slots__
+)
 
 
 def push_r(cell: Cell) -> Cell:
@@ -249,9 +257,6 @@ _OP_KEYWORD = {op: _KEYWORD[cls] for cls, op in _FORWARD.items()}
 _BODY, _LEAF, _HEAT, _IDLE = 4, 5, 7, 8
 _HOT = 500  # iterations a loop schedules before its leaf functions are generated
 _DIRECTION = {"+": 0, "-": 1}  # the passes of `Program.run`'s order
-# Builds a Cell from a (value, stack, counter) tuple without the Python-level
-# `Cell.__new__`, which costs more than the rest of storing a cell.
-_new_cell = tuple.__new__
 
 
 def _unknown_semantics(semantics: str) -> ValueError:
@@ -401,8 +406,13 @@ def _execute(program: Program, block, atoms: int, scheduled: int, values, stacks
                     break
             else:
                 instruction, name, slot = arg
-                cell = Cell(values[slot], tuple(reversed(stacks[slot])), counters[slot])
-                trace.append(TraceStep(len(trace), instruction, name, cell))
+                step = object.__new__(TraceStep)
+                _set_index(step, len(trace))
+                _set_instruction(step, instruction)
+                _set_variable(step, name)
+                _set_state(step, _new_cell(Cell, (values[slot], tuple(stacks[slot][::-1]), counters[slot])))
+                _set_abort(step, None)
+                trace.append(step)
         else:
             if not frames:
                 return scheduled, -1

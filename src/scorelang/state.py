@@ -16,8 +16,8 @@ State files (conventionally ".sst") are line based::
 
     line := ident "=" int [ "," "[" int ("," int)* "]" [ "," nat ] ]
 
-with blank lines and "#" comments ignored, stacks written top-first, and
-omitted fields defaulting (empty stack, zero counter).
+with blank lines and "#" comments ignored, stacks written top-first,
+omitted fields defaulting (empty stack, zero counter), and ASCII digits.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from collections.abc import Callable, Iterable, Mapping
 from itertools import islice
 from typing import NamedTuple
 
-from .parser import ParseError, split_lines
+from .parser import _COMMENT_RE, ParseError, split_lines
 from .syntax import KEYWORDS, is_identifier
 
 __all__ = [
@@ -54,6 +54,9 @@ class Cell(NamedTuple):
 
 
 DEFAULT_CELL = Cell(0, (), 0)
+# Builds a Cell from a (value, stack, counter) tuple without the Python-level
+# `Cell.__new__`, which costs more than the rest of storing a cell.
+_new_cell = tuple.__new__
 
 
 def hd(stack: tuple[int, ...]) -> int:
@@ -153,9 +156,22 @@ class State:
 
 
 # A token, or a character that starts none (a fault, whose group is empty).
-_STATE_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|-?\d+|[=,\[\]])|[^ \t\f\v]")
-_INT_RE = re.compile(r"-?\d+\Z")
+# Digits are ASCII only, as in programs: `\d` and `int` would take any
+# Unicode decimal digit.
+_STATE_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|-?[0-9]+|[=,\[\]])|[^ \t\f\v]")
+_INT_RE = re.compile(r"-?[0-9]+\Z")
 _SEPARATORS = frozenset({",", "]"})  # what may follow a stack element
+# One line of a state file with LF newlines and no comment: blank, or a
+# binding whose name, value, stack elements and counter are the groups.  No
+# run of blanks is followed by another unless the first is part of an
+# optional group that failed, so a line that does not match fails in time
+# linear in its length.
+_LINE_RE = re.compile(
+    r"^[ \t\f\v]*(?:([A-Za-z_][A-Za-z0-9_]*)[ \t\f\v]*=[ \t\f\v]*(-?[0-9]+)"
+    r"(?:[ \t\f\v]*,[ \t\f\v]*\[[ \t\f\v]*(?:(-?[0-9]+(?:[ \t\f\v]*,[ \t\f\v]*-?[0-9]+)*)[ \t\f\v]*)?\]"
+    r"(?:[ \t\f\v]*,[ \t\f\v]*([0-9]+))?)?[ \t\f\v]*)?$",
+    re.MULTILINE,
+)
 
 
 def _column(line: str, k: int) -> int:
@@ -226,7 +242,35 @@ def parse_state_declarations(src: str) -> list[tuple[str, Cell]]:
 
     Unlike `parse_state`, explicitly declared default bindings are kept, so
     callers can tell which names the file mentioned.
+
+    One scan over the whole text reads a valid file.  Any line it does not
+    match, a keyword or duplicate name, or an integer too long for `int`
+    hands the file to the line-by-line walk, which finds the first fault
+    and works out its line and column.
     """
+    text = src.replace("\r\n", "\n").replace("\r", "\n")
+    if "#" in text:
+        text = _COMMENT_RE.sub("", text)
+    lines = _LINE_RE.findall(text)
+    if len(lines) == text.count("\n") + 1:  # at most one match a line: every line matched
+        declarations = []
+        try:
+            for name, value, stack, counter in lines:
+                if name:
+                    stack = tuple(map(int, stack.split(","))) if stack else ()
+                    declarations.append((name, _new_cell(Cell, (int(value), stack, int(counter or 0)))))
+        except ValueError:  # an integer past the interpreter's digit limit
+            pass
+        else:
+            names = {name for name, _ in declarations}
+            if len(names) == len(declarations) and names.isdisjoint(KEYWORDS):
+                return declarations
+    return _parse_lines(src)
+
+
+def _parse_lines(src: str) -> list[tuple[str, Cell]]:
+    """`parse_state_declarations`, one line at a time, raising the first
+    fault at its line and column."""
     declarations: list[tuple[str, Cell]] = []
     seen: set[str] = set()
     for lineno, raw in enumerate(split_lines(src), start=1):
@@ -263,5 +307,5 @@ def dump_state(state: State, names: Iterable[str]) -> str:
 def dump_cell(name: str, cell: Cell) -> str:
     """One binding line of the state file format, all fields explicit."""
     value, stack, counter = cell
-    inner = ", ".join(str(e) for e in stack)
+    inner = ", ".join(map(str, stack))
     return f"{name} = {value}, [{inner}], {counter}\n"

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from scorelang import (
     Push,
     Seq,
     State,
+    TraceStep,
     compile_program,
     eval_a,
     eval_n,
@@ -285,6 +287,50 @@ class TestSharedBlocks:
         assert program.run(state, "r").state == State({**agreed, "w": Cell(3, (1,), 2)})
         assert program.run(state, "n").state == State(agreed)
         assert len(compiled_blocks) == 3
+
+
+class TestTraceSteps:
+    """A traced run sets its steps' fields past the constructor; the steps
+    are still the frozen values the constructor builds."""
+
+    PROGRAM = parse("INC x; PUSH x; FOR n { INC y; PUSH y }; POP z")
+    STATE = State({"n": Cell(2), "y": Cell(0, (9,), 0), "z": Cell(5, (4,), 0)})
+    COMMON = [
+        TraceStep(0, "INC x", "x", Cell(1)),
+        TraceStep(1, "PUSH x", "x", Cell(0, (1,), 0)),
+        TraceStep(2, "INC y", "y", Cell(1, (9,), 0)),
+        TraceStep(3, "PUSH y", "y", Cell(0, (1, 9), 0)),
+        TraceStep(4, "INC y", "y", Cell(1, (1, 9), 0)),
+        TraceStep(5, "PUSH y", "y", Cell(0, (1, 1, 9), 0)),
+    ]
+    LAST = {  # the illegal POP z: its value is nonzero
+        "n": TraceStep(6, "POP z", "z", Cell(4)),
+        "a": TraceStep(6, "POP z", "z", None, AbortRecord("POP z", "z", "value-nonzero", Cell(5, (4,), 0), 6)),
+        "r": TraceStep(6, "POP z", "z", Cell(5, (4,), 1)),
+    }
+
+    @pytest.mark.parametrize("semantics", "nar")
+    def test_steps_equal_and_hash_as_constructed(self, semantics):
+        steps, _ = eval_traced(self.PROGRAM, self.STATE, semantics)
+        expected = [*self.COMMON, self.LAST[semantics]]
+        assert steps == expected
+        assert list(map(hash, steps)) == list(map(hash, expected))
+        assert all(type(step) is TraceStep for step in steps)
+
+    @pytest.mark.parametrize("semantics", "nar")
+    def test_steps_are_frozen(self, semantics):
+        steps, _ = eval_traced(self.PROGRAM, self.STATE, semantics)
+        for step in steps:
+            for field in fields(TraceStep):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(step, field.name, None)
+
+    @pytest.mark.parametrize("semantics", "nar")
+    def test_stacks_are_tuples_top_first(self, semantics):
+        steps, _ = eval_traced(self.PROGRAM, self.STATE, semantics)
+        cells = [step.state for step in steps if step.abort is None]
+        assert all(type(cell) is Cell and type(cell.stack) is tuple for cell in cells)
+        assert steps[3].state.stack[0] == 1  # the value PUSH y saved last is on top
 
 
 class TestDeepNests:

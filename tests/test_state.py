@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from scorelang import (
     parse_state_declarations,
     tl,
 )
+from scorelang.state import _parse_lines
 from term_strategies import cells, idents, states
 
 
@@ -218,6 +221,10 @@ STATE_FILE_FAULTS = [
     ("x = -" + "1" * 5000, 1, 5, "integer too long: 5000 digits", ()),
     ("x = 1, [0, " + "2" * 5000 + "]", 1, 12, "integer too long: 5000 digits", ()),
     ("x = 1, [], " + "3" * 5000, 1, 12, "integer too long: 5000 digits", ()),
+    # digits are ASCII only: any other decimal digit is a fault character
+    ("x = \u0663, [2], 1", 1, 5, "unexpected character '\u0663'", ()),
+    ("x = 3, [2, \u0968], 1", 1, 12, "unexpected character '\u0968'", ()),
+    ("x = 3, [2], \uff11", 1, 13, "unexpected character '\uff11'", ()),
 ]
 
 
@@ -228,6 +235,84 @@ class TestStateFileFaults:
             parse_state(src)
         error = info.value
         assert (error.line, error.column, error.message, error.expected) == (line, column, message, expected)
+
+
+# Pieces of valid lines, and what the mutations insert or put in their
+# place: blanks, line breaks, comments, punctuation, digits (an ASCII one
+# and others), keywords and integers too long for `int`.
+NAMES = ("x", "y", "_v1", "ab", "x1")  # a few names, for duplicates
+BLANKS = ("", " ", "  ", "\t", "\f", "\v")
+MUTATIONS = (
+    "#", " # note", "\r", "\n", "\r\n", "\f", "\v", " ", "-", "[", "]", ",", "=", "0", "7", "12",
+    "\u0663", "\xa0", "\x1c", "FOR", "POP", "SKIP", "x", "y", "1" * 5000, "-" + "2" * 5000,
+)  # fmt: skip
+
+
+def _random_line(rng):
+    """A valid binding with random blanks and fields, or a blank line."""
+    if rng.random() < 0.1:
+        return rng.choice(BLANKS)
+    name = rng.choice(NAMES) if rng.random() < 0.2 else f"{rng.choice('abxyz_')}{rng.randint(0, 99)}"
+    fields = [name, "=", str(rng.randint(-30, 30))]
+    if rng.random() < 0.6:
+        elements = [str(rng.randint(-30, 30)) for _ in range(rng.randint(0, 3))]
+        fields += [",", "[", *" , ".join(elements).split(), "]"]
+        if rng.random() < 0.5:
+            fields += [",", str(rng.randint(0, 12))]
+    line = "".join(field + rng.choice(BLANKS) for field in fields)
+    return rng.choice(BLANKS) + line + rng.choice(("", "", "# c", " #x = 1"))
+
+
+def _mutate(rng, line):
+    """`line` with a piece inserted, or a character deleted or replaced."""
+    k = rng.randint(0, len(line))
+    roll = rng.random()
+    if roll < 0.2 and line:
+        return line[:k] + line[k + 1 :]
+    return line[:k] + rng.choice(MUTATIONS) + line[k + (roll < 0.5) :]
+
+
+def random_state_source(rng):
+    """A state file of valid and mutated lines joined by random line breaks."""
+    lines = [_random_line(rng) for _ in range(rng.randint(0, 6))]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        if lines:
+            k = rng.randrange(len(lines))
+            lines[k] = _mutate(rng, lines[k])
+    return "".join(line + rng.choice(("\n", "\r\n", "\r")) for line in lines) + rng.choice(("", "x = 1"))
+
+
+def state_outcome(parse_fn, src):
+    """The declarations, with their types shown, or the fault's fields."""
+    try:
+        return repr(parse_fn(src))
+    except ParseError as err:
+        return err.line, err.column, err.message, err.expected
+
+
+class TestStateScanAgainstLineWalk:
+    def test_random_sources(self):
+        rng = random.Random(20261018)
+        for _ in range(3_000):
+            src = random_state_source(rng)
+            assert state_outcome(parse_state_declarations, src) == state_outcome(_parse_lines, src), src
+
+    def test_valid_files_need_no_line_walk(self, monkeypatch):
+        """Line breaks of every convention, comments and blank lines are
+        read by the one scan, not handed to the walk."""
+        src = "# state\r\nx = 1, [2], 0 # one\r\n\n\ty=-3,[ ],1\r\v\rz = 4"
+        expected = _parse_lines(src)
+
+        def walk(src):
+            raise AssertionError("handed to the line walk")
+
+        monkeypatch.setattr("scorelang.state._parse_lines", walk)
+        assert parse_state_declarations(src) == expected
+
+    def test_cells_are_cells_with_tuple_stacks(self):
+        declarations = parse_state_declarations("x = 1, [2, -3], 4\ny = -5, []\nz = 0")
+        assert declarations == [("x", Cell(1, (2, -3), 4)), ("y", Cell(-5)), ("z", Cell(0))]
+        assert all(type(cell) is Cell and type(cell.stack) is tuple for _, cell in declarations)
 
 
 class TestDumpState:
