@@ -43,11 +43,6 @@ _FAULT_RE = re.compile(r"[^A-Za-z_;{} \t\f\v\r\n](?<![A-Za-z0-9_][0-9])")
 _LEXEME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[;{}]")
 
 
-def split_lines(src: str) -> list[str]:
-    """Split on any newline convention (LF, CRLF, CR)."""
-    return src.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-
-
 def _position(text: str, offset: int) -> tuple[int, int]:
     """1-based (line, column) of `offset` in `text`, under any newline
     convention.  Replacing each comment by a space keeps every line break

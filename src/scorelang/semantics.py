@@ -259,6 +259,11 @@ _HOT = 500  # iterations a loop schedules before its leaf functions are generate
 _DIRECTION = {"+": 0, "-": 1}  # the passes of `Program.run`'s order
 
 
+def _loop_cache(body: Term) -> list:
+    """A fresh loop cache for `body`: nothing compiled, cold, idleness unknown."""
+    return [None, None, None, None, body, None, None, 0, None]
+
+
 def _unknown_semantics(semantics: str) -> ValueError:
     return ValueError(f"unknown semantics {semantics!r}; expected 'n', 'a' or 'r'")
 
@@ -436,7 +441,7 @@ class Program:
         self.variables: tuple[str, ...] = tuple(slots)
         self._slots = slots
         self._loops: dict[int, list] = {}  # each FOR node's cache, by the node's id
-        self._top = [None, None, None, None, term, None, None, 0, None]  # the whole program's cache
+        self._top = _loop_cache(term)  # the whole program's cache
 
     def run(
         self, state: State, semantics: str = "r", order: str = "+", trace: list[TraceStep] | None = None
@@ -526,7 +531,7 @@ class Program:
             if kind is For:
                 cache = loops.get(id(t))
                 if cache is None:
-                    cache = loops[id(t)] = [None, None, None, None, t.body, None, None, 0, None]
+                    cache = loops[id(t)] = _loop_cache(t.body)
                 entries.append((_LOOP, (slots[t.leader], cache, index, atoms)))
             else:
                 name = t.var

@@ -18,16 +18,18 @@ State files (conventionally ".sst") are line based::
 
 with blank lines and "#" comments ignored, stacks written top-first,
 omitted fields defaulting (empty stack, zero counter), and ASCII digits.
+A blank line holds nothing but spaces, tabs, form feeds and vertical tabs
+(" \t\f\v") once its comment is removed; any other character, such as a
+no-break space, is a fault wherever it stands on a line.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterable, Mapping
-from itertools import islice
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
-from .parser import _COMMENT_RE, ParseError, split_lines
+from .parser import _COMMENT_RE, ParseError
 from .syntax import KEYWORDS, is_identifier
 
 __all__ = [
@@ -161,80 +163,18 @@ class State:
 _STATE_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|-?[0-9]+|[=,\[\]])|[^ \t\f\v]")
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 _SEPARATORS = frozenset({",", "]"})  # what may follow a stack element
-# One line of a state file with LF newlines and no comment: blank, or a
-# binding whose name, value, stack elements and counter are the groups.  No
+# One line of a state file with LF newlines and no comment: blank, a binding
+# whose name, value, stack elements and counter are the first four groups,
+# or else a faulty line, the fifth group, so every line gives one match.  No
 # run of blanks is followed by another unless the first is part of an
-# optional group that failed, so a line that does not match fails in time
-# linear in its length.
+# optional group that failed, so a line that is no binding fails the first
+# branch in time linear in its length.
 _LINE_RE = re.compile(
     r"^[ \t\f\v]*(?:([A-Za-z_][A-Za-z0-9_]*)[ \t\f\v]*=[ \t\f\v]*(-?[0-9]+)"
     r"(?:[ \t\f\v]*,[ \t\f\v]*\[[ \t\f\v]*(?:(-?[0-9]+(?:[ \t\f\v]*,[ \t\f\v]*-?[0-9]+)*)[ \t\f\v]*)?\]"
-    r"(?:[ \t\f\v]*,[ \t\f\v]*([0-9]+))?)?[ \t\f\v]*)?$",
+    r"(?:[ \t\f\v]*,[ \t\f\v]*([0-9]+))?)?[ \t\f\v]*)?$|^(.+)",
     re.MULTILINE,
 )
-
-
-def _column(line: str, k: int) -> int:
-    """The 1-based column of token `k` of `line`, or of the end of the line."""
-    m = next(islice(_STATE_TOKEN_RE.finditer(line), k, None), None)
-    return m.start() + 1 if m else len(line) + 1
-
-
-def _parse_binding(line: str, lineno: int) -> tuple[str, Cell]:
-    """The name and the cell of one binding line.  Columns are worked out
-    only for an error."""
-    words = _STATE_TOKEN_RE.findall(line)
-    count = len(words)
-    if "" in words:
-        column = _column(line, words.index(""))
-        raise ParseError(lineno, column, f"unexpected character {line[column - 1]!r}")
-    words.reverse()  # the next token is the last
-    name = words[-1]
-
-    def take(ok: Callable[[str], object], message: str, expected: tuple[str, ...]) -> str:
-        """The next token ("" at the end of the line) if `ok` holds for it;
-        else a ParseError at it, whose message may name the binding's
-        `{name}`, formatted only then."""
-        word = words.pop() if words else ""
-        if not ok(word):
-            column = _column(line, count - len(words) - 1) if word else len(line) + 1
-            raise ParseError(lineno, column, message.format(name=name), expected)
-        return word
-
-    def number(ok: Callable[[str], object], message: str, expected: tuple[str, ...]) -> int:
-        """The next token as an integer, as `take` checks it.  A token too
-        long for `int` is refused here, without a change to the limit
-        (a setting of the whole process)."""
-        word = take(ok, message, expected)
-        try:
-            return int(word)
-        except ValueError:
-            column = _column(line, count - len(words) - 1)
-            raise ParseError(lineno, column, f"integer too long: {len(word.lstrip('-'))} digits") from None
-
-    if name in KEYWORDS:
-        raise ParseError(lineno, _column(line, 0), f"keyword {name!r} cannot be a variable name")
-    take(is_identifier, "expected a variable name, found {name!r}", ("identifier",))
-    take("=".__eq__, "expected '=' after {name!r}", ("=",))
-    value = number(_INT_RE.match, "expected an integer value", ("integer",))
-    stack: list[int] = []
-    counter = 0
-    if words:
-        take(",".__eq__, "expected ',' or end of line", (",",))
-        take("[".__eq__, "expected '[' to open the stack", ("[",))
-        if words and words[-1] == "]":
-            words.pop()
-        else:
-            separator = ","
-            while separator == ",":
-                stack.append(number(_INT_RE.match, "expected a stack element", ("integer",)))
-                separator = take(_SEPARATORS.__contains__, "expected ']' to close the stack", ("]",))
-        if words:
-            take(",".__eq__, "expected ',' or end of line", (",",))
-            counter = number(str.isdigit, "counter must be a non-negative integer", ("nat",))
-    if words:
-        raise ParseError(lineno, _column(line, count - len(words)), f"unexpected trailing input {words[-1]!r}")
-    return name, Cell(value, tuple(stack), counter)
 
 
 def parse_state_declarations(src: str) -> list[tuple[str, Cell]]:
@@ -243,46 +183,87 @@ def parse_state_declarations(src: str) -> list[tuple[str, Cell]]:
     Unlike `parse_state`, explicitly declared default bindings are kept, so
     callers can tell which names the file mentioned.
 
-    One scan over the whole text reads a valid file.  Any line it does not
-    match, a keyword or duplicate name, or an integer too long for `int`
-    hands the file to the line-by-line walk, which finds the first fault
-    and works out its line and column.
+    One scan over the whole text gives a row per line, read in file order.
+    The first faulty row raises: a duplicate name here, and a line that is
+    no binding, a keyword name or an integer too long for `int` in
+    `_fault`, which finds the fault's column.
     """
     text = src.replace("\r\n", "\n").replace("\r", "\n")
     if "#" in text:
         text = _COMMENT_RE.sub("", text)
-    lines = _LINE_RE.findall(text)
-    if len(lines) == text.count("\n") + 1:  # at most one match a line: every line matched
-        declarations = []
+    cells: dict[str, Cell] = {}
+    for lineno, (name, value, stack, counter, fault) in enumerate(_LINE_RE.findall(text), start=1):
+        if name:
+            try:
+                stack = tuple(map(int, stack.split(","))) if stack else ()
+                cell = _new_cell(Cell, (int(value), stack, int(counter or 0)))
+            except ValueError:  # an integer past the interpreter's digit limit
+                cell = None
+            if cell is None or name in KEYWORDS or name in cells:
+                line = text.split("\n", lineno)[lineno - 1]
+                if cell is not None and name in cells:  # a keyword is never in `cells`
+                    column = len(line) - len(line.lstrip(" \t\f\v")) + 1
+                    raise ParseError(lineno, column, f"duplicate binding for {name!r}")
+                _fault(line, lineno)
+            cells[name] = cell
+        elif fault:
+            _fault(fault, lineno)
+    return list(cells.items())
+
+
+def _fault(line: str, lineno: int) -> NoReturn:
+    """Raise the first fault of `line`, line `lineno` of a state file with
+    its comment removed, at its column, which each token carries with it.
+    Handed a line without a fault, it raises an internal error."""
+    tokens = [(m[1], m.start() + 1) for m in _STATE_TOKEN_RE.finditer(line)]
+    for word, column in tokens:
+        if word is None:
+            raise ParseError(lineno, column, f"unexpected character {line[column - 1]!r}")
+    tokens.reverse()  # the next token is the last
+    end = ("", len(line) + 1)
+    name = tokens[-1][0] if tokens else ""
+
+    def take(ok: Callable[[str], object], message: str, expected: tuple[str, ...]) -> tuple[str, int]:
+        """The next token and its column ("" and the column past the line at
+        its end) if `ok` holds for the token; else a ParseError at it, whose
+        message may name the binding's `{name}`, formatted only then."""
+        word, column = tokens.pop() if tokens else end
+        if not ok(word):
+            raise ParseError(lineno, column, message.format(name=name), expected)
+        return word, column
+
+    def number(ok: Callable[[str], object], message: str, expected: tuple[str, ...]) -> None:
+        """Take the next token as `take` does; `int` must take it too.  A
+        token too long for `int` is refused here, without a change to the
+        limit (a setting of the whole process)."""
+        word, column = take(ok, message, expected)
         try:
-            for name, value, stack, counter in lines:
-                if name:
-                    stack = tuple(map(int, stack.split(","))) if stack else ()
-                    declarations.append((name, _new_cell(Cell, (int(value), stack, int(counter or 0)))))
-        except ValueError:  # an integer past the interpreter's digit limit
-            pass
+            int(word)
+        except ValueError:
+            raise ParseError(lineno, column, f"integer too long: {len(word.lstrip('-'))} digits") from None
+
+    if name in KEYWORDS:
+        raise ParseError(lineno, tokens[-1][1], f"keyword {name!r} cannot be a variable name")
+    take(is_identifier, "expected a variable name, found {name!r}", ("identifier",))
+    take("=".__eq__, "expected '=' after {name!r}", ("=",))
+    number(_INT_RE.match, "expected an integer value", ("integer",))
+    if tokens:
+        take(",".__eq__, "expected ',' or end of line", (",",))
+        take("[".__eq__, "expected '[' to open the stack", ("[",))
+        if tokens and tokens[-1][0] == "]":
+            tokens.pop()
         else:
-            names = {name for name, _ in declarations}
-            if len(names) == len(declarations) and names.isdisjoint(KEYWORDS):
-                return declarations
-    return _parse_lines(src)
-
-
-def _parse_lines(src: str) -> list[tuple[str, Cell]]:
-    """`parse_state_declarations`, one line at a time, raising the first
-    fault at its line and column."""
-    declarations: list[tuple[str, Cell]] = []
-    seen: set[str] = set()
-    for lineno, raw in enumerate(split_lines(src), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        name, cell = _parse_binding(line, lineno)
-        if name in seen:
-            raise ParseError(lineno, _column(line, 0), f"duplicate binding for {name!r}")
-        seen.add(name)
-        declarations.append((name, cell))
-    return declarations
+            separator = ","
+            while separator == ",":
+                number(_INT_RE.match, "expected a stack element", ("integer",))
+                separator, _ = take(_SEPARATORS.__contains__, "expected ']' to close the stack", ("]",))
+        if tokens:
+            take(",".__eq__, "expected ',' or end of line", (",",))
+            number(str.isdigit, "counter must be a non-negative integer", ("nat",))
+    if tokens:
+        word, column = tokens[-1]
+        raise ParseError(lineno, column, f"unexpected trailing input {word!r}")
+    raise AssertionError(f"state-file line {lineno} has no fault: {line!r}")
 
 
 def parse_state(src: str) -> State:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -15,7 +16,9 @@ from scorelang import (
     parse_state_declarations,
     tl,
 )
-from scorelang.state import _parse_lines
+from reference_state import _parse_lines
+from scorelang import state
+from scorelang.syntax import KEYWORDS
 from term_strategies import cells, idents, states
 
 
@@ -225,6 +228,13 @@ STATE_FILE_FAULTS = [
     ("x = \u0663, [2], 1", 1, 5, "unexpected character '\u0663'", ()),
     ("x = 3, [2, \u0968], 1", 1, 12, "unexpected character '\u0968'", ()),
     ("x = 3, [2], \uff11", 1, 13, "unexpected character '\uff11'", ()),
+    # a line is blank only when it holds nothing but " \t\f\v"
+    ("x = 1\n\xa0 \n", 2, 1, "unexpected character '\\xa0'", ()),
+    ("\x1c\nx = 1", 1, 1, "unexpected character '\\x1c'", ()),
+    ("x = 1\n\u2028", 2, 1, "unexpected character '\\u2028'", ()),
+    ("\x85 # note", 1, 1, "unexpected character '\\x85'", ()),
+    # a line's integers are checked before its name is checked for a duplicate
+    ("x = 1\nx = " + "4" * 5000, 2, 5, "integer too long: 5000 digits", ()),
 ]
 
 
@@ -246,6 +256,10 @@ MUTATIONS = (
     "#", " # note", "\r", "\n", "\r\n", "\f", "\v", " ", "-", "[", "]", ",", "=", "0", "7", "12",
     "\u0663", "\xa0", "\x1c", "FOR", "POP", "SKIP", "x", "y", "1" * 5000, "-" + "2" * 5000,
 )  # fmt: skip
+
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NUMBER_RE = re.compile(r"(?<![A-Za-z0-9_])-?[0-9]+")  # an integer, not the digits of a name
 
 
 def _random_line(rng):
@@ -299,15 +313,38 @@ class TestStateScanAgainstLineWalk:
 
     def test_valid_files_need_no_line_walk(self, monkeypatch):
         """Line breaks of every convention, comments and blank lines are
-        read by the one scan, not handed to the walk."""
+        read by the one scan, and the fault walk is never called."""
         src = "# state\r\nx = 1, [2], 0 # one\r\n\n\ty=-3,[ ],1\r\v\rz = 4"
         expected = _parse_lines(src)
 
-        def walk(src):
-            raise AssertionError("handed to the line walk")
+        def walk(line, lineno):
+            raise AssertionError("handed to the fault walk")
 
-        monkeypatch.setattr("scorelang.state._parse_lines", walk)
+        monkeypatch.setattr(state, "_fault", walk)
         assert parse_state_declarations(src) == expected
+
+    def test_fault_walk_only_raises(self):
+        """`_fault` raises the line walk's ParseError, and never returns, on
+        every mutated line that `_LINE_RE` refuses, on lines binding a
+        keyword and on lines with an integer over the digit limit; handed a
+        line that it accepts, it raises an internal error."""
+        rng = random.Random(20261019)
+        faulty = []
+        for _ in range(3_000):
+            line = _random_line(rng).split("#")[0]
+            pieces = re.split(r"[\r\n]", _mutate(rng, line).split("#")[0])
+            faulty += [piece for piece in pieces if state._LINE_RE.match(piece)[5]]
+            if line.strip(" \t\f\v"):
+                faulty.append(_NAME_RE.sub(rng.choice(sorted(KEYWORDS)), line, count=1))
+                number = rng.choice(list(_NUMBER_RE.finditer(line)))
+                faulty.append(line[: number.start()] + "9" * 5000 + line[number.end() :])
+        assert len(faulty) > 7_000
+        for line in faulty:
+            expected = state_outcome(_parse_lines, line)
+            assert isinstance(expected, tuple), line
+            assert state_outcome(lambda line: state._fault(line, 1), line) == expected, line
+        with pytest.raises(AssertionError):
+            state._fault("x = 1, [2], 0", 1)
 
     def test_cells_are_cells_with_tuple_stacks(self):
         declarations = parse_state_declarations("x = 1, [2, -3], 4\ny = -5, []\nz = 0")
