@@ -22,10 +22,9 @@ from .semantics import (
     IllFormedProgramError,
     NonzeroCounterError,
     Program,
-    TraceStep,
     compile_program,
 )
-from .state import State, _declared_state, dump_cell, dump_state, parse_state_declarations
+from .state import State, _declared_state, dump_state, parse_state_declarations
 from .syntax import check_well_formed, invert, pretty
 
 EXIT_OK = 0
@@ -141,16 +140,22 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     program, initial, names = _load(args)
-    steps: list[TraceStep] = []
-    outcome = program.run(initial, args.semantics, "-" if args.backward else "+", steps)
-    out = []
-    for step in steps:
-        if step.abort is not None:
-            out.append(f"ABORT at step {step.index + 1}: {step.instruction}\n")
-            out += (f"{line}\n" for line in _abort_lines(step.abort)[3:])  # reason, value, stack
-            sys.stdout.write("".join(out))
-            return EXIT_ABORT
-        out.append(f"step {step.index + 1}: {step.instruction}\n{dump_cell(step.variable, step.state)}")
+    out: list[str] = []  # one block per step so far
+    append = out.append
+
+    def observe(instruction, name, value, stack, counter):
+        # the step's block: its label, then its cell as `dump_cell` writes
+        # it; a state file's integers are ints, so the reversed list of them
+        # prints as the stack, top first
+        append(f"step {len(out) + 1}: {instruction}\n{name} = {value}, {stack[::-1]}, {counter}\n")
+
+    outcome = program.run(initial, args.semantics, "-" if args.backward else "+", observe)
+    if isinstance(outcome, Aborted):
+        record = outcome.record
+        out.append(f"ABORT at step {record.trace_position + 1}: {record.instruction}\n")
+        out += (f"{line}\n" for line in _abort_lines(record)[3:])  # reason, value, stack
+        sys.stdout.write("".join(out))
+        return EXIT_ABORT
     out.append("FINAL\n")
     out.append(dump_state(outcome.state, names))
     sys.stdout.write("".join(out))

@@ -19,7 +19,7 @@ import re
 from itertools import islice
 from typing import NoReturn
 
-from .syntax import _KEYWORD, KEYWORDS, Skip, Term, _loop, _sequence
+from .syntax import _KEYWORD, KEYWORDS, Skip, Term, _atom, _loop, _sequence
 
 __all__ = ["ParseError", "parse"]
 
@@ -96,8 +96,9 @@ def parse(src: str) -> Term:
     being read and `open_loops` holds, per enclosing FOR, the enclosing
     sequence's parts and the loop's leader, so no nesting recurses."""
     lexemes = tokenize(src)
-    # Terms are immutable, so each distinct atom is built (and its name
-    # checked) once and then shared.
+    # Terms are immutable, so each distinct atom is built once and then
+    # shared.  The lexer vouches for every name that is no keyword, so atoms
+    # and loops are built past their constructors' checks.
     atoms: dict[tuple[str, str], Term] = {}
     open_loops: list[tuple[list[Term], str]] = []
     parts: list[Term] = []
@@ -111,7 +112,7 @@ def parse(src: str) -> Term:
                 _fail(src, lexemes, i + 1, f"expected a variable name after {word}" + _found(name), ("identifier",))
             atom = atoms.get((word, name))
             if atom is None:
-                atom = atoms[word, name] = make(name)
+                atom = atoms[word, name] = _atom(make, name)
             parts.append(atom)
             i += 2
         elif word == "SKIP":
@@ -142,7 +143,7 @@ def parse(src: str) -> Term:
             parts, leader = open_loops.pop()
             if word != "}":
                 _fail(src, lexemes, i, f"expected '}}' to close FOR {leader}" + _found(word), ("}",))
-            parts.append(_loop(leader, body))  # the lexer vouches for the leader
+            parts.append(_loop(leader, body))
             i += 1
             word = lexemes[i]
         i += 1

@@ -38,6 +38,7 @@ states with a nonzero counter.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import length_hint
@@ -141,12 +142,9 @@ class TraceStep:
     abort: AbortRecord | None = None
 
 
-# The slots of `TraceStep`, set straight through their member descriptors,
-# past the frozen class's `__init__` and `__setattr__`, for a traced run's
-# steps.
-_set_index, _set_instruction, _set_variable, _set_state, _set_abort = (
-    TraceStep.__dict__[field].__set__ for field in TraceStep.__slots__
-)
+# What `Program.run` calls after each executed atom of a traced run:
+# ``observe(instruction, variable, value, stack, counter)``.
+_Observer = Callable[[str, str, int, list, int], object]
 
 
 def push_r(cell: Cell) -> Cell:
@@ -204,8 +202,9 @@ def pop_r(cell: Cell) -> Cell:
 # pair semantics run only on states whose counters are 0, and only an
 # illegal POP under `r` ever raises a counter, so there `push_r` always
 # takes its first clause, the pair push, and a legal POP is the pair pop.
-# A traced run adds an observer entry after each atom, so a program keeps
-# one set of blocks for untraced runs and one for traced runs.
+# A traced run adds an observer entry after each atom, which hands the
+# atom's label, name and slot to the run's observer, so a program keeps one
+# set of blocks for untraced runs and one for traced runs.
 #
 # A loop entry's arg is ``(leader slot, cache, index, atoms before)``.  The
 # cache, one per FOR node, holds the loop's four blocks, each compiled on
@@ -346,15 +345,19 @@ def _abort_position(scheduled: int, left: int, frames: list[tuple]) -> int:
     return scheduled - left
 
 
-def _execute(program: Program, block, atoms: int, scheduled: int, values, stacks, counters, semantics, trace) -> tuple:
+def _execute(
+    program: Program, block, atoms: int, scheduled: int, values, stacks, counters, semantics, observe
+) -> tuple:
     """Run one block of `program` on the slot lists under `semantics`,
     `scheduled` counting the steps scheduled so far, the block's own
     included.  Returns the number of steps run and -1 when the block
     completes, else the number run before a POP aborted and the POP's slot.
-    A loop entry runs a hot leaf loop's function in an untraced run; else
-    it pushes a frame (enclosing iterator, its atoms, atoms before the
-    entry, body atoms, repeats left) and goes on with the body's block
-    repeated, so nesting does not recurse."""
+    An observer entry calls `observe` with its atom's label and name and
+    the slot's live value, stack list and counter.  A loop entry runs a hot
+    leaf loop's function in an untraced run; else it pushes a frame
+    (enclosing iterator, its atoms, atoms before the entry, body atoms,
+    repeats left) and goes on with the body's block repeated, so nesting
+    does not recurse."""
     frames: list[tuple] = []
     it = iter(block)
     while True:
@@ -392,7 +395,7 @@ def _execute(program: Program, block, atoms: int, scheduled: int, values, stacks
                     if not body_atoms and count > 1 and _idle(cache):
                         continue
                     scheduled += count * body_atoms
-                    if trace is None:
+                    if observe is None:
                         leaf = cache[_LEAF + index]
                         if leaf is None:
                             cache[_HEAT] += count
@@ -411,13 +414,7 @@ def _execute(program: Program, block, atoms: int, scheduled: int, values, stacks
                     break
             else:
                 instruction, name, slot = arg
-                step = object.__new__(TraceStep)
-                _set_index(step, len(trace))
-                _set_instruction(step, instruction)
-                _set_variable(step, name)
-                _set_state(step, _new_cell(Cell, (values[slot], tuple(stacks[slot][::-1]), counters[slot])))
-                _set_abort(step, None)
-                trace.append(step)
+                observe(instruction, name, values[slot], stacks[slot], counters[slot])
         else:
             if not frames:
                 return scheduled, -1
@@ -443,26 +440,27 @@ class Program:
         self._loops: dict[int, list] = {}  # each FOR node's cache, by the node's id
         self._top = _loop_cache(term)  # the whole program's cache
 
-    def run(
-        self, state: State, semantics: str = "r", order: str = "+", trace: list[TraceStep] | None = None
-    ) -> RunOutcome:
+    def run(self, state: State, semantics: str = "r", order: str = "+", observe: _Observer | None = None) -> RunOutcome:
         """Run from `state` under semantics "n", "a" or "r".
 
         `order` lists the passes, run one after another as one program:
         "+" is the program and "-" its inverse, so "+-" runs P; -P.  The
         result is Final(state), or Aborted(record) when an assert run
-        aborts.  Given `trace`, an empty list, the run appends a TraceStep
-        for every executed INC/DEC/PUSH/POP (loop bodies unfold; SKIP leaves
-        no step), each with the cell it touched, and for an abort a last one
-        carrying the record.  The pair semantics refuse a state with a
-        nonzero counter.
+        aborts.  Given `observe`, the run calls
+        ``observe(instruction, variable, value, stack, counter)`` after
+        every executed INC/DEC/PUSH/POP (loop bodies unfold; SKIP makes no
+        call) with the live fields of the variable's cell: ``stack`` is the
+        run's own list, top at the end, which the observer must neither keep
+        nor change.  An aborting POP makes no call; the record says where it
+        stopped.  An exception from `observe` ends the run.  The pair
+        semantics refuse a state with a nonzero counter.
         """
         if semantics not in _SEMANTICS:
             raise _unknown_semantics(semantics)
         if order.strip("+-"):
             raise ValueError(f"order must be made of '+' and '-', got {order!r}")
         slots = self._load(state, semantics)
-        record = self._exec(*slots, semantics, order, trace)
+        record = self._exec(*slots, semantics, order, observe)
         if record is not None:
             return Aborted(record)
         return Final(self._store(state, *slots))
@@ -479,22 +477,19 @@ class Program:
         loaded = [cells.get(name, DEFAULT_CELL) for name in self.variables]
         return [cell[0] for cell in loaded], [[*cell[1][::-1]] for cell in loaded], [cell[2] for cell in loaded]
 
-    def _exec(self, values, stacks, counters, semantics: str, order: str, trace: list[TraceStep] | None = None):
+    def _exec(self, values, stacks, counters, semantics: str, order: str, observe: _Observer | None = None):
         """Run the passes of `order` in place on the slot lists.  Returns
         None, or the AbortRecord of an assert run that aborts."""
-        traced = trace is not None
+        traced = observe is not None
         steps = 0
         for sign in order:
             block, atoms = self._block(self._top, _DIRECTION[sign] + 2 * traced)
-            steps, failed = _execute(self, block, atoms, steps + atoms, values, stacks, counters, semantics, trace)
+            steps, failed = _execute(self, block, atoms, steps + atoms, values, stacks, counters, semantics, observe)
             if failed >= 0:
                 value, name = values[failed], self.variables[failed]
                 reason = "value-nonzero" if value else "empty-stack"
                 observed = Cell(value, tuple(reversed(stacks[failed])), 0)
-                record = AbortRecord(f"POP {name}", name, reason, observed, steps)
-                if traced:
-                    trace.append(TraceStep(steps, record.instruction, name, None, record))
-                return record
+                return AbortRecord(f"POP {name}", name, reason, observed, steps)
         return None
 
     def _store(self, state: State, values, stacks, counters) -> State:
@@ -579,5 +574,26 @@ def eval_traced(term: Term, state: State, semantics: str = "r") -> tuple[list[Tr
     if semantics not in _SEMANTICS:
         raise _unknown_semantics(semantics)
     steps: list[TraceStep] = []
-    outcome = compile_program(term).run(state, semantics, trace=steps)
-    return steps, None if type(outcome) is Aborted else outcome.state
+    # The observer sets each step's slots straight through their member
+    # descriptors, past the frozen class's `__init__` and `__setattr__`,
+    # and reads the setters from this closure, which is cheaper than globals.
+    append, new, cell = steps.append, object.__new__, _new_cell
+    set_index, set_instruction, set_variable, set_state, set_abort = (
+        TraceStep.__dict__[field].__set__ for field in TraceStep.__slots__
+    )
+
+    def observe(instruction, name, value, stack, counter):
+        step = new(TraceStep)
+        set_index(step, len(steps))
+        set_instruction(step, instruction)
+        set_variable(step, name)
+        set_state(step, cell(Cell, (value, tuple(stack[::-1]), counter)))
+        set_abort(step, None)
+        append(step)
+
+    outcome = compile_program(term).run(state, semantics, "+", observe)
+    if type(outcome) is Aborted:
+        record = outcome.record
+        append(TraceStep(record.trace_position, record.instruction, record.variable, None, record))
+        return steps, None
+    return steps, outcome.state

@@ -152,10 +152,11 @@ class For(_Compound):
         _require_identifier(self.leader)
 
 
-# The slots of `For`, set straight through their member descriptors, past
-# the frozen class's `__setattr__`.
+# The slots of `For` and of the atoms, set straight through their member
+# descriptors, past the frozen classes' `__setattr__`.
 _set_leader = For.__dict__["leader"].__set__
 _set_body = For.__dict__["body"].__set__
+_set_var = _Unary.__dict__["var"].__set__
 
 
 def _loop(leader: Identifier, body: Term) -> For:
@@ -164,6 +165,15 @@ def _loop(leader: Identifier, body: Term) -> For:
     new = object.__new__(For)
     _set_leader(new, leader)
     _set_body(new, body)
+    return new
+
+
+def _atom(cls: type[_Unary], name: Identifier) -> _Unary:
+    """The INC, DEC, PUSH or POP of class `cls` on `name`, built without the
+    constructor's check: the caller vouches that `name` is a valid
+    identifier."""
+    new = object.__new__(cls)
+    _set_var(new, name)
     return new
 
 
@@ -221,7 +231,7 @@ def invert(term: Term) -> Term:
         if swap is not None:
             inverse = inverses.get((cls, t.var))
             if inverse is None:
-                inverse = inverses[cls, t.var] = swap(t.var)
+                inverse = inverses[cls, t.var] = _atom(swap, t.var)  # the name was checked in `t`
             done.append(inverse)
         elif cls is Seq:
             todo.append(_Mark(len(t.parts)))

@@ -12,6 +12,7 @@ import pytest
 import scorelang
 from scorelang import Cell, Fail, Pass, exhaustive_pop_injective, harness, parse_state, pop_r
 from scorelang.cli import main
+from scorelang.state import dump_cell
 
 
 @pytest.fixture
@@ -339,6 +340,49 @@ class TestTrace:
             "x = 2, [], 0\n"
             "y = 2, [], 0\n"
         )
+
+
+def rendered_trace(steps, final, names):
+    """The `trace` stdout and exit code for `eval_traced`'s steps and final
+    state, each step's cell printed by `dump_cell`."""
+    out = []
+    for step in steps:
+        if step.abort is not None:
+            record = step.abort
+            stack = ", ".join(map(str, record.observed.stack))
+            out.append(f"ABORT at step {step.index + 1}: {step.instruction}\nreason: {record.reason}\n")
+            out.append(f"value: {record.observed.value}\nstack: [{stack}]\n")
+            return "".join(out), 1
+        out.append(f"step {step.index + 1}: {step.instruction}\n" + dump_cell(step.variable, step.state))
+    return "".join(out) + "FINAL\n" + scorelang.dump_state(final, names), 0
+
+
+class TestTraceObservers:
+    """`scorelang trace` formats each step as the run goes, from its own
+    observer; `eval_traced`'s observer builds TraceSteps.  The two agree."""
+
+    def test_cli_prints_the_steps_of_eval_traced(self, tmp_path, capsys):
+        cfg = scorelang.GenConfig()
+        master = random.Random(15)
+        aborted = 0
+        for k in range(200):
+            rng = random.Random(master.getrandbits(64))
+            term = scorelang.gen_term(cfg, rng=rng)
+            names = scorelang.variables_of(term)
+            full = scorelang.gen_state(cfg, names, rng=rng)
+            program = tmp_path / f"p{k}.score"
+            program.write_text(scorelang.pretty(term), encoding="utf-8")
+            for semantics in "nar":
+                state = full if semantics == "r" else scorelang.zero_counters(full)
+                state_file = tmp_path / f"s{k}{semantics}.sst"
+                state_file.write_text(scorelang.dump_state(state, names), encoding="utf-8")
+                for backward, run in ((False, term), (True, scorelang.invert(term))):
+                    argv = ["trace", "-s", semantics, *["--backward"] * backward, str(program), str(state_file)]
+                    code, out, err = run_cli(capsys, *argv)
+                    expected, expected_code = rendered_trace(*scorelang.eval_traced(run, state, semantics), names)
+                    assert (code, out, err) == (expected_code, expected, ""), (k, semantics, backward)
+                    aborted += code == 1
+        assert 0 < aborted < 400  # both outcomes of the assert runs were compared
 
 
 class TestDeepPrograms:

@@ -118,9 +118,26 @@ SPELLED = {
 }
 
 
+def observed_run(program, state, semantics, order="+"):
+    """The steps and final state of a run of `program` whose observer
+    records each call as a constructor-built TraceStep; an abort ends the
+    steps with one built from the record, and the final state is None."""
+    steps = []
+
+    def observe(instruction, name, value, stack, counter):
+        steps.append(TraceStep(len(steps), instruction, name, Cell(value, tuple(reversed(stack)), counter)))
+
+    outcome = program.run(state, semantics, order, observe)
+    if isinstance(outcome, Final):
+        return steps, outcome.state
+    record = outcome.record
+    steps.append(TraceStep(record.trace_position, record.instruction, record.variable, None, record))
+    return steps, None
+
+
 def assert_runs_match_reference(term, states, semantics_order="nar"):
     """One Program of `term` runs every state in turn, under each semantics
-    (in `semantics_order`) and pass order, untraced and traced, and each
+    (in `semantics_order`) and pass order, untraced and observed, and each
     run agrees with the reference walker on the term the passes spell out.
     The pair semantics see the states with counters zeroed."""
     program = compile_program(term)
@@ -132,9 +149,7 @@ def assert_runs_match_reference(term, states, semantics_order="nar"):
                 expected = REFERENCE[semantics](spelled, start)
                 outcome = program.run(start, semantics, order)
                 assert outcome == (expected if semantics == "a" else Final(expected))
-                steps = []
-                outcome = program.run(start, semantics, order, steps)
-                final = None if isinstance(outcome, Aborted) else outcome.state
+                steps, final = observed_run(program, start, semantics, order)
                 assert_trace_matches(steps, final, ref_eval_traced(spelled, start, semantics), start)
 
 
@@ -266,11 +281,11 @@ class TestSharedBlocks:
         # runs its body inverted; backward, inside n's inverted body, forward.
         program = compile_program(parse("FOR n { INC x; FOR m { POP y; PUSH y } }; PUSH z; POP z"))
         state = State({"n": Cell(2), "m": Cell(-1), "y": Cell(0, (1,), 0)})
-        for trace in (None, []):
+        for observe in (None, lambda *step: None):
             for order in "+-":
                 for semantics in "nar":
                     before = len(compiled_blocks)
-                    assert isinstance(program.run(state, semantics, order, trace), Final)
+                    assert isinstance(program.run(state, semantics, order, observe), Final)
                     assert semantics == "n" or len(compiled_blocks) == before
         # the program, n's loop and m's loop, both directions, plain and traced
         assert len(compiled_blocks) == len(set(compiled_blocks)) == 3 * 2 * 2
@@ -290,8 +305,8 @@ class TestSharedBlocks:
 
 
 class TestTraceSteps:
-    """A traced run sets its steps' fields past the constructor; the steps
-    are still the frozen values the constructor builds."""
+    """`eval_traced`'s observer sets its steps' fields past the constructor;
+    the steps are still the frozen values the constructor builds."""
 
     PROGRAM = parse("INC x; PUSH x; FOR n { INC y; PUSH y }; POP z")
     STATE = State({"n": Cell(2), "y": Cell(0, (9,), 0), "z": Cell(5, (4,), 0)})
@@ -331,6 +346,63 @@ class TestTraceSteps:
         cells = [step.state for step in steps if step.abort is None]
         assert all(type(cell) is Cell and type(cell.stack) is tuple for cell in cells)
         assert steps[3].state.stack[0] == 1  # the value PUSH y saved last is on top
+
+
+class TestObserver:
+    """`Program.run` calls `observe` once per executed atom, with the live
+    fields of the atom's cell, and not for an aborting POP; an exception
+    from `observe` ends the run and leaves the program as it was."""
+
+    PROGRAM = parse("FOR n { INC m; FOR m { INC y; PUSH z }; INC w; POP x; PUSH x; POP x }")
+    STATE = State({"n": Cell(5), "x": Cell(0, (0, 0, 7), 0)})
+
+    def test_aborting_run_calls_once_per_executed_atom(self):
+        calls = []
+
+        def observe(instruction, name, value, stack, counter):
+            calls.append((instruction, name, Cell(value, tuple(reversed(stack)), counter)))
+
+        outcome = compile_program(self.PROGRAM).run(self.STATE, "a", observe=observe)
+        record = outcome.record
+        expected = ref_eval_traced(self.PROGRAM, self.STATE, "a")
+        assert len(calls) == record.trace_position == len(expected) - 1 > 0
+        assert expected[-1].abort == record
+        assert calls == [(e.instruction, e.variable, e.state.get(e.variable)) for e in expected[:-1]]
+
+    def test_aborting_fuzz_runs(self):
+        aborted = 0
+        for program, _, flat in fuzz_corpus(GenConfig(seed=15), 400):
+            calls = []
+            outcome = compile_program(program).run(flat, "a", observe=lambda *call: calls.append(call[0]))
+            if isinstance(outcome, Aborted):
+                aborted += 1
+                assert len(calls) == outcome.record.trace_position
+                expected = ref_eval_traced(program, flat, "a")
+                assert calls == [e.instruction for e in expected[:-1]]
+        assert aborted > 20
+
+    @pytest.mark.parametrize("semantics", "nar")
+    def test_exception_from_observer_ends_the_run(self, semantics):
+        class Stop(Exception):
+            pass
+
+        def observe(instruction, *cell):
+            calls.append(instruction)
+            if len(calls) == 4:
+                raise Stop
+
+        program = compile_program(self.PROGRAM)
+        calls = []
+        with pytest.raises(Stop):
+            program.run(self.STATE, semantics, "+-", observe)
+        assert calls == ["INC m", "INC y", "PUSH z", "INC w"]
+        # later runs of the same program, untraced and traced, are those of
+        # a fresh one
+        fresh = compile_program(self.PROGRAM)
+        for order in ("+", "-", "+-"):
+            assert program.run(self.STATE, semantics, order) == fresh.run(self.STATE, semantics, order)
+            traced = observed_run(program, self.STATE, semantics, order)
+            assert traced == observed_run(fresh, self.STATE, semantics, order)
 
 
 class TestDeepNests:
@@ -487,7 +559,7 @@ class TestLeafFunctions:
         state = State({"n": Cell(2), "m": Cell(-1), "k": Cell(3), "y": Cell(0, (1,), 0)})
         for semantics in "nar":
             for order in SPELLED:
-                program.run(state, semantics, order, [])
+                observed_run(program, state, semantics, order)
         assert hot == []
         program.run(state, "r")
         assert hot

@@ -524,8 +524,8 @@ class TestRunFuzz:
 # passes on slot lists, through which `Program.run`, `run_fuzz` and every
 # check run their programs; each factory gets the real method.
 def _r_forgets_counters(real):
-    def exec_(self, values, stacks, counters, semantics, order, trace=None):
-        record = real(self, values, stacks, counters, semantics, order, trace)
+    def exec_(self, values, stacks, counters, semantics, order, observe=None):
+        record = real(self, values, stacks, counters, semantics, order, observe)
         if semantics == "r":
             counters[:] = [0] * len(counters)
         return record
@@ -534,8 +534,8 @@ def _r_forgets_counters(real):
 
 
 def _a_never_aborts(real):
-    def exec_(self, values, stacks, counters, semantics, order, trace=None):
-        return real(self, values, stacks, counters, "n" if semantics == "a" else semantics, order, trace)
+    def exec_(self, values, stacks, counters, semantics, order, observe=None):
+        return real(self, values, stacks, counters, "n" if semantics == "a" else semantics, order, observe)
 
     return exec_
 
@@ -627,8 +627,8 @@ class TestInjectedFaults:
         # when run again and the case is reported as it was generated
         real, calls = Program._exec, itertools.count()
 
-        def first_run_broken(self, values, stacks, counters, semantics, order, trace=None):
-            record = real(self, values, stacks, counters, semantics, order, trace)
+        def first_run_broken(self, values, stacks, counters, semantics, order, observe=None):
+            record = real(self, values, stacks, counters, semantics, order, observe)
             if next(calls) == 0:
                 counters[:] = [0] * len(counters)
             return record
