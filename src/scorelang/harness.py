@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .semantics import AbortRecord, Program, compile_program, pop_r, push_r
-from .state import Cell, DEFAULT_CELL, State, dump_state
-from .syntax import _KEYWORD, For, Pop, Push, Seq, Skip, Term, _loop, _parts, _sequence, is_identifier, pretty
+from .state import Cell, DEFAULT_CELL, State, _new_cell, dump_state
+from .syntax import _KEYWORD, For, Pop, Push, Seq, Skip, Term, _atom, _loop, _parts, _sequence, is_identifier, pretty
 
 __all__ = [
     "GenConfig",
@@ -93,29 +93,41 @@ def _var_names(count: int) -> list[str]:
     return [_NAME_POOL[i] if i < len(_NAME_POOL) else f"x{i}" for i in range(count)]
 
 
-_ATOMS = tuple(_KEYWORD)
+_SKIP = Skip()
+# The kinds a node is drawn from, by whether names are left, whether the
+# depth leaves room for children, and whether a sequence may start here.
+# The kinds, and their order, fix each seed's programs, and so its fuzz
+# reports.
+_KINDS = {
+    (named, deep, seq): ((Skip, *_KEYWORD) if named else (Skip,))
+    + (Seq,) * (deep and seq)
+    + (For,) * (deep and named)
+    for named in (False, True)
+    for deep in (False, True)
+    for seq in (False, True)
+}
+
+# `_gen` and `_draw_cells` make the draws of `Random.choices`,
+# `Random.choice` and `Random.randint` through `Random.random` and
+# `Random._randbelow`, as those methods do, so each seed draws what it drew
+# through them.
 
 
 def _gen(rng: random.Random, names: list[str], depth: int, allow_seq: bool) -> Term:
-    # The kinds, and their order, fix each seed's programs, and so its fuzz reports.
-    kinds: list[type] = [Skip, *_ATOMS] if names else [Skip]
-    if depth >= 2 and allow_seq:
-        kinds.append(Seq)
-    if depth >= 2 and names:
-        kinds.append(For)
-    kind = rng.choices(kinds)[0]
+    kinds = _KINDS[bool(names), depth >= 2, allow_seq]
+    kind = kinds[int(rng.random() * len(kinds))]  # rng.choices(kinds)[0]
     if kind is Skip:
-        return Skip()
+        return _SKIP
     if kind is Seq:
         # a first part that is never a sequence, then a rest that may be one
         # and whose parts follow
         first = _gen(rng, names, depth - 1, allow_seq=False)
         second = _gen(rng, names, depth - 1, allow_seq=True)
         return _sequence((first, *_parts(second)))
+    i = rng._randbelow(len(names))  # rng.choice(names)
     if kind is For:
-        leader = rng.choice(names)
-        return For(leader, _gen(rng, [n for n in names if n != leader], depth - 1, allow_seq=True))
-    return kind(rng.choice(names))
+        return _loop(names[i], _gen(rng, names[:i] + names[i + 1 :], depth - 1, allow_seq=True))
+    return _atom(kind, names[i])
 
 
 def gen_term(cfg: GenConfig, rng: random.Random | None = None) -> Term:
@@ -133,22 +145,36 @@ def gen_state(cfg: GenConfig, names: Iterable[str], rng: random.Random | None = 
     """A random state over `names`, deterministic in the seed."""
     if rng is None:
         rng = random.Random(cfg.seed)
-    lo, hi = cfg.value_range
-    cells: dict[str, Cell] = {}
-    for name in sorted(set(names)):
+    names = sorted(set(names))
+    for name in names:
         if not is_identifier(name):
             raise ValueError(f"invalid variable name: {name!r}")
-        value = rng.randint(lo, hi)
-        stack = tuple(rng.randint(lo, hi) for _ in range(rng.randint(0, cfg.max_stack_len)))
-        counter = rng.randint(0, cfg.max_counter)
+    return State._trusted(_draw_cells(rng, cfg, names))
+
+
+def _draw_cells(rng: random.Random, cfg: GenConfig, names: list[str]) -> dict[str, Cell]:
+    """The non-default cells drawn for `names`, in their order: per name a
+    value, a stack length, its elements and a counter."""
+    lo, hi = cfg.value_range
+    below, width = rng._randbelow, hi - lo + 1  # rng.randint(lo, hi) is below(width) + lo
+    lengths, counters = cfg.max_stack_len + 1, cfg.max_counter + 1
+    cells: dict[str, Cell] = {}
+    for name in names:
+        value = below(width) + lo
+        stack = tuple([below(width) + lo for _ in range(below(lengths))])
+        counter = below(counters)
         if value or stack or counter:
-            cells[name] = Cell(value, stack, counter)
-    return State._trusted(cells)
+            cells[name] = _new_cell(Cell, (value, stack, counter))
+    return cells
 
 
 def zero_counters(state: State) -> State:
-    """The same state with every counter projected to 0."""
-    return State._trusted({name: Cell(v, s, 0) for name, (v, s, _) in state.as_dict().items() if v or s})
+    """The same state with every counter projected to 0: `state` itself
+    when no counter is set."""
+    cells = state._cells
+    if not any(cell[2] for cell in cells.values()):
+        return state
+    return State._trusted({name: Cell(v, s, 0) for name, (v, s, _) in cells.items() if v or s})
 
 
 def _first_diff(expected: State, got: State) -> str:
@@ -198,6 +224,17 @@ class FailureCorrespondence:
     direction_witness: str | None
 
 
+# The four results a case can have, by (a aborted, r final broken); every
+# Pass is one of two shared ones.
+_CORRESPONDENCE = {
+    (False, False): FailureCorrespondence(False, False, None),
+    (False, True): FailureCorrespondence(False, True, "if"),
+    (True, False): FailureCorrespondence(True, False, "only-if"),
+    (True, True): FailureCorrespondence(True, True, None),
+}
+_PASS, _VACUOUS = Pass(), Pass(vacuous=True)
+
+
 def check_failure_correspondence(program: Term, initial: State) -> FailureCorrespondence:
     return _pair_case(program, initial)[4]
 
@@ -227,9 +264,10 @@ def _check_case(program: Program, full_state: State) -> tuple:
     reversible run, and weak reversibility adds the assert run of the
     inverse when the first one completes.  The state is loaded once:
     the counter-free lists share its values and stacks, which no run
-    changes, since each run works on a copy."""
+    changes, since each run works on a copy, and its counters too when
+    none is set."""
     full = program._load(full_state, "r")
-    strong = Pass()
+    strong = _PASS
     for order, label in (("+-", "P;-P"), ("-+", "-P;P")):
         after, _ = _run(program, full, "r", order)
         if after != full:
@@ -238,12 +276,12 @@ def _check_case(program: Program, full_state: State) -> tuple:
             break
 
     flat_state = zero_counters(full_state)
-    flat = full[0], full[1], [0] * len(full[2])
+    flat = (full[0], full[1], [0] * len(full[2])) if any(full[2]) else full
     after, abort = _run(program, flat, "a")
     reversible = _run(program, flat, "r")[0]
-    broken = sorted(name for name, counter in zip(program.variables, reversible[2]) if counter)
+    broken = any(reversible[2])
     aborted = abort is not None
-    weak = agreement = Pass(vacuous=aborted)
+    weak = agreement = _VACUOUS if aborted else _PASS
     if not aborted:
         back, record = _run(program, after, "a", "-")
         if record is not None:
@@ -255,14 +293,9 @@ def _check_case(program: Program, full_state: State) -> tuple:
             diff = _first_diff(program._store(flat_state, *after), program._store(flat_state, *reversible))
             agreement = Fail(program.term, flat_state, f"semantics disagree: {diff}")
         elif broken:
-            agreement = Fail(program.term, flat_state, f"reversible run left broken variables: {broken}")
-    if aborted and not broken:
-        witness = "only-if"
-    elif broken and not aborted:
-        witness = "if"
-    else:
-        witness = None
-    return flat_state, strong, weak, agreement, FailureCorrespondence(aborted, bool(broken), witness)
+            names = sorted(name for name, counter in zip(program.variables, reversible[2]) if counter)
+            agreement = Fail(program.term, flat_state, f"reversible run left broken variables: {names}")
+    return flat_state, strong, weak, agreement, _CORRESPONDENCE[aborted, broken]
 
 
 def _enumerate_cells(
@@ -432,6 +465,11 @@ class FuzzWitness:
 
 _MAX_STORED_WITNESSES = 10
 _MAX_ONLY_IF_SAMPLES = 5
+# The distinct programs a fuzz batch keeps compiled at once, each with its
+# blocks and any leaf functions, a few kB.  A default batch draws about 300
+# in 1,500 cases and about 6,500 in 100,000, so a long batch starts its
+# table afresh now and then, and its memory stays bounded.
+_MAX_COMPILED = 1024
 
 _SEEDED_WITNESS_PROGRAM = Seq(Pop("x"), Push("x"))
 _SEEDED_WITNESS_STATE = State({"x": Cell(5, (2,), 0)})
@@ -533,7 +571,8 @@ def run_fuzz(cfg: GenConfig, cases: int) -> FuzzReport:
     Strong reversibility sees the raw generated states; the three checks
     defined on the pair semantics see the same states with counters zeroed.
     Each reported failure is shrunk, and its details are those of the
-    shrunk pair.
+    shrunk pair.  Each distinct program drawn is compiled once per batch,
+    and its blocks serve every case that draws it.
     """
     master = random.Random(cfg.seed)
     report = FuzzReport(cfg.seed, cases)
@@ -549,11 +588,24 @@ def run_fuzz(cfg: GenConfig, cases: int) -> FuzzReport:
             details = _failure_details(check, program, initial) + " (minimized)"
         report.failures.append(_witness(_CHECK_NAMES[check], program, initial, details))
 
+    names = _var_names(cfg.max_vars)
+    # Each distinct program drawn, with its sorted names.  An atom or SKIP is
+    # its own key; a Seq or For is keyed by its printed text, through which
+    # it would compare and hash anyway.  The table starts afresh once full.
+    compiled: dict[Term | str, tuple[Program, list[str]]] = {}
     rng = random.Random()
     for _ in range(cases):
         rng.seed(master.getrandbits(64))
-        program = compile_program(gen_term(cfg, rng=rng))
-        full_state = gen_state(cfg, program.variables, rng=rng)
+        term = _gen(rng, names, cfg.max_depth, allow_seq=True)
+        key = pretty(term) if type(term) is Seq or type(term) is For else term
+        entry = compiled.get(key)
+        if entry is None:
+            if len(compiled) >= _MAX_COMPILED:
+                compiled.clear()
+            program = compile_program(term)
+            entry = compiled[key] = program, sorted(program.variables)
+        program, sorted_names = entry
+        full_state = State._trusted(_draw_cells(rng, cfg, sorted_names))
         flat_state, *verdicts, correspondence = _check_case(program, full_state)
 
         for check, (counts, verdict) in enumerate(zip((report.strong, report.weak, report.agreement), verdicts)):

@@ -89,24 +89,30 @@ class _Unary(Term):
         _require_identifier(self.var)
 
 
-@dataclass(frozen=True, slots=True)
+# The four atoms declare no slot of their own, so `_Unary`'s ``var`` slot is
+# the only one on every Python version.  ``dataclass(slots=True)`` on a
+# subclass would add a second ``var`` slot under Python 3.10, shadowing the
+# one `_atom` sets.
+
+
+@dataclass(frozen=True)
 class Inc(_Unary):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Dec(_Unary):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Push(_Unary):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Pop(_Unary):
-    pass
+    __slots__ = ()
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False)

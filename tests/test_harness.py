@@ -44,7 +44,7 @@ from scorelang import (
     variables_of,
     zero_counters,
 )
-from scorelang import harness
+from scorelang import harness, semantics
 from scorelang.harness import _var_names
 
 import reference_checks
@@ -222,6 +222,55 @@ class TestGenState:
     def test_zero_counters(self):
         state = State({"x": Cell(1, (2,), 3), "y": Cell(4)})
         assert zero_counters(state) == State({"x": Cell(1, (2,), 0), "y": Cell(4)})
+
+    def test_zero_counters_keeps_a_counter_free_state(self):
+        state = State({"x": Cell(1, (2,), 0), "y": Cell(4)})
+        assert zero_counters(state) is state
+
+
+# The cells some seeds draw, and the next 32 random bits after the draw.  A
+# change to `gen_state` that keeps each seed's states, and so its fuzz
+# reports, keeps these.  Names are drawn in sorted order, each once, and a
+# default cell is drawn but not stored.
+STATE_PINS = [
+    (
+        {}, 1, "xyzw",
+        {"w": (-3, (-4, -1, -4, 2), 1), "x": (2, (-2, -4, 2), 0), "y": (1, (4, -5, 2), 1), "z": (-2, (-4, 0, -5, -5), 0)},
+        2789779421,
+    ),
+    ({}, 7, "zyxz", {"x": (0, (1,), 2), "y": (-5, (), 2), "z": (-4, (4, -5), 2)}, 922121676),
+    (
+        {"max_stack_len": 0}, 3, "xyzw",
+        {"w": (-2, (), 1), "x": (4, (), 2), "y": (4, (), 2), "z": (-5, (), 1)},
+        2365602028,
+    ),
+    (
+        {"max_counter": 0}, 4, "xyzw",
+        {"w": (-2, (-4, 1), 0), "x": (-3, (), 0), "y": (-5, (3, -1, -5), 0), "z": (3, (0, -1, -3, -4), 0)},
+        920842827,
+    ),
+    ({"value_range": (2, 2)}, 5, "xyz", {"x": (2, (2, 2), 0), "y": (2, (2,), 1), "z": (2, (2,), 2)}, 437976711),
+    (
+        {"value_range": (0, 0), "max_counter": 0}, 8, "xyzw",
+        {"w": (0, (0, 0), 0), "y": (0, (0, 0, 0, 0), 0), "z": (0, (0, 0, 0), 0)},
+        2083486416,
+    ),
+    (
+        {"value_range": (-3, 7), "max_stack_len": 6, "max_counter": 3}, 6, ["x", "v", "a1"],
+        {"a1": (6, (-2, 4, 1, -3, -3, -1), 3), "v": (2, (-3, 1), 3), "x": (0, (3, 5, 5, 7, -2), 1)},
+        2419862217,
+    ),
+]
+
+
+@pytest.mark.parametrize(("sizes", "seed", "names", "cells", "next_bits"), STATE_PINS)
+def test_seed_draws_its_state(sizes, seed, names, cells, next_bits):
+    state = gen_state(GenConfig(seed=seed, **sizes), names)
+    assert {name: tuple(cell) for name, cell in state.as_dict().items()} == cells
+    assert all(type(cell) is Cell and type(cell.stack) is tuple for cell in state.as_dict().values())
+    rng = random.Random(seed)
+    assert gen_state(GenConfig(**sizes), names, rng=rng) == state
+    assert rng.getrandbits(32) == next_bits
 
 
 class TestGenConfigValidation:
@@ -518,6 +567,43 @@ class TestRunFuzz:
         assert set(summary["strong"]) == {"passed", "failed"}
         assert set(summary["weak"]) == {"passed", "vacuous", "failed"}
         assert "if_direction_witnesses" in summary["correspondence"]
+
+    @pytest.mark.parametrize("seed", [1, 2, 20])
+    def test_each_distinct_program_compiles_once(self, monkeypatch, seed):
+        compiled = []
+
+        def spy(term):
+            compiled.append(pretty(term))
+            return compile_program(term)
+
+        monkeypatch.setattr(harness, "compile_program", spy)
+        cfg = GenConfig(seed=seed)
+        assert run_fuzz(cfg, 1500).ok
+        master, drawn = random.Random(cfg.seed), set()
+        for _ in range(1500):
+            drawn.add(pretty(gen_term(cfg, rng=random.Random(master.getrandbits(64)))))
+        assert len(drawn) < 1500 // 3
+        # and one call for the seeded witness, checked after the batch
+        assert len(compiled) == len(drawn) + 1
+        assert set(compiled[:-1]) == drawn and compiled[-1] == "POP x; PUSH x"
+
+    def test_a_full_table_starts_afresh(self, monkeypatch):
+        report = run_fuzz(GenConfig(seed=4), 400)
+        monkeypatch.setattr(harness, "_MAX_COMPILED", 3)
+        assert run_fuzz(GenConfig(seed=4), 400) == report
+
+    @pytest.mark.parametrize("config", sorted(FUZZ_CONFIGS))
+    def test_loops_hot_from_the_first_entry_give_the_same_reports(self, monkeypatch, config):
+        """Cases that draw the same program share its compiled loops, and
+        so their heat: with every loop hot at once, each run goes through
+        the generated leaf functions, and the reports stay the same."""
+        configs = [GenConfig(seed=seed, **FUZZ_CONFIGS[config]) for seed in (1, 5, 9)]
+        reports = [run_fuzz(cfg, 200) for cfg in configs]
+        monkeypatch.setattr(semantics, "_HOT", 0)
+        for cfg, report in zip(configs, reports):
+            hot = run_fuzz(cfg, 200)
+            assert hot.to_text() == report.to_text()
+            assert json.dumps(hot.to_json_dict()) == json.dumps(report.to_json_dict())
 
 
 # Evaluator faults injected at `Program._exec`, the step that runs the

@@ -19,6 +19,7 @@ from scorelang import (
     pretty,
     variables_of,
 )
+from scorelang.syntax import _atom, _loop
 from term_strategies import raw_terms, wf_terms
 
 
@@ -177,3 +178,32 @@ class TestIdentifiers:
         assert not is_identifier("SKIP")
         assert not is_identifier("a-b")
         assert not is_identifier("")
+
+
+class TestTrustedBuilders:
+    """`_atom` and `_loop` build the terms the parser, `invert` and the
+    fuzz generator make, past the constructors' checks.  Under Python 3.10 a
+    slot that a subclass adds would shadow the one they set, and a parsed
+    atom would have no ``var``."""
+
+    @pytest.mark.parametrize("cls", [Inc, Dec, Push, Pop])
+    def test_atom_is_the_checked_atom(self, cls):
+        built, checked = _atom(cls, "x_1"), cls("x_1")
+        assert type(built) is cls and built.var == "x_1"
+        assert built == checked and hash(built) == hash(checked)
+        assert repr(built) == repr(checked) and pretty(built) == pretty(checked)
+        assert built != _atom(cls, "y") and not hasattr(built, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.var = "y"
+
+    def test_loop_is_the_checked_loop(self):
+        built, checked = _loop("n", _atom(Push, "x")), For("n", Push("x"))
+        assert built == checked and hash(built) == hash(checked)
+        assert (built.leader, built.body) == ("n", Push("x"))
+        assert repr(built) == repr(checked) and pretty(built) == pretty(checked)
+
+    def test_parsed_atoms_read_their_names(self):
+        term = parse("INC x; DEC y; FOR n { PUSH z; POP z }")
+        assert [part.var for part in term.parts[:2]] == ["x", "y"]
+        assert variables_of(term) == {"x", "y", "n", "z"}
+        assert invert(term) == Seq(For("n", Seq(Push("z"), Pop("z"))), Inc("y"), Dec("x"))
