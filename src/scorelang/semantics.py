@@ -38,7 +38,7 @@ states with a nonzero counter.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import length_hint
@@ -52,7 +52,6 @@ from .syntax import (
     Inc,
     Pop,
     Push,
-    Seq,
     Skip,
     Term,
     Violation,
@@ -207,20 +206,27 @@ def pop_r(cell: Cell) -> Cell:
 # set of blocks for untraced runs and one for traced runs.
 #
 # A loop entry's arg is ``(leader slot, cache, index, atoms before)``.  The
-# cache, one per FOR node, holds the loop's four blocks, each compiled on
-# first use, its body, its two leaf functions (below), its heat and whether
-# it is idle; the whole program has such a cache too.  A block's index is
-# its direction (1 meaning the body runs inverted) plus 2 when traced, so a
-# negative count flips the direction with ``^= 1``.  So no (loop,
-# direction, traced) block is compiled twice, and one that never runs is
-# never compiled.  The inverted block is compiled straight from the term,
-# with the entries in reverse order and INC/DEC and PUSH/POP swapped.
+# cache, one per FOR node, holds the loop's four plans, each made on first
+# use, its body and its heat; the whole program has such a cache too.  A
+# plan's index is its direction (1 meaning the body runs inverted) plus 2
+# when traced, so a negative count flips the direction with ``^= 1``.  So
+# no (loop, direction, traced) block is compiled twice, and one that never
+# runs is never compiled.  The inverted block is compiled straight from the
+# term, with the entries in reverse order and INC/DEC and PUSH/POP swapped.
+#
+# A plan is ``(block, atoms, run)``: the block, its atom count, and how an
+# entry runs it.  ``run`` is False for a block that always steps through
+# `_execute` (a traced block, or one that is no leaf), the function
+# generated from the block (below) once the loop is hot, and None while an
+# untraced block is cold: it steps, and its entries count the loop's heat.
+# So a loop entry makes one plan lookup and one dispatch.
 #
 # An idle loop, one whose body holds no atom at any depth, changes nothing
-# however large its count, so a run skips it at entry.  Only a body whose
-# block holds no atom of its own can be idle, and a loop that runs its body
-# once costs no more than its body, so only such a loop with a count above
-# 1 is asked.
+# however large its count.  The walk that `compile_program` makes anyway,
+# `syntax._scan`, records the idle FOR nodes, and their caches are empty
+# (``()``), so `_compile` gives them no entry and their bodies are never
+# compiled.  Deciding idleness with a walk of the body when its block is
+# first compiled would walk a count-1 nest n deep n times over.
 #
 # Under the assert semantics the abort position needs the number of steps
 # run so far.  Rather than count every step, a run adds the body's atom
@@ -236,12 +242,12 @@ def pop_r(cell: Cell) -> Cell:
 # range(count)``, with the same meaning as `_execute`'s branches and the
 # same semantics argument read only by an illegal POP.  Compiling the
 # function costs about as much as stepping its body 500 times, whatever
-# the body's size, so a loop's heat counts the iterations its entries
-# have scheduled, in either direction, and a (loop, direction) gets its
-# function on the first entry past `_HOT`.  The function lives in the
-# loop's cache, so a Program generates it at most once, and a fresh
-# Program pays for it again.  `_execute` still runs every nest and every
-# traced run.
+# the body's size, so a loop's heat counts the iterations its cold plans
+# have scheduled, in either direction, and an untraced plan gets its run,
+# the function or False, on the first entry past `_HOT`.  The plan lives
+# in the loop's cache, so a Program generates each function at most once,
+# and a fresh Program pays for it again.  `_execute` still steps every
+# nest and every traced run.
 
 _INC, _DEC, _PUSH, _POP, _LOOP, _OBSERVE = range(6)
 _SEMANTICS = ("n", "a", "r")
@@ -250,17 +256,15 @@ _FORWARD = {Inc: _INC, Dec: _DEC, Push: _PUSH, Pop: _POP}
 _OPCODES = (_FORWARD, {cls: _FORWARD[inverse] for cls, inverse in _INVERSE.items()})
 # The keyword of each atom opcode, for trace labels.
 _OP_KEYWORD = {op: _KEYWORD[cls] for cls, op in _FORWARD.items()}
-# A loop cache: 0 to 3 hold its blocks, then its body term, the leaf
-# functions of its two directions (None until hot, False for a loop that is
-# no leaf), its heat, and whether it is idle (None until asked).
-_BODY, _LEAF, _HEAT, _IDLE = 4, 5, 7, 8
+# A loop cache: 0 to 3 hold its plans, then its body term and its heat.
+_BODY, _HEAT = 4, 5
 _HOT = 500  # iterations a loop schedules before its leaf functions are generated
 _DIRECTION = {"+": 0, "-": 1}  # the passes of `Program.run`'s order
 
 
 def _loop_cache(body: Term) -> list:
-    """A fresh loop cache for `body`: nothing compiled, cold, idleness unknown."""
-    return [None, None, None, None, body, None, None, 0, None]
+    """A fresh loop cache for `body`: no plan made yet, cold."""
+    return [None, None, None, None, body, 0]
 
 
 def _unknown_semantics(semantics: str) -> ValueError:
@@ -290,9 +294,10 @@ _LEAF_LINES = {
 def _leaf_function(block: tuple):
     """The function ``leaf(values, stacks, counters, count, semantics)``
     that runs `block`, an untraced loop body, `count` times on the slot
-    lists, or False when the block holds a loop entry or nothing.  It
-    returns None when every iteration completes, else the iteration, the
-    atoms before the aborting POP in the block, and the POP's slot."""
+    lists, or False when the block holds a loop entry.  No loop's block is
+    empty, since an idle loop gets no entry.  The function returns None
+    when every iteration completes, else the iteration, the atoms before
+    the aborting POP in the block, and the POP's slot."""
     stacked: dict[int, bool] = {}  # each slot of the block: whether it uses its stack
     body = []
     for op, arg in block:
@@ -301,8 +306,6 @@ def _leaf_function(block: tuple):
         slot, before = arg if op == _POP else (arg, 0)
         stacked[slot] = stacked.get(slot, False) or op == _PUSH or op == _POP
         body += (" " * 12 + line.format(k=slot, before=before) for line in _LEAF_LINES[op])
-    if not body:
-        return False
     load, store = [], []
     for k, uses_stack in stacked.items():
         load.append(f"    v{k} = values[{k}]")
@@ -316,25 +319,6 @@ def _leaf_function(block: tuple):
     namespace: dict = {}
     exec(compile(source, "<leaf loop>", "exec"), namespace)
     return namespace["leaf"]
-
-
-def _idle(cache: list) -> bool:
-    """Whether the loop of `cache` is idle: its body holds no atom at any
-    depth.  The answer is kept in the cache."""
-    idle = cache[_IDLE]
-    if idle is None:
-        idle, todo = True, [cache[_BODY]]
-        while todo and idle:
-            t = todo.pop()
-            kind = type(t)
-            if kind is Seq:
-                todo += t.parts
-            elif kind is For:
-                todo.append(t.body)
-            else:
-                idle = kind is Skip
-        cache[_IDLE] = idle
-    return idle
 
 
 def _abort_position(scheduled: int, left: int, frames: list[tuple]) -> int:
@@ -353,11 +337,11 @@ def _execute(
     included.  Returns the number of steps run and -1 when the block
     completes, else the number run before a POP aborted and the POP's slot.
     An observer entry calls `observe` with its atom's label and name and
-    the slot's live value, stack list and counter.  A loop entry runs a hot
-    leaf loop's function in an untraced run; else it pushes a frame
-    (enclosing iterator, its atoms, atoms before the entry, body atoms,
-    repeats left) and goes on with the body's block repeated, so nesting
-    does not recurse."""
+    the slot's live value, stack list and counter.  A loop entry calls its
+    plan's function when it has one; else it pushes a frame (enclosing
+    iterator, its atoms, atoms before the entry, body atoms, repeats left)
+    and goes on with the body's block repeated, so nesting does not
+    recurse."""
     frames: list[tuple] = []
     it = iter(block)
     while True:
@@ -391,23 +375,20 @@ def _execute(
                     if count < 0:
                         count = -count
                         index ^= 1
-                    body, body_atoms = cache[index] or program._block(cache, index)
-                    if not body_atoms and count > 1 and _idle(cache):
-                        continue
+                    body, body_atoms, run = cache[index] or program._plan(cache, index)
                     scheduled += count * body_atoms
-                    if observe is None:
-                        leaf = cache[_LEAF + index]
-                        if leaf is None:
-                            cache[_HEAT] += count
-                            if cache[_HEAT] > _HOT:
-                                leaf = cache[_LEAF + index] = _leaf_function(body)
-                        if leaf:
-                            stop = leaf(values, stacks, counters, count, semantics)
-                            if stop is None:
-                                continue
-                            iteration, pop_before, slot = stop
-                            left = (count - iteration) * body_atoms - pop_before + atoms - before
-                            return _abort_position(scheduled, left, frames), slot
+                    if run is None:
+                        cache[_HEAT] += count
+                        if cache[_HEAT] > _HOT:
+                            run = _leaf_function(body)
+                            cache[index] = body, body_atoms, run
+                    if run:
+                        stop = run(values, stacks, counters, count, semantics)
+                        if stop is None:
+                            continue
+                        iteration, pop_before, slot = stop
+                        left = (count - iteration) * body_atoms - pop_before + atoms - before
+                        return _abort_position(scheduled, left, frames), slot
                     repeats = repeat(body, count)
                     frames.append((it, atoms, before, body_atoms, repeats))
                     it, atoms = chain.from_iterable(repeats), body_atoms
@@ -428,16 +409,17 @@ class Program:
     bodies that never run included, in order of first occurrence.  Blocks
     are compiled on first use and kept, per direction and apart for traced
     runs, and all three semantics run the same blocks, so each later run
-    only executes.
+    only executes.  `idle` holds the ids of the term's idle FOR nodes.
     """
 
     __slots__ = ("term", "variables", "_slots", "_loops", "_top")
 
-    def __init__(self, term: Term, slots: dict[str, int]):
+    def __init__(self, term: Term, slots: dict[str, int], idle: Iterable[int]):
         self.term = term
         self.variables: tuple[str, ...] = tuple(slots)
         self._slots = slots
-        self._loops: dict[int, list] = {}  # each FOR node's cache, by the node's id
+        # each FOR node's cache, by the node's id; an idle loop's is empty
+        self._loops: dict[int, list | tuple] = dict.fromkeys(idle, ())
         self._top = _loop_cache(term)  # the whole program's cache
 
     def run(self, state: State, semantics: str = "r", order: str = "+", observe: _Observer | None = None) -> RunOutcome:
@@ -483,7 +465,7 @@ class Program:
         traced = observe is not None
         steps = 0
         for sign in order:
-            block, atoms = self._block(self._top, _DIRECTION[sign] + 2 * traced)
+            block, atoms, _ = self._plan(self._top, _DIRECTION[sign] + 2 * traced)
             steps, failed = _execute(self, block, atoms, steps + atoms, values, stacks, counters, semantics, observe)
             if failed >= 0:
                 value, name = values[failed], self.variables[failed]
@@ -502,18 +484,21 @@ class Program:
                 cells.pop(name, None)
         return State._trusted(cells)
 
-    def _block(self, cache: list, index: int) -> tuple[tuple, int]:
-        """The block of a cache's term at `index`, compiled on first use."""
-        compiled = cache[index]
-        if compiled is None:
-            compiled = cache[index] = self._compile(cache[_BODY], index)
-        return compiled
+    def _plan(self, cache: list, index: int) -> tuple:
+        """The plan of a cache's term at `index`, made on first use: its
+        block, its atom count, and its run, None while cold or False when
+        traced."""
+        plan = cache[index]
+        if plan is None:
+            plan = cache[index] = (*self._compile(cache[_BODY], index), None if index < 2 else False)
+        return plan
 
     def _compile(self, term: Term, index: int) -> tuple[tuple, int]:
         """The block of `term` at `index` (run inverted when odd, traced from
-        2 on), and its atom count.  No part of a sequence is a sequence, and
-        a loop body is compiled when `_execute` first enters the loop in
-        that direction, so this is one pass over the parts."""
+        2 on), and its atom count.  No part of a sequence is a sequence, an
+        idle loop gets no entry, and a loop body is compiled when `_execute`
+        first enters the loop in that direction, so this is one pass over
+        the parts."""
         inverted, traced = index & 1, index >> 1
         ops, slots, loops = _OPCODES[inverted], self._slots, self._loops
         entries: list[tuple] = []
@@ -527,7 +512,8 @@ class Program:
                 cache = loops.get(id(t))
                 if cache is None:
                     cache = loops[id(t)] = _loop_cache(t.body)
-                entries.append((_LOOP, (slots[t.leader], cache, index, atoms)))
+                if cache:
+                    entries.append((_LOOP, (slots[t.leader], cache, index, atoms)))
             else:
                 name = t.var
                 slot = slots[name]
@@ -543,10 +529,10 @@ def compile_program(term: Term) -> Program:
     """Check `term` against the strict leader proviso and number its
     variables, in one walk.  A program that breaks the proviso raises
     IllFormedProgramError with every violation."""
-    violations, slots = _scan(term, False)
+    violations, slots, idle = _scan(term, False)
     if violations:
         raise IllFormedProgramError(violations)
-    return Program(term, slots)
+    return Program(term, slots, idle)
 
 
 def eval_n(term: Term, state: State) -> State:
@@ -574,22 +560,10 @@ def eval_traced(term: Term, state: State, semantics: str = "r") -> tuple[list[Tr
     if semantics not in _SEMANTICS:
         raise _unknown_semantics(semantics)
     steps: list[TraceStep] = []
-    # The observer sets each step's slots straight through their member
-    # descriptors, past the frozen class's `__init__` and `__setattr__`,
-    # and reads the setters from this closure, which is cheaper than globals.
-    append, new, cell = steps.append, object.__new__, _new_cell
-    set_index, set_instruction, set_variable, set_state, set_abort = (
-        TraceStep.__dict__[field].__set__ for field in TraceStep.__slots__
-    )
+    append = steps.append
 
     def observe(instruction, name, value, stack, counter):
-        step = new(TraceStep)
-        set_index(step, len(steps))
-        set_instruction(step, instruction)
-        set_variable(step, name)
-        set_state(step, cell(Cell, (value, tuple(stack[::-1]), counter)))
-        set_abort(step, None)
-        append(step)
+        append(TraceStep(len(steps), instruction, name, _new_cell(Cell, (value, tuple(stack[::-1]), counter))))
 
     outcome = compile_program(term).run(state, semantics, "+", observe)
     if type(outcome) is Aborted:

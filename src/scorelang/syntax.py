@@ -282,7 +282,7 @@ def _path(frame: tuple) -> tuple[str, ...]:
     so its index is worked out from how many parts are left."""
     names = []
     while frame is not None:
-        items, n, frame, _ = frame
+        items, n, frame = frame[:3]
         k = n - length_hint(items) - 1
         # leaf first: "first" unless the last part, after k "second"s, then
         # "body" unless this is the root's run
@@ -303,28 +303,33 @@ def check_well_formed(term: Term, *, relaxed: bool = False) -> list[Violation]:
     return _scan(term, relaxed)[0]
 
 
-def _scan(term: Term, relaxed: bool) -> tuple[list[Violation], dict[Identifier, int]]:
+def _scan(term: Term, relaxed: bool) -> tuple[list[Violation], dict[Identifier, int], set[int]]:
     """The one walk behind `check_well_formed`, `variables_of` and
     `semantics.compile_program`: the proviso's violations in source order,
-    and every name of `term`, loop bodies included, numbered in order of
-    first occurrence."""
+    every name of `term`, loop bodies included, numbered in order of first
+    occurrence, and the ids of its idle FOR nodes, those whose body holds
+    no atom at any depth."""
     violations: list[Violation] = []
     slots: dict[str, int] = {}
     opens: list[int] = []  # per slot, how many open loops that name leads
+    idle: set[int] = set()
+    atoms = 0  # the atoms met so far
     # A frame is a run of parts being checked, the root's or an open loop
     # body's: its parts still to check, its length, the frame of the run
-    # holding the loop (None for the root) and the loop leader's slot.  The
-    # frames of the open runs form a chain, which `_path` follows.
+    # holding the loop (None for the root), the loop leader's slot, the loop
+    # and the atoms met before its body.  The frames of the open runs form
+    # a chain, which `_path` follows.
     parts = _parts(term)
-    frame: tuple | None = (iter(parts), len(parts), None, -1)
+    frame: tuple | None = (iter(parts), len(parts), None, -1, None, 0)
     while frame is not None:
-        items, _, up, leader = frame
+        items, _, up, leader, loop, before = frame
         for t in items:
             cls = type(t)
             if cls is For:
                 name = t.leader
             elif cls in _INVERSE:
                 name = t.var
+                atoms += 1
             elif cls is Skip:
                 continue
             else:
@@ -338,13 +343,15 @@ def _scan(term: Term, relaxed: bool) -> tuple[list[Violation], dict[Identifier, 
             if cls is For:
                 opens[slot] += 1
                 parts = _parts(t.body)
-                frame = (iter(parts), len(parts), frame, slot)
+                frame = (iter(parts), len(parts), frame, slot, t, atoms)
                 break
         else:
             if leader >= 0:
                 opens[leader] -= 1
+                if atoms == before:
+                    idle.add(id(loop))
             frame = up
-    return violations, slots
+    return violations, slots, idle
 
 
 def pretty(term: Term) -> str:

@@ -4,6 +4,10 @@ Kept here, unoptimized, as the oracle the core is checked against: it
 re-dispatches on every node, rebuilds cells as tuples, runs `invert` on
 every negative loop entry and snapshots the whole state after each traced
 step.  It recurses along sequences, so it is only fit for small terms.
+
+`ref_idle_loops` keeps the walk of each loop body that once told the core
+whether a loop is idle, as the oracle for the idle loops `syntax._scan`
+records in its one walk.
 """
 
 from __future__ import annotations
@@ -166,3 +170,35 @@ def ref_eval_traced(term: Term, state: State, semantics: str = "r") -> list[Snap
         record = signal.record
         steps.append(Snapshot(record.trace_position, record.instruction, record.variable, None, record))
     return steps
+
+
+def _body_is_idle(body: Term) -> bool:
+    """Whether `body` holds no atom at any depth: the walk the compiled core
+    once made of a loop's body the first time it asked."""
+    idle, todo = True, [body]
+    while todo and idle:
+        t = todo.pop()
+        kind = type(t)
+        if kind is Seq:
+            todo += t.parts
+        elif kind is For:
+            todo.append(t.body)
+        else:
+            idle = kind is Skip
+    return idle
+
+
+def ref_idle_loops(term: Term) -> set[int]:
+    """The ids of the FOR nodes of `term`, at any depth, whose body holds
+    no atom at any depth, each found by a walk of its own body."""
+    found: set[int] = set()
+    todo = [term]
+    while todo:
+        t = todo.pop()
+        if type(t) is Seq:
+            todo += t.parts
+        elif type(t) is For:
+            todo.append(t.body)
+            if _body_is_idle(t.body):
+                found.add(id(t))
+    return found

@@ -6,6 +6,7 @@ from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scorelang
 import scorelang.semantics as core
@@ -21,6 +22,7 @@ from scorelang import (
     Program,
     Push,
     Seq,
+    Skip,
     State,
     TraceStep,
     compile_program,
@@ -35,8 +37,10 @@ from scorelang import (
     variables_of,
     zero_counters,
 )
-from reference_walker import ref_eval_a, ref_eval_n, ref_eval_r, ref_eval_traced
-from term_strategies import states, wf_terms
+from scorelang.syntax import _scan
+import reference_frontend as ref
+from reference_walker import ref_eval_a, ref_eval_n, ref_eval_r, ref_eval_traced, ref_idle_loops
+from term_strategies import raw_terms, states, wf_terms
 
 
 def assert_same_trace(term, state, semantics):
@@ -305,8 +309,7 @@ class TestSharedBlocks:
 
 
 class TestTraceSteps:
-    """`eval_traced`'s observer sets its steps' fields past the constructor;
-    the steps are still the frozen values the constructor builds."""
+    """`eval_traced`'s steps are the frozen values the constructor builds."""
 
     PROGRAM = parse("INC x; PUSH x; FOR n { INC y; PUSH y }; POP z")
     STATE = State({"n": Cell(2), "y": Cell(0, (9,), 0), "z": Cell(5, (4,), 0)})
@@ -434,7 +437,8 @@ class TestDeepNests:
 
 class TestIdleLoops:
     """A loop whose body holds no atom at any depth changes nothing, so it
-    compiles to no entry and its count, however large, costs nothing."""
+    compiles to no entry, its body is never compiled, and its count, however
+    large, costs nothing."""
 
     @pytest.mark.parametrize(
         "source", ["FOR n { SKIP }", "FOR n { FOR m { SKIP } }", "FOR n { SKIP; FOR m { FOR k { SKIP; SKIP } } }"]
@@ -446,9 +450,7 @@ class TestIdleLoops:
         for semantics in "nar":
             for order in SPELLED:
                 assert program.run(state, semantics, order) == Final(state)
-                steps = []
-                assert program.run(state, semantics, order, steps) == Final(state)
-                assert steps == []
+                assert observed_run(program, state, semantics, order) == ([], state)
 
     def test_idle_loops_among_busy_ones(self):
         # the idle loops run no step, so the positions of the steps after
@@ -465,6 +467,52 @@ class TestIdleLoops:
                 if isinstance(expected, Final):
                     expected = Final(expected.state.set("n", Cell(10**18)))
                 assert runs.run(huge, semantics, "+-") == expected
+
+    def test_idle_bodies_are_never_compiled(self, compiled_blocks):
+        # n's loop and the n loop in k's body are idle; only the program's
+        # blocks and k's body's are compiled, in both directions, plain and
+        # traced
+        program = compile_program(parse("FOR n { FOR m { SKIP } }; FOR k { INC y; FOR n { SKIP; SKIP } }"))
+        state = State({"n": Cell(3), "m": Cell(-2), "k": Cell(2)})
+        for observe in (None, lambda *step: None):
+            for semantics in "nar":
+                assert program.run(state, semantics, "+-", observe) == Final(state)
+        k_body = program.term.parts[1].body
+        assert sorted(compiled_blocks) == sorted((id(t), i) for t in (program.term, k_body) for i in range(4))
+
+
+class TestIdleLoopIds:
+    """The walk behind `check_well_formed`, `variables_of` and
+    `compile_program` records the idle FOR nodes that a walk of each loop
+    body finds, and still finds the violations and the names it did."""
+
+    @staticmethod
+    def assert_scan_matches(term):
+        for relaxed in (False, True):
+            violations, slots, idle = _scan(term, relaxed)
+            assert idle == ref_idle_loops(term)
+            assert violations == ref.check_well_formed(term, relaxed=relaxed)
+            assert tuple(slots) == ref.variables_in_order(term)
+
+    @settings(max_examples=300)
+    @given(st.one_of(wf_terms(max_depth=6), raw_terms(max_depth=6)))
+    def test_hypothesis_terms(self, term):
+        self.assert_scan_matches(term)
+
+    def test_fuzz_corpus(self):
+        for program, _, _ in fuzz_corpus(GenConfig(seed=17), 500):
+            self.assert_scan_matches(program)
+            self.assert_scan_matches(invert(program))
+
+    def test_nested_shared_and_among_busy_loops(self):
+        inner = For("m", Seq(Skip(), Skip()))
+        outer = For("n", Seq(Skip(), inner))  # idle, holding an idle loop
+        busy = For("k", Seq(Inc("x"), For("j", Skip())))  # busy, holding an idle loop
+        shared = For("j", Seq(Push("y"), For("i", Skip())))  # one node at two places
+        term = Seq(outer, busy, shared, For("w", Seq(shared, inner)))
+        idle = _scan(term, False)[2]
+        assert idle == {id(inner), id(outer), id(busy.body.parts[1]), id(shared.body.parts[1])}
+        self.assert_scan_matches(term)
 
 
 @pytest.fixture
