@@ -211,12 +211,14 @@ def pop_r(cell: Cell) -> Cell:
 # plan's index is its direction (1 meaning the body runs inverted) plus 2
 # when traced, so a negative count flips the direction with ``^= 1``.  So
 # no (loop, direction, traced) block is compiled twice, and one that never
-# runs is never compiled.  The inverted block is compiled straight from the
-# term, with the entries in reverse order and INC/DEC and PUSH/POP swapped.
+# runs is never compiled, but for the inner bodies that a generated
+# function writes out in both directions.  The inverted block is compiled
+# straight from the term, with the entries in reverse order and INC/DEC
+# and PUSH/POP swapped.
 #
 # A plan is ``(block, atoms, run)``: the block, its atom count, and how an
 # entry runs it.  ``run`` is False for a block that always steps through
-# `_execute` (a traced block, or one that is no leaf), the function
+# `_execute` (a traced block, or one with a nest in it), the function
 # generated from the block (below) once the loop is hot, and None while an
 # untraced block is cold: it steps, and its entries count the loop's heat.
 # So a loop entry makes one plan lookup and one dispatch.
@@ -235,19 +237,30 @@ def pop_r(cell: Cell) -> Cell:
 # loops, the scheduled steps that did not run.  POP and loop entries
 # therefore also carry the number of atoms before them in their block.
 #
-# A leaf loop, one whose block holds no loop entry, runs hot in an
-# untraced run through a Python function generated from its block
-# (`_leaf_function`): each slot's value and counter in a local, each stack
-# list aliased, and the body's atoms written out under ``for i in
-# range(count)``, with the same meaning as `_execute`'s branches and the
-# same semantics argument read only by an illegal POP.  Compiling the
-# function costs about as much as stepping its body 500 times, whatever
-# the body's size, so a loop's heat counts the iterations its cold plans
-# have scheduled, in either direction, and an untraced plan gets its run,
-# the function or False, on the first entry past `_HOT`.  The plan lives
-# in the loop's cache, so a Program generates each function at most once,
-# and a fresh Program pays for it again.  `_execute` still steps every
-# nest and every traced run.
+# A hot loop runs in an untraced run through a Python function generated
+# from its block (`_nest_function`): each slot's value and counter in a
+# local, each stack list aliased, and the block's atoms written out under
+# ``for i in range(count)``, with the same meaning as `_execute`'s
+# branches.  A loop entry in the block runs inline too: it reads its count
+# from the leader's local and branches on the sign to the forward or the
+# inverted lines of the inner body, so one call runs a two-level nest.
+# Only inner bodies that are leaves, blocks with no loop entry, are
+# written inline.  Inlining both directions at every level would repeat
+# the innermost body 2^(d-1) times, and calling the inner plans' functions
+# would recurse as deep as the nest, so a block with a deeper loop always
+# steps: `_execute` steps the outer levels of a deeper nest, and the two
+# innermost run generated.  An illegal POP is one call to its semantics'
+# helper in `_ILLEGAL`, so one function serves all three semantics.  Under
+# `a` the helper raises `_Abort` with the steps of the call that ran
+# before the POP, from the POP's site and the loop indices it passes.  The
+# function returns the steps its inner entries scheduled, so `scheduled`,
+# and with it every abort position, is the same as when stepping.
+# Compiling a function costs about as much as stepping its body 500 times,
+# so a loop's heat counts the iterations its cold plans have scheduled, in
+# either direction, and an untraced plan gets its run, the function or
+# False, on the first entry past `_HOT`.  The plan lives in the loop's
+# cache, so a Program generates each function at most once, and a fresh
+# Program pays for it again.  Traced runs always step.
 
 _INC, _DEC, _PUSH, _POP, _LOOP, _OBSERVE = range(6)
 _SEMANTICS = ("n", "a", "r")
@@ -258,7 +271,7 @@ _OPCODES = (_FORWARD, {cls: _FORWARD[inverse] for cls, inverse in _INVERSE.items
 _OP_KEYWORD = {op: _KEYWORD[cls] for cls, op in _FORWARD.items()}
 # A loop cache: 0 to 3 hold its plans, then its body term and its heat.
 _BODY, _HEAT = 4, 5
-_HOT = 500  # iterations a loop schedules before its leaf functions are generated
+_HOT = 500  # iterations a loop schedules before its functions are generated
 _DIRECTION = {"+": 0, "-": 1}  # the passes of `Program.run`'s order
 
 
@@ -271,54 +284,114 @@ def _unknown_semantics(semantics: str) -> ValueError:
     return ValueError(f"unknown semantics {semantics!r}; expected 'n', 'a' or 'r'")
 
 
-# The lines of each atom in a leaf function, over the locals of its slot
-# k: v{k} and c{k} hold the value and the counter, s{k} is the stack list.
-_LEAF_LINES = {
+class _Abort(Exception):
+    """An illegal POP under the assert semantics, inside a generated
+    function: the POP's slot, and the steps of the call that ran before it."""
+
+    def __init__(self, slot: int, ran: int):
+        self.slot, self.ran = slot, ran
+
+
+def _illegal_n(value, stack, counter, site, i, sched=0, n1=0, i1=0):
+    return stack.pop() if stack else 0, counter
+
+
+def _illegal_a(value, stack, counter, site, i, sched=0, n1=0, i1=0):
+    slot, before, own, span = site
+    raise _Abort(slot, i * own + before + sched - (n1 - i1) * span)
+
+
+def _illegal_r(value, stack, counter, site, i, sched=0, n1=0, i1=0):
+    return value, counter + 1
+
+
+# What an illegal POP of a generated function calls under each semantics:
+# ``value, counter = illegal(value, stack, counter, site, i[, sched[, n1,
+# i1]])``.  The site is the POP's slot, the atoms before it in its
+# iteration of the call (an inner entry's included), the atoms of the
+# function's own block and those of the inner body it sits in (0 outside
+# one); the rest are the call's iteration and scheduled inner steps, and the
+# inner loop's count and iteration.  Only the assert helper reads them.
+_ILLEGAL = {"n": _illegal_n, "a": _illegal_a, "r": _illegal_r}
+
+# The lines of each atom in a generated function, over the locals of its
+# slot k: v{k} and c{k} hold the value and the counter, s{k} is the stack
+# list.  {where} is what a POP hands its helper after the site.
+_ATOM_LINES = {
     _INC: ("v{k} += 1",),
     _DEC: ("v{k} -= 1",),
     _PUSH: ("if not c{k}:", "    s{k}.append(v{k})", "    v{k} = 0", "elif v{k} or not s{k}:", "    c{k} -= 1"),
     _POP: (
         "if v{k} or not s{k}:",
-        "    if semantics == 'r':",
-        "        c{k} += 1",
-        "    elif semantics == 'n':",
-        "        v{k} = s{k}.pop() if s{k} else 0",
-        "    else:",
-        "        return i, {before}, {k}",
+        "    v{k}, c{k} = illegal(v{k}, s{k}, c{k}, ({k}, {before}, {own}, {span}), {where})",
         "elif not c{k}:",
         "    v{k} = s{k}.pop()",
     ),
 }
+# Each atom's lines as one text, indented for the function's own loop (0)
+# and for an inner loop (1).
+_ATOM_TEXT = [
+    {op: "".join(f"{pad}{line}\n" for line in lines) for op, lines in _ATOM_LINES.items()}
+    for pad in (" " * 12, " " * 20)
+]
 
 
-def _leaf_function(block: tuple):
-    """The function ``leaf(values, stacks, counters, count, semantics)``
-    that runs `block`, an untraced loop body, `count` times on the slot
-    lists, or False when the block holds a loop entry.  No loop's block is
-    empty, since an idle loop gets no entry.  The function returns None
-    when every iteration completes, else the iteration, the atoms before
-    the aborting POP in the block, and the POP's slot."""
-    stacked: dict[int, bool] = {}  # each slot of the block: whether it uses its stack
-    body = []
-    for op, arg in block:
-        if op == _LOOP:
+def _nest_function(program: Program, block: tuple):
+    """The function ``run(values, stacks, counters, count, illegal)`` that
+    runs `block`, an untraced loop body of `program`, `count` times on the
+    slot lists, its inner loops inline, an illegal POP calling `illegal`
+    (from `_ILLEGAL`); or False when an inner loop's body holds a loop
+    entry.  No loop's block is empty, since an idle loop gets no entry.  The
+    function returns the steps its inner loop entries scheduled; under `a`
+    an illegal POP raises `_Abort`."""
+    inner = [arg for op, arg in block if op == _LOOP]
+    for _, cache, index, _ in inner:
+        if any(op == _LOOP for op, _ in (cache[index] or program._plan(cache, index))[0]):
             return False
-        slot, before = arg if op == _POP else (arg, 0)
+    own = len(block) - len(inner)  # the block's own atoms
+    stacked: dict[int, bool] = {}  # each slot an atom writes: whether it uses its stack
+    where = ("i, sched", "i, sched, n1, i1") if inner else ("i",)
+
+    def atom(op, arg, level, before, span):
+        slot, pop_before = arg if op == _POP else (arg, 0)
         stacked[slot] = stacked.get(slot, False) or op == _PUSH or op == _POP
-        body += (" " * 12 + line.format(k=slot, before=before) for line in _LEAF_LINES[op])
-    load, store = [], []
+        before += pop_before
+        return _ATOM_TEXT[level][op].format(k=slot, before=before, own=own, span=span, where=where[level])
+
+    body = []
+    pad = " " * 12
+    for op, arg in block:
+        if op != _LOOP:
+            body.append(atom(op, arg, 0, 0, 0))
+            continue
+        leader, cache, index, before = arg
+        body.append(f"{pad}n1 = v{leader}\n")
+        for direction, branch in ((index, "if n1 > 0:\n"), (index ^ 1, f"elif n1:\n{pad}    n1 = -n1\n")):
+            inner_block, span, _ = cache[direction] or program._plan(cache, direction)
+            body.append(f"{pad}{branch}{pad}    sched += n1 * {span}\n{pad}    for i1 in range(n1):\n")
+            body += (atom(op, arg, 1, before, span) for op, arg in inner_block)
+    load = [f"    v{k} = values[{k}]\n" for k in {leader for leader, _, _, _ in inner} - stacked.keys()]
+    store = []
     for k, uses_stack in stacked.items():
-        load.append(f"    v{k} = values[{k}]")
-        store.append(f"        values[{k}] = v{k}")
+        load.append(f"    v{k} = values[{k}]\n")
+        store.append(f"        values[{k}] = v{k}\n")
         if uses_stack:
-            load += (f"    s{k} = stacks[{k}]", f"    c{k} = counters[{k}]")
-            store.append(f"        counters[{k}] = c{k}")
-    head = "def leaf(values, stacks, counters, count, semantics):"
-    loop = ("    try:", "        for i in range(count):")
-    source = "\n".join((head, *load, *loop, *body, "    finally:", *store))
+            load.append(f"    s{k} = stacks[{k}]\n    c{k} = counters[{k}]\n")
+            store.append(f"        counters[{k}] = c{k}\n")
+    source = "".join(
+        (
+            "def run(values, stacks, counters, count, illegal):\n",
+            *load,
+            "    sched = 0\n" if inner else "",
+            "    try:\n        for i in range(count):\n",
+            *body,
+            f"        return {'sched' if inner else 0}\n    finally:\n",
+            *store,
+        )
+    )
     namespace: dict = {}
-    exec(compile(source, "<leaf loop>", "exec"), namespace)
-    return namespace["leaf"]
+    exec(compile(source, "<loop nest>", "exec"), namespace)
+    return namespace.pop("run")  # so the function and its globals make no cycle
 
 
 def _abort_position(scheduled: int, left: int, frames: list[tuple]) -> int:
@@ -380,15 +453,15 @@ def _execute(
                     if run is None:
                         cache[_HEAT] += count
                         if cache[_HEAT] > _HOT:
-                            run = _leaf_function(body)
+                            run = _nest_function(program, body)
                             cache[index] = body, body_atoms, run
                     if run:
-                        stop = run(values, stacks, counters, count, semantics)
-                        if stop is None:
-                            continue
-                        iteration, pop_before, slot = stop
-                        left = (count - iteration) * body_atoms - pop_before + atoms - before
-                        return _abort_position(scheduled, left, frames), slot
+                        try:
+                            scheduled += run(values, stacks, counters, count, _ILLEGAL[semantics])
+                        except _Abort as stop:
+                            left = count * body_atoms - stop.ran + atoms - before
+                            return _abort_position(scheduled, left, frames), stop.slot
+                        continue
                     repeats = repeat(body, count)
                     frames.append((it, atoms, before, body_atoms, repeats))
                     it, atoms = chain.from_iterable(repeats), body_atoms

@@ -280,9 +280,16 @@ def _declared_state(declarations: list[tuple[str, Cell]]) -> State:
 def dump_state(state: State, names: Iterable[str]) -> str:
     """Render `names` (sorted) in the state file format, all fields explicit.
 
-    Round trip: parsing the output agrees with `state` on `names`.
+    Round trip: parsing the output agrees with `state` on `names`.  Each
+    line is written as `dump_cell` writes it.
     """
-    return "".join(dump_cell(name, state.get(name)) for name in sorted(set(names)))
+    get = state._cells.get
+    lines = []
+    append = lines.append
+    for name in sorted(set(names)):
+        value, stack, counter = get(name, DEFAULT_CELL)
+        append(f"{name} = {value}, [{', '.join(map(str, stack)) if stack else ''}], {counter}\n")
+    return "".join(lines)
 
 
 def dump_cell(name: str, cell: Cell) -> str:

@@ -14,6 +14,7 @@ from scorelang import (
     AbortRecord,
     Aborted,
     Cell,
+    Dec,
     Final,
     For,
     GenConfig,
@@ -517,16 +518,16 @@ class TestIdleLoopIds:
 
 @pytest.fixture
 def generated(monkeypatch):
-    """The blocks that `_leaf_function` is asked to generate a function
+    """The blocks that `_nest_function` is asked to generate a function
     for while the fixture is in use."""
     blocks = []
-    real = core._leaf_function
+    real = core._nest_function
 
-    def logged(block):
+    def logged(program, block):
         blocks.append(block)
-        return real(block)
+        return real(program, block)
 
-    monkeypatch.setattr(core, "_leaf_function", logged)
+    monkeypatch.setattr(core, "_nest_function", logged)
     return blocks
 
 
@@ -540,10 +541,16 @@ def hot(monkeypatch, generated):
 BIG = 10**30
 
 
+def nest_blocks(blocks):
+    """Whether each of `blocks` holds a loop entry."""
+    return [any(op == core._LOOP for op, _ in block) for block in blocks]
+
+
 class TestLeafFunctions:
-    """Untraced runs of hot leaf loops call a function generated from the
-    loop's block.  With the heat threshold at 0 every leaf loop does so from
-    its first entry, and every run still agrees with the reference walker."""
+    """Untraced runs of hot loops call a function generated from the loop's
+    block, which runs the inner loops of a two-level nest inline.  With the
+    heat threshold at 0 every loop does so from its first entry, and every
+    run still agrees with the reference walker."""
 
     def test_fuzz_corpus(self, hot):
         cfg = GenConfig(seed=12)
@@ -587,7 +594,7 @@ class TestLeafFunctions:
             State({"n": Cell(-3), "k": Cell(1), "x": Cell(-BIG, (), 3), "y": Cell(BIG + 1, (BIG,), 0)}),
         ]
         assert_runs_match_reference(program, states)
-        assert hot
+        assert all(nest_blocks(hot))  # n's body runs k's loop inline
 
     def test_abort_after_the_loop_turns_hot(self, generated):
         # 2,000 iterations make the loop hot at its first entry, so the
@@ -613,8 +620,9 @@ class TestLeafFunctions:
         assert hot
 
     def test_each_leaf_generates_once_for_all_semantics(self, hot):
-        # forward: n's block (no leaf), m's inverted block, k's block;
-        # backward: k's inverted block, n's inverted block, m's block
+        # forward: n's block, which runs m's loop inline, and k's block;
+        # backward: k's inverted block and n's inverted block, so m's loop
+        # gets no function of its own
         program = compile_program(parse("FOR n { INC x; FOR m { POP y; PUSH y } }; PUSH z; FOR k { DEC w; POP z }"))
         state = State({"n": Cell(2), "m": Cell(-1), "k": Cell(1), "y": Cell(0, (1,), 0)})
         for order in "+-":
@@ -622,5 +630,107 @@ class TestLeafFunctions:
                 before = len(hot)
                 assert isinstance(program.run(state, semantics, order), Final)
                 assert semantics == "n" or len(hot) == before
-        assert len(hot) == len({id(block) for block in hot}) == 6
-        assert [any(op == core._LOOP for op, _ in block) for block in hot] == [True, False, False, False, True, False]
+        assert len(hot) == len({id(block) for block in hot}) == 4
+        assert [any(op == core._LOOP for op, _ in block) for block in hot] == [True, False, False, True]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "FOR n { INC x; FOR m { POP y; PUSH z; DEC x }; PUSH y }",
+            "FOR n { FOR m { INC x; PUSH y }; DEC w; FOR k { POP y; INC w; PUSH w } }",
+            "FOR n { INC u; FOR m { INC x; FOR k { POP y; DEC z; PUSH x }; POP z }; PUSH u }",
+        ],
+    )
+    def test_nests_under_each_semantics_and_order(self, hot, source):
+        program = parse(source)
+        cfg = GenConfig(value_range=(-3, 3))
+        rng = random.Random(source)
+        names = compile_program(program).variables
+        assert_runs_match_reference(program, [gen_state(cfg, names, rng) for _ in range(12)])
+        assert any(nest_blocks(hot))
+
+    def test_abort_positions_at_every_depth(self, hot):
+        # n's body holds a nest, so it steps; m's body runs in a function,
+        # with k's body inline.  Forward, POP a, c, g and e abort; inverted,
+        # POP b, h, d and f.  One stack at a time runs short.
+        program = parse("FOR n { POP a; PUSH b; FOR m { POP c; PUSH d; FOR k { INC x; POP e; PUSH f }; POP g; PUSH h } }")
+        states = []
+        for n, m, k in [(2, 3, 2), (-2, 3, 2), (2, -3, 2), (2, 3, -2), (-2, -3, -2)]:
+            for short, length in zip("abcdefgh", (1, 1, 4, 4, 9, 9, 3, 3)):
+                cells = {name: Cell(0, (0,) * (length if name == short else 40), 0) for name in "abcdefgh"}
+                states.append(State({"n": Cell(n), "m": Cell(m), "k": Cell(k), **cells}))
+        runs = compile_program(program)
+        aborted = {}
+        for order in "+-":
+            for state in states:
+                outcome = runs.run(state, "a", order)
+                if isinstance(outcome, Aborted):
+                    aborted.setdefault(outcome.record.instruction, set()).add(outcome.record.trace_position)
+        assert sorted(aborted) == [f"POP {name}" for name in "abcdefgh"]
+        assert_runs_match_reference(program, states[::3])
+        assert_runs_match_reference(program, states[1::3], "a")
+        assert_runs_match_reference(program, states[2::3], "a")
+        assert all(nest_blocks(hot))  # k's loop always runs inline
+
+    def test_inner_leaders_written_in_the_nest(self, hot):
+        # n's body moves k's count from -2 up through 0 and j's down, and
+        # a's loop writes i, the leader of the loop after it, so the inner
+        # counts change between entries, sign included
+        program = parse(
+            "FOR n { INC k; FOR k { INC x; PUSH y }; DEC j; FOR j { POP y; DEC x }; FOR a { INC i }; FOR i { PUSH w } }"
+        )
+        states = [
+            State({"n": Cell(5), "k": Cell(-2), "j": Cell(1), "a": Cell(-1), "y": Cell(0, (3,) * 4, 0)}),
+            State({"n": Cell(-4), "k": Cell(2), "j": Cell(-1), "a": Cell(2), "i": Cell(-3)}),
+            State({"n": Cell(6), "k": Cell(-5), "j": Cell(2), "a": Cell(1), "w": Cell(2, (), 1)}),
+        ]
+        assert_runs_match_reference(program, states)
+        assert nest_blocks(hot)[0]
+
+    def test_idle_inner_loops_and_a_shared_loop(self, hot):
+        # k's loop is one node at three places, two of them in n's body;
+        # m's and i's loops are idle and get no entry
+        shared = For("k", Seq(Inc("x"), Pop("y")))
+        idle = For("m", Seq(Skip(), For("i", Skip())))
+        program = Seq(For("n", Seq(shared, idle, Push("y"), shared)), For("j", Seq(Dec("x"), shared, idle)))
+        states = [
+            State({"n": Cell(3), "j": Cell(-2), "k": Cell(2), "m": Cell(4), "y": Cell(0, (1, 2, 3, 4), 0)}),
+            State({"n": Cell(-2), "j": Cell(3), "k": Cell(-3), "m": Cell(-1), "y": Cell(5, (), 1)}),
+        ]
+        assert_runs_match_reference(program, states)
+        assert nest_blocks(hot) == [True, True, True, True]
+
+    def test_abort_after_a_hot_nest(self, generated):
+        # the nest schedules 700 * 3 steps in one call, which the abort's
+        # position counts; the traced run steps to the same record
+        program = parse("FOR m { FOR k { INC x } }; POP z")
+        state = State({"m": Cell(700), "k": Cell(-3), "z": Cell(1)})
+        outcome = eval_a(program, state)
+        assert outcome == ref_eval_a(program, state)
+        assert outcome.record.trace_position == 2100
+        assert eval_traced(program, state, "a")[0][-1].abort == outcome.record
+        assert nest_blocks(generated) == [True]
+
+    def test_deep_hot_nest(self, hot, monkeypatch):
+        # Only the two innermost levels run generated: each outer level's
+        # block holds a nest, so it steps, and the functions' text does not
+        # grow with the depth.  A count of 2 at every level would take 2**25
+        # iterations, too many for the reference walker, so every fourth
+        # level runs twice and the others once, forward or inverted.
+        sources = []
+
+        def spy(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+
+        monkeypatch.setattr(core, "compile", spy, raising=False)
+        depth = 25
+        body = Seq(Inc("x"), Pop("y"), Push("z"))
+        for level in reversed(range(depth)):
+            body = For(f"a{level}", Seq(Dec(f"w{level % 3}"), body, Push(f"w{level % 3}")))
+        counts = {f"a{level}": Cell(2 if level % 4 == 0 else (-1) ** level) for level in range(depth)}
+        assert_runs_match_reference(body, [State({**counts, "y": Cell(0, (0,) * 100, 0)})])
+        assert 0 < len(sources) <= 2  # a23's body, forward and inverted
+        # each writes a23's two atoms and the innermost three in both directions
+        assert max(map(len, sources)) < 400 * (2 + 2 * 3)
+

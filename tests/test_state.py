@@ -18,6 +18,7 @@ from scorelang import (
 )
 from reference_state import _parse_lines
 from scorelang import state
+from scorelang.state import dump_cell
 from scorelang.syntax import KEYWORDS
 from term_strategies import cells, idents, states
 
@@ -381,3 +382,20 @@ class TestDumpState:
         recovered = parse_state(dump_state(state, names))
         for name in names:
             assert recovered.get(name) == state.get(name)
+
+    def test_lines_as_dump_cell_writes_them(self):
+        # An int subclass may print differently through str() and through
+        # format(), as IntEnum does on Python 3.10; each field is printed
+        # the way `dump_cell` prints it.
+        class Loud(int):
+            def __str__(self):
+                return f"loud{int(self)}"
+
+            def __format__(self, spec):
+                return f"fmt{int(self)}"
+
+        state = State({"x": Cell(Loud(3), (Loud(1), 2, Loud(-4)), Loud(1)), "y": Cell(5, (), 0)})
+        names = {"x", "y", "z"}
+        expected = "".join(dump_cell(name, state.get(name)) for name in sorted(names))
+        assert dump_state(state, names) == expected
+        assert expected.startswith("x = fmt3, [loud1, 2, loud-4], fmt1\n")
