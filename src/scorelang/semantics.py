@@ -40,8 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import length_hint
+from itertools import chain, compress, repeat
 
 from .state import Cell, DEFAULT_CELL, State, _new_cell
 from .syntax import (
@@ -211,14 +210,12 @@ def pop_r(cell: Cell) -> Cell:
 # plan's index is its direction (1 meaning the body runs inverted) plus 2
 # when traced, so a negative count flips the direction with ``^= 1``.  So
 # no (loop, direction, traced) block is compiled twice, and one that never
-# runs is never compiled, but for the inner bodies that a generated
-# function writes out in both directions.  The inverted block is compiled
-# straight from the term, with the entries in reverse order and INC/DEC
-# and PUSH/POP swapped.
+# runs is never compiled.  The inverted block is compiled straight from the
+# term, with the entries in reverse order and INC/DEC and PUSH/POP swapped.
 #
 # A plan is ``(block, atoms, run)``: the block, its atom count, and how an
 # entry runs it.  ``run`` is False for a block that always steps through
-# `_execute` (a traced block, or one with a nest in it), the function
+# `_execute` (a traced block, or one holding a loop entry), the function
 # generated from the block (below) once the loop is hot, and None while an
 # untraced block is cold: it steps, and its entries count the loop's heat.
 # So a loop entry makes one plan lookup and one dispatch.
@@ -237,24 +234,32 @@ def pop_r(cell: Cell) -> Cell:
 # loops, the scheduled steps that did not run.  POP and loop entries
 # therefore also carry the number of atoms before them in their block.
 #
-# A hot loop runs in an untraced run through a Python function generated
-# from its block (`_nest_function`): each slot's value and counter in a
-# local, each stack list aliased, and the block's atoms written out under
-# ``for i in range(count)``, with the same meaning as `_execute`'s
-# branches.  A loop entry in the block runs inline too: it reads its count
-# from the leader's local and branches on the sign to the forward or the
-# inverted lines of the inner body, so one call runs a two-level nest.
-# Only inner bodies that are leaves, blocks with no loop entry, are
-# written inline.  Inlining both directions at every level would repeat
-# the innermost body 2^(d-1) times, and calling the inner plans' functions
-# would recurse as deep as the nest, so a block with a deeper loop always
-# steps: `_execute` steps the outer levels of a deeper nest, and the two
-# innermost run generated.  An illegal POP is one call to its semantics'
+# A perfect nest, ``FOR m { FOR k { B } }`` whose outer body is only the
+# inner loop, runs as one loop.  A loop reads its leader once, and the
+# strict proviso keeps k out of B, so k keeps its value for the whole run
+# of m's loop: the nest is k's loop run |m|*|k| times, inverted when the
+# signs of m and k differ (loop coalescing).  So a loop entry steps down
+# while its plan's block holds no atom and one loop entry, multiplying the
+# count by the inner leader's value, and runs the innermost plan with the
+# product, stepped, traced or generated.  Each iteration runs the same
+# atoms in the same order as level-by-level stepping, and `scheduled` gets
+# the same total, so no abort position moves.  The outer levels' plans are
+# made, for their blocks, but they never step and count no heat.  A mixed
+# nest, one with atoms beside its inner loop, steps its outer level.
+#
+# A hot leaf loop, one whose block holds no loop entry, runs in an untraced
+# run through a Python function generated from its block
+# (`_leaf_function`): each slot's value and counter in a local, each stack
+# list aliased, and the block's atoms written out under ``for i in
+# range(count)``, with the same meaning as `_execute`'s branches.  So every
+# call runs exactly count times the block's atoms, or aborts, a number
+# known before the call.  An illegal POP is one call to its semantics'
 # helper in `_ILLEGAL`, so one function serves all three semantics.  Under
 # `a` the helper raises `_Abort` with the steps of the call that ran
-# before the POP, from the POP's site and the loop indices it passes.  The
-# function returns the steps its inner entries scheduled, so `scheduled`,
-# and with it every abort position, is the same as when stepping.
+# before the POP, ``i * atoms + before``, written into the POP's line, so
+# the abort position is the same as when stepping.  A block that holds a
+# loop entry gets False and always steps, so no function calls another and
+# a function's text is linear in its block.
 # Compiling a function costs about as much as stepping its body 500 times,
 # so a loop's heat counts the iterations its cold plans have scheduled, in
 # either direction, and an untraced plan gets its run, the function or
@@ -273,6 +278,7 @@ _OP_KEYWORD = {op: _KEYWORD[cls] for cls, op in _FORWARD.items()}
 _BODY, _HEAT = 4, 5
 _HOT = 500  # iterations a loop schedules before its functions are generated
 _DIRECTION = {"+": 0, "-": 1}  # the passes of `Program.run`'s order
+_NONE_LEFT = iter(())  # the countdown of a loop run once, which has no iteration left to yield
 
 
 def _loop_cache(body: Term) -> list:
@@ -292,113 +298,77 @@ class _Abort(Exception):
         self.slot, self.ran = slot, ran
 
 
-def _illegal_n(value, stack, counter, site, i, sched=0, n1=0, i1=0):
+def _illegal_n(value, stack, counter, slot, ran):
     return stack.pop() if stack else 0, counter
 
 
-def _illegal_a(value, stack, counter, site, i, sched=0, n1=0, i1=0):
-    slot, before, own, span = site
-    raise _Abort(slot, i * own + before + sched - (n1 - i1) * span)
+def _illegal_a(value, stack, counter, slot, ran):
+    raise _Abort(slot, ran)
 
 
-def _illegal_r(value, stack, counter, site, i, sched=0, n1=0, i1=0):
+def _illegal_r(value, stack, counter, slot, ran):
     return value, counter + 1
 
 
 # What an illegal POP of a generated function calls under each semantics:
-# ``value, counter = illegal(value, stack, counter, site, i[, sched[, n1,
-# i1]])``.  The site is the POP's slot, the atoms before it in its
-# iteration of the call (an inner entry's included), the atoms of the
-# function's own block and those of the inner body it sits in (0 outside
-# one); the rest are the call's iteration and scheduled inner steps, and the
-# inner loop's count and iteration.  Only the assert helper reads them.
+# ``value, counter = illegal(value, stack, counter, slot, ran)``, where
+# ``ran`` is the steps of the call that ran before the POP.  Only the
+# assert helper reads the last two.
 _ILLEGAL = {"n": _illegal_n, "a": _illegal_a, "r": _illegal_r}
 
 # The lines of each atom in a generated function, over the locals of its
 # slot k: v{k} and c{k} hold the value and the counter, s{k} is the stack
-# list.  {where} is what a POP hands its helper after the site.
+# list.  A POP hands its helper the steps the call ran before it: {atoms}
+# per earlier iteration and the {before} atoms ahead of it in its own.
 _ATOM_LINES = {
     _INC: ("v{k} += 1",),
     _DEC: ("v{k} -= 1",),
     _PUSH: ("if not c{k}:", "    s{k}.append(v{k})", "    v{k} = 0", "elif v{k} or not s{k}:", "    c{k} -= 1"),
     _POP: (
         "if v{k} or not s{k}:",
-        "    v{k}, c{k} = illegal(v{k}, s{k}, c{k}, ({k}, {before}, {own}, {span}), {where})",
+        "    v{k}, c{k} = illegal(v{k}, s{k}, c{k}, {k}, i * {atoms} + {before})",
         "elif not c{k}:",
         "    v{k} = s{k}.pop()",
     ),
 }
-# Each atom's lines as one text, indented for the function's own loop (0)
-# and for an inner loop (1).
-_ATOM_TEXT = [
-    {op: "".join(f"{pad}{line}\n" for line in lines) for op, lines in _ATOM_LINES.items()}
-    for pad in (" " * 12, " " * 20)
-]
+# Each atom's lines as one text, indented for the function's loop.
+_ATOM_TEXT = {op: "".join(f"{' ' * 12}{line}\n" for line in lines) for op, lines in _ATOM_LINES.items()}
 
 
-def _nest_function(program: Program, block: tuple):
+def _leaf_function(block: tuple):
     """The function ``run(values, stacks, counters, count, illegal)`` that
-    runs `block`, an untraced loop body of `program`, `count` times on the
-    slot lists, its inner loops inline, an illegal POP calling `illegal`
-    (from `_ILLEGAL`); or False when an inner loop's body holds a loop
-    entry.  No loop's block is empty, since an idle loop gets no entry.  The
-    function returns the steps its inner loop entries scheduled; under `a`
-    an illegal POP raises `_Abort`."""
-    inner = [arg for op, arg in block if op == _LOOP]
-    for _, cache, index, _ in inner:
-        if any(op == _LOOP for op, _ in (cache[index] or program._plan(cache, index))[0]):
-            return False
-    own = len(block) - len(inner)  # the block's own atoms
-    stacked: dict[int, bool] = {}  # each slot an atom writes: whether it uses its stack
-    where = ("i, sched", "i, sched, n1, i1") if inner else ("i",)
-
-    def atom(op, arg, level, before, span):
-        slot, pop_before = arg if op == _POP else (arg, 0)
-        stacked[slot] = stacked.get(slot, False) or op == _PUSH or op == _POP
-        before += pop_before
-        return _ATOM_TEXT[level][op].format(k=slot, before=before, own=own, span=span, where=where[level])
-
+    runs `block`, an untraced loop body, `count` times on the slot lists,
+    an illegal POP calling `illegal` (from `_ILLEGAL`); or False when the
+    block holds a loop entry.  No loop's block is empty, since an idle loop
+    gets no entry.  Under `a` an illegal POP raises `_Abort`."""
+    stacked: dict[int, bool] = {}  # each slot of the block: whether it uses its stack
     body = []
-    pad = " " * 12
     for op, arg in block:
-        if op != _LOOP:
-            body.append(atom(op, arg, 0, 0, 0))
-            continue
-        leader, cache, index, before = arg
-        body.append(f"{pad}n1 = v{leader}\n")
-        for direction, branch in ((index, "if n1 > 0:\n"), (index ^ 1, f"elif n1:\n{pad}    n1 = -n1\n")):
-            inner_block, span, _ = cache[direction] or program._plan(cache, direction)
-            body.append(f"{pad}{branch}{pad}    sched += n1 * {span}\n{pad}    for i1 in range(n1):\n")
-            body += (atom(op, arg, 1, before, span) for op, arg in inner_block)
-    load = [f"    v{k} = values[{k}]\n" for k in {leader for leader, _, _, _ in inner} - stacked.keys()]
-    store = []
+        if op == _LOOP:
+            return False
+        slot, before = arg if op == _POP else (arg, 0)
+        stacked[slot] = stacked.get(slot, False) or op == _PUSH or op == _POP
+        body.append(_ATOM_TEXT[op].format(k=slot, atoms=len(block), before=before))
+    load, store = [], []
     for k, uses_stack in stacked.items():
         load.append(f"    v{k} = values[{k}]\n")
         store.append(f"        values[{k}] = v{k}\n")
         if uses_stack:
             load.append(f"    s{k} = stacks[{k}]\n    c{k} = counters[{k}]\n")
             store.append(f"        counters[{k}] = c{k}\n")
-    source = "".join(
-        (
-            "def run(values, stacks, counters, count, illegal):\n",
-            *load,
-            "    sched = 0\n" if inner else "",
-            "    try:\n        for i in range(count):\n",
-            *body,
-            f"        return {'sched' if inner else 0}\n    finally:\n",
-            *store,
-        )
-    )
+    head = "def run(values, stacks, counters, count, illegal):\n"
+    source = "".join((head, *load, "    try:\n        for i in range(count):\n", *body, "    finally:\n", *store))
     namespace: dict = {}
-    exec(compile(source, "<loop nest>", "exec"), namespace)
+    exec(compile(source, "<leaf loop>", "exec"), namespace)
     return namespace.pop("run")  # so the function and its globals make no cycle
 
 
 def _abort_position(scheduled: int, left: int, frames: list[tuple]) -> int:
     """The steps run before an abort: `scheduled` less the `left` steps of
-    the innermost block that did not run and those of each open loop."""
-    for _, outer_atoms, entry_before, body_atoms, repeats in frames:
-        left += length_hint(repeats) * body_atoms + outer_atoms - entry_before
+    the innermost block that did not run and those of each open loop,
+    whose iterations left it reads off the loop's countdown."""
+    for _, outer_atoms, entry_before, body_atoms, countdown in frames:
+        left += next(countdown, 0) * body_atoms + outer_atoms - entry_before
     return scheduled - left
 
 
@@ -410,11 +380,15 @@ def _execute(
     included.  Returns the number of steps run and -1 when the block
     completes, else the number run before a POP aborted and the POP's slot.
     An observer entry calls `observe` with its atom's label and name and
-    the slot's live value, stack list and counter.  A loop entry calls its
-    plan's function when it has one; else it pushes a frame (enclosing
-    iterator, its atoms, atoms before the entry, body atoms, repeats left)
-    and goes on with the body's block repeated, so nesting does not
-    recurse."""
+    the slot's live value, stack list and counter.  A loop entry first
+    steps down a perfect nest to its innermost loop, which then runs with
+    the product of the counts, in the direction their signs give.  It calls
+    its plan's function when it has one; else it pushes a frame (enclosing
+    iterator, its atoms, atoms before the entry, body atoms, countdown) and
+    goes on with the body's block repeated, so nesting does not recurse.
+    The countdown yields, for each iteration, the iterations left with it,
+    so a count of any size runs, and an abort reads what is left; a loop
+    run once goes on with its block itself, its countdown `_NONE_LEFT`."""
     frames: list[tuple] = []
     it = iter(block)
     while True:
@@ -444,28 +418,40 @@ def _execute(
             elif op == _LOOP:
                 leader, cache, index, before = arg
                 count = values[leader]
-                if count:
+                while count:
                     if count < 0:
                         count = -count
                         index ^= 1
                     body, body_atoms, run = cache[index] or program._plan(cache, index)
-                    scheduled += count * body_atoms
-                    if run is None:
-                        cache[_HEAT] += count
-                        if cache[_HEAT] > _HOT:
-                            run = _nest_function(program, body)
-                            cache[index] = body, body_atoms, run
-                    if run:
-                        try:
-                            scheduled += run(values, stacks, counters, count, _ILLEGAL[semantics])
-                        except _Abort as stop:
-                            left = count * body_atoms - stop.ran + atoms - before
-                            return _abort_position(scheduled, left, frames), stop.slot
-                        continue
-                    repeats = repeat(body, count)
-                    frames.append((it, atoms, before, body_atoms, repeats))
-                    it, atoms = chain.from_iterable(repeats), body_atoms
-                    break
+                    if body_atoms or len(body) > 1:
+                        break
+                    # a perfect nest: no step of it can change the inner count
+                    leader, cache, index, _ = body[0][1]
+                    count *= values[leader]
+                else:
+                    continue  # the loop, or an inner loop of its perfect nest, runs no iteration
+                scheduled += count * body_atoms
+                if run is None:
+                    cache[_HEAT] += count
+                    if cache[_HEAT] > _HOT:
+                        run = _leaf_function(body)
+                        cache[index] = body, body_atoms, run
+                if run:
+                    try:
+                        run(values, stacks, counters, count, _ILLEGAL[semantics])
+                    except _Abort as stop:
+                        left = count * body_atoms - stop.ran + atoms - before
+                        return _abort_position(scheduled, left, frames), stop.slot
+                    continue
+                if count == 1:
+                    frames.append((it, atoms, before, body_atoms, _NONE_LEFT))
+                    it = iter(body)
+                else:
+                    countdown = iter(range(count, 0, -1))
+                    frames.append((it, atoms, before, body_atoms, countdown))
+                    it = chain.from_iterable(compress(repeat(body), countdown))
+                atoms = body_atoms
+                break
             else:
                 instruction, name, slot = arg
                 observe(instruction, name, values[slot], stacks[slot], counters[slot])
@@ -482,7 +468,10 @@ class Program:
     bodies that never run included, in order of first occurrence.  Blocks
     are compiled on first use and kept, per direction and apart for traced
     runs, and all three semantics run the same blocks, so each later run
-    only executes.  `idle` holds the ids of the term's idle FOR nodes.
+    only executes.  A perfect loop nest runs as its innermost loop, with
+    the product of the counts, and a hot leaf loop of an untraced run calls
+    a function generated from its block, once per Program.  `idle` holds
+    the ids of the term's idle FOR nodes.
     """
 
     __slots__ = ("term", "variables", "_slots", "_loops", "_top")

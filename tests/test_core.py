@@ -5,7 +5,7 @@ import sys
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scorelang
@@ -518,16 +518,16 @@ class TestIdleLoopIds:
 
 @pytest.fixture
 def generated(monkeypatch):
-    """The blocks that `_nest_function` is asked to generate a function
+    """The blocks that `_leaf_function` is asked to generate a function
     for while the fixture is in use."""
     blocks = []
-    real = core._nest_function
+    real = core._leaf_function
 
-    def logged(program, block):
+    def logged(block):
         blocks.append(block)
-        return real(program, block)
+        return real(block)
 
-    monkeypatch.setattr(core, "_nest_function", logged)
+    monkeypatch.setattr(core, "_leaf_function", logged)
     return blocks
 
 
@@ -547,10 +547,10 @@ def nest_blocks(blocks):
 
 
 class TestLeafFunctions:
-    """Untraced runs of hot loops call a function generated from the loop's
-    block, which runs the inner loops of a two-level nest inline.  With the
-    heat threshold at 0 every loop does so from its first entry, and every
-    run still agrees with the reference walker."""
+    """Untraced runs of hot leaf loops call a function generated from the
+    loop's block; a block holding a loop steps.  With the heat threshold at
+    0 every leaf loop does so from its first entry, and every run still
+    agrees with the reference walker."""
 
     def test_fuzz_corpus(self, hot):
         cfg = GenConfig(seed=12)
@@ -594,7 +594,7 @@ class TestLeafFunctions:
             State({"n": Cell(-3), "k": Cell(1), "x": Cell(-BIG, (), 3), "y": Cell(BIG + 1, (BIG,), 0)}),
         ]
         assert_runs_match_reference(program, states)
-        assert all(nest_blocks(hot))  # n's body runs k's loop inline
+        assert nest_blocks(hot) == [True, False, False, True]  # n's body steps, k's runs generated both ways
 
     def test_abort_after_the_loop_turns_hot(self, generated):
         # 2,000 iterations make the loop hot at its first entry, so the
@@ -620,9 +620,9 @@ class TestLeafFunctions:
         assert hot
 
     def test_each_leaf_generates_once_for_all_semantics(self, hot):
-        # forward: n's block, which runs m's loop inline, and k's block;
-        # backward: k's inverted block and n's inverted block, so m's loop
-        # gets no function of its own
+        # forward: n's block, which holds m's loop and so steps, m's
+        # inverted block and k's block; backward: k's inverted block, n's
+        # inverted block and m's block
         program = compile_program(parse("FOR n { INC x; FOR m { POP y; PUSH y } }; PUSH z; FOR k { DEC w; POP z }"))
         state = State({"n": Cell(2), "m": Cell(-1), "k": Cell(1), "y": Cell(0, (1,), 0)})
         for order in "+-":
@@ -630,8 +630,8 @@ class TestLeafFunctions:
                 before = len(hot)
                 assert isinstance(program.run(state, semantics, order), Final)
                 assert semantics == "n" or len(hot) == before
-        assert len(hot) == len({id(block) for block in hot}) == 4
-        assert [any(op == core._LOOP for op, _ in block) for block in hot] == [True, False, False, True]
+        assert len(hot) == len({id(block) for block in hot}) == 6
+        assert [any(op == core._LOOP for op, _ in block) for block in hot] == [True, False, False, False, True, False]
 
     @pytest.mark.parametrize(
         "source",
@@ -650,8 +650,8 @@ class TestLeafFunctions:
         assert any(nest_blocks(hot))
 
     def test_abort_positions_at_every_depth(self, hot):
-        # n's body holds a nest, so it steps; m's body runs in a function,
-        # with k's body inline.  Forward, POP a, c, g and e abort; inverted,
+        # n's and m's bodies hold a loop, so they step; k's body runs in a
+        # function.  Forward, POP a, c, g and e abort; inverted,
         # POP b, h, d and f.  One stack at a time runs short.
         program = parse("FOR n { POP a; PUSH b; FOR m { POP c; PUSH d; FOR k { INC x; POP e; PUSH f }; POP g; PUSH h } }")
         states = []
@@ -670,7 +670,7 @@ class TestLeafFunctions:
         assert_runs_match_reference(program, states[::3])
         assert_runs_match_reference(program, states[1::3], "a")
         assert_runs_match_reference(program, states[2::3], "a")
-        assert all(nest_blocks(hot))  # k's loop always runs inline
+        assert nest_blocks(hot) == [True, True, False] * 8  # n's and m's blocks step, k's runs generated
 
     def test_inner_leaders_written_in_the_nest(self, hot):
         # n's body moves k's count from -2 up through 0 and j's down, and
@@ -698,7 +698,7 @@ class TestLeafFunctions:
             State({"n": Cell(-2), "j": Cell(3), "k": Cell(-3), "m": Cell(-1), "y": Cell(5, (), 1)}),
         ]
         assert_runs_match_reference(program, states)
-        assert nest_blocks(hot) == [True, True, True, True]
+        assert nest_blocks(hot) == [True, False, True, False, True, True]  # only k's body runs generated
 
     def test_abort_after_a_hot_nest(self, generated):
         # the nest schedules 700 * 3 steps in one call, which the abort's
@@ -709,12 +709,12 @@ class TestLeafFunctions:
         assert outcome == ref_eval_a(program, state)
         assert outcome.record.trace_position == 2100
         assert eval_traced(program, state, "a")[0][-1].abort == outcome.record
-        assert nest_blocks(generated) == [True]
+        assert nest_blocks(generated) == [False]  # the nest runs as k's loop
 
     def test_deep_hot_nest(self, hot, monkeypatch):
-        # Only the two innermost levels run generated: each outer level's
-        # block holds a nest, so it steps, and the functions' text does not
-        # grow with the depth.  A count of 2 at every level would take 2**25
+        # Only the innermost level runs generated: each outer level's block
+        # holds a loop and atoms, so it steps, and the functions' text does
+        # not grow with the depth.  A count of 2 at every level would take 2**25
         # iterations, too many for the reference walker, so every fourth
         # level runs twice and the others once, forward or inverted.
         sources = []
@@ -730,7 +730,159 @@ class TestLeafFunctions:
             body = For(f"a{level}", Seq(Dec(f"w{level % 3}"), body, Push(f"w{level % 3}")))
         counts = {f"a{level}": Cell(2 if level % 4 == 0 else (-1) ** level) for level in range(depth)}
         assert_runs_match_reference(body, [State({**counts, "y": Cell(0, (0,) * 100, 0)})])
-        assert 0 < len(sources) <= 2  # a23's body, forward and inverted
-        # each writes a23's two atoms and the innermost three in both directions
+        assert 0 < len(sources) <= 2  # a24's body, forward and inverted
+        # each writes a24's five atoms, within the bound of the nest text
         assert max(map(len, sources)) < 400 * (2 + 2 * 3)
 
+
+
+class _TooLong(Exception):
+    pass
+
+
+def runs_within(term, state, limit):
+    """Whether each run that `assert_runs_match_reference` makes of `term`
+    from `state` takes at most `limit` steps; an observer that raises ends
+    a longer one."""
+    program = compile_program(term)
+
+    def observe(*step):
+        nonlocal steps
+        steps += 1
+        if steps > limit:
+            raise _TooLong
+
+    for semantics in "nar":
+        for order in SPELLED:
+            steps = 0
+            try:
+                program.run(state if semantics == "r" else zero_counters(state), semantics, order, observe)
+            except _TooLong:
+                return False
+    return True
+
+
+class TestPerfectNests:
+    """A perfect nest, a loop whose body is one loop and nothing else, runs
+    as its innermost loop with the product of the counts, in the direction
+    their signs give.  Stepped, traced, and generated once hot, every run
+    agrees with the reference walker, aborts included."""
+
+    BODY = Seq(Inc("x"), Pop("y"), Push("z"), Dec("w"))  # inverted: INC w; POP z; PUSH y; DEC x
+
+    @pytest.fixture(params=[500, 0], ids=["cold", "hot"])
+    def heat(self, request, monkeypatch):
+        monkeypatch.setattr(core, "_HOT", request.param)
+
+    @pytest.mark.parametrize("depth", [2, 3, 4, 5])
+    def test_every_sign_mix(self, heat, depth):
+        # 2, 1, 2, ... iterations at the levels, so at most 8 in all; y's
+        # stack runs out forward and z's inverted, in another iteration
+        leaders = [f"a{i}" for i in range(depth)]
+        states = []
+        for mix in range(2**depth):
+            counts = {a: Cell((-1) ** (mix >> i & 1) * (2 - i % 2)) for i, a in enumerate(leaders)}
+            states.append(State({**counts, "y": Cell(0, (1,) * (mix % 5), 0), "z": Cell(0, (2,) * (mix % 3), 0)}))
+        assert_runs_match_reference(nest(leaders, self.BODY), states)
+
+    def test_aborts_in_every_iteration(self, heat):
+        # 12 iterations over three levels; POP y (forward) or POP z
+        # (inverted) finds its stack empty in iteration j, the second step
+        program = Seq(Inc("u"), nest("abc", self.BODY), Pop("v"))
+        for a, b, c in [(2, 3, 2), (-2, 3, 2), (2, -3, -2), (-2, -3, -2)]:
+            counts = {"a": Cell(a), "b": Cell(b), "c": Cell(c)}
+            inverted = a * b * c < 0
+            states = [State({**counts, "yz"[inverted]: Cell(0, (0,) * j, 0)}) for j in range(12)]
+            records = [compile_program(program).run(state, "a").record for state in states]
+            assert [r.trace_position for r in records] == [1 + 4 * j + 1 for j in range(12)]
+            assert {r.instruction for r in records} == {("POP y", "POP z")[inverted]}
+            # and after the nest, at POP v
+            after = State({**counts, "y": Cell(0, (0,) * 12, 0), "z": Cell(0, (0,) * 12, 0), "v": Cell(1)})
+            assert compile_program(program).run(after, "a").record.trace_position == 1 + 48
+            assert_runs_match_reference(program, [*states[::5], after])
+
+    def test_an_inner_count_of_zero(self, heat):
+        # a zero count at any level runs no iteration, so POP v comes next
+        program = Seq(nest("abcd", self.BODY), Pop("v"))
+        for level in range(4):
+            counts = {a: Cell(0 if i == level else (-3 if i % 2 else 3)) for i, a in enumerate("abcd")}
+            state = State({**counts, "v": Cell(5)})
+            assert compile_program(program).run(state, "a").record.trace_position == 0
+            assert_runs_match_reference(program, [state])
+
+    def test_skip_idle_loops_and_a_shared_loop(self, heat):
+        # n's body compiles to k's entry alone, so n's loop is perfect; j's
+        # body is mixed; k's loop is one node at three places
+        inner = For("k", Seq(Inc("x"), Pop("y"), Push("z")))
+        idle = For("m", Seq(Skip(), For("i", Skip())))
+        program = Seq(
+            For("n", Seq(Skip(), inner, idle)), Push("y"), For("j", Seq(Dec("x"), inner)), For("a", For("b", inner))
+        )
+        states = [
+            State({"n": Cell(3), "k": Cell(-2), "m": Cell(4), "j": Cell(2), "a": Cell(-2), "b": Cell(3)}),
+            State({"n": Cell(-2), "k": Cell(3), "j": Cell(-1), "a": Cell(2), "b": Cell(2), "y": Cell(0, (1,) * 9, 0)}),
+            State({"n": Cell(2), "k": Cell(2), "a": Cell(-1), "b": Cell(-2), "y": Cell(0, (1,) * 5, 0), "z": Cell(1)}),
+        ]
+        assert_runs_match_reference(program, states)
+
+    @settings(max_examples=100)
+    @given(wf_terms(), states, st.lists(st.integers(-3, 3), min_size=1, max_size=3), st.booleans())
+    def test_hypothesis_terms(self, term, full, counts, hot):
+        # a term that writes its own loops' leaders, such as
+        # FOR x { INC y }; FOR y { INC x }, grows them on each pass of the
+        # nest, so only nests that every run finishes in a few steps are
+        # compared
+        leaders = [f"p{i}" for i in range(len(counts))]
+        program = nest(leaders, term)
+        state = State({**full.as_dict(), **{p: Cell(c) for p, c in zip(leaders, counts)}})
+        assume(runs_within(program, state, 5_000))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_HOT", 0 if hot else 500)
+            assert_runs_match_reference(program, [state])
+
+    def test_counts_past_the_word_size(self, heat):
+        # 2**32 * 2**31 * 2 = 2**64 iterations, run forward or inverted, or a
+        # mixed loop stepped 2**63 times: each aborts in its first iteration
+        # at the same step as the reference walker, stepped or generated
+        cases = [  # inverted, each body starts with a POP too
+            (nest("abc", Seq(Inc("x"), Pop("y"), Push("v"))), {"a": 2**32, "b": 2**31, "c": 2}, 1),
+            (nest("abc", Seq(Inc("x"), Pop("y"), Push("v"))), {"a": 2**32, "b": -(2**31), "c": 2}, 0),
+            (parse("FOR n { INC z; FOR m { FOR k { POP x; PUSH y } } }"), {"n": 2**63, "m": 1, "k": 1}, 1),
+        ]
+        for program, counts, position in cases:
+            state = State({name: Cell(count) for name, count in counts.items()})
+            runs = compile_program(program)
+            for order, spell in SPELLED.items():
+                expected = ref_eval_a(spell(program), state)
+                assert runs.run(state, "a", order) == expected
+                steps, final = observed_run(runs, state, "a", order)
+                assert final is None and steps[-1].abort == expected.record
+            assert runs.run(state, "a").record.trace_position == position
+
+    def test_a_hot_nest_generates_one_function(self, generated):
+        # 30 * -5 * 4 iterations make j's loop hot at its first entry; the
+        # signs differ, so j's body runs inverted
+        program = compile_program(parse("FOR m { FOR k { FOR j { INC x; PUSH y } } }"))
+        state = State({"m": Cell(30), "k": Cell(-5), "j": Cell(4)})
+        assert program.run(state, "r") == Final(ref_eval_r(program.term, state))
+        j_loop = program.term.body.body
+        assert generated == [program._loops[id(j_loop)][1][0]]
+
+    def test_no_generated_block_holds_a_loop(self, monkeypatch):
+        made = []
+        real = core._leaf_function
+
+        def logged(block):
+            made.append((block, real(block)))
+            return made[-1][1]
+
+        monkeypatch.setattr(core, "_leaf_function", logged)
+        monkeypatch.setattr(core, "_HOT", 0)
+        rng = random.Random(19)
+        for program, _, flat in fuzz_corpus(GenConfig(seed=19), 300):
+            counts = {"p": Cell(rng.randint(-2, 2)), "q": Cell(rng.randint(-2, 2))}
+            wrapped = nest("pq", program)
+            for semantics in "nar":
+                compile_program(wrapped).run(State({**flat.as_dict(), **counts}), semantics)
+        assert any(run for _, run in made)
+        assert all((run is False) == any(op == core._LOOP for op, _ in block) for block, run in made)
