@@ -154,10 +154,10 @@ def push_r(cell: Cell) -> Cell:
     """
     value, stack, counter = cell
     if counter == 0:
-        return Cell(0, (value, *stack), 0)
+        return _new_cell(Cell, (0, (value, *stack), 0))
     if value == 0 and stack:
         return cell
-    return Cell(value, stack, counter - 1)
+    return _new_cell(Cell, (value, stack, counter - 1))
 
 
 def pop_r(cell: Cell) -> Cell:
@@ -175,9 +175,9 @@ def pop_r(cell: Cell) -> Cell:
     value, stack, counter = cell
     if value == 0 and stack:
         if counter == 0:
-            return Cell(stack[0], stack[1:], 0)
+            return _new_cell(Cell, (stack[0], stack[1:], 0))
         return cell
-    return Cell(value, stack, counter + 1)
+    return _new_cell(Cell, (value, stack, counter + 1))
 
 
 # ---------------------------------------------------------------- the core
@@ -266,6 +266,22 @@ def pop_r(cell: Cell) -> Cell:
 # False, on the first entry past `_HOT`.  The plan lives in the loop's
 # cache, so a Program generates each function at most once, and a fresh
 # Program pays for it again.  Traced runs always step.
+#
+# A hot leaf whose block is a translation runs in closed form, whatever its
+# count.  `_translation` reduces each slot's word of atoms, cancelling an
+# atom against the last one left on its slot when the pair is INC then DEC,
+# DEC then INC, or PUSH then POP; atoms on different slots commute.  INC
+# and DEC undo each other on any cell, and so does PUSH then POP: under `r`
+# it is ``pop_r(push_r(c)) == c``, and under `n` and `a`, whose counters
+# are 0, the PUSH leaves the value 0 on a non-empty stack, so the POP is
+# legal.  (POP then PUSH does not cancel: it aborts under `a`, and it
+# loses a nonzero value under `n`.)  When no slot's word keeps a PUSH or a
+# POP, the body adds a fixed change to each value and can never abort, so
+# `_leaf_function` returns a closure that adds count times each change.
+# `scheduled` still gets count times the block's atoms, so no abort
+# position moves.  Any other leaf keeps its generated loop as written,
+# pairs and all: it runs count iterations anyway, and each POP's line
+# counts the atoms before it in the block as written.
 
 _INC, _DEC, _PUSH, _POP, _LOOP, _OBSERVE = range(6)
 _SEMANTICS = ("n", "a", "r")
@@ -335,17 +351,49 @@ _ATOM_LINES = {
 _ATOM_TEXT = {op: "".join(f"{' ' * 12}{line}\n" for line in lines) for op, lines in _ATOM_LINES.items()}
 
 
+# The pairs of atoms on one slot, first then second, that leave every cell
+# as they found it under all three semantics.
+_INVERSE_PAIRS = {(_INC, _DEC), (_DEC, _INC), (_PUSH, _POP)}
+
+
+def _translation(block: tuple) -> list[tuple[int, int]] | None:
+    """The net change of each slot that `block`, a leaf body, moves, as
+    ``(slot, change)`` pairs; or None when a PUSH or a POP is left once each
+    slot's word of atoms has cancelled its inverse pairs.  Atoms on
+    different slots commute, so each slot's word is reduced on its own."""
+    words: dict[int, list] = {}
+    for op, arg in block:
+        word = words.setdefault(arg[0] if op == _POP else arg, [])
+        if word and (word[-1], op) in _INVERSE_PAIRS:
+            word.pop()
+        else:
+            word.append(op)
+    if any(_PUSH in word or _POP in word for word in words.values()):
+        return None
+    # a word of INC and DEC with no inverse pair left holds one of the two
+    return [(k, len(word) if word[0] == _INC else -len(word)) for k, word in words.items() if word]
+
+
 def _leaf_function(block: tuple):
     """The function ``run(values, stacks, counters, count, illegal)`` that
     runs `block`, an untraced loop body, `count` times on the slot lists,
     an illegal POP calling `illegal` (from `_ILLEGAL`); or False when the
     block holds a loop entry.  No loop's block is empty, since an idle loop
-    gets no entry.  Under `a` an illegal POP raises `_Abort`."""
+    gets no entry.  Under `a` an illegal POP raises `_Abort`.  A block that
+    is a translation runs as one addition per slot it moves."""
+    if any(op == _LOOP for op, _ in block):
+        return False
+    shift = _translation(block)
+    if shift is not None:
+
+        def translate(values, stacks, counters, count, illegal):
+            for k, change in shift:
+                values[k] += change * count
+
+        return translate
     stacked: dict[int, bool] = {}  # each slot of the block: whether it uses its stack
     body = []
     for op, arg in block:
-        if op == _LOOP:
-            return False
         slot, before = arg if op == _POP else (arg, 0)
         stacked[slot] = stacked.get(slot, False) or op == _PUSH or op == _POP
         body.append(_ATOM_TEXT[op].format(k=slot, atoms=len(block), before=before))

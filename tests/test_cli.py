@@ -231,6 +231,44 @@ class TestFuzz:
         assert err == "error: --cases must not be negative, got -5\n"
 
 
+class TestRunawayNest:
+    """Case 1024 of `fuzz --seed 236521`, which needs about 7.2e18 steps
+    under r.  Every loop it runs many times has a body that is a
+    translation, so each runs in closed form; each command runs in a fresh
+    process, whose timeout ends a run that hangs."""
+
+    PROGRAM = "FOR x { POP z; FOR z { FOR y { DEC w } }; FOR w { INC y; INC z } }\n"
+    STATE = "w = 3, [-5]\nx = 5, [-1, 1], 1\ny = 4\nz = -3, [], 2\n"
+    FINAL = (
+        "FINAL\n"
+        "w = -2411166784077928983, [-5], 0\n"
+        "x = 5, [-1, 1], 1\n"
+        "y = -2411166785630722199, [], 0\n"
+        "z = -2411166785630722206, [], 7\n"
+    )
+
+    def test_run_r_and_back(self, workspace):
+        program, state = workspace("runaway.score", self.PROGRAM), workspace("runaway.sst", self.STATE)
+        assert run_fresh("run", "-s", "r", program, state) == (0, self.FINAL, "")
+        final = workspace("final.sst", self.FINAL.removeprefix("FINAL\n"))
+        code, out, err = run_fresh("run", "-s", "r", "--backward", program, final)
+        assert (code, err) == (0, "")
+        assert parse_state(out.removeprefix("FINAL\n")) == parse_state(self.STATE)
+
+    def test_assert_run_aborts_at_once(self, workspace):
+        # the pair semantics see the state with its counters zeroed, as fuzz
+        # runs them; POP z finds z = -3
+        program = workspace("runaway.score", self.PROGRAM)
+        state = workspace("flat.sst", "w = 3, [-5]\nx = 5, [-1, 1]\ny = 4\nz = -3\n")
+        abort = "ABORT\nstep: 1\ninstruction: POP z\nvariable: z\nreason: value-nonzero\nvalue: -3\nstack: []\n"
+        assert run_fresh("run", "-s", "a", program, state) == (1, abort, "")
+
+    def test_fuzz_seed_finishes(self):
+        code, out, err = run_fresh("fuzz", "--seed", "236521", "--cases", "1100")
+        assert (code, err) == (0, "")
+        assert out.endswith("result: PASS\n")
+
+
 class TestOracle:
     def test_default_bounds(self, capsys):
         code, out, _ = run_cli(capsys, "oracle")

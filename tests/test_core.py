@@ -886,3 +886,143 @@ class TestPerfectNests:
                 compile_program(wrapped).run(State({**flat.as_dict(), **counts}), semantics)
         assert any(run for _, run in made)
         assert all((run is False) == any(op == core._LOOP for op, _ in block) for block, run in made)
+
+
+def translated(blocks):
+    """Whether each leaf block among `blocks` runs in closed form once hot."""
+    return [core._translation(block) is not None for block in blocks if not any(op == core._LOOP for op, _ in block)]
+
+
+class TestTranslationLoops:
+    """A hot leaf whose atoms, once each slot's inverse pairs (INC then DEC,
+    DEC then INC, PUSH then POP) cancel, hold no PUSH or POP runs as one
+    addition per slot.  With the heat threshold at 0, every run agrees with
+    the reference walker under each semantics, forward and inverted."""
+
+    def test_push_pop_on_frozen_and_repaired_cells(self, hot):
+        # under r, PUSH x takes its frozen clause (value 0, non-empty stack,
+        # counter > 0) or its repair clause (counter > 0 otherwise), and
+        # POP x undoes it; the pair semantics see the counters zeroed
+        program = parse("FOR n { PUSH x; POP x }")
+        frozen, repaired = [Cell(0, (1, 2), 2), Cell(0, (-3,), 1)], [Cell(5, (), 1), Cell(0, (), 3), Cell(-4, (7,), 1)]
+        cells = [*frozen, *repaired, Cell(3, (1,), 0)]
+        states = [State({"n": Cell(n), "x": cell}) for cell in cells for n in (3, -2)]
+        assert_runs_match_reference(program, states)
+        assert translated(hot) == [True, True]
+        runs = compile_program(program)
+        for state in states:
+            assert runs.run(state, "r") == Final(state)
+
+    @pytest.mark.parametrize(
+        ("source", "change"),
+        [
+            ("FOR n { PUSH x; INC x; DEC x; POP x }", {}),
+            ("FOR n { PUSH x; INC y; POP x }", {"y": 1}),
+            ("FOR n { INC x; DEC x }", {}),
+            ("FOR n { INC x; PUSH x; POP x; DEC y }", {"x": 1, "y": -1}),
+            ("FOR n { DEC x; PUSH y; INC x; INC z; INC x; POP y; INC z; DEC w }", {"x": 1, "z": 2, "w": -1}),
+        ],
+    )
+    def test_bodies_that_translate(self, hot, source, change):
+        program = parse(source)
+        names = compile_program(program).variables
+        cfg = GenConfig(value_range=(-4, 4))
+        rng = random.Random(source)
+        states = [gen_state(cfg, names, rng).set("n", Cell(n)) for n in (4, -3, 1, 0)]
+        assert_runs_match_reference(program, states)
+        assert set(translated(hot)) == {True}
+        runs = compile_program(program)
+        state = State({"n": Cell(-7)})
+        expected = {name: Cell(-7 * b) for name, b in change.items()}
+        assert runs.run(state, "a") == Final(State({"n": Cell(-7), **expected}))
+
+    @pytest.mark.parametrize(
+        ("source", "position"), [("FOR n { POP x; PUSH x }", 1), ("FOR n { PUSH x; INC x; POP x }", 3)]
+    )
+    def test_bodies_that_keep_stepping(self, hot, source, position):
+        # POP then PUSH aborts under a and overwrites a nonzero value under
+        # n, and INC x parts PUSH x from POP x, so neither body translates;
+        # under a each aborts where the reference walker does, from x = 5
+        # in the first iteration at the body's POP
+        program = Seq(Inc("u"), parse(source))
+        states = [
+            State({"n": Cell(n), "x": cell})
+            for n in (3, -3)
+            for cell in (Cell(0, (1, 2), 0), Cell(2, (1,), 0), Cell(0, (), 0), Cell(0, (4,), 2), Cell(5))
+        ]
+        assert_runs_match_reference(program, states)
+        assert translated(hot) == [False, False]
+        assert compile_program(program).run(states[4], "a").record.trace_position == position
+
+    def test_negative_leaders_and_perfect_nests(self, hot):
+        # a perfect nest runs its innermost body with the product of the
+        # counts, inverted when the signs differ; a mixed nest calls the
+        # inner closed form at each entry of its stepped outer level
+        program = parse(
+            "FOR a { FOR b { FOR c { INC x; PUSH y; POP y; DEC z } } }; "
+            "FOR m { POP w; FOR k { DEC x; INC v; INC v }; PUSH w }; POP u"
+        )
+        states = []
+        for a, b, c, m, k in [(2, 3, 2, 3, 2), (-2, 3, 2, -3, 2), (2, -3, -2, 3, -2), (-1, -1, -1, -2, -3)]:
+            counts = {"a": Cell(a), "b": Cell(b), "c": Cell(c), "m": Cell(m), "k": Cell(k)}
+            for u in (Cell(0, (9,), 0), Cell(1)):
+                states.append(State({**counts, "y": Cell(0, (4,), 1), "w": Cell(0, (1, 2, 3), 0), "u": u}))
+        assert_runs_match_reference(program, states)
+        assert translated(hot) == [True] * 4  # c's and k's bodies, forward and inverted
+
+    def test_big_values(self, hot):
+        # BIG iterations, forward or inverted, run only in closed form: each
+        # adds n to x and takes it from y; with a few iterations, every run
+        # agrees with the reference walker
+        program = parse("FOR n { INC x; PUSH x; POP x; DEC y; PUSH z; DEC z; INC z; POP z }")
+        states = [
+            State({"n": Cell(BIG), "x": Cell(BIG, (BIG, -BIG), 0), "y": Cell(-BIG, (), 2), "z": Cell(0, (BIG,), 1)}),
+            State({"n": Cell(-BIG), "x": Cell(-BIG, (), 3), "y": Cell(BIG + 1, (BIG,), 0), "z": Cell(BIG, (), 0)}),
+        ]
+        runs = compile_program(program)
+        for state in states:
+            n = state.get("n").value
+            for semantics in "nar":
+                start = state if semantics == "r" else zero_counters(state)
+                x, y = start.get("x"), start.get("y")
+                moved = start.set("x", x._replace(value=x.value + n)).set("y", y._replace(value=y.value - n))
+                assert runs.run(start, semantics) == Final(moved)
+                assert runs.run(moved, semantics, "-") == Final(start)
+                assert runs.run(start, semantics, "+-") == runs.run(start, semantics, "-+") == Final(start)
+        assert_runs_match_reference(program, [state.set("n", Cell(3)) for state in states])
+        assert_runs_match_reference(program, [state.set("n", Cell(-2)) for state in states])
+
+    @pytest.mark.parametrize("heat", [0, 500])
+    def test_a_perfect_nest_of_two_to_the_seventy_iterations(self, monkeypatch, heat):
+        # 2**35 * -2**35 iterations of the inverted body, INC z; PUSH y;
+        # POP y; DEC x, each in closed form; POP v then aborts after all of
+        # their 4 * 2**70 steps
+        monkeypatch.setattr(core, "_HOT", heat)
+        program = compile_program(parse("INC u; FOR a { FOR b { INC x; PUSH y; POP y; DEC z } }; POP v"))
+        counts = {"a": Cell(2**35), "b": Cell(-(2**35)), "y": Cell(0, (BIG,), 0)}
+        for v in (Cell(0, (7,), 0), Cell(7)):
+            state = State({**counts, "v": v})
+            after = state.set("u", Cell(1)).set("x", Cell(-(2**70))).set("z", Cell(2**70))
+            popped = after.set("v", Cell(7))
+            if v.value:
+                assert program.run(state, "n") == Final(after.set("v", Cell(0)))
+                assert program.run(state, "r") == Final(after.set("v", Cell(7, (), 1)))
+                record = program.run(state, "a").record
+                assert (record.instruction, record.trace_position) == ("POP v", 1 + 4 * 2**70)
+            else:
+                for semantics in "nar":
+                    assert program.run(state, semantics) == Final(popped)
+                    assert program.run(state, semantics, "+-") == Final(state)
+                    assert program.run(popped, semantics, "-") == Final(state)
+
+    ATOMS = (Inc, Dec, Push, Pop)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(st.sampled_from(ATOMS), st.sampled_from("xy"))), st.integers(-3, 3), states)
+    def test_hypothesis_leaf_bodies(self, atoms, count, full):
+        # bodies of atoms on two slots, many of them holding inverse pairs
+        atoms = [kind(name) for kind, name in atoms]
+        body = Seq(*atoms) if len(atoms) > 1 else atoms[0] if atoms else Skip()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_HOT", 0)
+            assert_runs_match_reference(For("n", body), [full.set("n", Cell(count))])
