@@ -77,13 +77,12 @@ def _require_non_negative(args: argparse.Namespace, *options: str) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     program, initial, names = _load(args)
     outcome = program.run(initial, args.semantics, "-" if args.backward else "+")
+    # the whole text is built before any of it is written, so a value that
+    # cannot be rendered leaves stdout empty
     if isinstance(outcome, Aborted):
-        print("ABORT")
-        for line in _abort_lines(outcome.record):
-            print(line)
+        sys.stdout.write("".join(f"{line}\n" for line in ["ABORT", *_abort_lines(outcome.record)]))
         return EXIT_ABORT
-    print("FINAL")
-    sys.stdout.write(dump_state(outcome.state, names))
+    sys.stdout.write(f"FINAL\n{dump_state(outcome.state, names)}")
     return EXIT_OK
 
 

@@ -30,10 +30,10 @@ timeout is involved.
 `compile_program` checks a program and numbers its variables once, and
 the `Program` it returns runs any number of states under any of the three
 semantics, forward, inverted, or one direction after the other (P;-P),
-compiling each block on first use, once for all three semantics.  The
-four `eval_*` functions compile and run once.  An ill-formed program is
-refused when it is compiled, and the two pair semantics refuse input
-states with a nonzero counter.
+traced or not, compiling each block on first use, once for all of these
+runs.  The four `eval_*` functions compile and run once.  An ill-formed
+program is refused when it is compiled, and the two pair semantics refuse
+input states with a nonzero counter.
 """
 
 from __future__ import annotations
@@ -193,32 +193,35 @@ def pop_r(cell: Cell) -> Cell:
 #
 # A program compiles into blocks: tuples of flat ``(opcode, arg)`` entries,
 # where ``arg`` is a variable's slot for INC/DEC/PUSH, and the slot and the
-# atoms before it for POP.  The blocks do not depend on the semantics, which
-# is an argument of the run: the three agree on every step but an illegal
-# POP, one whose value is nonzero or whose stack is empty, and only that
-# branch of `_execute` reads it.  PUSH is `push_r` under all three: the
+# atoms before it for POP.  The blocks depend neither on the semantics nor
+# on whether the run is observed; both are arguments of the run.  The three
+# semantics agree on every step but an illegal POP, one whose value is
+# nonzero or whose stack is empty, and that branch of `_execute`, like the
+# POP line of every generated function, calls the run's entry of `_ILLEGAL`,
+# the one place where they differ.  PUSH is `push_r` under all three: the
 # pair semantics run only on states whose counters are 0, and only an
 # illegal POP under `r` ever raises a counter, so there `push_r` always
 # takes its first clause, the pair push, and a legal POP is the pair pop.
-# A traced run adds an observer entry after each atom, which hands the
-# atom's label, name and slot to the run's observer, so a program keeps one
-# set of blocks for untraced runs and one for traced runs.
+# An observed run calls its observer after each atom it steps, with the
+# atom's label and name from the Program's `_labels` table, by opcode and
+# slot, and the slot's live value, stack list and counter.
 #
 # A loop entry's arg is ``(leader slot, cache, index, atoms before)``.  The
-# cache, one per FOR node, holds the loop's four plans, each made on first
+# cache, one per FOR node, holds the loop's two plans, each made on first
 # use, its body and its heat; the whole program has such a cache too.  A
-# plan's index is its direction (1 meaning the body runs inverted) plus 2
-# when traced, so a negative count flips the direction with ``^= 1``.  So
-# no (loop, direction, traced) block is compiled twice, and one that never
-# runs is never compiled.  The inverted block is compiled straight from the
-# term, with the entries in reverse order and INC/DEC and PUSH/POP swapped.
+# plan's index is its direction, 1 meaning the body runs inverted, so a
+# negative count flips it with ``^= 1``.  So no (loop, direction) block is
+# compiled twice, and one that never runs is never compiled.  The inverted
+# block is compiled straight from the term, with the entries in reverse
+# order and INC/DEC and PUSH/POP swapped.
 #
 # A plan is ``(block, atoms, run)``: the block, its atom count, and how an
-# entry runs it.  ``run`` is False for a block that always steps through
-# `_execute` (a traced block, or one holding a loop entry), the function
-# generated from the block (below) once the loop is hot, and None while an
-# untraced block is cold: it steps, and its entries count the loop's heat.
-# So a loop entry makes one plan lookup and one dispatch.
+# entry runs it.  ``run`` is False for a block that holds a loop entry and
+# so always steps through `_execute`, the function generated from the block
+# (below) once the loop is hot, and None while the block is cold: it steps,
+# and its entries count the loop's heat.  So a loop entry makes one plan
+# lookup and one dispatch.  An observed entry counts no heat and calls no
+# function: it steps, so the observer sees every atom.
 #
 # An idle loop, one whose body holds no atom at any depth, changes nothing
 # however large its count.  The walk that `compile_program` makes anyway,
@@ -232,7 +235,11 @@ def pop_r(cell: Cell) -> Cell:
 # count (its INC/DEC/PUSH/POP entries) times the iteration count at each
 # loop entry ("scheduled" steps), and an abort adds up, over the open
 # loops, the scheduled steps that did not run.  POP and loop entries
-# therefore also carry the number of atoms before them in their block.
+# therefore also carry the number of atoms before them in their block.  An
+# illegal POP under `a` raises `_Abort` with the steps of its block's
+# iteration that count as run before it, and one handler in `_execute`
+# turns that into the abort position, whether the POP was stepped or ran in
+# a generated function.
 #
 # A perfect nest, ``FOR m { FOR k { B } }`` whose outer body is only the
 # inner loop, runs as one loop.  A loop reads its leader once, and the
@@ -241,31 +248,33 @@ def pop_r(cell: Cell) -> Cell:
 # signs of m and k differ (loop coalescing).  So a loop entry steps down
 # while its plan's block holds no atom and one loop entry, multiplying the
 # count by the inner leader's value, and runs the innermost plan with the
-# product, stepped, traced or generated.  Each iteration runs the same
+# product, stepped or generated.  Each iteration runs the same
 # atoms in the same order as level-by-level stepping, and `scheduled` gets
 # the same total, so no abort position moves.  The outer levels' plans are
 # made, for their blocks, but they never step and count no heat.  A mixed
 # nest, one with atoms beside its inner loop, steps its outer level.
 #
-# A hot leaf loop, one whose block holds no loop entry, runs in an untraced
-# run through a Python function generated from its block
+# A hot leaf loop, one whose block holds no loop entry, runs in an
+# unobserved run through a Python function generated from its block
 # (`_leaf_function`): each slot's value and counter in a local, each stack
 # list aliased, and the block's atoms written out under ``for i in
 # range(count)``, with the same meaning as `_execute`'s branches.  So every
 # call runs exactly count times the block's atoms, or aborts, a number
 # known before the call.  An illegal POP is one call to its semantics'
-# helper in `_ILLEGAL`, so one function serves all three semantics.  Under
-# `a` the helper raises `_Abort` with the steps of the call that ran
-# before the POP, ``i * atoms + before``, written into the POP's line, so
-# the abort position is the same as when stepping.  A block that holds a
-# loop entry gets False and always steps, so no function calls another and
-# a function's text is linear in its block.
+# helper in `_ILLEGAL`, as when stepping, so one function serves all three
+# semantics.  The call gets a base, the entry's atoms before less count
+# times the block's atoms, and a POP's line hands its helper ``base + i *
+# atoms + before``.  So under `a` the `_Abort` counts from the start of the
+# enclosing block, the steps the loop left unrun taken off, and the abort
+# position is the same as when stepping.  A block that holds a loop entry
+# gets False and always steps, so no function calls another and a
+# function's text is linear in its block.
 # Compiling a function costs about as much as stepping its body 500 times,
 # so a loop's heat counts the iterations its cold plans have scheduled, in
-# either direction, and an untraced plan gets its run, the function or
-# False, on the first entry past `_HOT`.  The plan lives in the loop's
-# cache, so a Program generates each function at most once, and a fresh
-# Program pays for it again.  Traced runs always step.
+# either direction, and a plan gets its run, the function or False, on the
+# first unobserved entry past `_HOT`.  The plan lives in the loop's cache,
+# so a Program generates each function at most once, and a fresh Program
+# pays for it again.  Observed runs always step.
 #
 # A hot leaf whose block is a translation runs in closed form, whatever its
 # count.  `_translation` reduces each slot's word of atoms, cancelling an
@@ -283,15 +292,13 @@ def pop_r(cell: Cell) -> Cell:
 # pairs and all: it runs count iterations anyway, and each POP's line
 # counts the atoms before it in the block as written.
 
-_INC, _DEC, _PUSH, _POP, _LOOP, _OBSERVE = range(6)
+_INC, _DEC, _PUSH, _POP, _LOOP = range(5)
 _SEMANTICS = ("n", "a", "r")
 # The opcode each atom class compiles to, run forward and inverted.
 _FORWARD = {Inc: _INC, Dec: _DEC, Push: _PUSH, Pop: _POP}
 _OPCODES = (_FORWARD, {cls: _FORWARD[inverse] for cls, inverse in _INVERSE.items()})
-# The keyword of each atom opcode, for trace labels.
-_OP_KEYWORD = {op: _KEYWORD[cls] for cls, op in _FORWARD.items()}
-# A loop cache: 0 to 3 hold its plans, then its body term and its heat.
-_BODY, _HEAT = 4, 5
+# A loop cache: 0 and 1 hold its plans, then its body term and its heat.
+_BODY, _HEAT = 2, 3
 _HOT = 500  # iterations a loop schedules before its functions are generated
 _DIRECTION = {"+": 0, "-": 1}  # the passes of `Program.run`'s order
 _NONE_LEFT = iter(())  # the countdown of a loop run once, which has no iteration left to yield
@@ -299,7 +306,7 @@ _NONE_LEFT = iter(())  # the countdown of a loop run once, which has no iteratio
 
 def _loop_cache(body: Term) -> list:
     """A fresh loop cache for `body`: no plan made yet, cold."""
-    return [None, None, None, None, body, 0]
+    return [None, None, body, 0]
 
 
 def _unknown_semantics(semantics: str) -> ValueError:
@@ -307,8 +314,8 @@ def _unknown_semantics(semantics: str) -> ValueError:
 
 
 class _Abort(Exception):
-    """An illegal POP under the assert semantics, inside a generated
-    function: the POP's slot, and the steps of the call that ran before it."""
+    """An illegal POP under the assert semantics: the POP's slot, and the
+    steps of the running block's iteration that count as run before it."""
 
     def __init__(self, slot: int, ran: int):
         self.slot, self.ran = slot, ran
@@ -326,23 +333,24 @@ def _illegal_r(value, stack, counter, slot, ran):
     return value, counter + 1
 
 
-# What an illegal POP of a generated function calls under each semantics:
-# ``value, counter = illegal(value, stack, counter, slot, ran)``, where
-# ``ran`` is the steps of the call that ran before the POP.  Only the
-# assert helper reads the last two.
+# What an illegal POP does under each semantics, stepped or in a generated
+# function: ``value, counter = illegal(value, stack, counter, slot, ran)``,
+# where ``ran`` is the steps of the running block's iteration that count as
+# run before the POP.  Only the assert helper reads the last two.
 _ILLEGAL = {"n": _illegal_n, "a": _illegal_a, "r": _illegal_r}
 
 # The lines of each atom in a generated function, over the locals of its
 # slot k: v{k} and c{k} hold the value and the counter, s{k} is the stack
-# list.  A POP hands its helper the steps the call ran before it: {atoms}
-# per earlier iteration and the {before} atoms ahead of it in its own.
+# list.  A POP hands its helper ``base`` plus the steps the call ran before
+# it: {atoms} per earlier iteration and the {before} atoms ahead of it in
+# its own.
 _ATOM_LINES = {
     _INC: ("v{k} += 1",),
     _DEC: ("v{k} -= 1",),
     _PUSH: ("if not c{k}:", "    s{k}.append(v{k})", "    v{k} = 0", "elif v{k} or not s{k}:", "    c{k} -= 1"),
     _POP: (
         "if v{k} or not s{k}:",
-        "    v{k}, c{k} = illegal(v{k}, s{k}, c{k}, {k}, i * {atoms} + {before})",
+        "    v{k}, c{k} = illegal(v{k}, s{k}, c{k}, {k}, base + i * {atoms} + {before})",
         "elif not c{k}:",
         "    v{k} = s{k}.pop()",
     ),
@@ -375,18 +383,18 @@ def _translation(block: tuple) -> list[tuple[int, int]] | None:
 
 
 def _leaf_function(block: tuple):
-    """The function ``run(values, stacks, counters, count, illegal)`` that
-    runs `block`, an untraced loop body, `count` times on the slot lists,
-    an illegal POP calling `illegal` (from `_ILLEGAL`); or False when the
-    block holds a loop entry.  No loop's block is empty, since an idle loop
-    gets no entry.  Under `a` an illegal POP raises `_Abort`.  A block that
-    is a translation runs as one addition per slot it moves."""
+    """The function ``run(values, stacks, counters, count, illegal, base)``
+    that runs `block`, a loop body, `count` times on the slot lists, an
+    illegal POP calling `illegal` (from `_ILLEGAL`) with ``base`` plus the
+    steps the call ran before it; or False when the block holds a loop
+    entry.  No loop's block is empty, since an idle loop gets no entry.  A
+    block that is a translation runs as one addition per slot it moves."""
     if any(op == _LOOP for op, _ in block):
         return False
     shift = _translation(block)
     if shift is not None:
 
-        def translate(values, stacks, counters, count, illegal):
+        def translate(values, stacks, counters, count, illegal, base):
             for k, change in shift:
                 values[k] += change * count
 
@@ -404,7 +412,7 @@ def _leaf_function(block: tuple):
         if uses_stack:
             load.append(f"    s{k} = stacks[{k}]\n    c{k} = counters[{k}]\n")
             store.append(f"        counters[{k}] = c{k}\n")
-    head = "def run(values, stacks, counters, count, illegal):\n"
+    head = "def run(values, stacks, counters, count, illegal, base):\n"
     source = "".join((head, *load, "    try:\n        for i in range(count):\n", *body, "    finally:\n", *store))
     namespace: dict = {}
     exec(compile(source, "<leaf loop>", "exec"), namespace)
@@ -421,92 +429,92 @@ def _abort_position(scheduled: int, left: int, frames: list[tuple]) -> int:
 
 
 def _execute(
-    program: Program, block, atoms: int, scheduled: int, values, stacks, counters, semantics, observe
+    program: Program, block, atoms: int, scheduled: int, values, stacks, counters, illegal, observe
 ) -> tuple:
-    """Run one block of `program` on the slot lists under `semantics`,
-    `scheduled` counting the steps scheduled so far, the block's own
-    included.  Returns the number of steps run and -1 when the block
-    completes, else the number run before a POP aborted and the POP's slot.
-    An observer entry calls `observe` with its atom's label and name and
-    the slot's live value, stack list and counter.  A loop entry first
-    steps down a perfect nest to its innermost loop, which then runs with
-    the product of the counts, in the direction their signs give.  It calls
-    its plan's function when it has one; else it pushes a frame (enclosing
-    iterator, its atoms, atoms before the entry, body atoms, countdown) and
-    goes on with the body's block repeated, so nesting does not recurse.
-    The countdown yields, for each iteration, the iterations left with it,
-    so a count of any size runs, and an abort reads what is left; a loop
-    run once goes on with its block itself, its countdown `_NONE_LEFT`."""
+    """Run one block of `program` on the slot lists, an illegal POP calling
+    `illegal`, the semantics' entry of `_ILLEGAL`, and `scheduled` counting
+    the steps scheduled so far, the block's own included.  Returns the
+    number of steps run and -1 when the block completes, else the number
+    run before a POP aborted and the POP's slot.  Given `observe`, each
+    atom stepped calls it with the atom's label and name and the slot's
+    live value, stack list and counter, and no loop counts heat or calls a
+    function, so every atom is stepped.  A loop entry first steps down a
+    perfect nest to its innermost loop, which then runs with the product of
+    the counts, in the direction their signs give.  It calls its plan's
+    function when it has one; else it pushes a frame (enclosing iterator,
+    its atoms, atoms before the entry, body atoms, countdown) and goes on
+    with the body's block repeated, so nesting does not recurse.  The
+    countdown yields, for each iteration, the iterations left with it, so a
+    count of any size runs, and an abort reads what is left; a loop run
+    once goes on with its block itself, its countdown `_NONE_LEFT`."""
+    labels = program._labels
     frames: list[tuple] = []
     it = iter(block)
-    while True:
-        for op, arg in it:
-            if op == _INC:
-                values[arg] += 1
-            elif op == _DEC:
-                values[arg] -= 1
-            elif op == _PUSH:
-                if not counters[arg]:
-                    stacks[arg].append(values[arg])
-                    values[arg] = 0
-                elif values[arg] or not stacks[arg]:
-                    counters[arg] -= 1
-            elif op == _POP:
-                slot, before = arg
-                stack = stacks[slot]
-                if values[slot] or not stack:  # an illegal pop: only here do the semantics differ
-                    if semantics == "r":
-                        counters[slot] += 1
-                    elif semantics == "n":
-                        values[slot] = stack.pop() if stack else 0
+    try:
+        while True:
+            for op, arg in it:
+                if op == _INC:
+                    values[arg] += 1
+                elif op == _DEC:
+                    values[arg] -= 1
+                elif op == _PUSH:
+                    if not counters[arg]:
+                        stacks[arg].append(values[arg])
+                        values[arg] = 0
+                    elif values[arg] or not stacks[arg]:
+                        counters[arg] -= 1
+                elif op == _POP:
+                    slot, before = arg
+                    stack = stacks[slot]
+                    if values[slot] or not stack:  # an illegal pop: only here do the semantics differ
+                        values[slot], counters[slot] = illegal(values[slot], stack, counters[slot], slot, before)
+                    elif not counters[slot]:
+                        values[slot] = stack.pop()
+                else:
+                    leader, cache, index, before = arg
+                    count = values[leader]
+                    while count:
+                        if count < 0:
+                            count = -count
+                            index ^= 1
+                        body, body_atoms, run = cache[index] or program._plan(cache, index)
+                        if body_atoms or len(body) > 1:
+                            break
+                        # a perfect nest: no step of it can change the inner count
+                        leader, cache, index, _ = body[0][1]
+                        count *= values[leader]
                     else:
-                        return _abort_position(scheduled, atoms - before, frames), slot
-                elif not counters[slot]:
-                    values[slot] = stack.pop()
-            elif op == _LOOP:
-                leader, cache, index, before = arg
-                count = values[leader]
-                while count:
-                    if count < 0:
-                        count = -count
-                        index ^= 1
-                    body, body_atoms, run = cache[index] or program._plan(cache, index)
-                    if body_atoms or len(body) > 1:
-                        break
-                    # a perfect nest: no step of it can change the inner count
-                    leader, cache, index, _ = body[0][1]
-                    count *= values[leader]
-                else:
-                    continue  # the loop, or an inner loop of its perfect nest, runs no iteration
-                scheduled += count * body_atoms
-                if run is None:
-                    cache[_HEAT] += count
-                    if cache[_HEAT] > _HOT:
-                        run = _leaf_function(body)
-                        cache[index] = body, body_atoms, run
-                if run:
-                    try:
-                        run(values, stacks, counters, count, _ILLEGAL[semantics])
-                    except _Abort as stop:
-                        left = count * body_atoms - stop.ran + atoms - before
-                        return _abort_position(scheduled, left, frames), stop.slot
-                    continue
-                if count == 1:
-                    frames.append((it, atoms, before, body_atoms, _NONE_LEFT))
-                    it = iter(body)
-                else:
-                    countdown = iter(range(count, 0, -1))
-                    frames.append((it, atoms, before, body_atoms, countdown))
-                    it = chain.from_iterable(compress(repeat(body), countdown))
-                atoms = body_atoms
-                break
+                        continue  # the loop, or an inner loop of its perfect nest, runs no iteration
+                    scheduled += count * body_atoms
+                    if observe is None:
+                        if run is None:
+                            cache[_HEAT] += count
+                            if cache[_HEAT] > _HOT:
+                                run = _leaf_function(body)
+                                cache[index] = body, body_atoms, run
+                        if run:
+                            # an abort in the call counts from the start of this block
+                            run(values, stacks, counters, count, illegal, before - count * body_atoms)
+                            continue
+                    if count == 1:
+                        frames.append((it, atoms, before, body_atoms, _NONE_LEFT))
+                        it = iter(body)
+                    else:
+                        countdown = iter(range(count, 0, -1))
+                        frames.append((it, atoms, before, body_atoms, countdown))
+                        it = chain.from_iterable(compress(repeat(body), countdown))
+                    atoms = body_atoms
+                    break
+                if observe is not None:
+                    slot = arg[0] if op == _POP else arg
+                    label, name = labels[op][slot]
+                    observe(label, name, values[slot], stacks[slot], counters[slot])
             else:
-                instruction, name, slot = arg
-                observe(instruction, name, values[slot], stacks[slot], counters[slot])
-        else:
-            if not frames:
-                return scheduled, -1
-            it, atoms = frames.pop()[:2]
+                if not frames:
+                    return scheduled, -1
+                it, atoms = frames.pop()[:2]
+    except _Abort as stop:
+        return _abort_position(scheduled, atoms - stop.ran, frames), stop.slot
 
 
 class Program:
@@ -514,15 +522,19 @@ class Program:
 
     `variables` holds every name of the term, loop leaders and the names of
     bodies that never run included, in order of first occurrence.  Blocks
-    are compiled on first use and kept, per direction and apart for traced
-    runs, and all three semantics run the same blocks, so each later run
-    only executes.  A perfect loop nest runs as its innermost loop, with
-    the product of the counts, and a hot leaf loop of an untraced run calls
-    a function generated from its block, once per Program.  `idle` holds
-    the ids of the term's idle FOR nodes.
+    are compiled on first use and kept, one per direction, and every run
+    executes the same blocks, traced or not, under all three semantics, so
+    each later run only executes.  A run hands `_execute` its semantics'
+    entry of `_ILLEGAL`, the one place where they differ, and an observed
+    run also its observer, which reads each atom's label and name from
+    `_labels`, a table made on the first observed run.  A perfect loop nest
+    runs as its innermost loop, with the product of the counts, and a hot
+    leaf loop of an unobserved run calls a function generated from its
+    block, once per Program.  `idle` holds the ids of the term's idle FOR
+    nodes.
     """
 
-    __slots__ = ("term", "variables", "_slots", "_loops", "_top")
+    __slots__ = ("term", "variables", "_slots", "_loops", "_top", "_labels")
 
     def __init__(self, term: Term, slots: dict[str, int], idle: Iterable[int]):
         self.term = term
@@ -531,6 +543,8 @@ class Program:
         # each FOR node's cache, by the node's id; an idle loop's is empty
         self._loops: dict[int, list | tuple] = dict.fromkeys(idle, ())
         self._top = _loop_cache(term)  # the whole program's cache
+        # by opcode and slot, each atom's trace label and name, once observed
+        self._labels: list | None = None
 
     def run(self, state: State, semantics: str = "r", order: str = "+", observe: _Observer | None = None) -> RunOutcome:
         """Run from `state` under semantics "n", "a" or "r".
@@ -572,11 +586,14 @@ class Program:
     def _exec(self, values, stacks, counters, semantics: str, order: str, observe: _Observer | None = None):
         """Run the passes of `order` in place on the slot lists.  Returns
         None, or the AbortRecord of an assert run that aborts."""
-        traced = observe is not None
+        if observe is not None and self._labels is None:
+            # `_FORWARD` lists the atom classes in the order of their opcodes
+            self._labels = [[(f"{_KEYWORD[cls]} {name}", name) for name in self.variables] for cls in _FORWARD]
+        illegal = _ILLEGAL[semantics]
         steps = 0
         for sign in order:
-            block, atoms, _ = self._plan(self._top, _DIRECTION[sign] + 2 * traced)
-            steps, failed = _execute(self, block, atoms, steps + atoms, values, stacks, counters, semantics, observe)
+            block, atoms, _ = self._plan(self._top, _DIRECTION[sign])
+            steps, failed = _execute(self, block, atoms, steps + atoms, values, stacks, counters, illegal, observe)
             if failed >= 0:
                 value, name = values[failed], self.variables[failed]
                 reason = "value-nonzero" if value else "empty-stack"
@@ -596,25 +613,22 @@ class Program:
 
     def _plan(self, cache: list, index: int) -> tuple:
         """The plan of a cache's term at `index`, made on first use: its
-        block, its atom count, and its run, None while cold or False when
-        traced."""
+        block, its atom count, and its run, None while cold."""
         plan = cache[index]
         if plan is None:
-            plan = cache[index] = (*self._compile(cache[_BODY], index), None if index < 2 else False)
+            plan = cache[index] = (*self._compile(cache[_BODY], index), None)
         return plan
 
     def _compile(self, term: Term, index: int) -> tuple[tuple, int]:
-        """The block of `term` at `index` (run inverted when odd, traced from
-        2 on), and its atom count.  No part of a sequence is a sequence, an
-        idle loop gets no entry, and a loop body is compiled when `_execute`
-        first enters the loop in that direction, so this is one pass over
-        the parts."""
-        inverted, traced = index & 1, index >> 1
-        ops, slots, loops = _OPCODES[inverted], self._slots, self._loops
+        """The block of `term` at `index`, run inverted when 1, and its atom
+        count.  No part of a sequence is a sequence, an idle loop gets no
+        entry, and a loop body is compiled when `_execute` first enters the
+        loop in that direction, so this is one pass over the parts."""
+        ops, slots, loops = _OPCODES[index], self._slots, self._loops
         entries: list[tuple] = []
         atoms = 0
         parts = _parts(term)
-        for t in parts[::-1] if inverted else parts:
+        for t in parts[::-1] if index else parts:
             kind = type(t)
             if kind is Skip:
                 continue
@@ -625,12 +639,9 @@ class Program:
                 if cache:
                     entries.append((_LOOP, (slots[t.leader], cache, index, atoms)))
             else:
-                name = t.var
-                slot = slots[name]
+                slot = slots[t.var]
                 op = ops[kind]
                 entries.append((op, (slot, atoms) if op == _POP else slot))
-                if traced:
-                    entries.append((_OBSERVE, (f"{_OP_KEYWORD[op]} {name}", name, slot)))
                 atoms += 1
         return tuple(entries), atoms
 

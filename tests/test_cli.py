@@ -141,6 +141,22 @@ class TestRun:
         second = run_cli(capsys, "run", program)
         assert first == second
 
+    @pytest.mark.parametrize(("source", "semantics"), [("", "r"), ("; POP x", "a")])
+    def test_value_too_long_to_print_leaves_stdout_empty(self, workspace, capsys, source, semantics):
+        # the nest runs in closed form and leaves x = 10**4400, past the
+        # 4,300 digits `str` renders by default, in the final state or in
+        # the abort record of the POP x after it
+        program = workspace("p.score", "FOR a { FOR b { INC x } }" + source)
+        state = workspace("s.sst", f"a = {10**2200}\nb = {10**2200}\n")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run_cli(capsys, "run", "-s", semantics, program, state)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Exceeds the limit")
+
 
 class TestInvert:
     def test_loop_example(self, workspace, capsys):

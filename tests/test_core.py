@@ -76,6 +76,16 @@ def assert_matches_reference(term, full, flat):
     assert_same_trace(term, full, "r")
 
 
+# The hypothesis tests that compare whole runs with the reference walker
+# set this deadline per example, in ms.  Their slowest example measured,
+# INC x; FOR y { INC z }; FOR x { INC y } inside a 2 x 3 x 3 perfect nest in
+# `TestPerfectNests.test_hypothesis_terms`, took 0.31-0.66 s (Python 3.11,
+# a 2-core Xeon), and on a loaded machine two trivial examples took 0.36 and
+# 0.40 s, past hypothesis's default of 200 ms.  The deadline limits only
+# how long a test runs; it checks nothing the program computes.
+SLOW_EXAMPLE_DEADLINE = 2_000
+
+
 def fuzz_corpus(cfg, cases):
     """The (program, state, counter-free state) triples `run_fuzz` draws."""
     master = random.Random(cfg.seed)
@@ -87,7 +97,7 @@ def fuzz_corpus(cfg, cases):
 
 
 class TestAgainstReferenceWalker:
-    @settings(max_examples=200)
+    @settings(max_examples=200, deadline=SLOW_EXAMPLE_DEADLINE)
     @given(wf_terms(), states)
     def test_hypothesis_terms(self, term, full):
         flat = zero_counters(full)
@@ -277,8 +287,8 @@ def compiled_blocks(monkeypatch):
 
 
 class TestSharedBlocks:
-    """A Program compiles each (node, direction, traced) block once, for all
-    three semantics."""
+    """A Program compiles each (node, direction) block once, for all three
+    semantics, traced and untraced runs alike."""
 
     def test_each_block_compiles_once_for_all_semantics(self, compiled_blocks):
         # Every POP is legal, so the three semantics run the same steps: the
@@ -292,8 +302,9 @@ class TestSharedBlocks:
                     before = len(compiled_blocks)
                     assert isinstance(program.run(state, semantics, order, observe), Final)
                     assert semantics == "n" or len(compiled_blocks) == before
-        # the program, n's loop and m's loop, both directions, plain and traced
-        assert len(compiled_blocks) == len(set(compiled_blocks)) == 3 * 2 * 2
+        # the program, n's loop and m's loop, both directions, which the
+        # traced runs share with the untraced ones
+        assert len(compiled_blocks) == len(set(compiled_blocks)) == 3 * 2
 
     def test_blocks_compiled_by_an_aborting_run_are_reused(self, compiled_blocks):
         # the assert run aborts at POP w inside k's body, which it compiled;
@@ -307,6 +318,21 @@ class TestSharedBlocks:
         assert program.run(state, "r").state == State({**agreed, "w": Cell(3, (1,), 2)})
         assert program.run(state, "n").state == State(agreed)
         assert len(compiled_blocks) == 3
+
+    def test_traced_runs_compile_the_blocks_untraced_runs_reuse(self, compiled_blocks):
+        # the traced runs enter every loop both ways: m's count of -1 runs
+        # its body inverted inside n's forward body, and forward inside n's
+        # inverted one, and k's loop runs in both passes
+        program = compile_program(parse("FOR n { INC x; FOR m { POP y; PUSH y } }; FOR k { DEC z }"))
+        state = State({"n": Cell(2), "m": Cell(-1), "k": Cell(3), "y": Cell(0, (1,), 0)})
+        for semantics in "nar":
+            observed_run(program, state, semantics, "+-")
+        # the program, n's, m's and k's loops, both directions
+        assert len(compiled_blocks) == len(set(compiled_blocks)) == 4 * 2
+        for semantics in "nar":
+            for order in SPELLED:
+                assert isinstance(program.run(state, semantics, order), Final)
+        assert len(compiled_blocks) == 4 * 2
 
 
 class TestTraceSteps:
@@ -471,15 +497,15 @@ class TestIdleLoops:
 
     def test_idle_bodies_are_never_compiled(self, compiled_blocks):
         # n's loop and the n loop in k's body are idle; only the program's
-        # blocks and k's body's are compiled, in both directions, plain and
-        # traced
+        # blocks and k's body's are compiled, in both directions, once for
+        # traced and untraced runs
         program = compile_program(parse("FOR n { FOR m { SKIP } }; FOR k { INC y; FOR n { SKIP; SKIP } }"))
         state = State({"n": Cell(3), "m": Cell(-2), "k": Cell(2)})
         for observe in (None, lambda *step: None):
             for semantics in "nar":
                 assert program.run(state, semantics, "+-", observe) == Final(state)
         k_body = program.term.parts[1].body
-        assert sorted(compiled_blocks) == sorted((id(t), i) for t in (program.term, k_body) for i in range(4))
+        assert sorted(compiled_blocks) == sorted((id(t), i) for t in (program.term, k_body) for i in range(2))
 
 
 class TestIdleLoopIds:
@@ -560,7 +586,7 @@ class TestLeafFunctions:
             assert_runs_match_reference(program, [full, *(gen_state(cfg, names, rng) for _ in range(2))])
         assert hot
 
-    @settings(max_examples=100)
+    @settings(max_examples=100, deadline=SLOW_EXAMPLE_DEADLINE)
     @given(wf_terms(), states)
     def test_hypothesis_terms(self, term, full):
         with pytest.MonkeyPatch.context() as patch:
@@ -825,7 +851,7 @@ class TestPerfectNests:
         ]
         assert_runs_match_reference(program, states)
 
-    @settings(max_examples=100)
+    @settings(max_examples=100, deadline=SLOW_EXAMPLE_DEADLINE)
     @given(wf_terms(), states, st.lists(st.integers(-3, 3), min_size=1, max_size=3), st.booleans())
     def test_hypothesis_terms(self, term, full, counts, hot):
         # a term that writes its own loops' leaders, such as
@@ -891,6 +917,56 @@ class TestPerfectNests:
 def translated(blocks):
     """Whether each leaf block among `blocks` runs in closed form once hot."""
     return [core._translation(block) is not None for block in blocks if not any(op == core._LOOP for op, _ in block)]
+
+
+class TestObservedHotLoops:
+    """An observed run steps every loop, so it observes every step of loops
+    that earlier untraced runs of the same Program made hot: a generated
+    leaf (n's), a translation leaf (j's) and a perfect nest of translations
+    (m's and k's), each run forward and inverted."""
+
+    PROGRAM = parse(
+        "INC u; FOR n { INC x; POP y; PUSH z }; FOR m { FOR k { INC x; PUSH y; POP y; DEC w } }; "
+        "FOR j { DEC v; INC w }; POP v"
+    )
+    # Forward under a, the first state aborts at the last POP v, the next
+    # two in n's generated leaf, at POP z in its second inverted iteration
+    # and at POP y in its second forward one, and the last completes.
+    STATES = [
+        State({"n": Cell(3), "m": Cell(2), "k": Cell(-3), "j": Cell(4), "y": Cell(0, (0,) * 5, 0)}),
+        State({"n": Cell(-2), "m": Cell(-2), "k": Cell(-2), "j": Cell(-1), "z": Cell(0, (2,) * 3, 0)}),
+        State({"n": Cell(4), "m": Cell(3), "k": Cell(2), "j": Cell(2), "y": Cell(0, (1, 2), 0), "z": Cell(1)}),
+        State(
+            {"n": Cell(-3), "m": Cell(1), "k": Cell(3), "j": Cell(-3), "z": Cell(0, (0,) * 3, 2), "v": Cell(-3, (5,), 0)}
+        ),
+    ]
+
+    @staticmethod
+    def leaf_plans(program):
+        """The plans made so far of the loops whose blocks hold no loop entry."""
+        plans = (plan for cache in program._loops.values() for plan in cache[:2] if plan)
+        return [plan for plan in plans if not any(op == core._LOOP for op, _ in plan[0])]
+
+    def test_traced_runs_after_untraced_runs_made_the_loops_hot(self, hot):
+        program = compile_program(self.PROGRAM)
+        for semantics in "nar":
+            for order, spell in SPELLED.items():
+                spelled = spell(self.PROGRAM)
+                starts = [state if semantics == "r" else zero_counters(state) for state in self.STATES]
+                for start in starts:
+                    expected = REFERENCE[semantics](spelled, start)
+                    assert program.run(start, semantics, order) == (expected if semantics == "a" else Final(expected))
+                made = len(hot)
+                for start in starts:
+                    steps, final = observed_run(program, start, semantics, order)
+                    assert_trace_matches(steps, final, ref_eval_traced(spelled, start, semantics), start)
+                assert len(hot) == made  # the observed runs generated nothing
+        plans = self.leaf_plans(program)
+        assert len(plans) == 6 and all(callable(run) for _, _, run in plans)
+        assert sorted(translated(hot)) == [False, False, True, True, True, True]
+        records = [program.run(zero_counters(state), "a") for state in self.STATES]
+        assert [r.record.instruction for r in records[:3]] == ["POP v", "POP z", "POP y"]
+        assert isinstance(records[3], Final)
 
 
 class TestTranslationLoops:
@@ -1017,7 +1093,7 @@ class TestTranslationLoops:
 
     ATOMS = (Inc, Dec, Push, Pop)
 
-    @settings(max_examples=200)
+    @settings(max_examples=200, deadline=SLOW_EXAMPLE_DEADLINE)
     @given(st.lists(st.tuples(st.sampled_from(ATOMS), st.sampled_from("xy"))), st.integers(-3, 3), states)
     def test_hypothesis_leaf_bodies(self, atoms, count, full):
         # bodies of atoms on two slots, many of them holding inverse pairs
