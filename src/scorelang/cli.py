@@ -24,7 +24,7 @@ from .semantics import (
     Program,
     compile_program,
 )
-from .state import State, _declared_state, dump_state, parse_state_declarations
+from .state import DEFAULT_CELL, State, _declared_state, parse_state_declarations
 from .syntax import check_well_formed, invert, pretty
 
 EXIT_OK = 0
@@ -55,15 +55,30 @@ def _load(args: argparse.Namespace) -> tuple[Program, State, set[str]]:
     return program, _declared_state(declarations), names
 
 
+def _final_text(state: State, names: set[str]) -> str:
+    """FINAL, then each of `names` (sorted) as `dump_state` writes it.  The
+    integers of a state read from a file, and of every run from it, are
+    plain ints, whose repr is their str, so each stack prints as one list
+    repr, as in `_abort_lines` and the trace observer's lines: faster than
+    `dump_state`'s join of the elements' str, which a State built in Python
+    needs, since it may hold int subclasses that print otherwise."""
+    get = state.as_dict().get
+    out = ["FINAL\n"]
+    for name in sorted(names):
+        value, stack, counter = get(name, DEFAULT_CELL)
+        out.append(f"{name} = {value}, {[*stack] if stack else '[]'}, {counter}\n")
+    return "".join(out)
+
+
 def _abort_lines(record: AbortRecord) -> list[str]:
-    stack = ", ".join(map(str, record.observed.stack))
+    stack = record.observed.stack
     return [
         f"step: {record.trace_position + 1}",
         f"instruction: {record.instruction}",
         f"variable: {record.variable}",
         f"reason: {record.reason}",
         f"value: {record.observed.value}",
-        f"stack: [{stack}]",
+        f"stack: {[*stack] if stack else '[]'}",
     ]
 
 
@@ -82,7 +97,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if isinstance(outcome, Aborted):
         sys.stdout.write("".join(f"{line}\n" for line in ["ABORT", *_abort_lines(outcome.record)]))
         return EXIT_ABORT
-    sys.stdout.write(f"FINAL\n{dump_state(outcome.state, names)}")
+    sys.stdout.write(_final_text(outcome.state, names))
     return EXIT_OK
 
 
@@ -155,8 +170,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         out += (f"{line}\n" for line in _abort_lines(record)[3:])  # reason, value, stack
         sys.stdout.write("".join(out))
         return EXIT_ABORT
-    out.append("FINAL\n")
-    out.append(dump_state(outcome.state, names))
+    out.append(_final_text(outcome.state, names))
     sys.stdout.write("".join(out))
     return EXIT_OK
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress, cycle, islice, repeat
 
 from .state import Cell, DEFAULT_CELL, State, _new_cell
 from .syntax import (
@@ -276,17 +276,27 @@ def pop_r(cell: Cell) -> Cell:
 # so a Program generates each function at most once, and a fresh Program
 # pays for it again.  Observed runs always step.
 #
-# A hot leaf whose block is a translation runs in closed form, whatever its
-# count.  `_translation` reduces each slot's word of atoms, cancelling an
-# atom against the last one left on its slot when the pair is INC then DEC,
-# DEC then INC, or PUSH then POP; atoms on different slots commute.  INC
-# and DEC undo each other on any cell, and so does PUSH then POP: under `r`
-# it is ``pop_r(push_r(c)) == c``, and under `n` and `a`, whose counters
-# are 0, the PUSH leaves the value 0 on a non-empty stack, so the POP is
-# legal.  (POP then PUSH does not cancel: it aborts under `a`, and it
-# loses a nonzero value under `n`.)  When no slot's word keeps a PUSH or a
-# POP, the body adds a fixed change to each value and can never abort, so
-# `_leaf_function` returns a closure that adds count times each change.
+# A hot leaf whose atoms keep no POP runs in closed form.  `_closed_form`
+# reduces each slot's word of atoms, cancelling an atom against the last
+# one left on its slot when the pair is INC then DEC, DEC then INC, or PUSH
+# then POP; atoms on different slots commute.  INC and DEC undo each other
+# on any cell, and so does PUSH then POP: under `r` it is
+# ``pop_r(push_r(c)) == c``, and under `n` and `a`, whose counters are 0,
+# the PUSH leaves the value 0 on a non-empty stack, so the POP is legal.
+# (POP then PUSH does not cancel: it aborts under `a`, and it loses a
+# nonzero value under `n`.)  When no word keeps a POP, each reads
+# ``x0 PUSH x1 PUSH ... PUSH xm``, each xi a net count of INCs less DECs,
+# and the body can never abort.  A slot with no PUSH gains count * x0.  A
+# PUSH on a counter of 0 takes `push_r`'s first clause, the pair push,
+# and leaves the counter 0, so from value v a slot with m PUSHes pushes
+# v + x0, x1, ..., x(m-1), then (xm + x0, x1, ..., x(m-1)) count - 1
+# times, and is left holding xm.  So `_leaf_function` returns a closure
+# that adds to each value and extends each stack list from its repeated
+# pattern, with no temporary copy.  It calls the block's generated loop,
+# made on first need, when a pushing slot's counter is not 0 at entry,
+# which only an illegal POP under `r` brings about, or when the call would
+# push more than `_MOST_PUSHES` values, about what stepping pushes in a
+# second: such a run steps as it did, until its memory runs out.
 # `scheduled` still gets count times the block's atoms, so no abort
 # position moves.  Any other leaf keeps its generated loop as written,
 # pairs and all: it runs count iterations anyway, and each POP's line
@@ -359,27 +369,28 @@ _ATOM_LINES = {
 _ATOM_TEXT = {op: "".join(f"{' ' * 12}{line}\n" for line in lines) for op, lines in _ATOM_LINES.items()}
 
 
-# The pairs of atoms on one slot, first then second, that leave every cell
-# as they found it under all three semantics.
-_INVERSE_PAIRS = {(_INC, _DEC), (_DEC, _INC), (_PUSH, _POP)}
+_MOST_PUSHES = 2**24  # the most values a closed-form call pushes; past it, the generated loop runs
 
 
-def _translation(block: tuple) -> list[tuple[int, int]] | None:
-    """The net change of each slot that `block`, a leaf body, moves, as
-    ``(slot, change)`` pairs; or None when a PUSH or a POP is left once each
-    slot's word of atoms has cancelled its inverse pairs.  Atoms on
-    different slots commute, so each slot's word is reduced on its own."""
-    words: dict[int, list] = {}
+def _closed_form(block: tuple) -> list[tuple[int, list[int]]] | None:
+    """Each slot's word of atoms in `block`, a leaf body, once its inverse
+    pairs (INC then DEC, DEC then INC, PUSH then POP) have cancelled, as
+    ``(slot, [x0, x1, ..., xm])`` for the word ``x0 PUSH x1 ... PUSH xm``,
+    each xi a net count of INCs less DECs; or None when a word keeps a POP.
+    Atoms on different slots commute, so each slot's word is reduced on its
+    own; a slot whose word cancels is left out."""
+    words: dict[int, list[int]] = {}
     for op, arg in block:
-        word = words.setdefault(arg[0] if op == _POP else arg, [])
-        if word and (word[-1], op) in _INVERSE_PAIRS:
+        word = words.setdefault(arg[0] if op == _POP else arg, [0])
+        if op == _PUSH:
+            word.append(0)
+        elif op != _POP:
+            word[-1] += 1 if op == _INC else -1
+        elif len(word) > 1 and not word[-1]:  # the last atom left is a PUSH
             word.pop()
         else:
-            word.append(op)
-    if any(_PUSH in word or _POP in word for word in words.values()):
-        return None
-    # a word of INC and DEC with no inverse pair left holds one of the two
-    return [(k, len(word) if word[0] == _INC else -len(word)) for k, word in words.items() if word]
+            return None  # no later atom cancels a POP that is left
+    return [(k, word) for k, word in words.items() if word != [0]]
 
 
 def _leaf_function(block: tuple):
@@ -388,17 +399,42 @@ def _leaf_function(block: tuple):
     illegal POP calling `illegal` (from `_ILLEGAL`) with ``base`` plus the
     steps the call ran before it; or False when the block holds a loop
     entry.  No loop's block is empty, since an idle loop gets no entry.  A
-    block that is a translation runs as one addition per slot it moves."""
+    block whose words keep no POP (`_closed_form`) runs as one addition per
+    slot without a PUSH and one extension per slot with one; its generated
+    loop is made on the first call whose pushing slots do not all have
+    counter 0 or that would push more than `_MOST_PUSHES` values."""
     if any(op == _LOOP for op, _ in block):
         return False
-    shift = _translation(block)
-    if shift is not None:
+    forms = _closed_form(block)
+    if forms is None:
+        return _loop_function(block)
+    moves = [(k, x[0]) for k, x in forms if len(x) == 1]
+    # from value v and counter 0, count iterations push v + x0, x1, ...,
+    # x(m-1), then (xm + x0, x1, ..., x(m-1)) count - 1 times, and leave xm
+    grows = [(k, x[0], (x[-1] + x[0], *x[1:-1]), x[-1]) for k, x in forms if len(x) > 1]
+    pushes = sum(len(pattern) for _, _, pattern, _ in grows)
+    loop = None
 
-        def translate(values, stacks, counters, count, illegal, base):
-            for k, change in shift:
-                values[k] += change * count
+    def run(values, stacks, counters, count, illegal, base):
+        nonlocal loop
+        if grows and (count * pushes > _MOST_PUSHES or any(counters[k] for k, *_ in grows)):
+            loop = loop or _loop_function(block)
+            return loop(values, stacks, counters, count, illegal, base)
+        for k, change in moves:
+            values[k] += change * count
+        for k, first, pattern, last in grows:
+            stack = stacks[k]
+            top = len(stack)
+            stack.extend(islice(cycle(pattern), count * len(pattern)))
+            stack[top] = values[k] + first  # the first iteration starts from v, not xm
+            values[k] = last
 
-        return translate
+    return run
+
+
+def _loop_function(block: tuple):
+    """`block`'s function for `_leaf_function`, generated: the block's atoms
+    written out under ``for i in range(count)``."""
     stacked: dict[int, bool] = {}  # each slot of the block: whether it uses its stack
     body = []
     for op, arg in block:
@@ -529,9 +565,9 @@ class Program:
     run also its observer, which reads each atom's label and name from
     `_labels`, a table made on the first observed run.  A perfect loop nest
     runs as its innermost loop, with the product of the counts, and a hot
-    leaf loop of an unobserved run calls a function generated from its
-    block, once per Program.  `idle` holds the ids of the term's idle FOR
-    nodes.
+    leaf loop of an unobserved run calls the function `_leaf_function`
+    makes from its block, once per Program.  `idle` holds the ids of the
+    term's idle FOR nodes.
     """
 
     __slots__ = ("term", "variables", "_slots", "_loops", "_top", "_labels")

@@ -157,6 +157,21 @@ class TestRun:
         assert (code, out) == (2, "")
         assert err.startswith("error: Exceeds the limit")
 
+    @pytest.mark.parametrize(("source", "semantics"), [("", "r"), ("; INC x; POP x", "a")])
+    def test_stack_element_too_long_to_print_leaves_stdout_empty(self, workspace, capsys, source, semantics):
+        # PUSH x saves x = 10**4400 on x's stack, where the final state or
+        # the abort record of the POP x that finds x = 1 renders it
+        program = workspace("p.score", "FOR a { FOR b { INC x } }; PUSH x" + source)
+        state = workspace("s.sst", f"a = {10**2200}\nb = {10**2200}\n")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run_cli(capsys, "run", "-s", semantics, program, state)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Exceeds the limit")
+
 
 class TestInvert:
     def test_loop_example(self, workspace, capsys):

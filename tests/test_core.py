@@ -542,19 +542,25 @@ class TestIdleLoopIds:
         self.assert_scan_matches(term)
 
 
-@pytest.fixture
-def generated(monkeypatch):
-    """The blocks that `_leaf_function` is asked to generate a function
-    for while the fixture is in use."""
+def logged_blocks(monkeypatch, name):
+    """The blocks that the core's function `name` is called with while
+    `monkeypatch` holds."""
     blocks = []
-    real = core._leaf_function
+    real = getattr(core, name)
 
     def logged(block):
         blocks.append(block)
         return real(block)
 
-    monkeypatch.setattr(core, "_leaf_function", logged)
+    monkeypatch.setattr(core, name, logged)
     return blocks
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """The blocks that `_leaf_function` is asked to generate a function
+    for while the fixture is in use."""
+    return logged_blocks(monkeypatch, "_leaf_function")
 
 
 @pytest.fixture
@@ -916,7 +922,7 @@ class TestPerfectNests:
 
 def translated(blocks):
     """Whether each leaf block among `blocks` runs in closed form once hot."""
-    return [core._translation(block) is not None for block in blocks if not any(op == core._LOOP for op, _ in block)]
+    return [core._closed_form(block) is not None for block in blocks if not any(op == core._LOOP for op, _ in block)]
 
 
 class TestObservedHotLoops:
@@ -1099,6 +1105,137 @@ class TestTranslationLoops:
         # bodies of atoms on two slots, many of them holding inverse pairs
         atoms = [kind(name) for kind, name in atoms]
         body = Seq(*atoms) if len(atoms) > 1 else atoms[0] if atoms else Skip()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_HOT", 0)
+            assert_runs_match_reference(For("n", body), [full.set("n", Cell(count))])
+
+
+@pytest.fixture
+def looped(monkeypatch):
+    """The blocks that `_loop_function` generates a loop for while the
+    fixture is in use."""
+    return logged_blocks(monkeypatch, "_loop_function")
+
+
+def pops(block):
+    """Whether `block` holds a POP."""
+    return any(op == core._POP for op, _ in block)
+
+
+class TestPushLoops:
+    """A hot leaf whose words, once their inverse pairs cancel, keep a PUSH
+    but no POP pushes in closed form: from counter 0, every iteration after
+    the first pushes the same run of values.  With the heat threshold at 0,
+    every run agrees with the reference walker under each semantics and
+    pass order; an inverted push loop is a pop loop and runs its generated
+    loop, and so does a forward one whose pushing slot has a counter."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "FOR n { PUSH y }",
+            "FOR n { PUSH y; INC y }",
+            # INC/DEC before, between and after several PUSHes
+            "FOR n { INC y; PUSH y; DEC y; DEC y; PUSH y; PUSH y; INC y; INC y; INC y }",
+            "FOR n { DEC y; PUSH y; PUSH y; DEC y }",
+            # pushing slots beside translation slots
+            "FOR n { DEC y; PUSH y; INC x; PUSH y; INC y; DEC z; DEC z }",
+            "FOR n { PUSH y; PUSH x; INC y; PUSH y; DEC x; INC z }",
+            # cancelled PUSH; POP pairs next to a kept PUSH
+            "FOR n { PUSH y; PUSH x; POP x; INC y; PUSH x; INC x; DEC x; POP x; PUSH y }",
+            "FOR n { INC y; PUSH y; PUSH y; INC y; DEC y; POP y; INC y }",
+        ],
+    )
+    def test_bodies_that_push(self, hot, looped, source):
+        program = parse(source)
+        names = compile_program(program).variables
+        cfg = GenConfig(value_range=(-4, 4), max_counter=0)
+        rng = random.Random(source)
+        states = [gen_state(cfg, names, rng).set("n", Cell(n)) for n in (5, 1, -3, 2, -1, 0) for _ in range(2)]
+        assert_runs_match_reference(program, states)
+        assert translated(hot) == [True, False]  # the body forward; inverted, it pops
+        assert looped  # inverted bodies, and forward ones after an illegal pop raised a counter under r
+        looped.clear()
+        runs = compile_program(program)
+        forward = [state for state in states if state.get("n").value >= 0]
+        for semantics in "nar":
+            for state in forward:
+                assert runs.run(state, semantics) == Final(ref_eval_r(program, state))
+        assert looped == []  # forward from counter 0, the body runs in closed form
+
+    def test_values_pushed(self, hot, looped):
+        # y's word is x0 PUSH x1 PUSH x2 with x0 = 1, x1 = 2, x2 = -1: from
+        # y = 7, it pushes 8, 2, then (0, 2) three times, and leaves -1
+        program = compile_program(parse("FOR n { INC y; PUSH y; INC y; INC y; PUSH y; DEC y; DEC x }"))
+        state = State({"n": Cell(4), "y": Cell(7, (9,), 0)})
+        expected = State({"n": Cell(4), "x": Cell(-4), "y": Cell(-1, (2, 0, 2, 0, 2, 0, 2, 8, 9), 0)})
+        for semantics in "nar":
+            assert program.run(state, semantics) == Final(expected)
+        assert looped == []
+
+    def test_a_perfect_nest_passes_the_product(self, hot, looped):
+        program = parse("FOR a { FOR b { PUSH y; INC x; INC y; INC y } }")
+        states = [
+            State({"a": Cell(a), "b": Cell(b), "y": Cell(3, (1,), 0)}) for a, b in [(3, 4), (-2, -5), (2, -3), (-1, 6)]
+        ]
+        assert_runs_match_reference(program, states)
+        looped.clear()
+        runs = compile_program(program)
+        state = State({"a": Cell(300), "b": Cell(-200), "y": Cell(5)})
+        expected = State({"a": Cell(300), "b": Cell(-200), "y": Cell(2, (2,) * 59_999 + (5,), 0), "x": Cell(60_000)})
+        assert runs.run(state, "r", "-") == Final(expected)
+        assert all(pops(block) for block in looped)
+
+    def test_abort_after_a_push_loop(self, hot):
+        # the loop pushes 4, then -1 999 times, and leaves y = 0; the first
+        # POP y takes -1, and the second finds it, at step 1 + 3 * 1000 + 1
+        program = parse("INC u; FOR n { DEC y; PUSH y; INC x }; POP y; POP y")
+        state = State({"n": Cell(1000), "y": Cell(5)})
+        outcome = compile_program(program).run(state, "a")
+        assert outcome == ref_eval_a(program, state)
+        record = outcome.record
+        assert (record.instruction, record.reason, record.trace_position) == ("POP y", "value-nonzero", 3002)
+        assert record.observed == Cell(-1, (-1,) * 998 + (4,), 0)
+        assert eval_traced(program, state, "a")[0][-1].abort == record
+
+    @pytest.mark.parametrize("counter", [1, 2])
+    def test_a_counter_at_entry_runs_the_generated_loop(self, hot, looped, counter):
+        # under r, PUSH y repairs (counter - 1) or leaves a frozen cell
+        # alone before it saves values, so the closed form hands the call
+        # to the generated loop; from counter 0 the same Program pushes in
+        # closed form again
+        program = parse("FOR n { PUSH y; INC y; INC x; PUSH y }")
+        cells = [Cell(3, (), counter), Cell(0, (2,), counter), Cell(0, (), counter), Cell(-2, (1, 1), counter)]
+        states = [State({"n": Cell(n), "y": cell}) for cell in cells for n in (1, 3, 6)]
+        assert_runs_match_reference(program, states, "r")
+        runs = compile_program(program)
+        looped.clear()
+        for state in states:
+            assert runs.run(state, "r") == Final(ref_eval_r(program, state))
+        assert len(looped) == 1 and not pops(looped[0])
+        flat = State({"n": Cell(3), "y": Cell(1, (4,), 0)})
+        assert runs.run(flat, "r") == Final(ref_eval_r(program, flat))
+        assert len(looped) == 1
+
+    def test_past_the_bound_runs_the_generated_loop(self, hot, looped, monkeypatch):
+        # three pushes per iteration: 2 iterations push 6 values, within a
+        # bound of 6, and 3 push 9, past it
+        monkeypatch.setattr(core, "_MOST_PUSHES", 6)
+        program = parse("FOR n { PUSH y; INC y; PUSH x; PUSH y; DEC z }")
+        runs = compile_program(program)
+        for n, generated_loops in [(2, 0), (3, 1), (2, 1), (7, 1)]:
+            state = State({"n": Cell(n), "y": Cell(4, (1,), 0), "x": Cell(-2)})
+            for semantics in "nar":
+                assert runs.run(state, semantics) == Final(ref_eval_r(program, state))
+            assert len(looped) == generated_loops
+
+    ATOMS = (Inc, Dec, Push)
+
+    @settings(max_examples=200, deadline=SLOW_EXAMPLE_DEADLINE)
+    @given(st.lists(st.tuples(st.sampled_from(ATOMS), st.sampled_from("xyz")), min_size=1), st.integers(-3, 4), states)
+    def test_hypothesis_push_bodies(self, atoms, count, full):
+        atoms = [kind(name) for kind, name in atoms]
+        body = Seq(*atoms) if len(atoms) > 1 else atoms[0]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "_HOT", 0)
             assert_runs_match_reference(For("n", body), [full.set("n", Cell(count))])
