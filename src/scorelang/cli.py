@@ -4,12 +4,18 @@ Commands: run, invert, check, fuzz, oracle, trace.  Program files use the
 ".score" extension, state files ".sst".  Exit status: 0 on success, 1 on
 an assert-semantics abort, 2 on usage or parse errors (including programs
 nested too deeply to process), 3 on a property failure.
+
+The program commands (run, trace, check, invert) run with the cyclic
+garbage collector paused: what they build holds no reference cycles, and
+on a 20,000-atom program collection passes took about a fifth of a run
+(see `main`).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from pathlib import Path
@@ -225,8 +231,25 @@ _COMMANDS = {
 }
 
 
+_PROGRAM_COMMANDS = frozenset({"run", "trace", "check", "invert"})
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit status.
+
+    A program command (run, trace, check, invert) runs with the cyclic
+    collector paused, if it was on, and `main` turns it back on when the
+    command ends, however it ends.  Terms, blocks and slot lists hold no
+    reference cycles, so reference counting frees all they leave, and the
+    paused passes would only walk the live term and its blocks again: they
+    took about a fifth of an in-process run of a 20,000-atom program,
+    18-21 ms of 99-110 ms, in 68 collections.  fuzz and oracle keep the
+    collector on, since they gain nothing measurable from a pause and
+    their batches have no bound."""
     args = _argparser().parse_args(argv)
+    paused = args.command in _PROGRAM_COMMANDS and gc.isenabled()
+    if paused:
+        gc.disable()
     try:
         return _COMMANDS[args.command](args)
     except ParseError as exc:
@@ -238,6 +261,9 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: program nested too deeply", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if paused:
+            gc.enable()
 
 
 if __name__ == "__main__":

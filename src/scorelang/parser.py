@@ -16,7 +16,9 @@ insignificant.  Program files conventionally use the ".score" extension.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from itertools import islice
+from operator import length_hint
 from typing import NoReturn
 
 from .syntax import _KEYWORD, KEYWORDS, Skip, Term, _atom, _loop, _sequence
@@ -70,8 +72,10 @@ def tokenize(src: str) -> list[str]:
     return lexemes
 
 
-def _fail(src: str, lexemes: list[str], i: int, message: str, expected: tuple[str, ...] = ()) -> NoReturn:
-    """Raise a ParseError at lexeme `i`, whose position is found only now."""
+def _fail(src: str, lexemes: list[str], it: Iterator[str], message: str, expected: tuple[str, ...] = ()) -> NoReturn:
+    """Raise a ParseError at the lexeme `it` gave last, whose index and
+    position are found only now."""
+    i = len(lexemes) - length_hint(it) - 1
     if lexemes[i]:
         code = _COMMENT_RE.sub(" ", src)
         position = _position(code, next(islice(_LEXEME_RE.finditer(code), i, None)).start())
@@ -92,58 +96,59 @@ _NOT_NAMES = KEYWORDS | {";", "{", "}", ""}
 def parse(src: str) -> Term:
     """Parse program text into a term, raising ParseError on the first fault.
 
-    One loop over the lexemes: `parts` collects the atoms of the sequence
-    being read and `open_loops` holds, per enclosing FOR, the enclosing
-    sequence's parts and the loop's leader, so no nesting recurses."""
+    One pass of an iterator over the lexemes: `parts` collects the atoms of
+    the sequence being read and `open_loops` holds, per enclosing FOR, the
+    enclosing sequence's parts and the loop's leader, so no nesting
+    recurses.  No lexeme index is kept; a fault's index, and from it its
+    line and column, is worked out only when `_fail` raises."""
     lexemes = tokenize(src)
+    it = iter(lexemes)
     # Terms are immutable, so each distinct atom is built once and then
-    # shared.  The lexer vouches for every name that is no keyword, so atoms
-    # and loops are built past their constructors' checks.
-    atoms: dict[tuple[str, str], Term] = {}
+    # shared, from one table of atoms by name per keyword.  The lexer
+    # vouches for every name that is no keyword, so a name is checked only
+    # when its atom is new, and atoms and loops are built past their
+    # constructors' checks.
+    tables: dict[str, dict[str, Term]] = {keyword: {} for keyword in _UNARY}
     open_loops: list[tuple[list[Term], str]] = []
     parts: list[Term] = []
-    i = 0
-    while True:
-        word = lexemes[i]
-        make = _UNARY.get(word)
-        if make is not None:
-            name = lexemes[i + 1]
-            if name in _NOT_NAMES:
-                _fail(src, lexemes, i + 1, f"expected a variable name after {word}" + _found(name), ("identifier",))
-            atom = atoms.get((word, name))
+    for word in it:  # the first lexeme of an instruction
+        table = tables.get(word)
+        if table is not None:
+            name = next(it)
+            atom = table.get(name)
             if atom is None:
-                atom = atoms[word, name] = _atom(make, name)
+                if name in _NOT_NAMES:
+                    _fail(src, lexemes, it, f"expected a variable name after {word}" + _found(name), ("identifier",))
+                atom = table[name] = _atom(_UNARY[word], name)
             parts.append(atom)
-            i += 2
         elif word == "SKIP":
             parts.append(Skip())
-            i += 1
         elif word == "FOR":
-            name = lexemes[i + 1]
+            name = next(it)
             if name in _NOT_NAMES:
-                _fail(src, lexemes, i + 1, "expected a variable name after FOR" + _found(name), ("identifier",))
-            if lexemes[i + 2] != "{":
-                _fail(src, lexemes, i + 2, f"expected '{{' after FOR {name}" + _found(lexemes[i + 2]), ("{",))
+                _fail(src, lexemes, it, "expected a variable name after FOR" + _found(name), ("identifier",))
+            brace = next(it)
+            if brace != "{":
+                _fail(src, lexemes, it, f"expected '{{' after FOR {name}" + _found(brace), ("{",))
             open_loops.append((parts, name))
             parts = []
-            i += 3
             continue
         else:
-            _fail(src, lexemes, i, "expected an instruction" + _found(word), _ATOM_EXPECTED)
-        # An instruction ended: close every sequence, and loop, that ends here.
-        word = lexemes[i]
+            _fail(src, lexemes, it, "expected an instruction" + _found(word), _ATOM_EXPECTED)
+        # An instruction ended: close every sequence, and loop, that ends
+        # here.  The end of input is the last lexeme, and every branch that
+        # meets it returns or raises, so `next` never runs past it.
+        word = next(it)
         while word != ";":
             body = _sequence(parts)
             if not open_loops:
                 if not word:
                     return body
                 if word == "}":
-                    _fail(src, lexemes, i, "unmatched '}'")
-                _fail(src, lexemes, i, "expected ';' or end of input" + _found(word), (";",))
+                    _fail(src, lexemes, it, "unmatched '}'")
+                _fail(src, lexemes, it, "expected ';' or end of input" + _found(word), (";",))
             parts, leader = open_loops.pop()
             if word != "}":
-                _fail(src, lexemes, i, f"expected '}}' to close FOR {leader}" + _found(word), ("}",))
+                _fail(src, lexemes, it, f"expected '}}' to close FOR {leader}" + _found(word), ("}",))
             parts.append(_loop(leader, body))
-            i += 1
-            word = lexemes[i]
-        i += 1
+            word = next(it)

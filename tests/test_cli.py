@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 
 import scorelang
 from scorelang import Cell, Fail, Pass, exhaustive_pop_injective, harness, parse_state, pop_r
+from scorelang import cli
 from scorelang.cli import main
 from scorelang.state import dump_cell
 
@@ -536,6 +538,113 @@ class TestUsage:
             in_process.append((code, captured.out, captured.err))
         assert in_process == [run_fresh(*argv) for argv in calls]
         assert [code for code, _, _ in in_process] == [2, 1]
+
+
+# Inputs of `TestCollectorPause`, by placeholder in its command lines.
+PAUSE_FILES = {
+    "ok": ("ok.score", "FOR n { PUSH x; INC x }; DEC x; POP x"),
+    "ok_state": ("ok.sst", "n = 2\nx = 4, [9]"),
+    "bad": ("bad.score", "FOR x POP s"),
+    "ill": ("ill.score", "FOR x {INC x}"),
+    "counter_state": ("counter.sst", "x = 1, [], 2"),
+    "pop": ("pop.score", "POP x"),
+    "pop_state": ("pop.sst", "x = 5, [2]"),
+    # a hot leaf whose POP is left after cancelling: it runs through a
+    # generated function, whose first POP is illegal under each semantics
+    "hot": ("hot.score", "FOR n { POP y; INC y; PUSH y }"),
+    "hot_state": ("hot.sst", "n = 1000\ny = 0, []"),
+}
+PAUSE_CASES = [
+    *(
+        (f"{command} {argv}", code)
+        for command in ("run", "trace")
+        for argv, code in [
+            ("-s a {ok} {ok_state}", 0),
+            ("{bad}", 2),
+            ("{ill}", 2),
+            ("-s n {ok} {counter_state}", 2),
+            ("/nonexistent/p.score", 2),
+            ("-s a {pop} {pop_state}", 1),
+        ]
+    ),
+    ("check {ok}", 0),
+    ("check {bad}", 2),
+    ("check {ill}", 3),
+    ("check /nonexistent/p.score", 2),
+    ("invert {ok}", 0),
+    ("invert {bad}", 2),
+    ("invert /nonexistent/p.score", 2),
+    ("fuzz --cases 50", 0),
+    ("fuzz --cases -1", 2),
+    ("oracle", 0),
+    ("oracle --value -1", 2),
+    ("run -s n {hot} {hot_state}", 0),
+    ("run -s a {hot} {hot_state}", 1),
+    ("run -s r {hot} {hot_state}", 0),
+]
+
+
+class TestCollectorPause:
+    """`main` pauses the cyclic collector while a program command runs.
+    That frees everything only if no command leaves a reference cycle."""
+
+    @pytest.fixture
+    def argv_of(self, workspace):
+        files = {key: workspace(name, text) for key, (name, text) in PAUSE_FILES.items()}
+        return lambda line: line.format(**files).split()
+
+    @pytest.mark.parametrize("line, expected", PAUSE_CASES)
+    def test_commands_leave_no_cyclic_garbage(self, argv_of, capsys, line, expected):
+        argv = argv_of(line)
+        cli._argparser()  # built once per process, leaving argparse's formatters in cycles
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            code = main(argv)
+            unreachable = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        capsys.readouterr()
+        assert (code, unreachable) == (expected, 0)
+
+    @pytest.mark.parametrize("line, paused", [("run {ok}", True), ("check {bad}", True), ("fuzz --cases 5", False)])
+    def test_collector_is_paused_for_program_commands_only(self, argv_of, capsys, monkeypatch, line, paused):
+        argv = argv_of(line)
+        during = []
+        command = cli._COMMANDS[argv[0]]
+        monkeypatch.setitem(cli._COMMANDS, argv[0], lambda args: during.append(gc.isenabled()) or command(args))
+        assert gc.isenabled()
+        main(argv)
+        assert during == [not paused]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("line, expected", [("run {ok}", 0), ("run {bad}", 2)])
+    def test_exit_restores_the_collector(self, argv_of, capsys, line, expected):
+        assert gc.isenabled()
+        assert main(argv_of(line)) == expected
+        assert gc.isenabled()
+
+    def test_escaping_exception_restores_the_collector(self, argv_of, monkeypatch):
+        def boom(args):
+            assert not gc.isenabled()
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "run", boom)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="boom"):
+            main(argv_of("run {ok}"))
+        assert gc.isenabled()
+
+    def test_collector_disabled_by_the_caller_stays_disabled(self, argv_of, capsys):
+        gc.disable()
+        try:
+            assert main(argv_of("run {ok}")) == 0
+            assert main(argv_of("run {bad}")) == 2
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 # The corpus of `TestGoldenOutput`: 60 seeded programs, each a sequence of

@@ -96,6 +96,33 @@ class TestParserAgainstReference:
         assert outcome(parse, src) == outcome(ref.parse, src)
 
 
+# One row per `_fail` call in `parse`: the message it raises, then a fault
+# at the earliest lexeme it can meet, inside a loop nest three deep, and at
+# the end of input.  `parse` finds a fault's lexeme index only when it
+# raises, from what its iterator has left, so each row pins that index.
+NEST = "FOR a { # outer\n  FOR b {\r\n\tFOR c { "
+PARSE_FAULTS = {
+    "expected a variable name after POP": ("POP ; SKIP", NEST + "SKIP; POP } } }", "INC x;\n  POP"),
+    "expected a variable name after FOR": ("FOR { INC x }", NEST + "FOR ; } } }", "INC x; FOR # no name\n"),
+    "expected '{' after FOR": ("FOR n INC x", NEST + "FOR n } } }", "SKIP; FOR n"),
+    "expected an instruction": ("; INC x", NEST + "} } }", "INC x; # done\r\n"),
+    "unmatched '}'": ("SKIP } INC x", NEST + "INC x } } } }", "INC x; INC y }"),
+    "expected ';' or end of input": ("SKIP SKIP", NEST + "INC x } } } SKIP", "INC x; INC y x"),
+    "expected '}' to close FOR": ("FOR n { INC x DEC x }", NEST + "INC x SKIP } } }", NEST + "INC x"),
+}
+
+
+class TestParseFaults:
+    @pytest.mark.parametrize(
+        "message, src",
+        [(message, src) for message, sources in PARSE_FAULTS.items() for src in sources],
+    )
+    def test_same_error_as_reference(self, message, src):
+        got = outcome(parse, src)
+        assert got == outcome(ref.parse, src)
+        assert got[0] == "error" and got[3].startswith(message)
+
+
 class TestWalkersAgainstReference:
     @settings(max_examples=300)
     @given(st.one_of(raw_terms(max_depth=6), wf_terms(max_depth=6)))
