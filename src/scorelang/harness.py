@@ -466,7 +466,7 @@ class FuzzWitness:
 _MAX_STORED_WITNESSES = 10
 _MAX_ONLY_IF_SAMPLES = 5
 # The distinct programs a fuzz batch keeps compiled at once, each with its
-# blocks and any generated functions, a few kB.  A default batch draws
+# blocks and any closed forms, a few kB.  A default batch draws
 # about 300 in 1,500 cases and about 6,500 in 100,000, so a long batch
 # starts its table afresh now and then, and its memory stays bounded.
 _MAX_COMPILED = 1024

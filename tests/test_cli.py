@@ -549,8 +549,8 @@ PAUSE_FILES = {
     "counter_state": ("counter.sst", "x = 1, [], 2"),
     "pop": ("pop.score", "POP x"),
     "pop_state": ("pop.sst", "x = 5, [2]"),
-    # a hot leaf whose POP is left after cancelling: it runs through a
-    # generated function, whose first POP is illegal under each semantics
+    # a hot leaf whose POP is left after cancelling: it has no closed form,
+    # so it steps, and its first POP is illegal under each semantics
     "hot": ("hot.score", "FOR n { POP y; INC y; PUSH y }"),
     "hot_state": ("hot.sst", "n = 1000\ny = 0, []"),
 }

@@ -557,17 +557,17 @@ def logged_blocks(monkeypatch, name):
 
 
 @pytest.fixture
-def generated(monkeypatch):
-    """The blocks that `_leaf_function` is asked to generate a function
-    for while the fixture is in use."""
+def planned(monkeypatch):
+    """The blocks that `_leaf_function` is asked to make a run for while
+    the fixture is in use."""
     return logged_blocks(monkeypatch, "_leaf_function")
 
 
 @pytest.fixture
-def hot(monkeypatch, generated):
-    """`generated`, with every loop hot from its first entry."""
+def hot(monkeypatch, planned):
+    """`planned`, with every loop hot from its first entry."""
     monkeypatch.setattr(core, "_HOT", 0)
-    return generated
+    return planned
 
 
 BIG = 10**30
@@ -579,9 +579,9 @@ def nest_blocks(blocks):
 
 
 class TestLeafFunctions:
-    """Untraced runs of hot leaf loops call a function generated from the
-    loop's block; a block holding a loop steps.  With the heat threshold at
-    0 every leaf loop does so from its first entry, and every run still
+    """Untraced runs of hot leaf loops whose atoms keep no POP run in
+    closed form; every other block steps.  With the heat threshold at 0
+    every loop gets its run from its first entry, and every run still
     agrees with the reference walker."""
 
     def test_fuzz_corpus(self, hot):
@@ -598,6 +598,18 @@ class TestLeafFunctions:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "_HOT", 0)
             assert_runs_match_reference(term, [full])
+
+    def test_no_run_makes_code(self, hot, monkeypatch):
+        # every hot leaf runs in closed form or steps, so no run compiles
+        # or executes source text
+        def refuse(*args):
+            raise AssertionError("a run made code")
+
+        monkeypatch.setattr(core, "exec", refuse, raising=False)
+        monkeypatch.setattr(core, "compile", refuse, raising=False)
+        for program, full, _ in fuzz_corpus(GenConfig(seed=24), 300):
+            assert_runs_match_reference(program, [full])
+        assert hot
 
     def test_abort_positions_inside_leaf_loops(self, hot):
         # k's leaf loop runs forward (POP y runs out) or inverted (POP w
@@ -626,12 +638,12 @@ class TestLeafFunctions:
             State({"n": Cell(-3), "k": Cell(1), "x": Cell(-BIG, (), 3), "y": Cell(BIG + 1, (BIG,), 0)}),
         ]
         assert_runs_match_reference(program, states)
-        assert nest_blocks(hot) == [True, False, False, True]  # n's body steps, k's runs generated both ways
+        assert nest_blocks(hot) == [True, False, False, True]  # n's body holds k's loop, a leaf both ways
 
-    def test_abort_after_the_loop_turns_hot(self, generated):
-        # 2,000 iterations make the loop hot at its first entry, so the
-        # untraced run aborts in the generated function, in iteration 1,500;
-        # the traced run steps through `_execute` to the same record
+    def test_abort_after_the_loop_turns_hot(self, planned):
+        # 2,000 iterations make the loop hot at its first entry; its body
+        # keeps POP y, so it has no closed form and the untraced run steps
+        # it, aborting in iteration 1,500, as does the traced run
         program = parse("INC u; FOR n { INC x; POP y; DEC z }; INC u")
         state = State({"n": Cell(2000), "y": Cell(0, (0,) * 1500, 0)})
         outcome = eval_a(program, state)
@@ -639,7 +651,7 @@ class TestLeafFunctions:
         assert outcome.record.trace_position == 1 + 1500 * 3 + 1
         steps, _ = eval_traced(program, state, "a")
         assert steps[-1].abort == outcome.record
-        assert len(generated) == 1
+        assert len(planned) == 1
 
     def test_traced_runs_generate_nothing(self, hot):
         program = compile_program(parse("FOR n { INC x; FOR m { POP y; PUSH y } }; FOR k { DEC z }"))
@@ -682,8 +694,8 @@ class TestLeafFunctions:
         assert any(nest_blocks(hot))
 
     def test_abort_positions_at_every_depth(self, hot):
-        # n's and m's bodies hold a loop, so they step; k's body runs in a
-        # function.  Forward, POP a, c, g and e abort; inverted,
+        # n's and m's bodies hold a loop, and k's keeps a POP, so all
+        # three step.  Forward, POP a, c, g and e abort; inverted,
         # POP b, h, d and f.  One stack at a time runs short.
         program = parse("FOR n { POP a; PUSH b; FOR m { POP c; PUSH d; FOR k { INC x; POP e; PUSH f }; POP g; PUSH h } }")
         states = []
@@ -702,7 +714,7 @@ class TestLeafFunctions:
         assert_runs_match_reference(program, states[::3])
         assert_runs_match_reference(program, states[1::3], "a")
         assert_runs_match_reference(program, states[2::3], "a")
-        assert nest_blocks(hot) == [True, True, False] * 8  # n's and m's blocks step, k's runs generated
+        assert nest_blocks(hot) == [True, True, False] * 8  # n's and m's blocks hold loops, k's is a leaf
 
     def test_inner_leaders_written_in_the_nest(self, hot):
         # n's body moves k's count from -2 up through 0 and j's down, and
@@ -730,9 +742,9 @@ class TestLeafFunctions:
             State({"n": Cell(-2), "j": Cell(3), "k": Cell(-3), "m": Cell(-1), "y": Cell(5, (), 1)}),
         ]
         assert_runs_match_reference(program, states)
-        assert nest_blocks(hot) == [True, False, True, False, True, True]  # only k's body runs generated
+        assert nest_blocks(hot) == [True, False, True, False, True, True]  # only k's body is a leaf
 
-    def test_abort_after_a_hot_nest(self, generated):
+    def test_abort_after_a_hot_nest(self, planned):
         # the nest schedules 700 * 3 steps in one call, which the abort's
         # position counts; the traced run steps to the same record
         program = parse("FOR m { FOR k { INC x } }; POP z")
@@ -741,30 +753,23 @@ class TestLeafFunctions:
         assert outcome == ref_eval_a(program, state)
         assert outcome.record.trace_position == 2100
         assert eval_traced(program, state, "a")[0][-1].abort == outcome.record
-        assert nest_blocks(generated) == [False]  # the nest runs as k's loop
+        assert nest_blocks(planned) == [False]  # the nest runs as k's loop
 
-    def test_deep_hot_nest(self, hot, monkeypatch):
-        # Only the innermost level runs generated: each outer level's block
-        # holds a loop and atoms, so it steps, and the functions' text does
-        # not grow with the depth.  A count of 2 at every level would take 2**25
-        # iterations, too many for the reference walker, so every fourth
-        # level runs twice and the others once, forward or inverted.
-        sources = []
-
-        def spy(source, *args):
-            sources.append(source)
-            return compile(source, *args)
-
-        monkeypatch.setattr(core, "compile", spy, raising=False)
+    def test_deep_hot_nest(self, hot):
+        # Each outer level's block holds a loop and atoms, so it steps, and
+        # so does the innermost, a leaf that keeps a POP.  A count of 2 at
+        # every level would take 2**25 iterations, too many for the
+        # reference walker, so every fourth level runs twice and the others
+        # once, forward or inverted.
         depth = 25
         body = Seq(Inc("x"), Pop("y"), Push("z"))
         for level in reversed(range(depth)):
             body = For(f"a{level}", Seq(Dec(f"w{level % 3}"), body, Push(f"w{level % 3}")))
         counts = {f"a{level}": Cell(2 if level % 4 == 0 else (-1) ** level) for level in range(depth)}
         assert_runs_match_reference(body, [State({**counts, "y": Cell(0, (0,) * 100, 0)})])
-        assert 0 < len(sources) <= 2  # a24's body, forward and inverted
-        # each writes a24's five atoms, within the bound of the nest text
-        assert max(map(len, sources)) < 400 * (2 + 2 * 3)
+        leaves = [block for block in hot if not any(op == core._LOOP for op, _ in block)]
+        assert 0 < len(leaves) <= 2  # a24's body, forward and inverted
+        assert all(core._closed_form(block) is None for block in hot)
 
 
 
@@ -797,8 +802,8 @@ def runs_within(term, state, limit):
 class TestPerfectNests:
     """A perfect nest, a loop whose body is one loop and nothing else, runs
     as its innermost loop with the product of the counts, in the direction
-    their signs give.  Stepped, traced, and generated once hot, every run
-    agrees with the reference walker, aborts included."""
+    their signs give.  Stepped, traced, and in closed form once hot, every
+    run agrees with the reference walker, aborts included."""
 
     BODY = Seq(Inc("x"), Pop("y"), Push("z"), Dec("w"))  # inverted: INC w; POP z; PUSH y; DEC x
 
@@ -875,7 +880,7 @@ class TestPerfectNests:
     def test_counts_past_the_word_size(self, heat):
         # 2**32 * 2**31 * 2 = 2**64 iterations, run forward or inverted, or a
         # mixed loop stepped 2**63 times: each aborts in its first iteration
-        # at the same step as the reference walker, stepped or generated
+        # at the same step as the reference walker, cold or hot
         cases = [  # inverted, each body starts with a POP too
             (nest("abc", Seq(Inc("x"), Pop("y"), Push("v"))), {"a": 2**32, "b": 2**31, "c": 2}, 1),
             (nest("abc", Seq(Inc("x"), Pop("y"), Push("v"))), {"a": 2**32, "b": -(2**31), "c": 2}, 0),
@@ -891,14 +896,14 @@ class TestPerfectNests:
                 assert final is None and steps[-1].abort == expected.record
             assert runs.run(state, "a").record.trace_position == position
 
-    def test_a_hot_nest_generates_one_function(self, generated):
+    def test_a_hot_nest_generates_one_function(self, planned):
         # 30 * -5 * 4 iterations make j's loop hot at its first entry; the
         # signs differ, so j's body runs inverted
         program = compile_program(parse("FOR m { FOR k { FOR j { INC x; PUSH y } } }"))
         state = State({"m": Cell(30), "k": Cell(-5), "j": Cell(4)})
         assert program.run(state, "r") == Final(ref_eval_r(program.term, state))
         j_loop = program.term.body.body
-        assert generated == [program._loops[id(j_loop)][1][0]]
+        assert planned == [program._loops[id(j_loop)][1][0]]
 
     def test_no_generated_block_holds_a_loop(self, monkeypatch):
         made = []
@@ -917,7 +922,9 @@ class TestPerfectNests:
             for semantics in "nar":
                 compile_program(wrapped).run(State({**flat.as_dict(), **counts}), semantics)
         assert any(run for _, run in made)
-        assert all((run is False) == any(op == core._LOOP for op, _ in block) for block, run in made)
+        # a block that holds a loop entry, or keeps a POP, gets False
+        assert all((run is False) == (core._closed_form(block) is None) for block, run in made)
+        assert any(run is False and not nest_blocks([block])[0] for block, run in made)
 
 
 def translated(blocks):
@@ -927,16 +934,16 @@ def translated(blocks):
 
 class TestObservedHotLoops:
     """An observed run steps every loop, so it observes every step of loops
-    that earlier untraced runs of the same Program made hot: a generated
-    leaf (n's), a translation leaf (j's) and a perfect nest of translations
-    (m's and k's), each run forward and inverted."""
+    that earlier untraced runs of the same Program made hot: a leaf that
+    keeps a POP (n's), a translation leaf (j's) and a perfect nest of
+    translations (m's and k's), each run forward and inverted."""
 
     PROGRAM = parse(
         "INC u; FOR n { INC x; POP y; PUSH z }; FOR m { FOR k { INC x; PUSH y; POP y; DEC w } }; "
         "FOR j { DEC v; INC w }; POP v"
     )
     # Forward under a, the first state aborts at the last POP v, the next
-    # two in n's generated leaf, at POP z in its second inverted iteration
+    # two in n's stepped leaf, at POP z in its second inverted iteration
     # and at POP y in its second forward one, and the last completes.
     STATES = [
         State({"n": Cell(3), "m": Cell(2), "k": Cell(-3), "j": Cell(4), "y": Cell(0, (0,) * 5, 0)}),
@@ -966,9 +973,11 @@ class TestObservedHotLoops:
                 for start in starts:
                     steps, final = observed_run(program, start, semantics, order)
                     assert_trace_matches(steps, final, ref_eval_traced(spelled, start, semantics), start)
-                assert len(hot) == made  # the observed runs generated nothing
-        plans = self.leaf_plans(program)
-        assert len(plans) == 6 and all(callable(run) for _, _, run in plans)
+                assert len(hot) == made  # the observed runs made no run
+        runs = [run for _, _, run in self.leaf_plans(program)]
+        # n's body steps both ways; the other leaves have closed forms
+        assert len(runs) == 6 and runs.count(False) == 2
+        assert all(callable(run) for run in runs if run is not False)
         assert sorted(translated(hot)) == [False, False, True, True, True, True]
         records = [program.run(zero_counters(state), "a") for state in self.STATES]
         assert [r.record.instruction for r in records[:3]] == ["POP v", "POP z", "POP y"]
@@ -1111,10 +1120,27 @@ class TestTranslationLoops:
 
 
 @pytest.fixture
-def looped(monkeypatch):
-    """The blocks that `_loop_function` generates a loop for while the
-    fixture is in use."""
-    return logged_blocks(monkeypatch, "_loop_function")
+def declined(monkeypatch):
+    """The block of each call that a closed form declines, so that the
+    block steps, while the fixture is in use."""
+    blocks = []
+    real = core._leaf_function
+
+    def logged(block):
+        run = real(block)
+        if not run:
+            return run
+
+        def logged_run(*args):
+            ran = run(*args)
+            if not ran:
+                blocks.append(block)
+            return ran
+
+        return logged_run
+
+    monkeypatch.setattr(core, "_leaf_function", logged)
+    return blocks
 
 
 def pops(block):
@@ -1127,8 +1153,9 @@ class TestPushLoops:
     but no POP pushes in closed form: from counter 0, every iteration after
     the first pushes the same run of values.  With the heat threshold at 0,
     every run agrees with the reference walker under each semantics and
-    pass order; an inverted push loop is a pop loop and runs its generated
-    loop, and so does a forward one whose pushing slot has a counter."""
+    pass order.  An inverted push loop is a pop loop and steps, and so does
+    a call of a forward one whose pushing slot has a counter, or that would
+    push too many values: its closed form declines it."""
 
     @pytest.mark.parametrize(
         "source",
@@ -1146,7 +1173,7 @@ class TestPushLoops:
             "FOR n { INC y; PUSH y; PUSH y; INC y; DEC y; POP y; INC y }",
         ],
     )
-    def test_bodies_that_push(self, hot, looped, source):
+    def test_bodies_that_push(self, hot, declined, source):
         program = parse(source)
         names = compile_program(program).variables
         cfg = GenConfig(value_range=(-4, 4), max_counter=0)
@@ -1154,16 +1181,16 @@ class TestPushLoops:
         states = [gen_state(cfg, names, rng).set("n", Cell(n)) for n in (5, 1, -3, 2, -1, 0) for _ in range(2)]
         assert_runs_match_reference(program, states)
         assert translated(hot) == [True, False]  # the body forward; inverted, it pops
-        assert looped  # inverted bodies, and forward ones after an illegal pop raised a counter under r
-        looped.clear()
+        assert declined  # forward bodies after an illegal pop raised a counter under r
+        declined.clear()
         runs = compile_program(program)
         forward = [state for state in states if state.get("n").value >= 0]
         for semantics in "nar":
             for state in forward:
                 assert runs.run(state, semantics) == Final(ref_eval_r(program, state))
-        assert looped == []  # forward from counter 0, the body runs in closed form
+        assert declined == []  # forward from counter 0, the body runs in closed form
 
-    def test_values_pushed(self, hot, looped):
+    def test_values_pushed(self, hot, declined):
         # y's word is x0 PUSH x1 PUSH x2 with x0 = 1, x1 = 2, x2 = -1: from
         # y = 7, it pushes 8, 2, then (0, 2) three times, and leaves -1
         program = compile_program(parse("FOR n { INC y; PUSH y; INC y; INC y; PUSH y; DEC y; DEC x }"))
@@ -1171,20 +1198,23 @@ class TestPushLoops:
         expected = State({"n": Cell(4), "x": Cell(-4), "y": Cell(-1, (2, 0, 2, 0, 2, 0, 2, 8, 9), 0)})
         for semantics in "nar":
             assert program.run(state, semantics) == Final(expected)
-        assert looped == []
+        assert declined == []
 
-    def test_a_perfect_nest_passes_the_product(self, hot, looped):
+    def test_a_perfect_nest_passes_the_product(self, hot, planned, declined):
         program = parse("FOR a { FOR b { PUSH y; INC x; INC y; INC y } }")
         states = [
             State({"a": Cell(a), "b": Cell(b), "y": Cell(3, (1,), 0)}) for a, b in [(3, 4), (-2, -5), (2, -3), (-1, 6)]
         ]
         assert_runs_match_reference(program, states)
-        looped.clear()
+        planned.clear()
+        declined.clear()
         runs = compile_program(program)
+        # the inverted program's nest of counts 300 and -200 runs b's
+        # body forward 60,000 times, in one closed-form call
         state = State({"a": Cell(300), "b": Cell(-200), "y": Cell(5)})
         expected = State({"a": Cell(300), "b": Cell(-200), "y": Cell(2, (2,) * 59_999 + (5,), 0), "x": Cell(60_000)})
         assert runs.run(state, "r", "-") == Final(expected)
-        assert all(pops(block) for block in looped)
+        assert declined == [] and len(planned) == 1 and not pops(planned[0])
 
     def test_abort_after_a_push_loop(self, hot):
         # the loop pushes 4, then -1 999 times, and leaves y = 0; the first
@@ -1199,35 +1229,55 @@ class TestPushLoops:
         assert eval_traced(program, state, "a")[0][-1].abort == record
 
     @pytest.mark.parametrize("counter", [1, 2])
-    def test_a_counter_at_entry_runs_the_generated_loop(self, hot, looped, counter):
+    def test_a_counter_at_entry_steps(self, hot, declined, counter):
         # under r, PUSH y repairs (counter - 1) or leaves a frozen cell
-        # alone before it saves values, so the closed form hands the call
-        # to the generated loop; from counter 0 the same Program pushes in
-        # closed form again
+        # alone before it saves values, so the closed form declines each
+        # call and the block steps; from counter 0 the same Program pushes
+        # in closed form again
         program = parse("FOR n { PUSH y; INC y; INC x; PUSH y }")
         cells = [Cell(3, (), counter), Cell(0, (2,), counter), Cell(0, (), counter), Cell(-2, (1, 1), counter)]
         states = [State({"n": Cell(n), "y": cell}) for cell in cells for n in (1, 3, 6)]
         assert_runs_match_reference(program, states, "r")
         runs = compile_program(program)
-        looped.clear()
+        declined.clear()
         for state in states:
             assert runs.run(state, "r") == Final(ref_eval_r(program, state))
-        assert len(looped) == 1 and not pops(looped[0])
+        assert len(declined) == len(states) and not pops(declined[0])
+        assert len({id(block) for block in declined}) == 1
         flat = State({"n": Cell(3), "y": Cell(1, (4,), 0)})
         assert runs.run(flat, "r") == Final(ref_eval_r(program, flat))
-        assert len(looped) == 1
+        assert len(declined) == len(states)
 
-    def test_past_the_bound_runs_the_generated_loop(self, hot, looped, monkeypatch):
+    def test_past_the_bound_steps(self, hot, declined, monkeypatch):
         # three pushes per iteration: 2 iterations push 6 values, within a
-        # bound of 6, and 3 push 9, past it
+        # bound of 6, and 3 push 9, past it, so the closed form declines
+        # each such call, once per semantics
         monkeypatch.setattr(core, "_MOST_PUSHES", 6)
         program = parse("FOR n { PUSH y; INC y; PUSH x; PUSH y; DEC z }")
         runs = compile_program(program)
-        for n, generated_loops in [(2, 0), (3, 1), (2, 1), (7, 1)]:
+        for n, stepped in [(2, 0), (3, 3), (2, 3), (7, 6)]:
             state = State({"n": Cell(n), "y": Cell(4, (1,), 0), "x": Cell(-2)})
             for semantics in "nar":
                 assert runs.run(state, semantics) == Final(ref_eval_r(program, state))
-            assert len(looped) == generated_loops
+            assert len(declined) == stepped
+
+    def test_an_abort_after_a_declined_call(self, hot, declined, monkeypatch):
+        # n's 4 iterations push 8 values, past a bound of 6, so its closed
+        # form declines and the block steps inside m's stepped level; POP z
+        # then aborts in m's iteration j + 1, where the reference walker
+        # does.  Inverted, n's body pops and steps, and POP z is a PUSH.
+        monkeypatch.setattr(core, "_MOST_PUSHES", 6)
+        program = parse("INC u; FOR m { DEC w; FOR n { PUSH y; INC y; PUSH x }; POP z }; POP x")
+        states = [State({"m": Cell(3), "n": Cell(4), "z": Cell(0, (0,) * j, 0)}) for j in range(3)]
+        runs = compile_program(program)
+        for j, state in enumerate(states):
+            outcome = runs.run(state, "a")
+            assert outcome == ref_eval_a(program, state)
+            assert outcome.record.trace_position == 1 + j * 14 + 13
+            assert eval_traced(program, state, "a")[0][-1].abort == outcome.record
+        assert len(declined) == 1 + 2 + 3  # n's entries up to the abort
+        completes = State({"m": Cell(3), "n": Cell(4), "z": Cell(0, (0,) * 3, 0)})
+        assert_runs_match_reference(program, [*states, completes], "a")
 
     ATOMS = (Inc, Dec, Push)
 
