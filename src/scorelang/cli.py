@@ -5,10 +5,9 @@ Commands: run, invert, check, fuzz, oracle, trace.  Program files use the
 an assert-semantics abort, 2 on usage or parse errors (including programs
 nested too deeply to process), 3 on a property failure.
 
-The program commands (run, trace, check, invert) run with the cyclic
-garbage collector paused: what they build holds no reference cycles, and
-on a 20,000-atom program collection passes took about a fifth of a run
-(see `main`).
+Every command runs with the cyclic garbage collector paused: what the
+commands build holds no reference cycles, and on a 20,000-atom program
+collection passes took about a fifth of a run (see `main`).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .harness import Fail, GenConfig, _grid_oracle, run_fuzz
+from .harness import Fail, GenConfig, exhaustive_pop_push_inverse, run_fuzz
 from .parser import ParseError, parse
 from .semantics import (
     AbortRecord,
@@ -30,7 +29,7 @@ from .semantics import (
     Program,
     compile_program,
 )
-from .state import DEFAULT_CELL, State, _declared_state, parse_state_declarations
+from .state import State, _declared_state, dump_state, parse_state_declarations
 from .syntax import check_well_formed, invert, pretty
 
 EXIT_OK = 0
@@ -61,21 +60,6 @@ def _load(args: argparse.Namespace) -> tuple[Program, State, set[str]]:
     return program, _declared_state(declarations), names
 
 
-def _final_text(state: State, names: set[str]) -> str:
-    """FINAL, then each of `names` (sorted) as `dump_state` writes it.  The
-    integers of a state read from a file, and of every run from it, are
-    plain ints, whose repr is their str, so each stack prints as one list
-    repr, as in `_abort_lines` and the trace observer's lines: faster than
-    `dump_state`'s join of the elements' str, which a State built in Python
-    needs, since it may hold int subclasses that print otherwise."""
-    get = state.as_dict().get
-    out = ["FINAL\n"]
-    for name in sorted(names):
-        value, stack, counter = get(name, DEFAULT_CELL)
-        out.append(f"{name} = {value}, {[*stack] if stack else '[]'}, {counter}\n")
-    return "".join(out)
-
-
 def _abort_lines(record: AbortRecord) -> list[str]:
     stack = record.observed.stack
     return [
@@ -103,7 +87,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if isinstance(outcome, Aborted):
         sys.stdout.write("".join(f"{line}\n" for line in ["ABORT", *_abort_lines(outcome.record)]))
         return EXIT_ABORT
-    sys.stdout.write(_final_text(outcome.state, names))
+    sys.stdout.write("FINAL\n" + dump_state(outcome.state, names))
     return EXIT_OK
 
 
@@ -144,16 +128,13 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     _require_non_negative(args, "value", "stack_len", "elem", "counter")
-    bounds = (args.value, args.stack_len, args.elem, args.counter)
-    verdict, injective = _grid_oracle(bounds, injective=args.injectivity)
+    verdict = exhaustive_pop_push_inverse(args.value, args.stack_len, args.elem, args.counter)
     if isinstance(verdict, Fail):
         print(f"FAIL: {verdict.details}")
         return EXIT_PROPERTY
     print(f"{verdict.cases_run} cells checked")
-    if injective is not None:
-        if isinstance(injective, Fail):
-            print(f"FAIL: {injective.details}")
-            return EXIT_PROPERTY
+    if args.injectivity:
+        # push(pop(c)) == c held on every grid cell, so no two grid cells pop alike
         print("0 collisions")
     return EXIT_OK
 
@@ -164,9 +145,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     append = out.append
 
     def observe(instruction, name, value, stack, counter):
-        # the step's block: its label, then its cell as `dump_cell` writes
-        # it; a state file's integers are ints, so the reversed list of them
-        # prints as the stack, top first
+        # the step's block: its label, then its cell as `dump_state` writes
+        # it, the reversed list of its ints printing as the stack, top first
         append(f"step {len(out) + 1}: {instruction}\n{name} = {value}, {stack[::-1]}, {counter}\n")
 
     outcome = program.run(initial, args.semantics, "-" if args.backward else "+", observe)
@@ -176,7 +156,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         out += (f"{line}\n" for line in _abort_lines(record)[3:])  # reason, value, stack
         sys.stdout.write("".join(out))
         return EXIT_ABORT
-    out.append(_final_text(outcome.state, names))
+    out.append("FINAL\n" + dump_state(outcome.state, names))
     sys.stdout.write("".join(out))
     return EXIT_OK
 
@@ -231,23 +211,20 @@ _COMMANDS = {
 }
 
 
-_PROGRAM_COMMANDS = frozenset({"run", "trace", "check", "invert"})
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit status.
 
-    A program command (run, trace, check, invert) runs with the cyclic
-    collector paused, if it was on, and `main` turns it back on when the
-    command ends, however it ends.  Terms, blocks and slot lists hold no
-    reference cycles, so reference counting frees all they leave, and the
-    paused passes would only walk the live term and its blocks again: they
-    took about a fifth of an in-process run of a 20,000-atom program,
-    18-21 ms of 99-110 ms, in 68 collections.  fuzz and oracle keep the
-    collector on, since they gain nothing measurable from a pause and
-    their batches have no bound."""
+    Every command runs with the cyclic collector paused, if it was on, and
+    `main` turns it back on when the command ends, however it ends.  Terms,
+    blocks, slot lists, states and reports hold no reference cycles, so
+    reference counting frees all a command leaves, and the paused passes
+    would only walk live objects again: they took about a fifth of an
+    in-process run of a 20,000-atom program, 18-21 ms of 99-110 ms, in 68
+    collections.  A 1,500-case fuzz batch made 3 collections, under 1 ms
+    of 85 ms, and the oracle's cells are freed as it goes, so it makes
+    none: the pause can only save them."""
     args = _argparser().parse_args(argv)
-    paused = args.command in _PROGRAM_COMMANDS and gc.isenabled()
+    paused = gc.isenabled()
     if paused:
         gc.disable()
     try:

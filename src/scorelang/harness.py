@@ -317,37 +317,29 @@ def exhaustive_pop_push_inverse(
     """Brute-force check that pop and push are mutual inverses on every
     cell with |value| <= value_bound, stack length <= stack_len_bound,
     |elements| <= elem_bound, and counter <= counter_bound."""
-    return _grid_oracle((value_bound, stack_len_bound, elem_bound, counter_bound), injective=False)[0]
+    count = 0
+    for count, cell in enumerate(_enumerate_cells(value_bound, stack_len_bound, elem_bound, counter_bound), 1):
+        roundtrip = pop_r(push_r(cell))
+        if roundtrip != cell:
+            return Fail(None, None, f"pop(push({tuple(cell)})) = {tuple(roundtrip)}")
+        roundtrip = push_r(pop_r(cell))
+        if roundtrip != cell:
+            return Fail(None, None, f"push(pop({tuple(cell)})) = {tuple(roundtrip)}")
+    return Pass(cases_run=count)
 
 
 def exhaustive_pop_injective(
     value_bound: int, stack_len_bound: int, elem_bound: int, counter_bound: int
 ) -> Verdict:
     """Check that pop_r never maps two distinct grid cells to equal cells."""
-    return _grid_oracle((value_bound, stack_len_bound, elem_bound, counter_bound), inverse=False)[1]
-
-
-def _grid_oracle(bounds: tuple[int, int, int, int], *, inverse: bool = True, injective: bool = True) -> tuple:
-    """The inverse and the injectivity verdicts, None for a check not asked
-    for, from one pass over the grid that pops each cell once for both.  A
-    collision ends only the collision map, so that an inverse failure later
-    in the grid still comes first."""
-    seen: set[Cell] = set()
-    collision = None
+    seen: dict[Cell, Cell] = {}
     count = 0
-    for count, cell in enumerate(_enumerate_cells(*bounds), 1):
+    for count, cell in enumerate(_enumerate_cells(value_bound, stack_len_bound, elem_bound, counter_bound), 1):
         image = pop_r(cell)
-        if inverse:
-            for outer, inner, roundtrip in (("pop", "push", pop_r(push_r(cell))), ("push", "pop", push_r(image))):
-                if roundtrip != cell:
-                    return Fail(None, None, f"{outer}({inner}({tuple(cell)})) = {tuple(roundtrip)}"), None
-        if injective and collision is None:
-            if image in seen:  # the earlier cell is found again, not kept for every cell
-                other = next(c for c in _enumerate_cells(*bounds) if pop_r(c) == image)
-                collision = Fail(None, None, f"pop collision: {tuple(other)} and {tuple(cell)} -> {tuple(image)}")
-            seen.add(image)
-    passed = Pass(cases_run=count)
-    return (passed if inverse else None), ((collision or passed) if injective else None)
+        other = seen.setdefault(image, cell)
+        if other is not cell:
+            return Fail(None, None, f"pop collision: {tuple(other)} and {tuple(cell)} -> {tuple(image)}")
+    return Pass(cases_run=count)
 
 
 def _term_shrinks(term: Term) -> Iterator[Term]:

@@ -72,22 +72,32 @@ def tl(stack: tuple[int, ...]) -> tuple[int, ...]:
 
 
 _is_int = int.__instancecheck__
+_plain_ints = {int}.issuperset  # of the types of a stack's elements
 
 
 def _as_cell(cell) -> Cell:
-    """`cell` as a Cell with a tuple stack, after checking every field.  A
-    bool is an int, but not an integer here: it would be dumped as True or
-    False, which no state file can hold."""
+    """`cell` as a Cell of plain ints with a tuple stack, after checking
+    every field.  An int subclass gives its int value, since it may print
+    otherwise (IntEnum does).  A bool is an int, but not an integer here:
+    it would be dumped as True or False, which no state file can hold."""
     value, stack, counter = cell
     if type(stack) is not tuple:
         stack = tuple(stack)
-    if not isinstance(value, int) or type(value) is bool:
-        raise ValueError(f"cell value must be an integer, got {value!r}")
-    if not all(map(_is_int, stack)) or bool in map(type, stack):
-        raise ValueError(f"cell stack must contain integers, got {stack!r}")
-    if not isinstance(counter, int) or type(counter) is bool or counter < 0:
-        raise ValueError(f"cell counter must be a non-negative integer, got {counter!r}")
-    return cell if type(cell) is Cell and stack is cell[1] else Cell(value, stack, counter)
+    if type(value) is not int:
+        if not isinstance(value, int) or type(value) is bool:
+            raise ValueError(f"cell value must be an integer, got {value!r}")
+        value = int(value)
+    if not _plain_ints(map(type, stack)):
+        if not all(map(_is_int, stack)) or bool in map(type, stack):
+            raise ValueError(f"cell stack must contain integers, got {stack!r}")
+        stack = tuple(map(int, stack))
+    if type(counter) is not int or counter < 0:
+        if not isinstance(counter, int) or type(counter) is bool or counter < 0:
+            raise ValueError(f"cell counter must be a non-negative integer, got {counter!r}")
+        counter = int(counter)
+    if type(cell) is Cell and value is cell[0] and stack is cell[1] and counter is cell[2]:
+        return cell
+    return _new_cell(Cell, (value, stack, counter))
 
 
 class State:
@@ -280,20 +290,14 @@ def _declared_state(declarations: list[tuple[str, Cell]]) -> State:
 def dump_state(state: State, names: Iterable[str]) -> str:
     """Render `names` (sorted) in the state file format, all fields explicit.
 
-    Round trip: parsing the output agrees with `state` on `names`.  Each
-    line is written as `dump_cell` writes it.
+    Round trip: parsing the output agrees with `state` on `names`.  A
+    state holds plain ints, whose repr is their str, so each stack prints
+    as one list repr.
     """
     get = state._cells.get
     lines = []
     append = lines.append
     for name in sorted(set(names)):
         value, stack, counter = get(name, DEFAULT_CELL)
-        append(f"{name} = {value}, [{', '.join(map(str, stack)) if stack else ''}], {counter}\n")
+        append(f"{name} = {value}, {[*stack] if stack else '[]'}, {counter}\n")
     return "".join(lines)
-
-
-def dump_cell(name: str, cell: Cell) -> str:
-    """One binding line of the state file format, all fields explicit."""
-    value, stack, counter = cell
-    inner = ", ".join(map(str, stack))
-    return f"{name} = {value}, [{inner}], {counter}\n"

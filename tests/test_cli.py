@@ -14,7 +14,6 @@ import scorelang
 from scorelang import Cell, Fail, Pass, exhaustive_pop_injective, harness, parse_state, pop_r
 from scorelang import cli
 from scorelang.cli import main
-from scorelang.state import dump_cell
 
 
 @pytest.fixture
@@ -415,7 +414,8 @@ class TestTrace:
 
 def rendered_trace(steps, final, names):
     """The `trace` stdout and exit code for `eval_traced`'s steps and final
-    state, each step's cell printed by `dump_cell`."""
+    state, each step's cell written as a state-file line, its stack's
+    elements joined one by one."""
     out = []
     for step in steps:
         if step.abort is not None:
@@ -424,7 +424,9 @@ def rendered_trace(steps, final, names):
             out.append(f"ABORT at step {step.index + 1}: {step.instruction}\nreason: {record.reason}\n")
             out.append(f"value: {record.observed.value}\nstack: [{stack}]\n")
             return "".join(out), 1
-        out.append(f"step {step.index + 1}: {step.instruction}\n" + dump_cell(step.variable, step.state))
+        value, stack, counter = step.state
+        line = f"{step.variable} = {value}, [{', '.join(map(str, stack))}], {counter}\n"
+        out.append(f"step {step.index + 1}: {step.instruction}\n{line}")
     return "".join(out) + "FINAL\n" + scorelang.dump_state(final, names), 0
 
 
@@ -539,6 +541,14 @@ class TestUsage:
         assert in_process == [run_fresh(*argv) for argv in calls]
         assert [code for code, _, _ in in_process] == [2, 1]
 
+    def test_recursion_error_exits_two(self, workspace, capsys, monkeypatch):
+        def too_deep(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setitem(cli._COMMANDS, "invert", too_deep)
+        program = workspace("p.score", "SKIP")
+        assert run_cli(capsys, "invert", program) == (2, "", "error: program nested too deeply\n")
+
 
 # Inputs of `TestCollectorPause`, by placeholder in its command lines.
 PAUSE_FILES = {
@@ -585,8 +595,8 @@ PAUSE_CASES = [
 
 
 class TestCollectorPause:
-    """`main` pauses the cyclic collector while a program command runs.
-    That frees everything only if no command leaves a reference cycle."""
+    """`main` pauses the cyclic collector while a command runs.  That
+    frees everything only if no command leaves a reference cycle."""
 
     @pytest.fixture
     def argv_of(self, workspace):
@@ -609,15 +619,15 @@ class TestCollectorPause:
         capsys.readouterr()
         assert (code, unreachable) == (expected, 0)
 
-    @pytest.mark.parametrize("line, paused", [("run {ok}", True), ("check {bad}", True), ("fuzz --cases 5", False)])
-    def test_collector_is_paused_for_program_commands_only(self, argv_of, capsys, monkeypatch, line, paused):
+    @pytest.mark.parametrize("line", ["run {ok}", "check {bad}", "fuzz --cases 5", "oracle --injectivity"])
+    def test_collector_is_paused_for_every_command(self, argv_of, capsys, monkeypatch, line):
         argv = argv_of(line)
         during = []
         command = cli._COMMANDS[argv[0]]
         monkeypatch.setitem(cli._COMMANDS, argv[0], lambda args: during.append(gc.isenabled()) or command(args))
         assert gc.isenabled()
         main(argv)
-        assert during == [not paused]
+        assert during == [False]
         assert gc.isenabled()
 
     @pytest.mark.parametrize("line, expected", [("run {ok}", 0), ("run {bad}", 2)])

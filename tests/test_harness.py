@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -208,6 +209,11 @@ class TestGenState:
     def test_empty_support(self):
         assert gen_state(GenConfig(), set()) == State()
 
+    @pytest.mark.parametrize("name", ["FOR", "1x", ""])
+    def test_rejects_bad_name(self, name):
+        with pytest.raises(ValueError, match=re.escape(f"invalid variable name: {name!r}")):
+            gen_state(GenConfig(), {"x", name})
+
     def test_respects_bounds(self):
         cfg = GenConfig(value_range=(-2, 2), max_stack_len=1, max_counter=0)
         for seed in range(50):
@@ -334,6 +340,36 @@ class TestChecks:
         report = check_failure_correspondence(Skip(), State())
         assert not report.a_aborted and not report.r_final_broken
         assert report.direction_witness is None
+
+    def test_weak_fails_when_the_inverse_run_aborts(self, monkeypatch):
+        # the inverse assert run starts one above where the forward run
+        # ended, so its POP x finds a nonzero value
+        def fault(real):
+            def exec_(self, values, stacks, counters, semantics, order, observe=None):
+                if semantics == "a" and order == "-":
+                    values[:] = [value + 1 for value in values]
+                return real(self, values, stacks, counters, semantics, order, observe)
+
+            return exec_
+
+        monkeypatch.setattr(Program, "_exec", fault(Program._exec))
+        verdict = check_weak_reversibility_a(Push("x"), State())
+        assert verdict == Fail(Push("x"), State(), "inverse run aborted: value-nonzero on x")
+
+    def test_agreement_fails_when_both_runs_end_broken(self, monkeypatch):
+        # every run ends with the first variable's counter at 1, so the
+        # assert and reversible runs agree, and the reversible one is broken
+        def fault(real):
+            def exec_(self, values, stacks, counters, semantics, order, observe=None):
+                record = real(self, values, stacks, counters, semantics, order, observe)
+                counters[0] = 1
+                return record
+
+            return exec_
+
+        monkeypatch.setattr(Program, "_exec", fault(Program._exec))
+        verdict = check_agreement_a_r(parse("INC y; DEC x"), State())
+        assert verdict == Fail(parse("INC y; DEC x"), State(), "reversible run left broken variables: ['y']")
 
     def test_pair_checks_refuse_counters(self):
         # strong reversibility is a property of R-semantics, which takes any

@@ -1,3 +1,4 @@
+import enum
 import random
 import re
 
@@ -18,7 +19,6 @@ from scorelang import (
 )
 from reference_state import _parse_lines
 from scorelang import state
-from scorelang.state import dump_cell
 from scorelang.syntax import KEYWORDS
 from term_strategies import cells, idents, states
 
@@ -118,6 +118,21 @@ class TestStateMap:
     def test_rejects_bad_name(self):
         with pytest.raises(ValueError):
             State({"FOR": Cell(1)})
+        with pytest.raises(ValueError, match="invalid variable name: '1x'"):
+            State({"x": Cell(1)}).set("1x", Cell(2))
+
+    def test_equality_with_a_non_state(self):
+        state = State({"x": Cell(1)})
+        assert state.__eq__({"x": Cell(1)}) is NotImplemented
+        assert state != {"x": Cell(1)}
+        assert state != 1
+
+    def test_repr_lists_the_support_sorted(self):
+        state = State({"x": Cell(1, (2, -3), 1), "a": Cell(-1), "z": DEFAULT_CELL})
+        assert repr(state) == (
+            "State({a: Cell(value=-1, stack=(), counter=0), x: Cell(value=1, stack=(2, -3), counter=1)})"
+        )
+        assert repr(State()) == "State({})"
 
     def test_coerces_list_stacks(self):
         assert State({"x": (1, [2, 3], 0)}) == State({"x": Cell(1, (2, 3), 0)})
@@ -383,19 +398,26 @@ class TestDumpState:
         for name in names:
             assert recovered.get(name) == state.get(name)
 
-    def test_lines_as_dump_cell_writes_them(self):
-        # An int subclass may print differently through str() and through
-        # format(), as IntEnum does on Python 3.10; each field is printed
-        # the way `dump_cell` prints it.
+    def test_int_subclasses_round_trip(self):
+        # An int subclass may print otherwise than its int value, through
+        # str(), format() or repr(), as IntEnum does on Python 3.10; a State
+        # holds the int value, so it dumps as a state file can hold it.
         class Loud(int):
             def __str__(self):
                 return f"loud{int(self)}"
 
+            __repr__ = __str__
+
             def __format__(self, spec):
                 return f"fmt{int(self)}"
 
-        state = State({"x": Cell(Loud(3), (Loud(1), 2, Loud(-4)), Loud(1)), "y": Cell(5, (), 0)})
-        names = {"x", "y", "z"}
-        expected = "".join(dump_cell(name, state.get(name)) for name in sorted(names))
-        assert dump_state(state, names) == expected
-        assert expected.startswith("x = fmt3, [loud1, 2, loud-4], fmt1\n")
+        class Small(enum.IntEnum):
+            A = 1
+
+        cell = Cell(Loud(3), (Loud(1), 2, Small.A), Loud(1))
+        for state in (State({"x": cell, "y": Cell(5)}), State({"y": Cell(5)}).set("x", cell)):
+            stored = state.get("x")
+            assert all(type(n) is int for n in (stored.value, *stored.stack, stored.counter))
+            names = {"x", "y", "z"}
+            assert dump_state(state, names) == "x = 3, [1, 2, 1], 1\ny = 5, [], 0\nz = 0, [], 0\n"
+            assert parse_state(dump_state(state, names)) == state
