@@ -22,14 +22,12 @@ from pathlib import Path
 from .harness import Fail, GenConfig, exhaustive_pop_push_inverse, run_fuzz
 from .parser import ParseError, parse
 from .semantics import (
-    AbortRecord,
     Aborted,
     IllFormedProgramError,
     NonzeroCounterError,
-    Program,
     compile_program,
 )
-from .state import State, _declared_state, dump_state, parse_state_declarations
+from .state import _declared_state, dump_state, parse_state_declarations
 from .syntax import check_well_formed, invert, pretty
 
 EXIT_OK = 0
@@ -49,29 +47,6 @@ def _read(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _load(args: argparse.Namespace) -> tuple[Program, State, set[str]]:
-    """The program, the initial state, and the names to print: the
-    program's and the state file's.  The state file is read before the
-    program is checked, so its errors come first."""
-    term = parse(_read(args.program))
-    declarations = [] if args.state is None else parse_state_declarations(_read(args.state))
-    program = compile_program(term)
-    names = {*program.variables, *(name for name, _ in declarations)}
-    return program, _declared_state(declarations), names
-
-
-def _abort_lines(record: AbortRecord) -> list[str]:
-    stack = record.observed.stack
-    return [
-        f"step: {record.trace_position + 1}",
-        f"instruction: {record.instruction}",
-        f"variable: {record.variable}",
-        f"reason: {record.reason}",
-        f"value: {record.observed.value}",
-        f"stack: {[*stack] if stack else '[]'}",
-    ]
-
-
 def _require_non_negative(args: argparse.Namespace, *options: str) -> None:
     for option in options:
         value = getattr(args, option)
@@ -79,16 +54,37 @@ def _require_non_negative(args: argparse.Namespace, *options: str) -> None:
             raise _UsageError(f"--{option.replace('_', '-')} must not be negative, got {value}")
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    program, initial, names = _load(args)
-    outcome = program.run(initial, args.semantics, "-" if args.backward else "+")
-    # the whole text is built before any of it is written, so a value that
-    # cannot be rendered leaves stdout empty
+def _run_program(args: argparse.Namespace, out: list[str], observe=None) -> int:
+    """Run the program of `args` from its state in the direction
+    `--backward` gives, observed by `observe` if given, and write the
+    blocks in `out`, then the abort block or FINAL and the final state of
+    the program's names and the state file's.  An observed run's abort
+    block opens with one `ABORT at step N: POP x` line, as its step blocks
+    do.  The state file is read before the program is checked, so its
+    errors come first.  The whole text is built before any of it is
+    written, so a value that cannot be rendered leaves stdout empty."""
+    term = parse(_read(args.program))
+    declarations = [] if args.state is None else parse_state_declarations(_read(args.state))
+    program = compile_program(term)
+    outcome = program.run(_declared_state(declarations), args.semantics, "-" if args.backward else "+", observe)
     if isinstance(outcome, Aborted):
-        sys.stdout.write("".join(f"{line}\n" for line in ["ABORT", *_abort_lines(outcome.record)]))
-        return EXIT_ABORT
-    sys.stdout.write("FINAL\n" + dump_state(outcome.state, names))
-    return EXIT_OK
+        record = outcome.record
+        step, instruction = record.trace_position + 1, record.instruction
+        if observe is None:
+            out.append(f"ABORT\nstep: {step}\ninstruction: {instruction}\nvariable: {record.variable}\n")
+        else:
+            out.append(f"ABORT at step {step}: {instruction}\n")
+        value, stack = record.observed.value, [*record.observed.stack]
+        out.append(f"reason: {record.reason}\nvalue: {value}\nstack: {stack}\n")
+    else:
+        names = {*program.variables, *(name for name, _ in declarations)}
+        out.append("FINAL\n" + dump_state(outcome.state, names))
+    sys.stdout.write("".join(out))
+    return EXIT_ABORT if isinstance(outcome, Aborted) else EXIT_OK
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    return _run_program(args, [])
 
 
 def cmd_invert(args: argparse.Namespace) -> int:
@@ -140,7 +136,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    program, initial, names = _load(args)
     out: list[str] = []  # one block per step so far
     append = out.append
 
@@ -149,16 +144,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         # it, the reversed list of its ints printing as the stack, top first
         append(f"step {len(out) + 1}: {instruction}\n{name} = {value}, {stack[::-1]}, {counter}\n")
 
-    outcome = program.run(initial, args.semantics, "-" if args.backward else "+", observe)
-    if isinstance(outcome, Aborted):
-        record = outcome.record
-        out.append(f"ABORT at step {record.trace_position + 1}: {record.instruction}\n")
-        out += (f"{line}\n" for line in _abort_lines(record)[3:])  # reason, value, stack
-        sys.stdout.write("".join(out))
-        return EXIT_ABORT
-    out.append("FINAL\n" + dump_state(outcome.state, names))
-    sys.stdout.write("".join(out))
-    return EXIT_OK
+    return _run_program(args, out, observe)
 
 
 @functools.cache  # built once per process: building it costs more than a small run
@@ -197,7 +183,7 @@ def _argparser() -> argparse.ArgumentParser:
     oracle_p.add_argument("--stack-len", type=int, default=3, help="stack length bound")
     oracle_p.add_argument("--elem", type=int, default=1, help="|stack element| bound")
     oracle_p.add_argument("--counter", type=int, default=2, help="counter bound")
-    oracle_p.add_argument("--injectivity", action="store_true", help="also check pop for collisions")
+    oracle_p.add_argument("--injectivity", action="store_true", help="print '0 collisions' once the round trip passes")
     return top
 
 

@@ -47,7 +47,7 @@ class GenConfig:
     the remaining depth and names allow.  The defaults reach every
     `push_r`/`pop_r` clause, but they do not bound the loop-unfolding
     product: a nest of loops can draw a program that needs far too many
-    steps to finish (see ROADMAP item 2).
+    steps to finish, and no step budget bounds a run yet.
     """
 
     seed: int = 1

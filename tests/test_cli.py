@@ -173,6 +173,22 @@ class TestRun:
         assert (code, out) == (2, "")
         assert err.startswith("error: Exceeds the limit")
 
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    def test_output_is_built_before_it_is_written(self, workspace, capsys, command):
+        # x's 640 nines parse at the lowest limit `str` accepts, but INC x
+        # makes x 10**640, one digit too long for trace's second step block
+        # and for run's final state, each after a's line
+        program = workspace("p.score", "INC a; INC x")
+        state = workspace("s.sst", f"x = {'9' * 640}\n")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(capsys, command, program, state)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Exceeds the limit")
+
 
 class TestInvert:
     def test_loop_example(self, workspace, capsys):
@@ -318,6 +334,13 @@ class TestOracle:
         code, out, _ = run_cli(capsys, "oracle", "--injectivity")
         assert code == 0
         assert out == "600 cells checked\n0 collisions\n"
+
+    def test_injectivity_help_text(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["oracle", "--help"])
+        assert info.value.code == 0
+        words = " ".join(capsys.readouterr().out.split())  # however argparse wraps it
+        assert "--injectivity print '0 collisions' once the round trip passes" in words
 
     @pytest.mark.parametrize(
         "name, fake",

@@ -653,6 +653,27 @@ class TestLeafFunctions:
         assert steps[-1].abort == outcome.record
         assert len(planned) == 1
 
+    def test_loops_of_few_iterations_plan_no_run(self, planned):
+        # at the default threshold, two loops of two iterations each step
+        # and never pay for a closed form
+        program = parse("FOR k { INC y; INC z }; FOR j { DEC y; PUSH z }")
+        state = State({"k": Cell(2), "j": Cell(2)})
+        assert eval_r(program, state) == ref_eval_r(program, state)
+        assert planned == []
+
+    @pytest.mark.parametrize(("m", "planned_nests"), [(300, [False]), (600, [True, False])])
+    def test_heat_adds_up_over_entries(self, planned, m, planned_nests):
+        # k's leaf loop runs two iterations per entry, so it gets its run at
+        # the entry that takes its heat past 500, its 251st, and then stops
+        # counting; m's one entry asks for a run for its block, which holds
+        # k's loop and so gets False, only once its 600 iterations pass 500
+        program = compile_program(parse("FOR m { INC w; FOR k { INC y; INC z } }"))
+        state = State({"m": Cell(m), "k": Cell(2)})
+        assert program.run(state, "r") == Final(ref_eval_r(program.term, state))
+        assert nest_blocks(planned) == planned_nests
+        k_cache = program._loops[id(program.term.body.parts[1])]
+        assert k_cache[core._HEAT] == 502 and callable(k_cache[0][2])
+
     def test_traced_runs_generate_nothing(self, hot):
         program = compile_program(parse("FOR n { INC x; FOR m { POP y; PUSH y } }; FOR k { DEC z }"))
         state = State({"n": Cell(2), "m": Cell(-1), "k": Cell(3), "y": Cell(0, (1,), 0)})
