@@ -22,6 +22,7 @@ from pathlib import Path
 from .harness import Fail, GenConfig, exhaustive_pop_push_inverse, run_fuzz
 from .parser import ParseError, parse
 from .semantics import (
+    _ILLEGAL,
     Aborted,
     IllFormedProgramError,
     NonzeroCounterError,
@@ -156,7 +157,7 @@ def _argparser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("program", help="program file (.score)")
         p.add_argument("state", nargs="?", default=None, help="initial state file (.sst)")
-        p.add_argument("--semantics", "-s", choices=("n", "a", "r"), default="r", help="evaluator (default r)")
+        p.add_argument("--semantics", "-s", choices=tuple(_ILLEGAL), default="r", help="evaluator (default r)")
         p.add_argument("--backward", action="store_true", help="run the inverted program")
 
     add_program_command("run", "run a program and print the final state")

@@ -287,7 +287,6 @@ def pop_r(cell: Cell) -> Cell:
 # the loop's cache, so a Program makes each closure at most once.
 
 _INC, _DEC, _PUSH, _POP, _LOOP = range(5)
-_SEMANTICS = ("n", "a", "r")
 # The opcode each atom class compiles to, run forward and inverted.
 _FORWARD = {Inc: _INC, Dec: _DEC, Push: _PUSH, Pop: _POP}
 _OPCODES = (_FORWARD, {cls: _FORWARD[inverse] for cls, inverse in _INVERSE.items()})
@@ -536,7 +535,7 @@ class Program:
         stopped.  An exception from `observe` ends the run.  The pair
         semantics refuse a state with a nonzero counter.
         """
-        if semantics not in _SEMANTICS:
+        if semantics not in _ILLEGAL:
             raise _unknown_semantics(semantics)
         if order.strip("+-"):
             raise ValueError(f"order must be made of '+' and '-', got {order!r}")
@@ -653,7 +652,7 @@ def eval_traced(term: Term, state: State, semantics: str = "r") -> tuple[list[Tr
     state; under the assert semantics an abort instead ends the steps with
     one carrying the record, and the final state is None.
     """
-    if semantics not in _SEMANTICS:
+    if semantics not in _ILLEGAL:
         raise _unknown_semantics(semantics)
     steps: list[TraceStep] = []
     append = steps.append

@@ -190,23 +190,14 @@ _INVERSE = {Inc: Dec, Dec: Inc, Push: Pop, Pop: Push}
 KEYWORDS = frozenset({"SKIP", *_KEYWORD.values(), "FOR"})
 
 
-# The walkers below keep their own stack of pending work instead of
-# recursing, so neither long sequences nor deep loop nests reach Python's
-# recursion limit.  They dispatch on the exact class of each node.
+# The walkers below keep one frame per open loop body instead of recursing,
+# so neither long sequences nor deep loop nests reach Python's recursion
+# limit: each is one loop over the parts of the current run, the root's or
+# a loop body's.  A FOR pushes a frame and opens its body's run; when a run
+# ends, the walker pops the frame and closes the loop.  No part of a Seq is
+# a Seq, so a run's parts are atoms, SKIPs and loops.  The walkers dispatch
+# on the exact class of each node.
 
-class _Mark:
-    """A pending step on a walker's stack, told apart from terms (and from
-    anything else a malformed term may hold) by its class: text to print,
-    a loop leader, or the number of finished parts to join."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: str | int) -> None:
-        self.value = value
-
-
-_SEMI = _Mark("; ")
-_CLOSE = _Mark(" }")
 _PREFIX = {cls: keyword + " " for cls, keyword in _KEYWORD.items()}
 
 
@@ -222,39 +213,37 @@ def invert(term: Term) -> Term:
     function is total (it does not require well-formedness, but preserves
     it) and self-dual: ``invert(invert(t)) == t``.
     """
-    # `todo` holds terms still to invert and, for each Seq or For met, a
-    # mark to assemble its inverse from the finished ones on `done`: the
-    # number of parts for a Seq, the leader for a For.  A Seq's parts go on
-    # `todo` in order, so their inverses come off it last part first.
-    done: list[Term] = []
-    todo: list = [term]
+    # A frame is a run being inverted, last part first: its parts still to
+    # invert, the inverses done so far and the leader of the loop whose
+    # body it is.  `frames` holds the frames of the runs holding an open
+    # loop, whose body's run is the current one.
+    frames: list[tuple] = []
+    items, done, leader = reversed(_parts(term)), [], None
     # Each distinct atom's inverse is built once and then shared.
     inverses: dict[tuple[type, str], Term] = {}
-    while todo:
-        t = todo.pop()
-        cls = type(t)
-        swap = _INVERSE.get(cls)
-        if swap is not None:
-            inverse = inverses.get((cls, t.var))
-            if inverse is None:
-                inverse = inverses[cls, t.var] = _atom(swap, t.var)  # the name was checked in `t`
-            done.append(inverse)
-        elif cls is Seq:
-            todo.append(_Mark(len(t.parts)))
-            todo += t.parts
-        elif cls is For:
-            todo += (_Mark(t.leader), t.body)
-        elif cls is _Mark:
-            value = t.value
-            if type(value) is int:
-                done[-value:] = (_sequence(done[-value:]),)
+    while True:
+        for t in items:
+            cls = type(t)
+            swap = _INVERSE.get(cls)
+            if swap is not None:
+                inverse = inverses.get((cls, t.var))
+                if inverse is None:
+                    inverse = inverses[cls, t.var] = _atom(swap, t.var)  # the name was checked in `t`
+                done.append(inverse)
+            elif cls is For:
+                frames.append((items, done, leader))
+                items, done, leader = reversed(_parts(t.body)), [], t.leader
+                break
+            elif cls is Skip:
+                done.append(t)
             else:
-                done[-1] = _loop(value, done[-1])
-        elif cls is Skip:
-            done.append(t)
+                raise _not_a_term(t)
         else:
-            raise _not_a_term(t)
-    return done[0]
+            if not frames:
+                return _sequence(done)
+            body = _loop(leader, _sequence(done))
+            items, done, leader = frames.pop()
+            done.append(body)
 
 
 def variables_of(term: Term) -> frozenset[Identifier]:
@@ -360,25 +349,30 @@ def pretty(term: Term) -> str:
     Sequences render flat ("A; B; C") and loop bodies in braces, so the
     output of any term parses back to an equal term.
     """
-    # `todo` holds terms still to print and marks holding the text between them.
+    # A frame is the parts of a run still to print; `frames` holds those of
+    # the runs holding an open loop.  Every part is followed by "; ", and
+    # the last one is dropped when its run ends.
     out: list[str] = []
-    todo: list = [term]
-    while todo:
-        t = todo.pop()
-        cls = type(t)
-        prefix = _PREFIX.get(cls)
-        if prefix is not None:
-            out += (prefix, t.var)
-        elif cls is Seq:
-            pending = [_SEMI] * (2 * len(t.parts) - 1)
-            pending[::2] = t.parts[::-1]
-            todo += pending
-        elif cls is _Mark:
-            out.append(t.value)
-        elif cls is For:
-            todo += (_CLOSE, t.body, _Mark(f"FOR {t.leader} {{ "))
-        elif cls is Skip:
-            out.append("SKIP")
+    frames: list = []
+    items = iter(_parts(term))
+    while True:
+        for t in items:
+            cls = type(t)
+            prefix = _PREFIX.get(cls)
+            if prefix is not None:
+                out += (prefix, t.var, "; ")
+            elif cls is For:
+                out += ("FOR ", t.leader, " { ")
+                frames.append(items)
+                items = iter(_parts(t.body))
+                break
+            elif cls is Skip:
+                out += ("SKIP", "; ")
+            else:
+                raise _not_a_term(t)
         else:
-            raise _not_a_term(t)
-    return "".join(out)
+            out.pop()
+            if not frames:
+                return "".join(out)
+            out += (" }", "; ")
+            items = frames.pop()

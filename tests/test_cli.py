@@ -355,7 +355,8 @@ class TestOracle:
         push, pop = harness.push_r, harness.pop_r
         stacks = [s for n in range(4) for s in product((-1, 0, 1), repeat=n)]
         grid = [Cell(v, s, c) for v in range(-2, 3) for s in stacks for c in range(3)]
-        # the two passes the one-pass oracle replaced: every inverse first, then the collisions
+        # two passes over the grid: the first failing round trip, which `oracle --injectivity`
+        # prints, then the first pop collision, which `exhaustive_pop_injective` reports
         inverse = next(
             (
                 f"FAIL: {outer}({inner}({tuple(cell)})) = {tuple(back)}"

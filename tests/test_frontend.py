@@ -159,8 +159,18 @@ class TestWalkersAgainstReference:
 
     @pytest.mark.parametrize("walker", [invert, pretty, variables_of, check_well_formed])
     def test_rejects_non_terms(self, walker):
-        with pytest.raises(TypeError, match="not a term"):
-            walker(Seq(Inc("x"), "INC y"))
+        # a non-term in a sequence, at the root, in a loop body, after a
+        # closed loop and in the body of a body: where a walker opens or
+        # closes a frame
+        for term in (
+            Seq(Inc("x"), "INC y"),
+            "INC y",
+            For("n", Seq(Inc("x"), "INC y")),
+            Seq(For("n", Inc("x")), "INC y"),
+            For("n", For("m", 3)),
+        ):
+            with pytest.raises(TypeError, match="not a term"):
+                walker(term)
 
 
 FLAT_ATOMS = 100_000
