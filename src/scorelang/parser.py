@@ -93,36 +93,38 @@ _UNARY = {keyword: cls for cls, keyword in _KEYWORD.items()}
 _NOT_NAMES = KEYWORDS | {";", "{", "}", ""}
 
 
-def parse(src: str) -> Term:
-    """Parse program text into a term, raising ParseError on the first fault.
+def _read(piece: str) -> Term | str | None:
+    """What one instruction piece means: its atom or SKIP, the leader of
+    the loop it opens, "}" for a loop close, or None if it is none of
+    these.  `parse` hands it ASCII text with no stray blank, where blanks
+    split as in the grammar and an identifier is a name unless it is a
+    keyword."""
+    words = piece.split()
+    name = words[1] if 2 <= len(words) <= 3 else ""
+    if name.isidentifier() and name not in KEYWORDS:
+        if len(words) == 2 and words[0] in _UNARY:
+            return _atom(_UNARY[words[0]], name)
+        if words[0] == "FOR" and words[-1] == "{":
+            return name
+    elif words == ["SKIP"]:
+        return Skip()
+    elif words == ["}"]:
+        return "}"
+    return None
 
-    One pass of an iterator over the lexemes: `parts` collects the atoms of
-    the sequence being read and `open_loops` holds, per enclosing FOR, the
-    enclosing sequence's parts and the loop's leader, so no nesting
-    recurses.  No lexeme index is kept; a fault's index, and from it its
-    line and column, is worked out only when `_fail` raises."""
+
+def _raise_fault(src: str) -> NoReturn:
+    """Raise the first fault of `src`, a source that `parse` refused, at
+    its line and column: the fault the lexemes show, walked one by one.
+    Handed a source without a fault, it raises an internal error."""
     lexemes = tokenize(src)
     it = iter(lexemes)
-    # Terms are immutable, so each distinct atom is built once and then
-    # shared, from one table of atoms by name per keyword.  The lexer
-    # vouches for every name that is no keyword, so a name is checked only
-    # when its atom is new, and atoms and loops are built past their
-    # constructors' checks.
-    tables: dict[str, dict[str, Term]] = {keyword: {} for keyword in _UNARY}
-    open_loops: list[tuple[list[Term], str]] = []
-    parts: list[Term] = []
+    leaders: list[str] = []
     for word in it:  # the first lexeme of an instruction
-        table = tables.get(word)
-        if table is not None:
+        if word in _UNARY:
             name = next(it)
-            atom = table.get(name)
-            if atom is None:
-                if name in _NOT_NAMES:
-                    _fail(src, lexemes, it, f"expected a variable name after {word}" + _found(name), ("identifier",))
-                atom = table[name] = _atom(_UNARY[word], name)
-            parts.append(atom)
-        elif word == "SKIP":
-            parts.append(Skip())
+            if name in _NOT_NAMES:
+                _fail(src, lexemes, it, f"expected a variable name after {word}" + _found(name), ("identifier",))
         elif word == "FOR":
             name = next(it)
             if name in _NOT_NAMES:
@@ -130,25 +132,67 @@ def parse(src: str) -> Term:
             brace = next(it)
             if brace != "{":
                 _fail(src, lexemes, it, f"expected '{{' after FOR {name}" + _found(brace), ("{",))
-            open_loops.append((parts, name))
-            parts = []
+            leaders.append(name)
             continue
-        else:
+        elif word != "SKIP":
             _fail(src, lexemes, it, "expected an instruction" + _found(word), _ATOM_EXPECTED)
-        # An instruction ended: close every sequence, and loop, that ends
-        # here.  The end of input is the last lexeme, and every branch that
-        # meets it returns or raises, so `next` never runs past it.
+        # An instruction ended: close every loop that ends here.  The end
+        # of input is the last lexeme, and every branch that meets it
+        # raises, so `next` never runs past it.
         word = next(it)
         while word != ";":
-            body = _sequence(parts)
-            if not open_loops:
+            if not leaders:
                 if not word:
-                    return body
+                    raise AssertionError(f"program has no fault: {src!r}")
                 if word == "}":
                     _fail(src, lexemes, it, "unmatched '}'")
                 _fail(src, lexemes, it, "expected ';' or end of input" + _found(word), (";",))
-            parts, leader = open_loops.pop()
+            leader = leaders.pop()
             if word != "}":
                 _fail(src, lexemes, it, f"expected '}}' to close FOR {leader}" + _found(word), ("}",))
-            parts.append(_loop(leader, body))
             word = next(it)
+
+
+def parse(src: str) -> Term:
+    """Parse program text into a term, raising ParseError on the first fault.
+
+    The comment-free text is read one instruction at a time: each brace
+    gets its own piece and the text is split at ";", so in a valid program
+    every piece is exactly `KW name`, `SKIP`, `FOR name {` or `}`.  Each
+    distinct piece text is read once, by `_read`, and its atom (shared by
+    every piece of that text), loop opening or loop close is looked up
+    after that.  `parts` collects the atoms of the sequence being read and
+    `open_loops` holds, per enclosing FOR, the enclosing sequence's parts
+    and the loop's leader, so no nesting recurses.  A source with a
+    character that is not ASCII or a stray blank, a piece `_read` refuses,
+    an unmatched "}" or a loop left open goes to `_raise_fault`, which
+    finds the fault and its line and column from the lexemes."""
+    code = _COMMENT_RE.sub(" ", src) if "#" in src else src
+    # \x1c-\x1f are the ASCII characters that `str.split` takes for blanks
+    # and the grammar does not.
+    if not code.isascii() or "\x1c" in code or "\x1d" in code or "\x1e" in code or "\x1f" in code:
+        _raise_fault(src)
+    known: dict[str, Term | str | None] = {}
+    open_loops: list[tuple[list[Term], str]] = []
+    parts: list[Term] = []
+    for piece in code.replace("{", " {;").replace("}", ";}").split(";"):
+        item = known.get(piece)
+        if item is None:
+            item = known[piece] = _read(piece)
+            if item is None:
+                break
+        if type(item) is not str:
+            parts.append(item)
+        elif item != "}":
+            open_loops.append((parts, item))
+            parts = []
+        elif open_loops:
+            body = _sequence(parts)
+            parts, leader = open_loops.pop()
+            parts.append(_loop(leader, body))
+        else:
+            break
+    else:
+        if not open_loops:
+            return _sequence(parts)
+    _raise_fault(src)

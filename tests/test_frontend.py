@@ -1,6 +1,9 @@
-"""The one-scan tokenizer, the explicit-stack parser and the loop-based
-walkers against the recursive front end they replaced, and on inputs deep
-enough to exhaust Python's recursion limit."""
+"""The one-scan tokenizer, the instruction-at-a-time parser and the
+loop-based walkers against the recursive front end they replaced, and on
+inputs deep enough to exhaust Python's recursion limit.  Every valid layout
+must be read by the parser's instruction reader: the lexeme walk behind it
+runs only to raise a fault, so it is patched to fail where a source is
+valid."""
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +24,9 @@ from scorelang import (
     pretty,
     variables_of,
 )
+from scorelang import parser
 from scorelang.parser import tokenize
+from scorelang.syntax import _IDENT_RE
 from term_strategies import raw_terms, wf_terms
 
 # Lexemes, near-lexemes and every kind of space, line break and fault the
@@ -32,12 +37,33 @@ PIECES = (
     ";", "{", "}", " ", "  ", "\t", "\v", "\f", "\n", "\r", "\r\n", "#", "# note\n", "é", "\x1c", "@",
 )  # fmt: skip
 pieced_sources = st.lists(st.sampled_from(PIECES), max_size=24).map("".join)
-# Valid programs with spacing, comments and every line-break convention.
+# Printed programs with spacing, comments and every line-break convention;
+# an empty space between two words glues them ("INCx"), which is a fault.
 SPACES = (" ", "\n", "\r", "\r\n", "\t", "\v", "\f", " # c\r\n", "#\n", " #c\r", "")
 spaced_programs = st.tuples(raw_terms(max_depth=5), st.lists(st.sampled_from(SPACES), min_size=1)).map(
     lambda pair: "".join(
         lexeme + pair[1][k % len(pair[1])] for k, lexeme in enumerate(pretty(pair[0]).replace(";", " ;").split())
     )
+)
+# Valid programs glued as tightly as the grammar allows ("FOR n{", "x}",
+# "}}", "};"), with CR-only line breaks and comments that hold ";", "{"
+# and "}"; two words always keep a blank or a comment between them.
+GLUES = ("", "", " ", "\r", "\t", " # ;{}\r", "#}{;\n", "\r\n")
+PUNCTUATION = {";", "{", "}"}
+
+
+def glued(lexemes, glues):
+    out = [lexemes[0]]
+    for k, lexeme in enumerate(lexemes[1:]):
+        glue = glues[k % len(glues)]
+        if not glue and lexeme not in PUNCTUATION and out[-1] not in PUNCTUATION:
+            glue = "\r"
+        out += (glue, lexeme)
+    return "".join(out)
+
+
+glued_programs = st.tuples(raw_terms(max_depth=5), st.lists(st.sampled_from(GLUES), min_size=1)).map(
+    lambda pair: glued(pretty(pair[0]).replace(";", " ;").split(), pair[1])
 )
 character_soup = st.text(alphabet="INCDEPOSKFRxy19_;{}# \t\v\f\n\r\x1cé@", max_size=40)
 
@@ -121,6 +147,53 @@ class TestParseFaults:
         got = outcome(parse, src)
         assert got == outcome(ref.parse, src)
         assert got[0] == "error" and got[3].startswith(message)
+
+
+def assert_read_alike(src):
+    """`parse` gives the reference's term or error, and reaches the lexeme
+    walk only where the reference finds a fault."""
+    expected = outcome(ref.parse, src)
+    with pytest.MonkeyPatch.context() as patch:
+        if expected[0] == "term":
+            patch.setattr(parser, "_raise_fault", lambda src: pytest.fail(f"valid source walked: {src!r}"))
+        assert outcome(parse, src) == expected
+
+
+class TestInstructionReader:
+    @settings(max_examples=400)
+    @given(st.one_of(spaced_programs, glued_programs))
+    def test_valid_layouts_are_read_one_instruction_at_a_time(self, src):
+        assert_read_alike(src)
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "FOR n{INC x}",
+            "FOR n{FOR m{DEC x}};SKIP",
+            "FOR n{FOR m{PUSH x}}",
+            "SKIP;\rFOR n {\r  POP x\r};\rINC y\r",
+            "INC x; # ; { }\nFOR n { # {\r DEC y # }\n }",
+        ],
+    )
+    def test_glued_layouts(self, src):
+        assert outcome(ref.parse, src)[0] == "term"
+        assert_read_alike(src)
+
+    def test_ascii_blanks(self):
+        # `parse` refuses \x1c-\x1f before it splits, so that its blanks
+        # are the grammar's: space, tab, LF, CR, VT and FF.
+        blanks = {c for c in map(chr, range(128)) if c.isspace()}
+        assert blanks == set(" \t\n\r\v\f\x1c\x1d\x1e\x1f")
+        assert {c for c in map(chr, range(128)) if len(f"a{c}b".split()) == 2} == blanks
+
+    def test_ascii_identifiers(self):
+        # `parse` reads only ASCII text, where `str.isidentifier` must be
+        # the grammar's identifier.  Both are a first character and then
+        # any number of continuing ones, so words of up to two characters
+        # try every character in both places.
+        ascii_chars = [chr(i) for i in range(128)]
+        for word in ("", *ascii_chars, *(a + b for a in ascii_chars for b in ascii_chars)):
+            assert word.isidentifier() == bool(_IDENT_RE.match(word)), repr(word)
 
 
 class TestWalkersAgainstReference:
