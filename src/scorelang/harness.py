@@ -107,7 +107,7 @@ _KINDS = {
     for seq in (False, True)
 }
 
-# `_gen` and `_draw_cells` make the draws of `Random.choices`,
+# `_gen` and `_draw` make the draws of `Random.choices`,
 # `Random.choice` and `Random.randint` through `Random.random` and
 # `Random._randbelow`, as those methods do, so each seed draws what it drew
 # through them.
@@ -149,23 +149,26 @@ def gen_state(cfg: GenConfig, names: Iterable[str], rng: random.Random | None = 
     for name in names:
         if not is_identifier(name):
             raise ValueError(f"invalid variable name: {name!r}")
-    return State._trusted(_draw_cells(rng, cfg, names))
+    drawn = zip(names, *_draw(rng, cfg, range(len(names))))
+    return State._trusted({name: _new_cell(Cell, (v, tuple(s[::-1]), c)) for name, v, s, c in drawn if v or s or c})
 
 
-def _draw_cells(rng: random.Random, cfg: GenConfig, names: list[str]) -> dict[str, Cell]:
-    """The non-default cells drawn for `names`, in their order: per name a
-    value, a stack length, its elements and a counter."""
+def _draw(rng: random.Random, cfg: GenConfig, slots: range | list[int]) -> tuple[list, list, list]:
+    """Slot lists drawn for names whose slots, in sorted-name order, are
+    `slots`: per name a value, a stack length, its elements from the top
+    down and a counter.  As in a loaded program, each stack list has its
+    top at the end.  A default cell is drawn like any other, and
+    `gen_state` leaves it out."""
     lo, hi = cfg.value_range
     below, width = rng._randbelow, hi - lo + 1  # rng.randint(lo, hi) is below(width) + lo
-    lengths, counters = cfg.max_stack_len + 1, cfg.max_counter + 1
-    cells: dict[str, Cell] = {}
-    for name in names:
-        value = below(width) + lo
-        stack = tuple([below(width) + lo for _ in range(below(lengths))])
-        counter = below(counters)
-        if value or stack or counter:
-            cells[name] = _new_cell(Cell, (value, stack, counter))
-    return cells
+    lengths, counts = cfg.max_stack_len + 1, cfg.max_counter + 1
+    size = len(slots)
+    values, stacks, counters = [0] * size, [None] * size, [0] * size
+    for slot in slots:
+        values[slot] = below(width) + lo
+        stacks[slot] = [below(width) + lo for _ in range(below(lengths))][::-1]
+        counters[slot] = below(counts)
+    return values, stacks, counters
 
 
 def zero_counters(state: State) -> State:
@@ -184,11 +187,13 @@ def _first_diff(expected: State, got: State) -> str:
     return "states differ"
 
 
-# The four checks are defined once, in `_check_case`, from five runs of one
-# compiled program.  `run_fuzz` counts its results, re-checks a shrunk
-# witness through it, and each public check below returns its entry of it.
-# Every run works on a copy of the slot lists it starts from, and the checks
-# compare lists; a State is built only to describe a failure.
+# The four checks are defined once, in `_check_slots`, from five runs of
+# one compiled program on slot lists.  `run_fuzz` draws each case straight
+# into those lists and counts its results; `_check_case` loads a State into
+# them once, and each public check below, like the re-check of a shrunk
+# witness, returns its entry of it.  Every run works on a copy of the lists
+# it starts from, and the checks compare lists; a fuzz case builds a State
+# only for a failure or a correspondence witness.
 
 
 def check_strong_reversibility(program: Term, initial: State) -> Verdict:
@@ -242,9 +247,7 @@ def check_failure_correspondence(program: Term, initial: State) -> FailureCorres
 def _pair_case(program: Term, initial: State) -> tuple:
     """`_check_case` for a check defined on the pair semantics, which
     refuse a state with a nonzero counter."""
-    compiled = compile_program(program)
-    compiled._load(initial, "a")  # raises NonzeroCounterError
-    return _check_case(compiled, initial)
+    return _check_case(compile_program(program), initial, "a")
 
 
 def _run(program: Program, slots: tuple, semantics: str, order: str = "+") -> tuple[tuple, AbortRecord | None]:
@@ -255,27 +258,33 @@ def _run(program: Program, slots: tuple, semantics: str, order: str = "+") -> tu
     return after, program._exec(*after, semantics, order)
 
 
-def _check_case(program: Program, full_state: State) -> tuple:
-    """The counter-free state and the results of the four checks on one
-    pair, from up to five runs: strong reversibility, weak reversibility, a-r
-    agreement and the FailureCorrespondence.  Strong reversibility runs
-    P;-P and -P;P on `full_state`; the three checks defined on the pair
-    semantics see it with counters zeroed and share one assert and one
-    reversible run, and weak reversibility adds the assert run of the
-    inverse when the first one completes.  The state is loaded once:
-    the counter-free lists share its values and stacks, which no run
+def _check_case(program: Program, initial: State, semantics: str = "r") -> tuple:
+    """`_check_slots` on `initial`, loaded once, with the counter-free
+    state first.  Loading for the pair semantics ("a") refuses a nonzero
+    counter."""
+    flat, *results = _check_slots(program, program._load(initial, semantics), initial)
+    return program._store(initial, *flat), *results
+
+
+def _check_slots(program: Program, full: tuple, base: State) -> tuple:
+    """The counter-free slot lists and the results of the four checks on
+    one pair, from up to five runs: strong reversibility, weak
+    reversibility, a-r agreement and the FailureCorrespondence.  Strong
+    reversibility runs P;-P and -P;P on the slot lists `full`; the three
+    checks defined on the pair semantics see them with counters zeroed and
+    share one assert and one reversible run, and weak reversibility adds
+    the assert run of the inverse when the first one completes.  The
+    counter-free lists share the values and stacks of `full`, which no run
     changes, since each run works on a copy, and its counters too when
-    none is set."""
-    full = program._load(full_state, "r")
+    none is set.  A failure's State is `base` with the program's names set
+    from the lists it starts from."""
     strong = _PASS
     for order, label in (("+-", "P;-P"), ("-+", "-P;P")):
         after, _ = _run(program, full, "r", order)
         if after != full:
-            diff = _first_diff(full_state, program._store(full_state, *after))
-            strong = Fail(program.term, full_state, f"{label} changed the state: {diff}")
+            strong = _fail(program, base, full, f"{label} changed the state: {_diff(program, base, full, after)}")
             break
 
-    flat_state = zero_counters(full_state)
     flat = (full[0], full[1], [0] * len(full[2])) if any(full[2]) else full
     after, abort = _run(program, flat, "a")
     reversible = _run(program, flat, "r")[0]
@@ -285,17 +294,25 @@ def _check_case(program: Program, full_state: State) -> tuple:
     if not aborted:
         back, record = _run(program, after, "a", "-")
         if record is not None:
-            weak = Fail(program.term, flat_state, f"inverse run aborted: {record.reason} on {record.variable}")
+            weak = _fail(program, base, flat, f"inverse run aborted: {record.reason} on {record.variable}")
         elif back != flat:
-            diff = _first_diff(flat_state, program._store(flat_state, *back))
-            weak = Fail(program.term, flat_state, f"inverse run missed the start: {diff}")
+            weak = _fail(program, base, flat, f"inverse run missed the start: {_diff(program, base, flat, back)}")
         if reversible != after:
-            diff = _first_diff(program._store(flat_state, *after), program._store(flat_state, *reversible))
-            agreement = Fail(program.term, flat_state, f"semantics disagree: {diff}")
+            agreement = _fail(program, base, flat, f"semantics disagree: {_diff(program, base, after, reversible)}")
         elif broken:
             names = sorted(name for name, counter in zip(program.variables, reversible[2]) if counter)
-            agreement = Fail(program.term, flat_state, f"reversible run left broken variables: {names}")
-    return flat_state, strong, weak, agreement, _CORRESPONDENCE[aborted, broken]
+            agreement = _fail(program, base, flat, f"reversible run left broken variables: {names}")
+    return flat, strong, weak, agreement, _CORRESPONDENCE[aborted, broken]
+
+
+def _fail(program: Program, base: State, start: tuple, details: str) -> Fail:
+    """The failing verdict of `program` from the slot lists `start`."""
+    return Fail(program.term, program._store(base, *start), details)
+
+
+def _diff(program: Program, base: State, expected: tuple, got: tuple) -> str:
+    """`_first_diff` of the states of two slot lists."""
+    return _first_diff(program._store(base, *expected), program._store(base, *got))
 
 
 def _enumerate_cells(
@@ -465,6 +482,7 @@ _MAX_COMPILED = 1024
 
 _SEEDED_WITNESS_PROGRAM = Seq(Pop("x"), Push("x"))
 _SEEDED_WITNESS_STATE = State({"x": Cell(5, (2,), 0)})
+_EMPTY = State()  # the base of a fuzz case's States, which hold only its program's names
 
 
 @dataclass
@@ -562,10 +580,14 @@ def run_fuzz(cfg: GenConfig, cases: int) -> FuzzReport:
 
     Strong reversibility sees the raw generated states; the three checks
     defined on the pair semantics see the same states with counters zeroed.
-    Each reported failure is shrunk, and its details are those of the
-    shrunk pair.  Each distinct program drawn is compiled once per batch,
-    and its blocks serve every case that draws it.
+    Each case is drawn straight into its program's slot lists, and a State
+    is built only for a failure or a correspondence witness.  Each reported
+    failure is shrunk, and its details are those of the shrunk pair.  Each
+    distinct program drawn is compiled once per batch, and its blocks serve
+    every case that draws it.
     """
+    if cases < 0:
+        raise ValueError(f"cases must be non-negative, got {cases}")
     master = random.Random(cfg.seed)
     report = FuzzReport(cfg.seed, cases)
 
@@ -581,37 +603,51 @@ def run_fuzz(cfg: GenConfig, cases: int) -> FuzzReport:
         report.failures.append(_witness(_CHECK_NAMES[check], program, initial, details))
 
     names = _var_names(cfg.max_vars)
-    # Each distinct program drawn, with its sorted names.  An atom or SKIP is
-    # its own key; a Seq or For is keyed by its printed text, through which
-    # it would compare and hash anyway.  The table starts afresh once full.
-    compiled: dict[Term | str, tuple[Program, list[str]]] = {}
+    # Each distinct program drawn, with its slots in sorted-name order, the
+    # order the names are drawn in.  SKIP is keyed by its class and an atom
+    # by its class and name; a Seq or For is keyed by its printed text,
+    # through which it would compare and hash anyway.  The table starts
+    # afresh once full.
+    compiled: dict[type | tuple | str, tuple[Program, list[int]]] = {}
     rng = random.Random()
+    # the cases whose three verdicts all pass, and those where strong
+    # reversibility passes and the other two pass vacuously
+    usual = [0, 0]
     for _ in range(cases):
         rng.seed(master.getrandbits(64))
         term = _gen(rng, names, cfg.max_depth, allow_seq=True)
-        key = pretty(term) if type(term) is Seq or type(term) is For else term
+        kind = type(term)
+        key = pretty(term) if kind is Seq or kind is For else kind if kind is Skip else (kind, term.var)
         entry = compiled.get(key)
         if entry is None:
             if len(compiled) >= _MAX_COMPILED:
                 compiled.clear()
             program = compile_program(term)
-            entry = compiled[key] = program, sorted(program.variables)
-        program, sorted_names = entry
-        full_state = State._trusted(_draw_cells(rng, cfg, sorted_names))
-        flat_state, *verdicts, correspondence = _check_case(program, full_state)
-
-        for check, (counts, verdict) in enumerate(zip((report.strong, report.weak, report.agreement), verdicts)):
-            if not counts.add(verdict):
-                record_failure(check, verdict.program, verdict.initial, verdict.details)
+            entry = compiled[key] = program, sorted(range(len(program.variables)), key=program.variables.__getitem__)
+        program, slots = entry
+        flat, strong, weak, agreement, correspondence = _check_slots(program, _draw(rng, cfg, slots), _EMPTY)
+        if strong is _PASS and weak is agreement:  # both _PASS or both _VACUOUS
+            usual[weak is _VACUOUS] += 1
+        else:
+            verdicts = strong, weak, agreement
+            for check, (counts, verdict) in enumerate(zip((report.strong, report.weak, report.agreement), verdicts)):
+                if not counts.add(verdict):
+                    record_failure(check, verdict.program, verdict.initial, verdict.details)
         if correspondence.direction_witness == "if":
             report.if_direction_witnesses += 1
-            record_failure(3, program.term, flat_state, _BROKEN_WITHOUT_ABORT)
+            record_failure(3, program.term, program._store(_EMPTY, *flat), _BROKEN_WITHOUT_ABORT)
         elif correspondence.direction_witness == "only-if":
             report.only_if_witnesses += 1
             if len(report.only_if_samples) < _MAX_ONLY_IF_SAMPLES:
+                flat_state = program._store(_EMPTY, *flat)
                 report.only_if_samples.append(
                     _witness(_CHECK_NAMES[3], program.term, flat_state, "abort repaired by counters")
                 )
+    passed, vacuous = usual
+    report.strong.passed += passed + vacuous
+    for counts in (report.weak, report.agreement):
+        counts.passed += passed
+        counts.vacuous += vacuous
 
     seeded = check_failure_correspondence(_SEEDED_WITNESS_PROGRAM, _SEEDED_WITNESS_STATE)
     report.seeded_only_if_reported = seeded.direction_witness == "only-if"

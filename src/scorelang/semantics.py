@@ -564,9 +564,9 @@ class Program:
             # `_FORWARD` lists the atom classes in the order of their opcodes
             self._labels = [[(f"{_KEYWORD[cls]} {name}", name) for name in self.variables] for cls in _FORWARD]
         illegal = _ILLEGAL[semantics]
-        steps = 0
+        steps, top = 0, self._top
         for sign in order:
-            block, atoms, _ = self._plan(self._top, _DIRECTION[sign])
+            block, atoms, _ = top[_DIRECTION[sign]] or self._plan(top, _DIRECTION[sign])
             steps, failed = _execute(self, block, atoms, steps + atoms, values, stacks, counters, illegal, observe)
             if failed >= 0:
                 value, name = values[failed], self.variables[failed]

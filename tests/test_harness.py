@@ -137,11 +137,15 @@ FUZZ_CONFIGS = {
     "default": {},
     "deep": {"max_depth": 8, "max_vars": 2},
     "wide": {"max_depth": 5, "max_vars": 6, "max_counter": 3, "value_range": (-3, 7)},
+    # names past the pool run to x8..x11, so sorted order (x10 < x8) is not
+    # the order of the program's slots
+    "many-names": {"max_vars": 12},
 }
 FUZZ_REPORT_HASHES = {
     "default": "5f99bade35e749aeeb786aef55f9d7404415c62e561630df9ccc6d3efe55b786",
     "deep": "85410119820662522a25f0807c279de225862b8387d4121d802e1d445f0d9636",
     "wide": "4314ed537b04a132c183354a9f52ae37c01affaa46db85facb63056c1cc75691",
+    "many-names": "87bbd98899f1a4a07fe8323b02cd81a32a7379960a4229c77991dfe2af9cf371",
 }
 
 
@@ -584,6 +588,30 @@ class TestRunFuzz:
         assert report.ok
         assert report.cases == 0
         assert report.seeded_only_if_reported
+
+    def test_negative_cases_are_refused(self):
+        with pytest.raises(ValueError, match="cases must be non-negative, got -3"):
+            run_fuzz(GenConfig(), -3)
+
+    def test_a_passing_case_builds_no_state(self, monkeypatch):
+        """A case is drawn into slot lists and checked on them: a healthy
+        batch builds a State only for its only-if samples and the check of
+        the seeded witness."""
+        built = []
+        trusted = State._trusted.__func__
+
+        def spy(cls, cells):
+            built.append(cells)
+            return trusted(cls, cells)
+
+        def zero_counters(state):
+            raise AssertionError("a case zeroed the counters of a State")
+
+        monkeypatch.setattr(State, "_trusted", classmethod(spy))
+        monkeypatch.setattr(harness, "zero_counters", zero_counters)
+        report = run_fuzz(GenConfig(seed=1), 1500)
+        assert report.ok and report.only_if_samples
+        assert len(built) <= 10
 
     def test_deterministic_reports(self):
         first = run_fuzz(GenConfig(seed=11), 100)
