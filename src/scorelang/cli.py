@@ -2,8 +2,8 @@
 
 Commands: run, invert, check, fuzz, oracle, trace.  Program files use the
 ".score" extension, state files ".sst".  Exit status: 0 on success, 1 on
-an assert-semantics abort, 2 on usage or parse errors (including programs
-nested too deeply to process), 3 on a property failure.
+an assert-semantics abort, 2 on usage or parse errors, 3 on a property
+failure.
 
 Every command runs with the cyclic garbage collector paused: what the
 commands build holds no reference cycles, and on a 20,000-atom program
@@ -22,7 +22,7 @@ from pathlib import Path
 from .harness import Fail, GenConfig, exhaustive_pop_push_inverse, run_fuzz
 from .parser import ParseError, parse
 from .semantics import (
-    _ILLEGAL,
+    _SEMANTICS,
     Aborted,
     IllFormedProgramError,
     NonzeroCounterError,
@@ -157,7 +157,7 @@ def _argparser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("program", help="program file (.score)")
         p.add_argument("state", nargs="?", default=None, help="initial state file (.sst)")
-        p.add_argument("--semantics", "-s", choices=tuple(_ILLEGAL), default="r", help="evaluator (default r)")
+        p.add_argument("--semantics", "-s", choices=_SEMANTICS, default="r", help="evaluator (default r)")
         p.add_argument("--backward", action="store_true", help="run the inverted program")
 
     add_program_command("run", "run a program and print the final state")

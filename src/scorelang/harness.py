@@ -318,6 +318,10 @@ def _diff(program: Program, base: State, expected: tuple, got: tuple) -> str:
 def _enumerate_cells(
     value_bound: int, stack_len_bound: int, elem_bound: int, counter_bound: int
 ) -> Iterator[Cell]:
+    names = ("value_bound", "stack_len_bound", "elem_bound", "counter_bound")
+    for name, bound in zip(names, (value_bound, stack_len_bound, elem_bound, counter_bound)):
+        if bound < 0:  # an empty grid would pass having checked no cell
+            raise ValueError(f"{name} must be non-negative, got {bound}")
     values = range(-value_bound, value_bound + 1)
     elems = range(-elem_bound, elem_bound + 1)
     counters = range(counter_bound + 1)
@@ -333,7 +337,8 @@ def exhaustive_pop_push_inverse(
 ) -> Verdict:
     """Brute-force check that pop and push are mutual inverses on every
     cell with |value| <= value_bound, stack length <= stack_len_bound,
-    |elements| <= elem_bound, and counter <= counter_bound."""
+    |elements| <= elem_bound, and counter <= counter_bound.  A negative
+    bound raises ValueError."""
     count = 0
     for count, cell in enumerate(_enumerate_cells(value_bound, stack_len_bound, elem_bound, counter_bound), 1):
         roundtrip = pop_r(push_r(cell))
@@ -348,7 +353,8 @@ def exhaustive_pop_push_inverse(
 def exhaustive_pop_injective(
     value_bound: int, stack_len_bound: int, elem_bound: int, counter_bound: int
 ) -> Verdict:
-    """Check that pop_r never maps two distinct grid cells to equal cells."""
+    """Check that pop_r never maps two distinct grid cells to equal cells,
+    on the grid `exhaustive_pop_push_inverse` checks."""
     seen: dict[Cell, Cell] = {}
     count = 0
     for count, cell in enumerate(_enumerate_cells(value_bound, stack_len_bound, elem_bound, counter_bound), 1):

@@ -196,8 +196,9 @@ def pop_r(cell: Cell) -> Cell:
 # atoms before it for POP.  The blocks depend neither on the semantics nor
 # on whether the run is observed; both are arguments of the run.  The three
 # semantics agree on every step but an illegal POP, one whose value is
-# nonzero or whose stack is empty, and that branch of `_execute` calls the
-# run's entry of `_ILLEGAL`, the one place where they differ.  PUSH is
+# nonzero or whose stack is empty, and one branch of `_execute`'s POP step
+# holds their three outcomes side by side: `r` counts a break, `n` takes
+# the stack's total head, and `a` returns its abort position.  PUSH is
 # `push_r` under all three: the pair semantics run only on states whose
 # counters are 0, and only an illegal POP under `r` ever raises a counter,
 # so there `push_r` always takes its first clause, the pair push, and a
@@ -236,10 +237,10 @@ def pop_r(cell: Cell) -> Cell:
 # loop entry ("scheduled" steps), and an abort adds up, over the open
 # loops, the scheduled steps that did not run.  POP and loop entries
 # therefore also carry the number of atoms before them in their block.  An
-# illegal POP under `a` raises `_Abort` with the steps of its block's
-# iteration that count as run before it, and one handler in `_execute`
-# turns that into the abort position.  Every POP that runs is stepped, so
-# that handler sees every abort.
+# illegal POP under `a` returns from `_execute` at once with the abort
+# position, from the running block's atoms less those before it and from
+# the open loops' frames, all still in `_execute`'s locals.  Every POP that
+# runs is stepped, so that branch sees every abort.
 #
 # A perfect nest, ``FOR m { FOR k { B } }`` whose outer body is only the
 # inner loop, runs as one loop.  A loop reads its leader once, and the
@@ -307,31 +308,9 @@ def _unknown_semantics(semantics: str) -> ValueError:
     return ValueError(f"unknown semantics {semantics!r}; expected 'n', 'a' or 'r'")
 
 
-class _Abort(Exception):
-    """An illegal POP under the assert semantics: the POP's slot, and the
-    steps of the running block's iteration that count as run before it."""
-
-    def __init__(self, slot: int, ran: int):
-        self.slot, self.ran = slot, ran
-
-
-def _illegal_n(value, stack, counter, slot, ran):
-    return stack.pop() if stack else 0, counter
-
-
-def _illegal_a(value, stack, counter, slot, ran):
-    raise _Abort(slot, ran)
-
-
-def _illegal_r(value, stack, counter, slot, ran):
-    return value, counter + 1
-
-
-# What an illegal POP does under each semantics:
-# ``value, counter = illegal(value, stack, counter, slot, ran)``, where
-# ``ran`` is the steps of the running block's iteration that count as run
-# before the POP.  Only the assert helper reads the last two.
-_ILLEGAL = {"n": _illegal_n, "a": _illegal_a, "r": _illegal_r}
+# The semantics `Program.run` and `eval_traced` accept, and the CLI offers;
+# only an illegal POP in `_execute` tells them apart.
+_SEMANTICS = ("n", "a", "r")
 
 _MOST_PUSHES = 2**24  # the most values a closed-form call pushes; past it, the block steps
 
@@ -404,16 +383,17 @@ def _abort_position(scheduled: int, left: int, frames: list[tuple]) -> int:
 
 
 def _execute(
-    program: Program, block, atoms: int, scheduled: int, values, stacks, counters, illegal, observe
+    program: Program, block, atoms: int, scheduled: int, values, stacks, counters, semantics: str, observe
 ) -> tuple:
-    """Run one block of `program` on the slot lists, an illegal POP calling
-    `illegal`, the semantics' entry of `_ILLEGAL`, and `scheduled` counting
-    the steps scheduled so far, the block's own included.  Returns the
-    number of steps run and -1 when the block completes, else the number
-    run before a POP aborted and the POP's slot.  Given `observe`, each
-    atom stepped calls it with the atom's label and name and the slot's
-    live value, stack list and counter, and no loop counts heat or runs in
-    closed form, so every atom is stepped.  A loop entry first steps down a
+    """Run one block of `program` on the slot lists under `semantics`, one
+    of `_SEMANTICS`, with `scheduled` counting the steps scheduled so far,
+    the block's own included.  Returns the number of steps run and -1 when
+    the block completes, else, from the branch of the POP step where the
+    semantics differ, the number run before a POP aborted under `a` and the
+    POP's slot.  Given `observe`, each atom stepped calls it with the
+    atom's label and name and the slot's live value, stack list and
+    counter, and no loop counts heat or runs in closed form, so every atom
+    is stepped.  A loop entry first steps down a
     perfect nest to its innermost loop, which then runs with the product of
     the counts, in the direction their signs give.  It calls its plan's
     closed form when it has one, and is done if that runs; else it pushes
@@ -426,69 +406,71 @@ def _execute(
     labels = program._labels
     frames: list[tuple] = []
     it = iter(block)
-    try:
-        while True:
-            for op, arg in it:
-                if op == _INC:
-                    values[arg] += 1
-                elif op == _DEC:
-                    values[arg] -= 1
-                elif op == _PUSH:
-                    if not counters[arg]:
-                        stacks[arg].append(values[arg])
-                        values[arg] = 0
-                    elif values[arg] or not stacks[arg]:
-                        counters[arg] -= 1
-                elif op == _POP:
-                    slot, before = arg
-                    stack = stacks[slot]
-                    if values[slot] or not stack:  # an illegal pop: only here do the semantics differ
-                        values[slot], counters[slot] = illegal(values[slot], stack, counters[slot], slot, before)
-                    elif not counters[slot]:
-                        values[slot] = stack.pop()
-                else:
-                    leader, cache, index, before = arg
-                    count = values[leader]
-                    while count:
-                        if count < 0:
-                            count = -count
-                            index ^= 1
-                        body, body_atoms, run = cache[index] or program._plan(cache, index)
-                        if body_atoms or len(body) > 1:
-                            break
-                        # a perfect nest: no step of it can change the inner count
-                        leader, cache, index, _ = body[0][1]
-                        count *= values[leader]
+    while True:
+        for op, arg in it:
+            if op == _INC:
+                values[arg] += 1
+            elif op == _DEC:
+                values[arg] -= 1
+            elif op == _PUSH:
+                if not counters[arg]:
+                    stacks[arg].append(values[arg])
+                    values[arg] = 0
+                elif values[arg] or not stacks[arg]:
+                    counters[arg] -= 1
+            elif op == _POP:
+                slot, before = arg
+                stack = stacks[slot]
+                if values[slot] or not stack:  # an illegal pop: only here do the semantics differ
+                    if semantics == "r":
+                        counters[slot] += 1
+                    elif semantics == "n":
+                        values[slot] = stack.pop() if stack else 0
                     else:
-                        continue  # the loop, or an inner loop of its perfect nest, runs no iteration
-                    scheduled += count * body_atoms
-                    if observe is None:
-                        if run is None:
-                            cache[_HEAT] += count
-                            if cache[_HEAT] > _HOT:
-                                run = _leaf_function(body)
-                                cache[index] = body, body_atoms, run
-                        if run and run(values, stacks, counters, count):
-                            continue
-                    if count == 1:
-                        frames.append((it, atoms, before, body_atoms, _NONE_LEFT))
-                        it = iter(body)
-                    else:
-                        countdown = iter(range(count, 0, -1))
-                        frames.append((it, atoms, before, body_atoms, countdown))
-                        it = chain.from_iterable(compress(repeat(body), countdown))
-                    atoms = body_atoms
-                    break
-                if observe is not None:
-                    slot = arg[0] if op == _POP else arg
-                    label, name = labels[op][slot]
-                    observe(label, name, values[slot], stacks[slot], counters[slot])
+                        return _abort_position(scheduled, atoms - before, frames), slot
+                elif not counters[slot]:
+                    values[slot] = stack.pop()
             else:
-                if not frames:
-                    return scheduled, -1
-                it, atoms = frames.pop()[:2]
-    except _Abort as stop:
-        return _abort_position(scheduled, atoms - stop.ran, frames), stop.slot
+                leader, cache, index, before = arg
+                count = values[leader]
+                while count:
+                    if count < 0:
+                        count = -count
+                        index ^= 1
+                    body, body_atoms, run = cache[index] or program._plan(cache, index)
+                    if body_atoms or len(body) > 1:
+                        break
+                    # a perfect nest: no step of it can change the inner count
+                    leader, cache, index, _ = body[0][1]
+                    count *= values[leader]
+                else:
+                    continue  # the loop, or an inner loop of its perfect nest, runs no iteration
+                scheduled += count * body_atoms
+                if observe is None:
+                    if run is None:
+                        cache[_HEAT] += count
+                        if cache[_HEAT] > _HOT:
+                            run = _leaf_function(body)
+                            cache[index] = body, body_atoms, run
+                    if run and run(values, stacks, counters, count):
+                        continue
+                if count == 1:
+                    frames.append((it, atoms, before, body_atoms, _NONE_LEFT))
+                    it = iter(body)
+                else:
+                    countdown = iter(range(count, 0, -1))
+                    frames.append((it, atoms, before, body_atoms, countdown))
+                    it = chain.from_iterable(compress(repeat(body), countdown))
+                atoms = body_atoms
+                break
+            if observe is not None:
+                slot = arg[0] if op == _POP else arg
+                label, name = labels[op][slot]
+                observe(label, name, values[slot], stacks[slot], counters[slot])
+        else:
+            if not frames:
+                return scheduled, -1
+            it, atoms = frames.pop()[:2]
 
 
 class Program:
@@ -499,12 +481,14 @@ class Program:
     are compiled on first use and kept, one per direction, and every run
     executes the same blocks, traced or not, under all three semantics, so
     each later run only executes.  A run hands `_execute` its semantics'
-    entry of `_ILLEGAL`, the one place where they differ, and an observed
-    run also its observer, which reads each atom's label and name from
-    `_labels`, a table made on the first observed run.  A perfect loop nest
-    runs as its innermost loop, with the product of the counts, and a hot
-    leaf loop of an unobserved run whose atoms keep no POP runs in the
-    closed form `_leaf_function` makes from its block, once per Program.
+    name, which only the POP step's branch for an illegal POP reads: the
+    one place where the semantics differ, from which an assert abort
+    returns its position.  An observed run also hands it its observer,
+    which reads each atom's label and name from `_labels`, a table made on
+    the first observed run.  A perfect loop nest runs as its innermost
+    loop, with the product of the counts, and a hot leaf loop of an
+    unobserved run whose atoms keep no POP runs in the closed form
+    `_leaf_function` makes from its block, once per Program.
     `idle` holds the ids of the term's idle FOR nodes.
     """
 
@@ -535,7 +519,7 @@ class Program:
         stopped.  An exception from `observe` ends the run.  The pair
         semantics refuse a state with a nonzero counter.
         """
-        if semantics not in _ILLEGAL:
+        if semantics not in _SEMANTICS:
             raise _unknown_semantics(semantics)
         if order.strip("+-"):
             raise ValueError(f"order must be made of '+' and '-', got {order!r}")
@@ -563,11 +547,10 @@ class Program:
         if observe is not None and self._labels is None:
             # `_FORWARD` lists the atom classes in the order of their opcodes
             self._labels = [[(f"{_KEYWORD[cls]} {name}", name) for name in self.variables] for cls in _FORWARD]
-        illegal = _ILLEGAL[semantics]
         steps, top = 0, self._top
         for sign in order:
             block, atoms, _ = top[_DIRECTION[sign]] or self._plan(top, _DIRECTION[sign])
-            steps, failed = _execute(self, block, atoms, steps + atoms, values, stacks, counters, illegal, observe)
+            steps, failed = _execute(self, block, atoms, steps + atoms, values, stacks, counters, semantics, observe)
             if failed >= 0:
                 value, name = values[failed], self.variables[failed]
                 reason = "value-nonzero" if value else "empty-stack"
@@ -652,7 +635,7 @@ def eval_traced(term: Term, state: State, semantics: str = "r") -> tuple[list[Tr
     state; under the assert semantics an abort instead ends the steps with
     one carrying the record, and the final state is None.
     """
-    if semantics not in _ILLEGAL:
+    if semantics not in _SEMANTICS:
         raise _unknown_semantics(semantics)
     steps: list[TraceStep] = []
     append = steps.append

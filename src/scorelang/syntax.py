@@ -38,7 +38,7 @@ Identifier = str
 
 def is_identifier(name: str) -> bool:
     """True for a lexically valid, non-keyword variable name."""
-    return bool(_IDENT_RE.match(name)) and name not in KEYWORDS
+    return isinstance(name, str) and bool(_IDENT_RE.match(name)) and name not in KEYWORDS
 
 
 def _require_identifier(name: str) -> None:

@@ -900,15 +900,20 @@ class TestPerfectNests:
 
     def test_counts_past_the_word_size(self, heat):
         # 2**32 * 2**31 * 2 = 2**64 iterations, run forward or inverted, or a
-        # mixed loop stepped 2**63 times: each aborts in its first iteration
-        # at the same step as the reference walker, cold or hot
+        # mixed loop stepped 2**63 times: each of these aborts in its first
+        # iteration at the same step as the reference walker, cold or hot
         cases = [  # inverted, each body starts with a POP too
             (nest("abc", Seq(Inc("x"), Pop("y"), Push("v"))), {"a": 2**32, "b": 2**31, "c": 2}, 1),
             (nest("abc", Seq(Inc("x"), Pop("y"), Push("v"))), {"a": 2**32, "b": -(2**31), "c": 2}, 0),
             (parse("FOR n { INC z; FOR m { FOR k { POP x; PUSH y } } }"), {"n": 2**63, "m": 1, "k": 1}, 1),
         ]
+        # and 2**64 iterations, whichever way the nest runs, of which the
+        # first pops a value into y (or z) and the second aborts on it, so
+        # the abort reads a countdown of a count past 2**63 partly spent
+        late = {"a": 2**32, "b": 2**32, "y": Cell(0, (1,), 0), "z": Cell(0, (5,), 0)}
+        cases.append((parse("FOR a { FOR b { POP y; PUSH z } }"), late, 2))
         for program, counts, position in cases:
-            state = State({name: Cell(count) for name, count in counts.items()})
+            state = State({name: count if type(count) is Cell else Cell(count) for name, count in counts.items()})
             runs = compile_program(program)
             for order, spell in SPELLED.items():
                 expected = ref_eval_a(spell(program), state)

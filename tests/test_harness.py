@@ -397,6 +397,16 @@ class TestExhaustiveOracles:
     def test_pop_injective_on_default_grid(self):
         assert exhaustive_pop_injective(2, 3, 1, 2) == Pass(cases_run=600)
 
+    @pytest.mark.parametrize("oracle", [exhaustive_pop_push_inverse, exhaustive_pop_injective])
+    @pytest.mark.parametrize("at, name", enumerate(["value_bound", "stack_len_bound", "elem_bound", "counter_bound"]))
+    def test_negative_bound_is_refused(self, oracle, at, name):
+        # the default grid with one bound made negative: a grid with no
+        # cell would otherwise pass having checked nothing
+        bounds = [2, 3, 1, 2]
+        bounds[at] = -1
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -1$"):
+            oracle(*bounds)
+
 
 class TestMinimize:
     def test_shrinks_to_local_minimum(self):

@@ -120,6 +120,10 @@ class TestStateMap:
             State({"FOR": Cell(1)})
         with pytest.raises(ValueError, match="invalid variable name: '1x'"):
             State({"x": Cell(1)}).set("1x", Cell(2))
+        with pytest.raises(ValueError, match="invalid variable name: 5"):
+            State({5: Cell(1)})
+        with pytest.raises(ValueError, match="invalid variable name: 5"):
+            State().set(5, Cell(1))
 
     def test_equality_with_a_non_state(self):
         state = State({"x": Cell(1)})

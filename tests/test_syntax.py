@@ -178,6 +178,7 @@ class TestIdentifiers:
         assert not is_identifier("SKIP")
         assert not is_identifier("a-b")
         assert not is_identifier("")
+        assert not is_identifier(5)
 
 
 class TestTrustedBuilders:
