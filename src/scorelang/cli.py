@@ -2,7 +2,8 @@
 
 Commands: run, invert, check, fuzz, oracle, trace.  Program files use the
 ".score" extension, state files ".sst".  Exit status: 0 on success, 1 on
-an assert-semantics abort, 2 on usage or parse errors, 3 on a property
+an assert-semantics abort, 2 on usage or parse errors, on input that
+cannot be read and on output that cannot be written, 3 on a property
 failure.
 
 Every command runs with the cyclic garbage collector paused: what the
@@ -16,6 +17,7 @@ import argparse
 import functools
 import gc
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -46,6 +48,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 
 def _require_non_negative(args: argparse.Namespace, *options: str) -> None:
@@ -215,7 +219,9 @@ def main(argv: list[str] | None = None) -> int:
     if paused:
         gc.disable()
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -224,6 +230,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except RecursionError:
         print("error: program nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader has gone, so say nothing, and point stdout at the null
+        # device, so that the flush at exit does not raise again (Python's
+        # `signal` docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    except OSError as exc:  # from writing output: `_read` turns read errors into usage errors
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
         if paused:

@@ -1,0 +1,466 @@
+"""The CLI cases: one table of command lines, each with its input files and
+its exact exit code, stdout and stderr, and the runner that checks them.
+
+Each row of `CASES` names its command line, the files it reads (by names
+relative to the fresh directory the case runs in), the exit code, stdout
+and stderr it must give byte for byte, and a time bound in seconds.  A file
+or an expected stream is literal text or bytes, or a generator function of
+this module that builds it, as `functools.partial(nest, 100_000)`.  Expected
+bytes come from literals or from a generator's own arithmetic, never from
+scorelang code.
+
+`test_cli_cases.py` runs the table through `python -m scorelang`, and CI
+runs it against the installed console script with
+
+    python tests/cli_cases.py scorelang
+
+which prints one line per case and exits 1 if any case fails.  To add a
+case, add a row to `CASES`.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+import tempfile
+import time
+from functools import partial
+from pathlib import Path
+from typing import Callable, NamedTuple, Union
+
+import scorelang
+
+Content = Union[str, bytes, Callable[[], Union[str, bytes]]]
+
+DEFAULT_BOUND = 60  # seconds, for a case that names none
+
+
+class Case(NamedTuple):
+    name: str
+    argv: str  # split at spaces; its file names are relative to the case's directory
+    files: dict[str, Content] = {}
+    out: Content = ""
+    err: Content = ""
+    code: int = 0
+    bound: float = DEFAULT_BOUND
+
+
+def _bytes(content: Content) -> bytes:
+    if callable(content):
+        content = content()
+    return content.encode("utf-8") if isinstance(content, str) else content
+
+
+def _difference(stream: str, got: bytes, expected: bytes) -> str:
+    at = len(os.path.commonprefix([got, expected]))
+    return (
+        f"{stream} differs at byte {at} ({len(got)} bytes, expected {len(expected)}): "
+        f"got {got[at:at + 40]!r}, expected {expected[at:at + 40]!r}"
+    )
+
+
+def run_case(case: Case, command: list[str]) -> list[str]:
+    """Run `command` with the case's arguments in a fresh directory that
+    holds its files, and return how the run differs from the row: a line
+    each for its exit code, stdout and stderr, or one for a run past the
+    time bound.  An empty list is a pass."""
+    with tempfile.TemporaryDirectory() as folder:
+        for name, content in case.files.items():
+            Path(folder, name).write_bytes(_bytes(content))
+        try:
+            proc = subprocess.run(
+                [*command, *case.argv.split()], cwd=folder, capture_output=True, timeout=case.bound
+            )
+        except subprocess.TimeoutExpired:
+            return [f"no exit within {case.bound} s"]
+    faults = [] if proc.returncode == case.code else [f"exit {proc.returncode}, expected {case.code}"]
+    for stream, got, expected in (("stdout", proc.stdout, case.out), ("stderr", proc.stderr, case.err)):
+        expected = _bytes(expected)
+        if got != expected:
+            faults.append(_difference(stream, got, expected))
+    return faults
+
+
+SCORELANG = [sys.executable, "-m", "scorelang"]  # the CLI of this interpreter, with `source_env`
+
+
+def source_env() -> dict[str, str]:
+    """The environment with the directory that holds the imported scorelang
+    first on PYTHONPATH, so that `python -m scorelang` runs that code."""
+    src = str(Path(scorelang.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def run_fresh(*argv: str) -> tuple[int, str, str]:
+    """`python -m scorelang` in a fresh process: (exit code, stdout, stderr)."""
+    proc = subprocess.run([*SCORELANG, *argv], capture_output=True, text=True, env=source_env(), timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+# Generators of the big inputs and of their expected outputs.
+
+
+def nest(depth: int, atom: str = "INC x") -> str:
+    """`FOR a0 { FOR a1 { ... atom } }`, `depth` loops deep, and a newline."""
+    return "".join(f"FOR a{i} {{ " for i in range(depth)) + atom + " }" * depth + "\n"
+
+
+def nest_state(depth: int) -> str:
+    return "".join(f"a{i} = 1\n" for i in range(depth))
+
+
+def nest_final(depth: int) -> str:
+    """The final state of `nest(depth)` from `nest_state(depth)`: each loop
+    runs once."""
+    names = sorted([*(f"a{i}" for i in range(depth)), "x"])
+    return "FINAL\n" + "".join(f"{name} = 1, [], 0\n" for name in names)
+
+
+def flat(cycle: tuple[str, ...], times: int) -> str:
+    return "; ".join(cycle * times) + "\n"
+
+
+def push_final(bottom: str) -> str:
+    """The final state of `PUSH_LEAF` at n = 100000: every iteration after
+    the first pushes y = 0, then y = 2, onto `bottom`, the first
+    iteration's pushes over y's stack."""
+    return f"FINAL\nn = 100000, [], 0\ny = 0, [{'2, 0, ' * 99999}{bottom}], 0\nz = 100000, [], 0\n"
+
+
+# `big`: 20,000 INC/DEC atoms on d0..d6, in groups of eight, three loops deep.
+BIG_OPS = [("INC" if i % 3 else "DEC") + f" d{i % 7}" for i in range(20000)]
+BIG_GROUP = "{}; {}; FOR a {{ {}; {}; FOR b {{ {}; {}; FOR c {{ {}; {} }} }} }}"
+BIG_INVERSE_GROUP = "FOR a {{ FOR b {{ FOR c {{ {7}; {6} }}; {5}; {4} }}; {3}; {2} }}; {1}; {0}"
+
+
+def big() -> str:
+    return "; ".join(BIG_GROUP.format(*BIG_OPS[i : i + 8]) for i in range(0, len(BIG_OPS), 8)) + "\n"
+
+
+def big_inverse() -> str:
+    """`big` run backward: the groups in reverse order, each group's atoms
+    and loops in reverse order, INC and DEC swapped."""
+    ops = [("DEC" if op.startswith("INC") else "INC") + op[3:] for op in BIG_OPS]
+    groups = (BIG_INVERSE_GROUP.format(*ops[i : i + 8]) for i in range(0, len(ops), 8))
+    return "; ".join(reversed(list(groups))) + "\n"
+
+
+def big_lines() -> str:
+    """`big` with one instruction per line, indented, and a comment holding
+    ";", "{" and "}" on every third line."""
+    lines, depth = [], 0
+    for lexeme in re.findall(r"FOR \w+ \{|[A-Z]+ \w+|\}|;", big()):
+        if lexeme == ";":
+            lines[-1] += ";"
+            continue
+        depth -= lexeme == "}"
+        lines.append("  " * depth + lexeme)
+        depth += lexeme.endswith("{")
+    body = "".join(line + "  # ;{}" * (k % 3 == 0) + "\n" for k, line in enumerate(lines))
+    return "# big.score, one instruction per line\n" + body
+
+
+def big_final() -> str:
+    """The final state of `big` with every leader 1: each d_k gains the
+    net of its INCs and DECs."""
+    net = [sum(1 if i % 3 else -1 for i in range(k, len(BIG_OPS), 7)) for k in range(7)]
+    return "FINAL\n" + "".join(f"{v} = 1, [], 0\n" for v in "abc") + "".join(
+        f"d{k} = {n}, [], 0\n" for k, n in enumerate(net)
+    )
+
+
+# Inputs shared by several rows.
+
+# two lines with CRLF line ends and comments
+LOOP = {
+    "loop.score": "INC x;  # two lines, CRLF\r\nFOR n { PUSH x; INC x }\r\n",
+    "loop.sst": "# n: the loop count\r\nn = 2\r\nx = 1, [5], 0  # top first\r\n",
+}
+# a nest of 2**64 iterations whose second aborts: the abort reads a
+# countdown past 2**63 partly spent
+LATE = {
+    "late.score": "FOR a { FOR b { POP y; PUSH z } }\n",
+    "late.sst": "a = 4294967296\nb = 4294967296\ny = 0, [1], 0\nz = 0, [5], 0\n",
+}
+# a hot mixed nest, its inner loop run inverted (k < 0): the outer level
+# steps, and so does the inner body, which pops and so has no closed form
+HOT = {
+    "hot.score": "FOR m { INC w; FOR k { INC y; PUSH y } }\n",
+    "hot.sst": "m = 600\nk = -3\ny = 0, [1, 1, 1, 1, 1, 1, 1, 1, 1, 1], 0\n",
+}
+HOT_FINAL = "FINAL\nk = -3, [], 0\nm = 600, [], 0\nw = 600, [], 0\n"
+# a hot perfect nest, its inner loop run inverted (k < 0): it runs as k's
+# loop, 900 times
+PERFECT = {
+    "perfect.score": "FOR m { FOR k { PUSH y; DEC x } }\n",
+    "perfect.sst": "m = 300\nk = -3\ny = 0, [" + ", ".join(["0"] * 20) + "], 0\n",
+}
+PERFECT_FINAL = "FINAL\nk = -3, [], 0\nm = 300, [], 0\nx = 900, [], 0\n"
+# case 1024 of `fuzz --seed 236521`, about 7.2e18 steps under r: every loop
+# it runs many times has a translation body, which runs in closed form
+RUNAWAY = "FOR x { POP z; FOR z { FOR y { DEC w } }; FOR w { INC y; INC z } }\n"
+# a hot leaf that pushes and never pops runs in closed form
+PUSH_LEAF = "FOR n { INC z; PUSH y; INC y; INC y; PUSH y }\n"
+# a hot leaf that keeps a POP has no closed form and steps
+POP_LEAF = {"pop.score": "FOR n { POP y; INC y; PUSH y }\n", "pop.sst": "n = 1000000\ny = 0, []\n"}
+POP_FINAL = "FINAL\nn = 1000000, [], 0\n"
+BIG = {"big.score": big, "big.sst": "a = 1\nb = 1\nc = 1\n"}
+# a 100,000-deep nest and a flat sequence of 10^6 atoms, and their inverses
+DEEP, DEEP_INVERSE = partial(nest, 100_000), partial(nest, 100_000, "DEC x")
+FLAT = partial(flat, ("INC x", "PUSH y", "POP y", "DEC z"), 250_000)
+FLAT_INVERSE = partial(flat, ("INC z", "PUSH y", "POP y", "DEC x"), 250_000)
+
+
+def _abort(step: int, instruction: str, reason: str, value: int) -> str:
+    """The abort record `run` prints for a POP whose stack is left empty."""
+    variable = instruction.split()[1]
+    return (
+        f"ABORT\nstep: {step}\ninstruction: {instruction}\nvariable: {variable}\n"
+        f"reason: {reason}\nvalue: {value}\nstack: []\n"
+    )
+
+
+CASES = [
+    Case("oracle", "oracle", out="600 cells checked\n"),
+    Case("oracle-injectivity", "oracle --injectivity", out="600 cells checked\n0 collisions\n"),
+    # a fuzz batch over six names, counters up to 3, gives its recorded report
+    Case(
+        "fuzz-seed-7",
+        "fuzz --cases 300 --seed 7 --max-vars 6 --max-counter 3",
+        out=(
+            "fuzz report\nseed: 7\ncases: 300\nstrong-reversibility: passed 300, failed 0\n"
+            "weak-reversibility-a: passed 247, vacuous 53, failed 0\n"
+            "a-r-agreement: passed 247, vacuous 53, failed 0\n"
+            "failure-correspondence: if-direction witnesses 0, only-if witnesses 0\n"
+            "seeded witness 'POP x; PUSH x' from 'x = 5, [2], 0': only-if discrepancy reported\n"
+            "result: PASS\n"
+        ),
+    ),
+    Case(
+        "trace-crlf",
+        "trace loop.score loop.sst",
+        LOOP,
+        out=(
+            "step 1: INC x\nx = 2, [5], 0\nstep 2: PUSH x\nx = 0, [2, 5], 0\n"
+            "step 3: INC x\nx = 1, [2, 5], 0\nstep 4: PUSH x\nx = 0, [1, 2, 5], 0\n"
+            "step 5: INC x\nx = 1, [1, 2, 5], 0\n"
+            "FINAL\nn = 2, [], 0\nx = 1, [1, 2, 5], 0\n"
+        ),
+    ),
+    Case("run-crlf", "run loop.score loop.sst", LOOP, out="FINAL\nn = 2, [], 0\nx = 1, [1, 2, 5], 0\n"),
+    # POP x finds x = 1
+    Case(
+        "trace-a-abort",
+        "trace -s a abort.score loop.sst",
+        {**LOOP, "abort.score": "FOR n { PUSH x; INC x }; POP x\n"},
+        out=(
+            "step 1: PUSH x\nx = 0, [1, 5], 0\nstep 2: INC x\nx = 1, [1, 5], 0\n"
+            "step 3: PUSH x\nx = 0, [1, 1, 5], 0\nstep 4: INC x\nx = 1, [1, 1, 5], 0\n"
+            "ABORT at step 5: POP x\nreason: value-nonzero\nvalue: 1\nstack: [1, 1, 5]\n"
+        ),
+        code=1,
+    ),
+    Case("late-run-a", "run -s a late.score late.sst", LATE, _abort(3, "POP y", "value-nonzero", 1), code=1, bound=10),
+    Case(
+        "late-trace-a",
+        "trace -s a late.score late.sst",
+        LATE,
+        out=(
+            "step 1: POP y\ny = 1, [], 0\nstep 2: PUSH z\nz = 0, [0, 5], 0\n"
+            "ABORT at step 3: POP y\nreason: value-nonzero\nvalue: 1\nstack: []\n"
+        ),
+        code=1,
+        bound=10,
+    ),
+    Case(
+        "late-run-a-backward",
+        "run -s a --backward late.score late.sst",
+        LATE,
+        _abort(3, "POP z", "value-nonzero", 5),
+        code=1,
+        bound=10,
+    ),
+    Case(
+        "late-trace-a-backward",
+        "trace -s a --backward late.score late.sst",
+        LATE,
+        out=(
+            "step 1: POP z\nz = 5, [], 0\nstep 2: PUSH y\ny = 0, [0, 1], 0\n"
+            "ABORT at step 3: POP z\nreason: value-nonzero\nvalue: 5\nstack: []\n"
+        ),
+        code=1,
+        bound=10,
+    ),
+    # loop.score run backward under a: DEC x, then POP x, which finds x = 0
+    # and pops 5, then DEC x, and the second POP x finds x = 4
+    Case(
+        "run-a-backward",
+        "run -s a --backward loop.score loop.sst",
+        LOOP,
+        _abort(4, "POP x", "value-nonzero", 4),
+        code=1,
+    ),
+    Case(
+        "trace-a-backward",
+        "trace -s a --backward loop.score loop.sst",
+        LOOP,
+        out=(
+            "step 1: DEC x\nx = 0, [5], 0\nstep 2: POP x\nx = 5, [], 0\nstep 3: DEC x\nx = 4, [], 0\n"
+            "ABORT at step 4: POP x\nreason: value-nonzero\nvalue: 4\nstack: []\n"
+        ),
+        code=1,
+    ),
+    # a no-break space alone on line 2
+    Case(
+        "state-nbsp-line",
+        "run loop.score blank.sst",
+        {**LOOP, "blank.sst": "n = 2\n\u00a0\n"},
+        err="parse error: 2:1: unexpected character '\\xa0'\n",
+        code=2,
+    ),
+    Case(
+        "state-not-utf8",
+        "run ok.score bad.sst",
+        {"ok.score": "INC x\n", "bad.sst": b"\xff"},
+        err="error: cannot read bad.sst: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n",
+        code=2,
+    ),
+    # an idle nest with a huge count, and a 5,000-deep nest of loops that
+    # run once, each finish at once
+    Case(
+        "idle-nest",
+        "run idle.score idle.sst",
+        {"idle.score": "FOR n { FOR m { SKIP } }; INC x\n", "idle.sst": "n = 1000000000000000000\n"},
+        out="FINAL\nm = 0, [], 0\nn = 1000000000000000000, [], 0\nx = 1, [], 0\n",
+        bound=20,
+    ),
+    Case(
+        "nest-5000",
+        "run nest.score nest.sst",
+        {"nest.score": partial(nest, 5000), "nest.sst": partial(nest_state, 5000)},
+        out=partial(nest_final, 5000),
+        bound=20,
+    ),
+    Case("hot-n", "run -s n hot.score hot.sst", HOT, HOT_FINAL + "y = -1, [], 0\n", bound=20),
+    Case("hot-r", "run -s r hot.score hot.sst", HOT, HOT_FINAL + "y = -1790, [], 1790\n", bound=20),
+    # under a it aborts in the inner body, at step 25
+    Case("hot-a", "run -s a hot.score hot.sst", HOT, _abort(25, "POP y", "empty-stack", 0), code=1, bound=20),
+    Case("perfect-n", "run -s n perfect.score perfect.sst", PERFECT, PERFECT_FINAL + "y = 0, [], 0\n", bound=20),
+    Case("perfect-r", "run -s r perfect.score perfect.sst", PERFECT, PERFECT_FINAL + "y = 0, [], 880\n", bound=20),
+    # under a it aborts in its 21st iteration, at the step that stepping reports
+    Case(
+        "perfect-a",
+        "run -s a perfect.score perfect.sst",
+        PERFECT,
+        _abort(42, "POP y", "empty-stack", 0),
+        code=1,
+        bound=20,
+    ),
+    # a loop count of 2**63, past the machine word, stepped by trace: it
+    # aborts in its first iteration
+    Case(
+        "word-trace-a",
+        "trace -s a word.score word.sst",
+        {"word.score": "FOR n { INC y; POP x }\n", "word.sst": "n = 9223372036854775808\n"},
+        out="step 1: INC y\ny = 1, [], 0\nABORT at step 2: POP x\nreason: empty-stack\nvalue: 0\nstack: []\n",
+        code=1,
+        bound=20,
+    ),
+    Case(
+        "runaway-r",
+        "run -s r runaway.score runaway.sst",
+        {"runaway.score": RUNAWAY, "runaway.sst": "w = 3, [-5]\nx = 5, [-1, 1], 1\ny = 4\nz = -3, [], 2\n"},
+        out=(
+            "FINAL\nw = -2411166784077928983, [-5], 0\nx = 5, [-1, 1], 1\n"
+            "y = -2411166785630722199, [], 0\nz = -2411166785630722206, [], 7\n"
+        ),
+        bound=20,
+    ),
+    # the pair semantics see the state with its counters zeroed, as fuzz
+    # runs them; POP z finds z = -3
+    Case(
+        "runaway-a",
+        "run -s a runaway.score flat.sst",
+        {"runaway.score": RUNAWAY, "flat.sst": "w = 3, [-5]\nx = 5, [-1, 1]\ny = 4\nz = -3\n"},
+        out=_abort(1, "POP z", "value-nonzero", -3),
+        code=1,
+    ),
+    # from counter 0 each iteration after the first pushes 0 and 2, under
+    # each semantics
+    *(
+        Case(
+            f"push-leaf-{semantics}",
+            f"run -s {semantics} push.score push.sst",
+            {"push.score": PUSH_LEAF, "push.sst": "n = 100000\ny = 3, [7], 0\n"},
+            out=partial(push_final, "2, 3, 7"),
+            bound=20,
+        )
+        for semantics in "nar"
+    ),
+    # under r with y's counter 1, the first PUSH y repairs it, so the closed
+    # form declines, the body steps and pushes 5 first
+    Case(
+        "push-leaf-counter-r",
+        "run -s r push.score push.sst",
+        {"push.score": PUSH_LEAF, "push.sst": "n = 100000\ny = 3, [7], 1\n"},
+        out=partial(push_final, "5, 7"),
+        bound=20,
+    ),
+    # a million iterations within the time bound: under n each POP after
+    # the first takes the value the last PUSH saved, under r each PUSH
+    # repairs the counter the POP before it raised, and under a the first
+    # POP finds y's stack empty
+    Case("pop-leaf-n", "run -s n pop.score pop.sst", POP_LEAF, POP_FINAL + "y = 0, [1000000], 0\n", bound=20),
+    Case("pop-leaf-r", "run -s r pop.score pop.sst", POP_LEAF, POP_FINAL + "y = 1000000, [], 0\n", bound=20),
+    Case("pop-leaf-a", "run -s a pop.score pop.sst", POP_LEAF, _abort(1, "POP y", "empty-stack", 0), code=1, bound=20),
+    # the 20,000-atom INC/DEC program in canonical form, loops three deep,
+    # every leader 1, and the same program one instruction per line
+    Case("big-check", "check big.score", BIG, out="ok\n", bound=20),
+    Case("big-run", "run big.score big.sst", BIG, out=big_final, bound=20),
+    Case("big-invert", "invert big.score", BIG, out=big_inverse, bound=20),
+    Case("big-invert-twice", "invert inverse.score", {"inverse.score": big_inverse}, out=big, bound=20),
+    Case("big-lines-check", "check lines.score", {"lines.score": big_lines}, out="ok\n", bound=20),
+    Case("big-lines-invert", "invert lines.score", {"lines.score": big_lines}, out=big_inverse, bound=20),
+    # a source that ends in ";" lacks its last instruction
+    Case(
+        "trailing-semicolon",
+        "check trailing.score",
+        {"trailing.score": "INC x;\n"},
+        err="parse error: 2:1: expected an instruction, found end of input\n",
+        code=2,
+    ),
+    # invert round trips at size
+    Case("deep-invert", "invert deep.score", {"deep.score": DEEP}, DEEP_INVERSE, bound=20),
+    Case("deep-invert-twice", "invert inverse.score", {"inverse.score": DEEP_INVERSE}, DEEP, bound=20),
+    Case("flat-invert", "invert flat.score", {"flat.score": FLAT}, FLAT_INVERSE, bound=20),
+    Case("flat-invert-twice", "invert inverse.score", {"inverse.score": FLAT_INVERSE}, FLAT, bound=20),
+    Case("invert-loop", "invert p.score", {"p.score": "INC x; FOR x {DEC y}"}, "FOR x { INC y }; DEC x\n"),
+    Case("invert-skip", "invert p.score", {"p.score": "SKIP"}, "SKIP\n"),
+    Case(
+        "check-violation",
+        "check p.score",
+        {"p.score": "FOR x {INC x}"},
+        "violation: leader 'x' occurs at body\n",
+        code=3,
+    ),
+]
+
+
+def main(command: list[str]) -> int:
+    if not command:
+        print("usage: python tests/cli_cases.py COMMAND...  (for example: scorelang)", file=sys.stderr)
+        return 2
+    failed = 0
+    for case in CASES:
+        start = time.perf_counter()
+        faults = run_case(case, command)
+        failed += bool(faults)
+        print(f"{'FAIL' if faults else 'ok'} {case.name} ({time.perf_counter() - start:.2f} s)", *faults, sep="\n  ")
+    print(f"{len(CASES) - failed} of {len(CASES)} cases passed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
