@@ -37,6 +37,7 @@ EXIT_OK = 0
 EXIT_ABORT = 1
 EXIT_USAGE = 2
 EXIT_PROPERTY = 3
+_WRITE_PIECE = 1 << 16  # characters of output per write
 
 
 class _UsageError(Exception):
@@ -84,7 +85,11 @@ def _run_program(args: argparse.Namespace, out: list[str], observe=None) -> int:
     else:
         names = {*program.variables, *(name for name, _ in declarations)}
         out.append("FINAL\n" + dump_state(outcome.state, names))
-    sys.stdout.write("".join(out))
+    text = "".join(out)
+    # Written in pieces: a pipe whose reader has gone can take a short
+    # write of one large text unseen, but then fails the next write.
+    for start in range(0, len(text), _WRITE_PIECE):
+        sys.stdout.write(text[start : start + _WRITE_PIECE])
     return EXIT_ABORT if isinstance(outcome, Aborted) else EXIT_OK
 
 

@@ -16,12 +16,10 @@ insignificant.  Program files conventionally use the ".score" extension.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
-from itertools import islice
-from operator import length_hint
+from itertools import chain
 from typing import NoReturn
 
-from .syntax import _KEYWORD, KEYWORDS, Skip, Term, _atom, _loop, _sequence
+from .syntax import _IDENT, _KEYWORD, KEYWORDS, Skip, Term, _atom, _loop, _sequence, is_identifier
 
 __all__ = ["ParseError", "parse"]
 
@@ -42,7 +40,7 @@ _COMMENT_RE = re.compile(r"#[^\r\n]*")
 # (matching any digit, then ruling out one after a word character, keeps
 # the search to a fast scan for a character class).
 _FAULT_RE = re.compile(r"[^A-Za-z_;{} \t\f\v\r\n](?<![A-Za-z0-9_][0-9])")
-_LEXEME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[;{}]")
+_LEXEME_RE = re.compile(_IDENT + "|[;{}]")
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -67,30 +65,11 @@ def tokenize(src: str) -> list[str]:
     # Past the fault check every word starts with a letter or "_", so
     # splitting at blanks, with blanks around ";", "{" and "}", gives the
     # lexemes that `_LEXEME_RE` finds, faster.
-    lexemes = code.replace(";", " ; ").replace("{", " { ").replace("}", " } ").split()
-    lexemes.append("")
-    return lexemes
-
-
-def _fail(src: str, lexemes: list[str], it: Iterator[str], message: str, expected: tuple[str, ...] = ()) -> NoReturn:
-    """Raise a ParseError at the lexeme `it` gave last, whose index and
-    position are found only now."""
-    i = len(lexemes) - length_hint(it) - 1
-    if lexemes[i]:
-        code = _COMMENT_RE.sub(" ", src)
-        position = _position(code, next(islice(_LEXEME_RE.finditer(code), i, None)).start())
-    else:
-        position = _position(src, len(src))
-    raise ParseError(*position, message, expected)
-
-
-def _found(lexeme: str) -> str:
-    return f", found '{lexeme}'" if lexeme else ", found end of input"
+    return [*code.replace(";", " ; ").replace("{", " { ").replace("}", " } ").split(), ""]
 
 
 _ATOM_EXPECTED = ("SKIP", *_KEYWORD.values(), "FOR")
 _UNARY = {keyword: cls for cls, keyword in _KEYWORD.items()}
-_NOT_NAMES = KEYWORDS | {";", "{", "}", ""}
 
 
 def _read(piece: str) -> Term | str | None:
@@ -113,44 +92,48 @@ def _read(piece: str) -> Term | str | None:
     return None
 
 
-def _raise_fault(src: str) -> NoReturn:
-    """Raise the first fault of `src`, a source that `parse` refused, at
-    its line and column: the fault the lexemes show, walked one by one.
-    Handed a source without a fault, it raises an internal error."""
-    lexemes = tokenize(src)
-    it = iter(lexemes)
-    leaders: list[str] = []
-    for word in it:  # the first lexeme of an instruction
-        if word in _UNARY:
-            name = next(it)
-            if name in _NOT_NAMES:
-                _fail(src, lexemes, it, f"expected a variable name after {word}" + _found(name), ("identifier",))
-        elif word == "FOR":
-            name = next(it)
-            if name in _NOT_NAMES:
-                _fail(src, lexemes, it, "expected a variable name after FOR" + _found(name), ("identifier",))
-            brace = next(it)
-            if brace != "{":
-                _fail(src, lexemes, it, f"expected '{{' after FOR {name}" + _found(brace), ("{",))
-            leaders.append(name)
-            continue
-        elif word != "SKIP":
-            _fail(src, lexemes, it, "expected an instruction" + _found(word), _ATOM_EXPECTED)
-        # An instruction ended: close every loop that ends here.  The end
-        # of input is the last lexeme, and every branch that meets it
-        # raises, so `next` never runs past it.
-        word = next(it)
-        while word != ";":
+def _raise_fault(src: str, code: str, start: int, ended: bool, leaders: list[str]) -> NoReturn:
+    """Raise the first fault of `src`, whose comment-free text `code`
+    `parse` refused at offset `start`, inside the loops that `leaders`
+    opened.  A character fault anywhere comes first.  Else the fault lies
+    in the lexemes from `start`, read as the grammar goes on after an
+    instruction if `ended` (the refused piece starts with "}") and where
+    an instruction begins if not.  Handed a source without a fault, it
+    raises an internal error."""
+    tokenize(src)
+    lexemes = chain(((m.group(), m.start()) for m in _LEXEME_RE.finditer(code, start)), [("", len(src))])
+
+    def fail(message: str, expected: tuple[str, ...]) -> NoReturn:
+        found = f", found '{word}'" if word else ", found end of input"
+        raise ParseError(*_position(code if word else src, at), message + found, expected)
+
+    for word, at in lexemes:
+        if ended and word != ";":  # an instruction ended, so a loop closes here
             if not leaders:
                 if not word:
                     raise AssertionError(f"program has no fault: {src!r}")
                 if word == "}":
-                    _fail(src, lexemes, it, "unmatched '}'")
-                _fail(src, lexemes, it, "expected ';' or end of input" + _found(word), (";",))
-            leader = leaders.pop()
+                    raise ParseError(*_position(code, at), "unmatched '}'")
+                fail("expected ';' or end of input", (";",))
             if word != "}":
-                _fail(src, lexemes, it, f"expected '}}' to close FOR {leader}" + _found(word), ("}",))
-            word = next(it)
+                fail(f"expected '}}' to close FOR {leaders[-1]}", ("}",))
+            leaders.pop()
+        elif ended:
+            ended = False
+        else:  # an instruction begins
+            if word not in _ATOM_EXPECTED:
+                fail("expected an instruction", _ATOM_EXPECTED)
+            keyword = word
+            ended = keyword != "FOR"
+            if keyword != "SKIP":
+                word, at = next(lexemes)
+                if not is_identifier(word):
+                    fail(f"expected a variable name after {keyword}", ("identifier",))
+            if not ended:
+                leaders.append(word)
+                word, at = next(lexemes)
+                if word != "{":
+                    fail(f"expected '{{' after FOR {leaders[-1]}", ("{",))
 
 
 def parse(src: str) -> Term:
@@ -164,18 +147,19 @@ def parse(src: str) -> Term:
     after that.  `parts` collects the atoms of the sequence being read and
     `open_loops` holds, per enclosing FOR, the enclosing sequence's parts
     and the loop's leader, so no nesting recurses.  A source with a
-    character that is not ASCII or a stray blank, a piece `_read` refuses,
-    an unmatched "}" or a loop left open goes to `_raise_fault`, which
-    finds the fault and its line and column from the lexemes."""
+    character that is not ASCII or a stray blank, a piece `_read` refuses
+    or an unmatched "}" goes to `_raise_fault`, which reads the lexemes
+    from that piece on; a loop left open raises at the end of input."""
     code = _COMMENT_RE.sub(" ", src) if "#" in src else src
     # \x1c-\x1f are the ASCII characters that `str.split` takes for blanks
     # and the grammar does not.
     if not code.isascii() or "\x1c" in code or "\x1d" in code or "\x1e" in code or "\x1f" in code:
-        _raise_fault(src)
+        _raise_fault(src, code, 0, False, [])
     known: dict[str, Term | str | None] = {}
     open_loops: list[tuple[list[Term], str]] = []
     parts: list[Term] = []
-    for piece in code.replace("{", " {;").replace("}", ";}").split(";"):
+    unread = iter(code.replace("{", " {;").replace("}", ";}").split(";"))
+    for piece in unread:
         item = known.get(piece)
         if item is None:
             item = known[piece] = _read(piece)
@@ -195,4 +179,10 @@ def parse(src: str) -> Term:
     else:
         if not open_loops:
             return _sequence(parts)
-    _raise_fault(src)
+        # Every piece was read, so the source holds no character fault.
+        message = f"expected '}}' to close FOR {open_loops[-1][1]}, found end of input"
+        raise ParseError(*_position(src, len(src)), message, ("}",))
+    # The refused piece and those after it, with the split undone, are the
+    # rest of `code`.
+    start = len(code) - len(";".join((piece, *unread)).replace(" {;", "{").replace(";}", "}"))
+    _raise_fault(src, code, start, piece.startswith("}"), [leader for _, leader in open_loops])

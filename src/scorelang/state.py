@@ -30,7 +30,7 @@ from collections.abc import Callable, Iterable, Mapping
 from typing import NamedTuple, NoReturn
 
 from .parser import _COMMENT_RE, ParseError
-from .syntax import KEYWORDS, is_identifier
+from .syntax import _IDENT, KEYWORDS, is_identifier
 
 __all__ = [
     "Cell",
@@ -170,7 +170,7 @@ class State:
 # A token, or a character that starts none (a fault, whose group is empty).
 # Digits are ASCII only, as in programs: `\d` and `int` would take any
 # Unicode decimal digit.
-_STATE_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|-?[0-9]+|[=,\[\]])|[^ \t\f\v]")
+_STATE_TOKEN_RE = re.compile(rf"({_IDENT}|-?[0-9]+|[=,\[\]])|[^ \t\f\v]")
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 _SEPARATORS = frozenset({",", "]"})  # what may follow a stack element
 # One line of a state file with LF newlines and no comment: blank, a binding
@@ -180,7 +180,7 @@ _SEPARATORS = frozenset({",", "]"})  # what may follow a stack element
 # optional group that failed, so a line that is no binding fails the first
 # branch in time linear in its length.
 _LINE_RE = re.compile(
-    r"^[ \t\f\v]*(?:([A-Za-z_][A-Za-z0-9_]*)[ \t\f\v]*=[ \t\f\v]*(-?[0-9]+)"
+    rf"^[ \t\f\v]*(?:({_IDENT})[ \t\f\v]*=[ \t\f\v]*(-?[0-9]+)"
     r"(?:[ \t\f\v]*,[ \t\f\v]*\[[ \t\f\v]*(?:(-?[0-9]+(?:[ \t\f\v]*,[ \t\f\v]*-?[0-9]+)*)[ \t\f\v]*)?\]"
     r"(?:[ \t\f\v]*,[ \t\f\v]*([0-9]+))?)?[ \t\f\v]*)?$|^(.+)",
     re.MULTILINE,

@@ -31,7 +31,8 @@ __all__ = [
     "is_identifier",
 ]
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"  # an identifier, for every regex that reads one
+_IDENT_RE = re.compile(_IDENT + r"\Z")
 
 Identifier = str
 

@@ -171,6 +171,37 @@ def big_final() -> str:
     )
 
 
+def atoms(count: int) -> str:
+    """`count` INC x atoms on one line, with no line end."""
+    return "; ".join(["INC x"] * count)
+
+
+# Sources of 10^6 atoms on one line that `check` refuses: at their end,
+# for a ";" with no instruction after it or a loop left open, and in their
+# middle, for a "}" that closes no loop after 250,000 loops glued to their
+# braces.  Each error's column comes from the generated text's length.
+def trailing_semicolon() -> str:
+    return atoms(1_000_000) + ";"
+
+
+def open_loop() -> str:
+    return "FOR a { " + atoms(1_000_000)
+
+
+def unmatched_head() -> str:
+    return "; ".join(["FOR a {INC x}"] * 250_000) + " "
+
+
+def unmatched_close() -> str:
+    return unmatched_head() + "}; " + atoms(500_000)
+
+
+def refusal(head: Callable[[], str], message: str) -> str:
+    """The error `check` prints for a one-line source refused just after
+    the text `head` builds."""
+    return f"parse error: 1:{len(head()) + 1}: {message}\n"
+
+
 # Inputs shared by several rows.
 
 # two lines with CRLF line ends and comments
@@ -430,6 +461,31 @@ CASES = [
         {"trailing.score": "INC x;\n"},
         err="parse error: 2:1: expected an instruction, found end of input\n",
         code=2,
+    ),
+    # refusals in time linear in the source
+    Case(
+        "refuse-trailing-semicolon",
+        "check p.score",
+        {"p.score": trailing_semicolon},
+        err=partial(refusal, trailing_semicolon, "expected an instruction, found end of input"),
+        code=2,
+        bound=20,
+    ),
+    Case(
+        "refuse-open-loop",
+        "check p.score",
+        {"p.score": open_loop},
+        err=partial(refusal, open_loop, "expected '}' to close FOR a, found end of input"),
+        code=2,
+        bound=20,
+    ),
+    Case(
+        "refuse-unmatched-close",
+        "check p.score",
+        {"p.score": unmatched_close},
+        err=partial(refusal, unmatched_head, "unmatched '}'"),
+        code=2,
+        bound=20,
     ),
     # invert round trips at size
     Case("deep-invert", "invert deep.score", {"deep.score": DEEP}, DEEP_INVERSE, bound=20),

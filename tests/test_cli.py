@@ -197,21 +197,25 @@ class TestOutputErrors:
             proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True, env=source_env(), timeout=120)
         assert (proc.returncode, proc.stderr) == (2, f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n")
 
-    def test_reader_gone_exits_two_silently(self, workspace):
-        # the inverse of a 300,000-atom program is far more than a pipe holds
+    @pytest.mark.parametrize(
+        "command, head", [("invert", b"INC y; DEC"), ("trace", b"step 1: IN")], ids=["invert", "trace"]
+    )
+    def test_reader_gone_exits_two_silently(self, workspace, command, head):
+        # the inverse or the trace of a 300,000-atom program is far more
+        # than a pipe holds
         program = workspace("big.score", flat(("INC x", "DEC y"), 150_000))
         proc = subprocess.Popen(
-            [*SCORELANG, "invert", program], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env()
+            [*SCORELANG, command, program], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env()
         )
         killer = threading.Timer(120, proc.kill)  # ends a run that hangs
         killer.start()
         try:
-            head = proc.stdout.read(10)
+            read = proc.stdout.read(10)
             proc.stdout.close()
             _, err = proc.communicate()
         finally:
             killer.cancel()
-        assert (head, proc.returncode, err) == (b"INC y; DEC", 2, b"")
+        assert (read, proc.returncode, err) == (head, 2, b"")
 
 
 class TestInvert:

@@ -1,9 +1,9 @@
 """The one-scan tokenizer, the instruction-at-a-time parser and the
 loop-based walkers against the recursive front end they replaced, and on
 inputs deep enough to exhaust Python's recursion limit.  Every valid layout
-must be read by the parser's instruction reader: the lexeme walk behind it
-runs only to raise a fault, so it is patched to fail where a source is
-valid."""
+must be read by the parser's instruction reader: its fault path, which
+reads the lexemes from the piece the reader refused, runs only to raise,
+so it is patched to fail where a source is valid."""
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +65,31 @@ def glued(lexemes, glues):
 glued_programs = st.tuples(raw_terms(max_depth=5), st.lists(st.sampled_from(GLUES), min_size=1)).map(
     lambda pair: glued(pretty(pair[0]).replace(";", " ;").split(), pair[1])
 )
+
+
+@st.composite
+def damaged_programs(draw):
+    """A printed program with one lexeme deleted, inserted or replaced, or
+    with ";", "}" or a name appended, laid out with `SPACES` or `GLUES`:
+    a fault that may come after many pieces, next to glued braces."""
+    lexemes = pretty(draw(raw_terms(max_depth=5))).replace(";", " ;").split()
+    at = draw(st.integers(0, len(lexemes) - 1))
+    edit = draw(st.sampled_from(("delete", "insert", "replace", "append")))
+    if edit == "delete":
+        del lexemes[at]
+    elif edit == "append":
+        lexemes.append(draw(st.sampled_from((";", "}", "x"))))
+    else:
+        lexeme = draw(st.sampled_from(("SKIP", "INC", "FOR", "x", ";", "{", "}")))
+        lexemes[at : at + (edit == "replace")] = [lexeme]
+    if not lexemes:
+        return draw(st.sampled_from(SPACES))
+    if draw(st.booleans()):
+        return glued(lexemes, draw(st.lists(st.sampled_from(GLUES), min_size=1)))
+    spaces = draw(st.lists(st.sampled_from(SPACES), min_size=1))
+    return "".join(lexeme + spaces[k % len(spaces)] for k, lexeme in enumerate(lexemes))
+
+
 character_soup = st.text(alphabet="INCDEPOSKFRxy19_;{}# \t\v\f\n\r\x1cé@", max_size=40)
 
 
@@ -122,10 +147,11 @@ class TestParserAgainstReference:
         assert outcome(parse, src) == outcome(ref.parse, src)
 
 
-# One row per `_fail` call in `parse`: the message it raises, then a fault
-# at the earliest lexeme it can meet, inside a loop nest three deep, and at
-# the end of input.  `parse` finds a fault's lexeme index only when it
-# raises, from what its iterator has left, so each row pins that index.
+# One row per grammar fault `parse` raises: the message, then a fault at
+# the earliest lexeme it can meet, inside a loop nest three deep, and at
+# the end of input.  `parse` finds a fault's offset from the piece its
+# reader refused, so each row pins that offset in the first piece, after
+# several, and in the last.
 NEST = "FOR a { # outer\n  FOR b {\r\n\tFOR c { "
 PARSE_FAULTS = {
     "expected a variable name after POP": ("POP ; SKIP", NEST + "SKIP; POP } } }", "INC x;\n  POP"),
@@ -148,14 +174,48 @@ class TestParseFaults:
         assert got == outcome(ref.parse, src)
         assert got[0] == "error" and got[3].startswith(message)
 
+    @pytest.mark.parametrize(
+        "head, tail",
+        [
+            ("INC x;" * 1000, " INC"),
+            ("FOR n {INC x};" * 1000, "SKIP SKIP"),
+            ("FOR n {INC x};" * 1000 + "SKIP", "} INC x"),
+        ],
+        ids=["name", "separator", "close"],
+    )
+    def test_lexemes_are_read_from_the_refused_piece(self, monkeypatch, head, tail):
+        # the refused piece starts at `tail`, after a thousand or more valid
+        # pieces, and the lexemes are read from there only
+        starts = []
+
+        class Spy:
+            def finditer(self, code, start):
+                starts.append(start)
+                return lexeme_re.finditer(code, start)
+
+        lexeme_re = parser._LEXEME_RE
+        monkeypatch.setattr(parser, "_LEXEME_RE", Spy())
+        src = head + tail
+        assert outcome(parse, src) == outcome(ref.parse, src)
+        assert starts == [len(head)]
+
+    def test_loop_left_open_raises_at_once(self, monkeypatch):
+        monkeypatch.setattr(parser, "_raise_fault", lambda src, *where: pytest.fail(f"fault path taken: {src!r}"))
+        src = NEST + "INC x"
+        assert outcome(parse, src) == outcome(ref.parse, src)
+
+    def test_fault_path_handed_a_valid_source(self):
+        with pytest.raises(AssertionError, match="program has no fault"):
+            parser._raise_fault("INC x", "INC x", 0, False, [])
+
 
 def assert_read_alike(src):
-    """`parse` gives the reference's term or error, and reaches the lexeme
-    walk only where the reference finds a fault."""
+    """`parse` gives the reference's term or error, and reaches its fault
+    path only where the reference finds a fault."""
     expected = outcome(ref.parse, src)
     with pytest.MonkeyPatch.context() as patch:
         if expected[0] == "term":
-            patch.setattr(parser, "_raise_fault", lambda src: pytest.fail(f"valid source walked: {src!r}"))
+            patch.setattr(parser, "_raise_fault", lambda src, *where: pytest.fail(f"valid source walked: {src!r}"))
         assert outcome(parse, src) == expected
 
 
@@ -163,6 +223,11 @@ class TestInstructionReader:
     @settings(max_examples=400)
     @given(st.one_of(spaced_programs, glued_programs))
     def test_valid_layouts_are_read_one_instruction_at_a_time(self, src):
+        assert_read_alike(src)
+
+    @settings(max_examples=400)
+    @given(damaged_programs())
+    def test_damaged_programs(self, src):
         assert_read_alike(src)
 
     @pytest.mark.parametrize(
