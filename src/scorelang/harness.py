@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .semantics import AbortRecord, Program, compile_program, pop_r, push_r
-from .state import Cell, DEFAULT_CELL, State, _new_cell, dump_state
-from .syntax import _KEYWORD, For, Pop, Push, Seq, Skip, Term, _atom, _loop, _parts, _sequence, is_identifier, pretty
+from .state import Cell, DEFAULT_CELL, State, dump_state
+from .syntax import _KEYWORD, For, Pop, Push, Seq, Skip, Term, _atom, _loop, _parts, _sequence, pretty
 
 __all__ = [
     "GenConfig",
@@ -146,11 +146,8 @@ def gen_state(cfg: GenConfig, names: Iterable[str], rng: random.Random | None = 
     if rng is None:
         rng = random.Random(cfg.seed)
     names = sorted(set(names))
-    for name in names:
-        if not is_identifier(name):
-            raise ValueError(f"invalid variable name: {name!r}")
     drawn = zip(names, *_draw(rng, cfg, range(len(names))))
-    return State._trusted({name: _new_cell(Cell, (v, tuple(s[::-1]), c)) for name, v, s, c in drawn if v or s or c})
+    return State({name: Cell(v, tuple(s[::-1]), c) for name, v, s, c in drawn})
 
 
 def _draw(rng: random.Random, cfg: GenConfig, slots: range | list[int]) -> tuple[list, list, list]:
@@ -204,13 +201,13 @@ def check_strong_reversibility(program: Term, initial: State) -> Verdict:
 def check_weak_reversibility_a(program: Term, initial: State) -> Verdict:
     """A completed assert-semantics run must be undone exactly by the
     inverse program; aborting runs pass vacuously."""
-    return _pair_case(program, initial)[2]
+    return _check_case(compile_program(program), initial, "a")[2]
 
 
 def check_agreement_a_r(program: Term, initial: State) -> Verdict:
     """A completed assert-semantics run must match the reversible run with
     all counters 0; aborting runs pass vacuously."""
-    return _pair_case(program, initial)[3]
+    return _check_case(compile_program(program), initial, "a")[3]
 
 
 @dataclass(frozen=True)
@@ -241,13 +238,7 @@ _PASS, _VACUOUS = Pass(), Pass(vacuous=True)
 
 
 def check_failure_correspondence(program: Term, initial: State) -> FailureCorrespondence:
-    return _pair_case(program, initial)[4]
-
-
-def _pair_case(program: Term, initial: State) -> tuple:
-    """`_check_case` for a check defined on the pair semantics, which
-    refuse a state with a nonzero counter."""
-    return _check_case(compile_program(program), initial, "a")
+    return _check_case(compile_program(program), initial, "a")[4]
 
 
 def _run(program: Program, slots: tuple, semantics: str, order: str = "+") -> tuple[tuple, AbortRecord | None]:

@@ -569,11 +569,10 @@ class Program:
         return State._trusted(cells)
 
     def _plan(self, cache: list, index: int) -> tuple:
-        """The plan of a cache's term at `index`, made on first use: its
-        block, its atom count, and its run, None while cold."""
-        plan = cache[index]
-        if plan is None:
-            plan = cache[index] = (*self._compile(cache[_BODY], index), None)
+        """The plan of a cache's term at `index`, made on first use, which
+        every caller reaches through `cache[index] or ...`: its block, its
+        atom count, and its run, None while cold."""
+        plan = cache[index] = (*self._compile(cache[_BODY], index), None)
         return plan
 
     def _compile(self, term: Term, index: int) -> tuple[tuple, int]:

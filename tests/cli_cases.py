@@ -9,6 +9,12 @@ this module that builds it, as `functools.partial(nest, 100_000)`.  Expected
 bytes come from literals or from a generator's own arithmetic, never from
 scorelang code.
 
+Every fixed command line of the CLI tests is a row here.  `test_cli.py`
+keeps only the checks a row cannot make: those that set the interpreter's
+int-to-string limit, call the CLI twice in one process, monkeypatch or spy
+on it, read argparse's exits and help text, write to a full device or a
+closed pipe, or compute their expected output with scorelang itself.
+
 `test_cli_cases.py` runs the table through `python -m scorelang`, and CI
 runs it against the installed console script with
 
@@ -118,8 +124,32 @@ def nest_final(depth: int) -> str:
     return "FINAL\n" + "".join(f"{name} = 1, [], 0\n" for name in names)
 
 
+def nest_trace(depth: int) -> str:
+    """The trace of `nest(depth)` from `nest_state(depth)`: one step."""
+    return "step 1: INC x\nx = 1, [], 0\n" + nest_final(depth)
+
+
 def flat(cycle: tuple[str, ...], times: int) -> str:
     return "; ".join(cycle * times) + "\n"
+
+
+# a cycle of four atoms whose stack operations cancel, and its inverse
+CYCLE = ("INC x", "PUSH y", "POP y", "DEC z")
+INVERSE_CYCLE = ("INC z", "PUSH y", "POP y", "DEC x")
+
+
+def flat_final(times: int) -> str:
+    """The final state of `flat(CYCLE, times)` from the empty state."""
+    return f"FINAL\nx = {times}, [], 0\ny = 0, [], 0\nz = -{times}, [], 0\n"
+
+
+def flat_trace(times: int) -> str:
+    """The trace of `flat(CYCLE, times)` from the empty state: a block per
+    atom, then the final state."""
+    blocks = []
+    for k in range(1, times + 1):
+        blocks += [f"INC x\nx = {k}, []", "PUSH y\ny = 0, [0]", "POP y\ny = 0, []", f"DEC z\nz = -{k}, []"]
+    return "".join(f"step {i}: {block}, 0\n" for i, block in enumerate(blocks, start=1)) + flat_final(times)
 
 
 def push_final(bottom: str) -> str:
@@ -240,34 +270,88 @@ POP_FINAL = "FINAL\nn = 1000000, [], 0\n"
 BIG = {"big.score": big, "big.sst": "a = 1\nb = 1\nc = 1\n"}
 # a 100,000-deep nest and a flat sequence of 10^6 atoms, and their inverses
 DEEP, DEEP_INVERSE = partial(nest, 100_000), partial(nest, 100_000, "DEC x")
-FLAT = partial(flat, ("INC x", "PUSH y", "POP y", "DEC z"), 250_000)
-FLAT_INVERSE = partial(flat, ("INC z", "PUSH y", "POP y", "DEC x"), 250_000)
+FLAT, FLAT_INVERSE = partial(flat, CYCLE, 250_000), partial(flat, INVERSE_CYCLE, 250_000)
+# a flat program of 300 cycles and a nest 600 deep whose loops all run once
+SHORT_FLAT = {"flat.score": partial(flat, CYCLE, 300), "flat.sst": ""}
+NEST_600 = {"nest.score": partial(nest, 600), "nest.sst": partial(nest_state, 600)}
+# small programs and states of several rows
+POP_5 = {"p.score": "POP x", "s.sst": "x = 5, [2]"}
+POP_PUSH = {"p.score": "POP x; PUSH x", "s.sst": "x = 5, [2]"}
+COUNTER = {"p.score": "INC x", "s.sst": "x = 1, [], 2"}
+RECOVER = "FOR z { POP s; INC y }; PUSH y"
+RECOVER_FINAL = "FINAL\ns = 7, [], 1\ny = 0, [1], 0\nz = 2, [], 0\n"
+ROUND_TRIP_INVERSE = "INC y; FOR x { PUSH s; POP s }\n"
 
 
-def _abort(step: int, instruction: str, reason: str, value: int) -> str:
-    """The abort record `run` prints for a POP whose stack is left empty."""
+def _abort(step: int, instruction: str, reason: str, value: int, stack: str = "") -> str:
+    """The abort record `run` prints for a POP that leaves `stack`."""
     variable = instruction.split()[1]
     return (
         f"ABORT\nstep: {step}\ninstruction: {instruction}\nvariable: {variable}\n"
-        f"reason: {reason}\nvalue: {value}\nstack: []\n"
+        f"reason: {reason}\nvalue: {value}\nstack: [{stack}]\n"
+    )
+
+
+def _report(seed: int, cases: int, passed: int, only_if: str = "") -> str:
+    """The report of a fuzz batch that passes, in which `passed` cases
+    complete under a and the rest abort, with its only-if sample if any."""
+    vacuous = cases - passed
+    return (
+        f"fuzz report\nseed: {seed}\ncases: {cases}\nstrong-reversibility: passed {cases}, failed 0\n"
+        f"weak-reversibility-a: passed {passed}, vacuous {vacuous}, failed 0\n"
+        f"a-r-agreement: passed {passed}, vacuous {vacuous}, failed 0\n"
+        f"failure-correspondence: if-direction witnesses 0, only-if witnesses {int(bool(only_if))}\n"
+        "seeded witness 'POP x; PUSH x' from 'x = 5, [2], 0': only-if discrepancy reported\n"
+        + (f"only-if sample: {only_if}\n" if only_if else "")
+        + "result: PASS\n"
     )
 
 
 CASES = [
     Case("oracle", "oracle", out="600 cells checked\n"),
     Case("oracle-injectivity", "oracle --injectivity", out="600 cells checked\n0 collisions\n"),
-    # a fuzz batch over six names, counters up to 3, gives its recorded report
+    # fuzz batches give their recorded reports: over six names, counters
+    # up to 3; the default bounds at seeds 1 and 9; and no case at all
+    Case("fuzz-seed-7", "fuzz --cases 300 --seed 7 --max-vars 6 --max-counter 3", out=_report(7, 300, 247)),
+    Case("fuzz-seed-1", "fuzz --cases 50 --seed 1", out=_report(1, 50, 39)),
+    Case("fuzz-seed-9", "fuzz --cases 40 --seed 9", out=_report(9, 40, 29)),
+    Case("fuzz-zero-cases", "fuzz --cases 0", out=_report(1, 0, 0)),
     Case(
-        "fuzz-seed-7",
-        "fuzz --cases 300 --seed 7 --max-vars 6 --max-counter 3",
+        "fuzz-json",
+        "fuzz --cases 25 --json",
         out=(
-            "fuzz report\nseed: 7\ncases: 300\nstrong-reversibility: passed 300, failed 0\n"
-            "weak-reversibility-a: passed 247, vacuous 53, failed 0\n"
-            "a-r-agreement: passed 247, vacuous 53, failed 0\n"
-            "failure-correspondence: if-direction witnesses 0, only-if witnesses 0\n"
-            "seeded witness 'POP x; PUSH x' from 'x = 5, [2], 0': only-if discrepancy reported\n"
-            "result: PASS\n"
+            '{\n  "agreement": {\n    "failed": 0,\n    "passed": 21,\n    "vacuous": 4\n  },\n'
+            '  "cases": 25,\n'
+            '  "correspondence": {\n    "if_direction_witnesses": 0,\n    "only_if_witnesses": 0\n  },\n'
+            '  "failures": [],\n  "ok": true,\n  "only_if_samples": [],\n  "seed": 1,\n'
+            '  "seeded_only_if_reported": true,\n'
+            '  "strong": {\n    "failed": 0,\n    "passed": 25\n  },\n'
+            '  "weak": {\n    "failed": 0,\n    "passed": 21,\n    "vacuous": 4\n  }\n}\n'
         ),
+    ),
+    Case("fuzz-bad-range", "fuzz --value-min 5 --value-max -5", err="error: empty value range: (5, -5)\n", code=2),
+    Case("fuzz-negative-cases", "fuzz --cases -5", err="error: --cases must not be negative, got -5\n", code=2),
+    # the seed whose case 1024 is the runaway program below
+    Case(
+        "fuzz-seed-236521",
+        "fuzz --seed 236521 --cases 1100",
+        out=_report(
+            236521,
+            1100,
+            868,
+            "FOR w { FOR z { POP y; FOR x { PUSH y; INC y } } } from "
+            "w = -5, [2], 0; x = 4, [], 0; y = 1, [2, -1], 0; z = -2, [1, -5, -4], 0",
+        ),
+    ),
+    Case("oracle-single-cell", "oracle --value 0 --stack-len 0 --elem 0 --counter 0", out="1 cells checked\n"),
+    *(
+        Case(
+            f"oracle-negative-{option}",
+            f"oracle --injectivity --{option} -1",
+            err=f"error: --{option} must not be negative, got -1\n",
+            code=2,
+        )
+        for option in ("value", "stack-len", "elem", "counter")
     ),
     Case(
         "trace-crlf",
@@ -409,6 +493,19 @@ CASES = [
         ),
         bound=20,
     ),
+    # run backward from the final state above, it gives back the initial one
+    Case(
+        "runaway-r-backward",
+        "run -s r --backward runaway.score final.sst",
+        {
+            "runaway.score": RUNAWAY,
+            "final.sst": (
+                "w = -2411166784077928983, [-5], 0\nx = 5, [-1, 1], 1\n"
+                "y = -2411166785630722199, [], 0\nz = -2411166785630722206, [], 7\n"
+            ),
+        },
+        out="FINAL\nw = 3, [-5], 0\nx = 5, [-1, 1], 1\ny = 4, [], 0\nz = -3, [], 2\n",
+    ),
     # the pair semantics see the state with its counters zeroed, as fuzz
     # runs them; POP z finds z = -3
     Case(
@@ -501,6 +598,131 @@ CASES = [
         "violation: leader 'x' occurs at body\n",
         code=3,
     ),
+    # a stack operation on a leader is refused, unless relaxed
+    Case(
+        "check-stack-op-on-leader",
+        "check p.score",
+        {"p.score": "FOR x {PUSH x}"},
+        "violation: leader 'x' occurs at body\n",
+        code=3,
+    ),
+    Case("check-relaxed", "check --relaxed p.score", {"p.score": "FOR x {PUSH x}"}, "ok\n"),
+    Case("check-well-formed", "check p.score", {"p.score": "FOR x {INC y}"}, "ok\n"),
+    Case("invert-round-trip", "invert p.score", {"p.score": "FOR x { PUSH s; POP s }; DEC y"}, ROUND_TRIP_INVERSE),
+    Case(
+        "invert-round-trip-twice",
+        "invert p.score",
+        {"p.score": ROUND_TRIP_INVERSE},
+        "FOR x { PUSH s; POP s }; DEC y\n",
+    ),
+    Case(
+        "invert-parse-error",
+        "invert p.score",
+        {"p.score": "INC"},
+        err="parse error: 1:4: expected a variable name after INC, found end of input\n",
+        code=2,
+    ),
+    # two loops over s with the same count undo each other under r
+    Case(
+        "run-loop-pair-r",
+        "run --semantics r p.score s.sst",
+        {"p.score": "FOR x {POP s}; FOR x {PUSH s}", "s.sst": "x = 3\ns = 0, [2, 1]"},
+        "FINAL\ns = 0, [2, 1], 0\nx = 3, [], 0\n",
+    ),
+    Case("run-a-abort", "run --semantics a p.score s.sst", POP_5, _abort(1, "POP x", "value-nonzero", 5, "2"), code=1),
+    Case(
+        "run-a-completes",
+        "run -s a p.score s.sst",
+        {"p.score": "FOR n { PUSH x; INC x }; DEC x; POP x", "s.sst": "n = 2\nx = 4, [9]"},
+        "FINAL\nn = 2, [], 0\nx = 1, [4, 9], 0\n",
+    ),
+    Case("run-skip", "run p.score", {"p.score": "SKIP"}, "FINAL\n"),
+    # a state file's names are printed whether or not the program uses them
+    Case("run-state-names", "run p.score s.sst", {"p.score": "SKIP", "s.sst": "q = 0"}, "FINAL\nq = 0, [], 0\n"),
+    # under the default semantics, r, POP x finds x = 5 and counts an
+    # illegal pop, which PUSH x repairs
+    Case("run-default-r", "run p.score s.sst", POP_PUSH, "FINAL\nx = 5, [2], 0\n"),
+    # backward, POP y on the empty default stack counts one illegal pop
+    Case("run-inc-push", "run p.score", {"p.score": "INC x; PUSH y"}, "FINAL\nx = 1, [], 0\ny = 0, [0], 0\n"),
+    Case(
+        "run-inc-push-backward",
+        "run --backward p.score",
+        {"p.score": "INC x; PUSH y"},
+        "FINAL\nx = -1, [], 0\ny = 0, [], 1\n",
+    ),
+    # the second POP s finds s = 7 and counts an illegal pop; run backward
+    # from the final state, the program gives back the initial one
+    Case(
+        "run-recover",
+        "run p.score s.sst",
+        {"p.score": RECOVER, "s.sst": "z = 2\ns = 0, [7]\ny = -1"},
+        RECOVER_FINAL,
+    ),
+    Case(
+        "run-recover-backward",
+        "run --backward p.score final.sst",
+        {"p.score": RECOVER, "final.sst": RECOVER_FINAL.removeprefix("FINAL\n")},
+        "FINAL\ns = 0, [7], 0\ny = -1, [], 0\nz = 2, [], 0\n",
+    ),
+    Case(
+        "run-parse-error",
+        "run p.score",
+        {"p.score": "FOR x POP s"},
+        err="parse error: 1:7: expected '{' after FOR x, found 'POP'\n",
+        code=2,
+    ),
+    Case(
+        "run-ill-formed",
+        "run p.score",
+        {"p.score": "FOR x {INC x}"},
+        err="error: program is not well formed (leader(s) occur in loop body: x)\n",
+        code=2,
+    ),
+    # the pair semantics refuse a state with a counter, which r takes
+    Case(
+        "run-n-counter",
+        "run --semantics n p.score s.sst",
+        COUNTER,
+        err="error: variable 'x' has a nonzero counter; pair semantics require counter 0\n",
+        code=2,
+    ),
+    Case("run-r-counter", "run --semantics r p.score s.sst", COUNTER, "FINAL\nx = 2, [], 2\n"),
+    Case(
+        "run-missing-file",
+        "run /nonexistent/p.score",
+        err="error: cannot read /nonexistent/p.score: No such file or directory\n",
+        code=2,
+    ),
+    # a trace prints a block per step: the step and its variable's cell
+    Case(
+        "trace-r-counter",
+        "trace --semantics r p.score s.sst",
+        POP_PUSH,
+        "step 1: POP x\nx = 5, [2], 1\nstep 2: PUSH x\nx = 5, [2], 0\nFINAL\nx = 5, [2], 0\n",
+    ),
+    Case("trace-skip", "trace p.score", {"p.score": "SKIP"}, "FINAL\n"),
+    Case(
+        "trace-a-abort-block",
+        "trace --semantics a p.score s.sst",
+        POP_5,
+        "ABORT at step 1: POP x\nreason: value-nonzero\nvalue: 5\nstack: [2]\n",
+        code=1,
+    ),
+    Case(
+        "trace-loop",
+        "trace p.score s.sst",
+        {"p.score": "FOR x {INC y}", "s.sst": "x = 2"},
+        "step 1: INC y\ny = 1, [], 0\nstep 2: INC y\ny = 2, [], 0\nFINAL\nx = 2, [], 0\ny = 2, [], 0\n",
+    ),
+    # a long flat program and a deep nest through every command
+    Case("flat-300-check", "check flat.score", SHORT_FLAT, "ok\n"),
+    Case("flat-300-invert", "invert flat.score", SHORT_FLAT, partial(flat, INVERSE_CYCLE, 300)),
+    Case("flat-300-run", "run flat.score flat.sst", SHORT_FLAT, partial(flat_final, 300)),
+    Case("flat-300-trace", "trace flat.score flat.sst", SHORT_FLAT, partial(flat_trace, 300)),
+    Case("nest-600-check", "check nest.score", NEST_600, "ok\n"),
+    Case("nest-600-invert", "invert nest.score", NEST_600, partial(nest, 600, "DEC x")),
+    Case("nest-600-run", "run nest.score nest.sst", NEST_600, partial(nest_final, 600)),
+    Case("nest-600-trace", "trace nest.score nest.sst", NEST_600, partial(nest_trace, 600)),
 ]
 
 

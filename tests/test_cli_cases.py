@@ -8,13 +8,22 @@ from cli_cases import CASES, SCORELANG, run_case, source_env
 
 
 @pytest.fixture(scope="module")
-def faults():
-    """Each row's faults to come, by name.  A row runs in its own process
-    and directory, so two run at a time, which halves the table's wall
-    time on two cores; rows not started when the module ends are dropped."""
+def faults(request):
+    """The faults to come of each row this session runs, by name, in
+    collection order.  A row runs in its own process and directory, so two
+    run at a time, which halves the table's wall time on two cores; rows
+    not started when the module ends are dropped.  The rows may write
+    scorelang's bytecode cache, as Python does by default, so that only
+    the first compiles it even where the environment turns that off."""
+    selected = [
+        item.callspec.params["case"]
+        for item in request.session.items
+        if getattr(item, "originalname", None) == "test_cli_case"
+    ]
     with pytest.MonkeyPatch.context() as patch, ThreadPoolExecutor(2) as pool:
         patch.setenv("PYTHONPATH", source_env()["PYTHONPATH"])
-        yield {case.name: pool.submit(run_case, case, SCORELANG) for case in CASES}
+        patch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        yield {case.name: pool.submit(run_case, case, SCORELANG) for case in selected}
         pool.shutdown(cancel_futures=True)
 
 
