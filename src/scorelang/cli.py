@@ -148,11 +148,18 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     out: list[str] = []  # one block per step so far
     append = out.append
+    tails: dict[str, str] = {}  # each name's ", stack, counter" line end as last written
 
     def observe(instruction, name, value, stack, counter):
         # the step's block: its label, then its cell as `dump_state` writes
-        # it, the reversed list of its ints printing as the stack, top first
-        append(f"step {len(out) + 1}: {instruction}\n{name} = {value}, {stack[::-1]}, {counter}\n")
+        # it, the reversed list of its ints printing as the stack, top first.
+        # INC and DEC leave the stack and counter as they were, so only a
+        # PUSH or a POP, or a name's first step, writes its line end anew.
+        tail = None if instruction[0] == "P" else tails.get(name)
+        if tail is None:
+            value = str(value)  # first, so an int too long to write is reported as it was
+            tail = tails[name] = f", {stack[::-1]}, {counter}\n"
+        append(f"step {len(out) + 1}: {instruction}\n{name} = {value}{tail}")
 
     return _run_program(args, out, observe)
 

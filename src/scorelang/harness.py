@@ -8,13 +8,14 @@ minimal replayable (program, state) pair.
 
 from __future__ import annotations
 
-import itertools
 import random
+import sys
 from dataclasses import asdict, dataclass, field
+from itertools import chain, product, repeat
 from typing import Callable, Iterable, Iterator
 
 from .semantics import AbortRecord, Program, compile_program, pop_r, push_r
-from .state import Cell, DEFAULT_CELL, State, dump_state
+from .state import Cell, DEFAULT_CELL, State, _new_cell, dump_state
 from .syntax import _KEYWORD, For, Pop, Push, Seq, Skip, Term, _atom, _loop, _parts, _sequence, pretty
 
 __all__ = [
@@ -306,54 +307,65 @@ def _diff(program: Program, base: State, expected: tuple, got: tuple) -> str:
     return _first_diff(program._store(base, *expected), program._store(base, *got))
 
 
-def _enumerate_cells(
-    value_bound: int, stack_len_bound: int, elem_bound: int, counter_bound: int
-) -> Iterator[Cell]:
+def _enumerate_cells(value_bound: int, stack_len_bound: int, elem_bound: int, counter_bound: int) -> Iterator[Cell]:
+    """The grid's cells, lazily: by value, then stack length, then elements
+    top first, then counter.  Each layer of one value and one length is a
+    chain of C iterators over its own `product` of elements, so no Python
+    frame runs per cell and no more than one stack is held at a time.  A
+    negative bound raises ValueError at the call."""
     names = ("value_bound", "stack_len_bound", "elem_bound", "counter_bound")
     for name, bound in zip(names, (value_bound, stack_len_bound, elem_bound, counter_bound)):
         if bound < 0:  # an empty grid would pass having checked no cell
             raise ValueError(f"{name} must be non-negative, got {bound}")
-    values = range(-value_bound, value_bound + 1)
     elems = range(-elem_bound, elem_bound + 1)
-    counters = range(counter_bound + 1)
-    for value in values:
-        for length in range(stack_len_bound + 1):
-            for stack in itertools.product(elems, repeat=length):
-                for counter in counters:
-                    yield Cell(value, stack, counter)
+    # Each stack repeats once per counter (`repeat` counts in a C ssize_t,
+    # and no run gets that far) beside one endless run of counters, which
+    # stays in step: a layer's `zip` ends on its stacks before it takes
+    # another counter.
+    per_stack = repeat(min(counter_bound + 1, sys.maxsize))
+    counters = chain.from_iterable(repeat(range(counter_bound + 1)))
+    layers = (
+        zip(repeat(value), chain.from_iterable(map(repeat, product(elems, repeat=length), per_stack)), counters)
+        for value in range(-value_bound, value_bound + 1)
+        for length in range(stack_len_bound + 1)
+    )
+    return map(_new_cell, repeat(Cell), chain.from_iterable(layers))
 
 
-def exhaustive_pop_push_inverse(
-    value_bound: int, stack_len_bound: int, elem_bound: int, counter_bound: int
-) -> Verdict:
+def _grid_size(value_bound: int, stack_len_bound: int, elem_bound: int, counter_bound: int) -> int:
+    """The number of cells `_enumerate_cells` gives: (2v+1)(c+1) for each
+    stack of each length up to s."""
+    stacks = sum((2 * elem_bound + 1) ** length for length in range(stack_len_bound + 1))
+    return (2 * value_bound + 1) * stacks * (counter_bound + 1)
+
+
+def exhaustive_pop_push_inverse(value_bound: int, stack_len_bound: int, elem_bound: int, counter_bound: int) -> Verdict:
     """Brute-force check that pop and push are mutual inverses on every
     cell with |value| <= value_bound, stack length <= stack_len_bound,
     |elements| <= elem_bound, and counter <= counter_bound.  A negative
     bound raises ValueError."""
-    count = 0
-    for count, cell in enumerate(_enumerate_cells(value_bound, stack_len_bound, elem_bound, counter_bound), 1):
-        roundtrip = pop_r(push_r(cell))
+    push, pop = push_r, pop_r  # read per call, so a replaced `harness.push_r` is the one checked
+    for cell in _enumerate_cells(value_bound, stack_len_bound, elem_bound, counter_bound):
+        roundtrip = pop(push(cell))
         if roundtrip != cell:
             return Fail(None, None, f"pop(push({tuple(cell)})) = {tuple(roundtrip)}")
-        roundtrip = push_r(pop_r(cell))
+        roundtrip = push(pop(cell))
         if roundtrip != cell:
             return Fail(None, None, f"push(pop({tuple(cell)})) = {tuple(roundtrip)}")
-    return Pass(cases_run=count)
+    return Pass(cases_run=_grid_size(value_bound, stack_len_bound, elem_bound, counter_bound))
 
 
-def exhaustive_pop_injective(
-    value_bound: int, stack_len_bound: int, elem_bound: int, counter_bound: int
-) -> Verdict:
+def exhaustive_pop_injective(value_bound: int, stack_len_bound: int, elem_bound: int, counter_bound: int) -> Verdict:
     """Check that pop_r never maps two distinct grid cells to equal cells,
     on the grid `exhaustive_pop_push_inverse` checks."""
     seen: dict[Cell, Cell] = {}
-    count = 0
-    for count, cell in enumerate(_enumerate_cells(value_bound, stack_len_bound, elem_bound, counter_bound), 1):
-        image = pop_r(cell)
+    pop = pop_r
+    for cell in _enumerate_cells(value_bound, stack_len_bound, elem_bound, counter_bound):
+        image = pop(cell)
         other = seen.setdefault(image, cell)
         if other is not cell:
             return Fail(None, None, f"pop collision: {tuple(other)} and {tuple(cell)} -> {tuple(image)}")
-    return Pass(cases_run=count)
+    return Pass(cases_run=_grid_size(value_bound, stack_len_bound, elem_bound, counter_bound))
 
 
 def _term_shrinks(term: Term) -> Iterator[Term]:

@@ -159,6 +159,13 @@ def push_final(bottom: str) -> str:
     return f"FINAL\nn = 100000, [], 0\ny = 0, [{'2, 0, ' * 99999}{bottom}], 0\nz = 100000, [], 0\n"
 
 
+def grid_report(value: int, stack_len: int, elem: int, counter: int, injectivity: bool = False) -> str:
+    """What a passing `oracle` prints for its bounds: the grid's cells,
+    (2v+1)(c+1) for each of the sum over k <= s of (2e+1)**k stacks."""
+    cells = (2 * value + 1) * sum((2 * elem + 1) ** k for k in range(stack_len + 1)) * (counter + 1)
+    return f"{cells} cells checked\n" + "0 collisions\n" * injectivity
+
+
 # `big`: 20,000 INC/DEC atoms on d0..d6, in groups of eight, three loops deep.
 BIG_OPS = [("INC" if i % 3 else "DEC") + f" d{i % 7}" for i in range(20000)]
 BIG_GROUP = "{}; {}; FOR a {{ {}; {}; FOR b {{ {}; {}; FOR c {{ {}; {} }} }} }}"
@@ -344,6 +351,19 @@ CASES = [
         ),
     ),
     Case("oracle-single-cell", "oracle --value 0 --stack-len 0 --elem 0 --counter 0", out="1 cells checked\n"),
+    # the benchmark's grid, 21,868 cells
+    Case(
+        "oracle-bench-grid",
+        "oracle --value 3 --stack-len 4 --elem 2 --counter 3",
+        out=partial(grid_report, 3, 4, 2, 3),
+        bound=10,
+    ),
+    Case(
+        "oracle-bench-grid-injectivity",
+        "oracle --value 3 --stack-len 4 --elem 2 --counter 3 --injectivity",
+        out=partial(grid_report, 3, 4, 2, 3, True),
+        bound=10,
+    ),
     *(
         Case(
             f"oracle-negative-{option}",

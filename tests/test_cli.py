@@ -22,6 +22,7 @@ from scorelang import Cell, Fail, Pass, exhaustive_pop_injective, harness, pop_r
 from scorelang import cli
 from scorelang.cli import main
 from cli_cases import SCORELANG, flat, run_fresh, source_env
+import reference_walker
 
 
 @pytest.fixture
@@ -228,6 +229,45 @@ class TestTraceObservers:
                     assert (code, out, err) == (expected_code, expected, ""), (k, semantics, backward)
                     aborted += code == 1
         assert 0 < aborted < 400  # both outcomes of the assert runs were compared
+
+    @pytest.mark.parametrize("backward", [False, True])
+    @pytest.mark.parametrize("semantics", "nar")
+    def test_cli_prints_the_steps_of_the_reference_walker(self, tmp_path, capsys, semantics, backward):
+        # runs of INC/DEC on a name between its PUSHes and POPs, many of the
+        # POPs illegal, beside a second name, and some inside a loop: each
+        # step's cell against the tree walker's whole-state snapshots, cut
+        # to the stepped name's cell and rendered as `eval_traced`'s steps
+        rng = random.Random(34)
+        atoms = ["INC x", "DEC x", "PUSH x", "POP x", "INC y", "POP y"]
+        finals = {
+            "n": reference_walker.ref_eval_n,
+            "a": lambda term, state: reference_walker.ref_eval_a(term, state).state,
+            "r": reference_walker.ref_eval_r,
+        }
+        outcomes = set()
+        for k in range(60):
+            parts = rng.choices(atoms, weights=[4, 4, 2, 3, 1, 1], k=rng.randint(1, 16))
+            if rng.random() < 0.4:
+                cut = rng.randrange(len(parts))
+                parts[cut:] = [f"FOR n {{ {'; '.join(parts[cut:])} }}"]
+            source = "; ".join(parts)
+            term = scorelang.parse(source)
+            counter = rng.randint(0, 2) if semantics == "r" else 0
+            stack = tuple(rng.choices(range(-2, 3), k=rng.randint(0, 3)))
+            state = scorelang.State({"n": Cell(rng.randint(-3, 3)), "x": Cell(rng.randint(-1, 1), stack, counter)})
+            names = scorelang.variables_of(term) | {"n", "x"}
+            (tmp_path / "p.score").write_text(source, encoding="utf-8")
+            (tmp_path / "s.sst").write_text(scorelang.dump_state(state, names), encoding="utf-8")
+            run = scorelang.invert(term) if backward else term
+            snapshots = reference_walker.ref_eval_traced(run, state, semantics)
+            steps = [s if s.abort else s._replace(state=s.state.get(s.variable)) for s in snapshots]
+            final = None if steps and steps[-1].abort else finals[semantics](run, state)
+            expected, code = rendered_trace(steps, final, names)
+            files = str(tmp_path / "p.score"), str(tmp_path / "s.sst")
+            argv = ["trace", "-s", semantics, *["--backward"] * backward, *files]
+            assert run_cli(capsys, *argv) == (code, expected, ""), (k, source, state)
+            outcomes.add(code)
+        assert outcomes == ({0, 1} if semantics == "a" else {0})
 
 
 class TestUsage:

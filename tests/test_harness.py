@@ -4,6 +4,8 @@ import itertools
 import json
 import random
 import re
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -406,6 +408,88 @@ class TestExhaustiveOracles:
         bounds[at] = -1
         with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -1$"):
             oracle(*bounds)
+
+
+def grid(value_bound, stack_len_bound, elem_bound, counter_bound):
+    """The oracles' grid in its visiting order: value, then stack length,
+    then elements top first, then counter."""
+    elems = range(-elem_bound, elem_bound + 1)
+    return [
+        Cell(value, stack, counter)
+        for value in range(-value_bound, value_bound + 1)
+        for length in range(stack_len_bound + 1)
+        for stack in itertools.product(elems, repeat=length)
+        for counter in range(counter_bound + 1)
+    ]
+
+
+class TestOracleGrid:
+    """The cells the oracles visit, their order and count, and which
+    failing cell they report, pinned against `grid` with spies and fakes
+    in place of `harness.push_r` and `harness.pop_r`."""
+
+    @pytest.mark.parametrize("bounds", list(itertools.product(range(3), repeat=4)))
+    def test_visits_every_cell_once_in_order(self, monkeypatch, bounds):
+        popped, pushed = [], []
+        monkeypatch.setattr(harness, "pop_r", lambda cell: popped.append(cell) or semantics.pop_r(cell))
+        monkeypatch.setattr(harness, "push_r", lambda cell: pushed.append(cell) or semantics.push_r(cell))
+        cells = grid(*bounds)
+        v, s, e, c = bounds
+        size = (2 * v + 1) * sum((2 * e + 1) ** k for k in range(s + 1)) * (c + 1)
+        assert len(cells) == size
+        # the round trip pushes each cell, then pushes back what popping it gave
+        assert exhaustive_pop_push_inverse(*bounds) == Pass(cases_run=size)
+        assert pushed[::2] == cells and all(type(cell) is Cell for cell in pushed[::2])
+        assert exhaustive_pop_injective(*bounds) == Pass(cases_run=size)
+        assert popped[2 * size :] == cells
+
+    @pytest.mark.parametrize("oracle", [exhaustive_pop_push_inverse, exhaustive_pop_injective])
+    def test_reports_the_last_cell_of_each_layer(self, monkeypatch, oracle):
+        # the last cell of each value's and each stack length's layer fails
+        # alone: the fake pops it as it pops the grid's first cell, so the
+        # round trip breaks there and so does injectivity
+        bounds = (2, 3, 1, 2)
+        cells = grid(*bounds)
+        first = cells[0]
+        for value in range(-2, 3):
+            for length in range(4):
+                last = Cell(value, (1,) * length, 2)
+                at = cells.index(last)
+                assert at + 1 == len(cells) or cells[at + 1][:2] != (value, (1,) * length)
+                monkeypatch.setattr(
+                    harness, "pop_r", lambda cell: semantics.pop_r(first if cell == last else cell)
+                )
+                verdict = oracle(*bounds)
+                assert isinstance(verdict, Fail)
+                if oracle is exhaustive_pop_injective:
+                    image = semantics.pop_r(first)
+                    assert verdict.details == f"pop collision: {tuple(first)} and {tuple(last)} -> {tuple(image)}"
+                else:
+                    assert verdict.details.startswith((f"pop(push({tuple(last)})) = ", f"push(pop({tuple(last)})) = "))
+
+    @pytest.mark.parametrize("oracle", [exhaustive_pop_push_inverse, exhaustive_pop_injective])
+    @pytest.mark.parametrize("bounds", [(10**6, 12, 2, 10**6), (2**70, 2**70, 2, 2**70)])
+    def test_enumeration_is_lazy(self, monkeypatch, oracle, bounds):
+        # a grid of 10**12 cells or far more, whose first cell fails: the
+        # verdict comes at once and in little memory, as no stack, value
+        # or counter is made before the cell that needs it
+        monkeypatch.setattr(harness, "pop_r", lambda cell: Cell(7))
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            verdict = oracle(*bounds)
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        v = -bounds[0]
+        if oracle is exhaustive_pop_injective:
+            details = f"pop collision: {(v, (), 0)} and {(v, (), 1)} -> (7, (), 0)"
+        else:
+            details = f"pop(push({(v, (), 0)})) = (7, (), 0)"
+        assert verdict == Fail(None, None, details)
+        assert elapsed < 0.5
+        assert peak < 100_000
 
 
 class TestMinimize:
