@@ -14,6 +14,7 @@ collection passes took about a fifth of a run (see `main`).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import gc
 import json
@@ -40,24 +41,18 @@ EXIT_PROPERTY = 3
 _WRITE_PIECE = 1 << 16  # characters of output per write
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _require_non_negative(args: argparse.Namespace, *options: str) -> None:
     for option in options:
         value = getattr(args, option)
         if value < 0:
-            raise _UsageError(f"--{option.replace('_', '-')} must not be negative, got {value}")
+            raise ValueError(f"--{option.replace('_', '-')} must not be negative, got {value}")
 
 
 def _run_program(args: argparse.Namespace, out: list[str], observe=None) -> int:
@@ -116,14 +111,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     _require_non_negative(args, "cases")
-    cfg = GenConfig(
-        seed=args.seed,
-        max_depth=args.max_depth,
-        max_vars=args.max_vars,
-        value_range=(args.value_min, args.value_max),
-        max_stack_len=args.max_stack_len,
-        max_counter=args.max_counter,
-    )
+    bounds = {**vars(args), "value_range": (args.value_min, args.value_max)}
+    cfg = GenConfig(**{field.name: bounds[field.name] for field in dataclasses.fields(GenConfig)})
     report = run_fuzz(cfg, args.cases)
     if args.json:
         print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
@@ -185,14 +174,12 @@ def _argparser() -> argparse.ArgumentParser:
 
     fuzz_p = sub.add_parser("fuzz", help="randomized reversibility checks")
     fuzz_p.add_argument("--cases", type=int, default=1000)
-    defaults = GenConfig()  # the seed and bounds default to GenConfig's
-    fuzz_p.add_argument("--seed", type=int, default=defaults.seed)
-    fuzz_p.add_argument("--max-depth", type=int, default=defaults.max_depth)
-    fuzz_p.add_argument("--max-vars", type=int, default=defaults.max_vars)
-    fuzz_p.add_argument("--value-min", type=int, default=defaults.value_range[0])
-    fuzz_p.add_argument("--value-max", type=int, default=defaults.value_range[1])
-    fuzz_p.add_argument("--max-stack-len", type=int, default=defaults.max_stack_len)
-    fuzz_p.add_argument("--max-counter", type=int, default=defaults.max_counter)
+    for field in dataclasses.fields(GenConfig):  # the seed and bounds default to GenConfig's
+        if field.name == "value_range":  # the one field given as two options
+            fuzz_p.add_argument("--value-min", type=int, default=field.default[0])
+            fuzz_p.add_argument("--value-max", type=int, default=field.default[1])
+        else:
+            fuzz_p.add_argument(f"--{field.name.replace('_', '-')}", type=int, default=field.default)
     fuzz_p.add_argument("--json", action="store_true", help="print a machine-readable summary")
 
     oracle_p = sub.add_parser("oracle", help="exhaustive push/pop inverse check on a cell grid")
@@ -237,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IllFormedProgramError, NonzeroCounterError, _UsageError, ValueError) as exc:
+    except (IllFormedProgramError, NonzeroCounterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

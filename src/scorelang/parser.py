@@ -108,7 +108,7 @@ def _raise_fault(src: str, code: str, start: int, ended: bool, leaders: list[str
         raise ParseError(*_position(code if word else src, at), message + found, expected)
 
     for word, at in lexemes:
-        if ended and word != ";":  # an instruction ended, so a loop closes here
+        if ended:  # an instruction ended, so a loop closes here
             if not leaders:
                 if not word:
                     raise AssertionError(f"program has no fault: {src!r}")
@@ -118,8 +118,6 @@ def _raise_fault(src: str, code: str, start: int, ended: bool, leaders: list[str
             if word != "}":
                 fail(f"expected '}}' to close FOR {leaders[-1]}", ("}",))
             leaders.pop()
-        elif ended:
-            ended = False
         else:  # an instruction begins
             if word not in _ATOM_EXPECTED:
                 fail("expected an instruction", _ATOM_EXPECTED)

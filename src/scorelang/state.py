@@ -100,6 +100,18 @@ def _as_cell(cell) -> Cell:
     return _new_cell(Cell, (value, stack, counter))
 
 
+def _bind(store: dict[str, Cell], name: str, cell) -> None:
+    """Bind `name` to `cell` in `store` after checking both, or unbind it
+    for the default cell, which a state does not store."""
+    if not is_identifier(name):
+        raise ValueError(f"invalid variable name: {name!r}")
+    cell = _as_cell(cell)
+    if cell == DEFAULT_CELL:
+        store.pop(name, None)
+    else:
+        store[name] = cell
+
+
 class State:
     """Total map from variable names to cells, stored by finite support.
 
@@ -111,14 +123,9 @@ class State:
     __slots__ = ("_cells",)
 
     def __init__(self, cells: Mapping[str, Cell] | Iterable[tuple[str, Cell]] = ()):
-        items = cells.items() if isinstance(cells, Mapping) else cells
         store: dict[str, Cell] = {}
-        for name, cell in items:
-            if not is_identifier(name):
-                raise ValueError(f"invalid variable name: {name!r}")
-            cell = _as_cell(cell)
-            if cell != DEFAULT_CELL:
-                store[name] = cell
+        for name, cell in cells.items() if isinstance(cells, Mapping) else cells:
+            _bind(store, name, cell)
         self._cells = store
 
     @classmethod
@@ -136,14 +143,8 @@ class State:
 
     def set(self, name: str, cell: Cell) -> "State":
         """A new state with `name` bound to `cell`; the receiver is unchanged."""
-        if not is_identifier(name):
-            raise ValueError(f"invalid variable name: {name!r}")
-        cell = _as_cell(cell)
         store = dict(self._cells)
-        if cell == DEFAULT_CELL:
-            store.pop(name, None)
-        else:
-            store[name] = cell
+        _bind(store, name, cell)
         return State._trusted(store)
 
     def variables(self) -> frozenset[str]:

@@ -43,10 +43,10 @@ def is_identifier(name: str) -> bool:
 
 
 def _require_identifier(name: str) -> None:
-    if not isinstance(name, str) or not _IDENT_RE.match(name):
+    if not is_identifier(name):
+        if isinstance(name, str) and name in KEYWORDS:
+            raise ValueError(f"keyword {name!r} cannot be a variable name")
         raise ValueError(f"invalid variable name: {name!r}")
-    if name in KEYWORDS:
-        raise ValueError(f"keyword {name!r} cannot be a variable name")
 
 
 class Term:

@@ -26,6 +26,7 @@ case, add a row to `CASES`.
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import subprocess
@@ -71,16 +72,28 @@ def run_case(case: Case, command: list[str]) -> list[str]:
     """Run `command` with the case's arguments in a fresh directory that
     holds its files, and return how the run differs from the row: a line
     each for its exit code, stdout and stderr, or one for a run past the
-    time bound.  An empty list is a pass."""
-    with tempfile.TemporaryDirectory() as folder:
-        for name, content in case.files.items():
-            Path(folder, name).write_bytes(_bytes(content))
-        try:
-            proc = subprocess.run(
-                [*command, *case.argv.split()], cwd=folder, capture_output=True, timeout=case.bound
-            )
-        except subprocess.TimeoutExpired:
-            return [f"no exit within {case.bound} s"]
+    time bound, or for an `OSError` in making the directory, writing its
+    files, starting the command or removing the directory, which names
+    the step, the errno and the message.  An empty list is a pass."""
+    step = "making its directory"
+    try:
+        with tempfile.TemporaryDirectory() as folder:
+            step = "writing its files"
+            for name, content in case.files.items():
+                Path(folder, name).write_bytes(_bytes(content))
+            step = "starting its command"
+            try:
+                proc = subprocess.run(
+                    [*command, *case.argv.split()], cwd=folder, capture_output=True, timeout=case.bound
+                )
+            except subprocess.TimeoutExpired:
+                proc = None
+            step = "removing its directory"
+    except OSError as exc:
+        code = errno.errorcode.get(exc.errno, "no errno")
+        return [f"{type(exc).__name__} {code} in {step}: {exc.strerror or exc}"]
+    if proc is None:
+        return [f"no exit within {case.bound} s"]
     faults = [] if proc.returncode == case.code else [f"exit {proc.returncode}, expected {case.code}"]
     for stream, got, expected in (("stdout", proc.stdout, case.out), ("stderr", proc.stderr, case.err)):
         expected = _bytes(expected)

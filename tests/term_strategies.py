@@ -1,4 +1,7 @@
-"""Shared hypothesis strategies for terms, cells and states."""
+"""Shared hypothesis strategies for terms, cells and states, and the
+oracles' cell grid."""
+
+import itertools
 
 import hypothesis.strategies as st
 
@@ -14,6 +17,21 @@ cells = st.builds(Cell, values, stacks, counters)
 flat_cells = st.builds(Cell, values, stacks, st.just(0))
 states = st.dictionaries(idents, cells, max_size=len(NAMES)).map(State)
 flat_states = st.dictionaries(idents, flat_cells, max_size=len(NAMES)).map(State)
+
+
+
+def grid(value_bound, stack_len_bound, elem_bound, counter_bound):
+    """The oracles' grid in its visiting order: value, then stack length,
+    then elements top first, then counter."""
+    elems = range(-elem_bound, elem_bound + 1)
+    return [
+        Cell(value, stack, counter)
+        for value in range(-value_bound, value_bound + 1)
+        for length in range(stack_len_bound + 1)
+        for stack in itertools.product(elems, repeat=length)
+        for counter in range(counter_bound + 1)
+    ]
+
 
 _VAR_ATOMS = {"inc": Inc, "dec": Dec, "push": Push, "pop": Pop}
 

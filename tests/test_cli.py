@@ -4,6 +4,8 @@ monkeypatch or spy on it, read argparse's exits and help text, write to a
 full device or a closed pipe, or compute their expected output with
 scorelang itself.  Every fixed command line is a row of that table."""
 
+import argparse
+import dataclasses
 import errno
 import gc
 import hashlib
@@ -137,6 +139,33 @@ class TestFuzz:
         code, out, _ = run_cli(capsys, "fuzz", "--json", "--cases", "200")
         assert code == 0
         assert json.loads(out) == harness.run_fuzz(harness.GenConfig(), 200).to_json_dict()
+
+    def test_options_are_the_gen_config_fields(self):
+        # the options in order, then each field's default as `fuzz` alone gives it
+        top = cli._argparser()
+        sub = next(action for action in top._actions if isinstance(action, argparse._SubParsersAction))
+        fuzz = sub.choices["fuzz"]
+        options = [string for action in fuzz._actions[1:] for string in action.option_strings]
+        assert fuzz._actions[0].option_strings == ["-h", "--help"]
+        assert options == [
+            "--cases",
+            "--seed",
+            "--max-depth",
+            "--max-vars",
+            "--value-min",
+            "--value-max",
+            "--max-stack-len",
+            "--max-counter",
+            "--json",
+        ]
+        args = top.parse_args(["fuzz"])
+        defaults = harness.GenConfig()
+        for field in dataclasses.fields(harness.GenConfig):
+            if field.name == "value_range":
+                value = (args.value_min, args.value_max)
+            else:
+                value = getattr(args, field.name)
+            assert value == getattr(defaults, field.name), field.name
 
 
 class TestOracle:

@@ -1,10 +1,14 @@
-"""Every row of the CLI case table, run through `python -m scorelang`."""
+"""Every row of the CLI case table, run through `python -m scorelang`, and
+the runner's own fault lines."""
 
+import errno
+import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from cli_cases import CASES, SCORELANG, run_case, source_env
+from cli_cases import CASES, SCORELANG, Case, run_case, source_env
 
 
 @pytest.fixture(scope="module")
@@ -31,3 +35,11 @@ def faults(request):
 def test_cli_case(case, faults):
     found = faults[case.name].result()
     assert not found, "\n".join(found)
+
+
+def test_an_os_error_is_a_fault_line():
+    # a file in a subdirectory the row never makes cannot be written, and
+    # the row fails with a line naming the step, not with the error
+    case = Case("missing-subdirectory", "", {"missing/p.score": "SKIP\n"})
+    found = run_case(case, [sys.executable, "-c", "pass"])
+    assert found == [f"FileNotFoundError ENOENT in writing its files: {os.strerror(errno.ENOENT)}"]

@@ -53,7 +53,7 @@ from scorelang.harness import _var_names
 import reference_checks
 import reference_shrinks
 import reference_walker
-from term_strategies import raw_terms
+from term_strategies import grid, raw_terms
 
 
 def term_depth(term):
@@ -408,19 +408,6 @@ class TestExhaustiveOracles:
         bounds[at] = -1
         with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -1$"):
             oracle(*bounds)
-
-
-def grid(value_bound, stack_len_bound, elem_bound, counter_bound):
-    """The oracles' grid in its visiting order: value, then stack length,
-    then elements top first, then counter."""
-    elems = range(-elem_bound, elem_bound + 1)
-    return [
-        Cell(value, stack, counter)
-        for value in range(-value_bound, value_bound + 1)
-        for length in range(stack_len_bound + 1)
-        for stack in itertools.product(elems, repeat=length)
-        for counter in range(counter_bound + 1)
-    ]
 
 
 class TestOracleGrid:

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,15 +27,7 @@ from scorelang import (
     pop_r,
     push_r,
 )
-from term_strategies import cells, flat_states, raw_terms, states, wf_terms
-
-
-def grid_cells(value_bound, len_bound, elem_bound, counter_bound):
-    for value in range(-value_bound, value_bound + 1):
-        for length in range(len_bound + 1):
-            for stack in itertools.product(range(-elem_bound, elem_bound + 1), repeat=length):
-                for counter in range(counter_bound + 1):
-                    yield Cell(value, stack, counter)
+from term_strategies import cells, flat_states, grid, raw_terms, states, wf_terms
 
 
 class TestPushPopCells:
@@ -57,7 +47,7 @@ class TestPushPopCells:
     def test_mutual_inverse_by_enumeration(self):
         # independent brute-force oracle over a small grid
         count = 0
-        for cell in grid_cells(2, 2, 1, 2):
+        for cell in grid(2, 2, 1, 2):
             count += 1
             assert pop_r(push_r(cell)) == cell
             assert push_r(pop_r(cell)) == cell
@@ -65,7 +55,7 @@ class TestPushPopCells:
 
     def test_pop_injective_by_enumeration(self):
         seen = {}
-        for cell in grid_cells(2, 2, 1, 2):
+        for cell in grid(2, 2, 1, 2):
             image = pop_r(cell)
             assert image not in seen, (seen.get(image), cell)
             seen[image] = cell

@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from scorelang import (
@@ -75,6 +75,15 @@ class TestStateMap:
     def test_variables_is_support(self):
         state = State({"x": Cell(1), "y": DEFAULT_CELL})
         assert state.variables() == {"x"}
+
+    @given(st.lists(st.tuples(idents, st.one_of(st.just(DEFAULT_CELL), cells)), max_size=8))
+    @example([("x", Cell(1)), ("x", DEFAULT_CELL)])
+    def test_pairs_bind_as_set_does(self, pairs):
+        # the last pair of a name wins, and a default cell unbinds the name
+        folded = State()
+        for name, cell in pairs:
+            folded = folded.set(name, cell)
+        assert State(pairs) == folded == State(dict(pairs))
 
     @given(states, idents, cells)
     def test_get_set_algebra(self, state, name, cell):
