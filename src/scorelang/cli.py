@@ -3,8 +3,8 @@
 Commands: run, invert, check, fuzz, oracle, trace.  Program files use the
 ".score" extension, state files ".sst".  Exit status: 0 on success, 1 on
 an assert-semantics abort, 2 on usage or parse errors, on input that
-cannot be read and on output that cannot be written, 3 on a property
-failure.
+cannot be read, on output that cannot be written and when memory runs
+out, 3 on a property failure.
 
 Every command runs with the cyclic garbage collector paused: what the
 commands build holds no reference cycles, and on a 20,000-atom program
@@ -32,7 +32,7 @@ from .semantics import (
     compile_program,
 )
 from .state import _declared_state, dump_state, parse_state_declarations
-from .syntax import check_well_formed, invert, pretty
+from .syntax import _render, check_well_formed
 
 EXIT_OK = 0
 EXIT_ABORT = 1
@@ -94,7 +94,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_invert(args: argparse.Namespace) -> int:
     term = parse(_read(args.program))
-    print(pretty(invert(term)))
+    print(_render(term, 1))  # the inverse, printed from `term` in one walk
     return EXIT_OK
 
 
@@ -238,6 +238,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except OSError as exc:  # from writing output: `_read` turns read errors into usage errors
         print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
     finally:
         if paused:

@@ -200,6 +200,8 @@ KEYWORDS = frozenset({"SKIP", *_KEYWORD.values(), "FOR"})
 # on the exact class of each node.
 
 _PREFIX = {cls: keyword + " " for cls, keyword in _KEYWORD.items()}
+# The prefix each atom class prints with, forward and inverted.
+_PREFIXES = (_PREFIX, {cls: _PREFIX[inverse] for cls, inverse in _INVERSE.items()})
 
 
 def _not_a_term(t: object) -> TypeError:
@@ -350,22 +352,30 @@ def pretty(term: Term) -> str:
     Sequences render flat ("A; B; C") and loop bodies in braces, so the
     output of any term parses back to an equal term.
     """
+    return _render(term, 0)
+
+
+def _render(term: Term, index: int) -> str:
+    """The concrete syntax of `term` at `index`, which prints its inverse
+    when 1: each run's parts last first, each atom's prefix swapped, so
+    ``_render(t, 1) == pretty(invert(t))`` without building the inverse."""
     # A frame is the parts of a run still to print; `frames` holds those of
     # the runs holding an open loop.  Every part is followed by "; ", and
     # the last one is dropped when its run ends.
+    prefixes, walk = _PREFIXES[index], (iter, reversed)[index]
     out: list[str] = []
     frames: list = []
-    items = iter(_parts(term))
+    items = walk(_parts(term))
     while True:
         for t in items:
             cls = type(t)
-            prefix = _PREFIX.get(cls)
+            prefix = prefixes.get(cls)
             if prefix is not None:
                 out += (prefix, t.var, "; ")
             elif cls is For:
                 out += ("FOR ", t.leader, " { ")
                 frames.append(items)
-                items = iter(_parts(t.body))
+                items = walk(_parts(t.body))
                 break
             elif cls is Skip:
                 out += ("SKIP", "; ")

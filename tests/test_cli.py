@@ -134,6 +134,46 @@ class TestOutputErrors:
         assert (read, proc.returncode, err) == (head, 2, b"")
 
 
+# `python -c CAPPED_CLI CAP ARGV...` runs the CLI on ARGV with its address
+# space capped, in that child process alone, at what the child maps once
+# scorelang is imported plus CAP bytes.
+CAPPED_CLI = """
+import resource, sys
+from scorelang.cli import main
+with open("/proc/self/statm") as statm:
+    mapped = int(statm.read().split()[0]) * resource.getpagesize()
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+cap = mapped + int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+class TestOutOfMemory:
+    """A command that runs out of memory exits 2 with one line on stderr."""
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+    @pytest.mark.parametrize("semantics", ["n", "a", "r"])
+    def test_capped_run_exits_two(self, workspace, semantics):
+        # each outer iteration's inner loop pushes 2**20 zeros in one
+        # closed-form call, 8 MiB of list, so 256 MiB past the child's own
+        # baseline runs out after about 32 of the million iterations
+        program = workspace("p.score", "FOR a { INC z; FOR b { PUSH y } }")
+        state = workspace("s.sst", f"a = 1000000\nb = {2**20}\n")
+        argv = [sys.executable, "-c", CAPPED_CLI, str(256 << 20), "run", "-s", semantics, program, state]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=source_env(), timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+
+    @pytest.mark.parametrize("line", ["run {p}", "trace {p}", "invert {p}", "check {p}", "fuzz", "oracle"])
+    def test_memory_error_in_any_command_exits_two(self, workspace, capsys, monkeypatch, line):
+        def out_of_memory(args):
+            raise MemoryError
+
+        argv = line.format(p=workspace("p.score", "SKIP")).split()
+        monkeypatch.setitem(cli._COMMANDS, argv[0], out_of_memory)
+        assert run_cli(capsys, *argv) == (2, "", "error: out of memory\n")
+
+
 class TestFuzz:
     def test_bounds_default_to_gen_config(self, capsys):
         code, out, _ = run_cli(capsys, "fuzz", "--json", "--cases", "200")

@@ -26,7 +26,7 @@ from scorelang import (
 )
 from scorelang import parser
 from scorelang.parser import tokenize
-from scorelang.syntax import _IDENT_RE
+from scorelang.syntax import _IDENT_RE, _render
 from term_strategies import raw_terms, wf_terms
 
 # Lexemes, near-lexemes and every kind of space, line break and fault the
@@ -359,3 +359,49 @@ class TestBeyondRecursionLimit:
         violations = check_well_formed(parse(src), relaxed=True)
         assert [v.leader for v in violations] == ["x"]
         assert violations[0].path == ("body",) * (NEST_DEPTH + 1)
+
+
+class TestRenderBothDirections:
+    """`_render` prints a term at index 0 and its inverse at index 1, in one
+    walk over the term itself, with no inverse built."""
+
+    @settings(max_examples=300)
+    @given(raw_terms(max_depth=6))
+    def test_against_reference(self, term):
+        assert _render(term, 0) == ref.pretty(term)
+        assert _render(term, 1) == ref.pretty(ref.invert(term))
+
+    def test_flat_program(self):
+        cycle, inverse_cycle = ("INC x", "PUSH y", "POP y", "DEC z"), ("INC z", "PUSH y", "POP y", "DEC x")
+        term = parse("; ".join(cycle * (FLAT_ATOMS // 4)))
+        assert _render(term, 0) == "; ".join(cycle * (FLAT_ATOMS // 4))
+        assert _render(term, 1) == "; ".join(inverse_cycle * (FLAT_ATOMS // 4))
+
+    def test_deep_nest(self):
+        opens, closes = "".join(f"FOR a{i} {{ " for i in range(NEST_DEPTH)), " }" * NEST_DEPTH
+        assert _render(for_nest(NEST_DEPTH, Inc("x")), 0) == opens + "INC x" + closes
+        assert _render(for_nest(NEST_DEPTH, Inc("x")), 1) == opens + "DEC x" + closes
+
+    def test_deep_nest_with_runs(self):
+        # each body holds a loop between two atoms, so the inverse both
+        # reverses every run and swaps every atom
+        opens = "".join(f"PUSH p{i}; FOR a{i} {{ " for i in range(NEST_DEPTH))
+        closes = "".join(f" }}; INC q{i}" for i in reversed(range(NEST_DEPTH)))
+        inverse_opens = "".join(f"DEC q{i}; FOR a{i} {{ " for i in range(NEST_DEPTH))
+        inverse_closes = "".join(f" }}; POP p{i}" for i in reversed(range(NEST_DEPTH)))
+        term = parse(opens + "INC x" + closes)
+        assert _render(term, 0) == opens + "INC x" + closes
+        assert _render(term, 1) == inverse_opens + "DEC x" + inverse_closes
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_rejects_non_terms(self, index):
+        # the placements of `TestWalkersAgainstReference.test_rejects_non_terms`
+        for term in (
+            Seq(Inc("x"), "INC y"),
+            "INC y",
+            For("n", Seq(Inc("x"), "INC y")),
+            Seq(For("n", Inc("x")), "INC y"),
+            For("n", For("m", 3)),
+        ):
+            with pytest.raises(TypeError, match="not a term"):
+                _render(term, index)
