@@ -20,7 +20,6 @@ import gc
 import json
 import os
 import sys
-from pathlib import Path
 
 from .harness import Fail, GenConfig, exhaustive_pop_push_inverse, run_fuzz
 from .parser import ParseError, parse
@@ -42,8 +41,14 @@ _WRITE_PIECE = 1 << 16  # characters of output per write
 
 
 def _read(path: str) -> str:
+    """The text of the file at `path`: its bytes, read at once, decoded as
+    strict UTF-8 with no newline translation, since `parse` and
+    `parse_state_declarations` take LF, CRLF and CR line ends alike.  A
+    file that cannot be opened or read, or that is not UTF-8, raises a
+    `ValueError` that names it, which `main` prints as a usage error."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, "rb", buffering=0) as file:  # unbuffered: one read of the whole file
+            return file.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 

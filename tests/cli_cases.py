@@ -13,7 +13,8 @@ Every fixed command line of the CLI tests is a row here.  `test_cli.py`
 keeps only the checks a row cannot make: those that set the interpreter's
 int-to-string limit, call the CLI twice in one process, monkeypatch or spy
 on it, read argparse's exits and help text, write to a full device or a
-closed pipe, or compute their expected output with scorelang itself.
+closed pipe, compute their expected output with scorelang itself, or run
+every row again in-process with its line ends rewritten to CRLF and CR.
 
 `test_cli_cases.py` runs the table through `python -m scorelang`, and CI
 runs it against the installed console script with
@@ -94,8 +95,15 @@ def run_case(case: Case, command: list[str]) -> list[str]:
         return [f"{type(exc).__name__} {code} in {step}: {exc.strerror or exc}"]
     if proc is None:
         return [f"no exit within {case.bound} s"]
-    faults = [] if proc.returncode == case.code else [f"exit {proc.returncode}, expected {case.code}"]
-    for stream, got, expected in (("stdout", proc.stdout, case.out), ("stderr", proc.stderr, case.err)):
+    return differences(case, proc.returncode, proc.stdout, proc.stderr)
+
+
+def differences(case: Case, code: int, out: bytes, err: bytes) -> list[str]:
+    """How a run that gave `code`, `out` and `err` differs from the row: a
+    line each for its exit code, stdout and stderr.  An empty list is a
+    pass."""
+    faults = [] if code == case.code else [f"exit {code}, expected {case.code}"]
+    for stream, got, expected in (("stdout", out, case.out), ("stderr", err, case.err)):
         expected = _bytes(expected)
         if got != expected:
             faults.append(_difference(stream, got, expected))
@@ -259,6 +267,8 @@ LOOP = {
     "loop.score": "INC x;  # two lines, CRLF\r\nFOR n { PUSH x; INC x }\r\n",
     "loop.sst": "# n: the loop count\r\nn = 2\r\nx = 1, [5], 0  # top first\r\n",
 }
+# the same two files with CR line ends
+LOOP_CR = {name: text.replace("\r\n", "\r") for name, text in LOOP.items()}
 # a nest of 2**64 iterations whose second aborts: the abort reads a
 # countdown past 2**63 partly spent
 LATE = {
@@ -473,6 +483,56 @@ CASES = [
         "run ok.score bad.sst",
         {"ok.score": "INC x\n", "bad.sst": b"\xff"},
         err="error: cannot read bad.sst: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n",
+        code=2,
+    ),
+    # the reader: CR line ends, a CRLF break before a fault, bytes that are
+    # not UTF-8, a byte order mark, and a directory, in a program and in a
+    # state file
+    Case("run-cr", "run loop.score loop.sst", LOOP_CR, out="FINAL\nn = 2, [], 0\nx = 1, [1, 2, 5], 0\n"),
+    Case("invert-cr", "invert loop.score", LOOP_CR, out="FOR n { DEC x; POP x }; DEC x\n"),
+    Case(
+        "parse-error-after-crlf",
+        "check p.score",
+        {"p.score": "INC x;  # CRLF\r\nFOR x POP s\r\n"},
+        err="parse error: 2:7: expected '{' after FOR x, found 'POP'\n",
+        code=2,
+    ),
+    Case(
+        "program-not-utf8",
+        "run bad.score",
+        {"bad.score": b"INC x;\n\xff"},
+        err="error: cannot read bad.score: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n",
+        code=2,
+    ),
+    Case(
+        "program-bom",
+        "run p.score",
+        {"p.score": b"\xef\xbb\xbfINC x\n"},
+        err="parse error: 1:1: unexpected character '\\ufeff'\n",
+        code=2,
+    ),
+    Case(
+        "state-bom",
+        "run ok.score s.sst",
+        {"ok.score": "INC x\n", "s.sst": b"\xef\xbb\xbfx = 1\n"},
+        err="parse error: 1:1: unexpected character '\\ufeff'\n",
+        code=2,
+    ),
+    Case("program-directory", "run .", err="error: cannot read .: Is a directory\n", code=2),
+    Case(
+        "state-directory",
+        "run ok.score .",
+        {"ok.score": "INC x\n"},
+        err="error: cannot read .: Is a directory\n",
+        code=2,
+    ),
+    # a file name with a trailing slash names a directory, so `open` refuses
+    # it as the system does
+    Case(
+        "program-trailing-slash",
+        "run ok.score/",
+        {"ok.score": "INC x\n"},
+        err="error: cannot read ok.score/: Not a directory\n",
         code=2,
     ),
     # an idle nest with a huge count, and a 5,000-deep nest of loops that

@@ -1,8 +1,9 @@
 """The CLI checks that a row of `cli_cases.CASES` cannot make.  They set
 the interpreter's int-to-string limit, call the CLI twice in one process,
 monkeypatch or spy on it, read argparse's exits and help text, write to a
-full device or a closed pipe, or compute their expected output with
-scorelang itself.  Every fixed command line is a row of that table."""
+full device or a closed pipe, compute their expected output with
+scorelang itself, or run every row again with its line ends rewritten.
+Every fixed command line is a row of that table."""
 
 import argparse
 import dataclasses
@@ -23,7 +24,7 @@ import scorelang
 from scorelang import Cell, Fail, Pass, exhaustive_pop_injective, harness, pop_r
 from scorelang import cli
 from scorelang.cli import main
-from cli_cases import SCORELANG, flat, run_fresh, source_env
+from cli_cases import CASES, SCORELANG, _bytes, differences, flat, run_fresh, source_env
 import reference_walker
 
 
@@ -98,6 +99,34 @@ class TestRun:
                 sys.set_int_max_str_digits(limit)
             assert (code, out) == (2, ""), source
             assert err.startswith("error: Exceeds the limit")
+
+
+class TestLineEnds:
+    """Every row of the case table, run in-process with its text inputs'
+    line ends rewritten, gives the row's exit code, stdout and stderr: no
+    input is translated as it is read, and both parsers take CRLF and CR
+    as they take LF."""
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
+    def test_row_gives_its_output(self, case, ending, tmp_path, monkeypatch, capsys):
+        texts = {}
+        for name, content in case.files.items():
+            try:
+                texts[name] = _bytes(content).decode("utf-8")
+            except UnicodeDecodeError:
+                pytest.skip(f"{name} is not UTF-8, so it has no text to rewrite")
+            if "\r" in texts[name].replace("\r\n", ""):
+                pytest.skip(f"{name} holds a lone CR, which is not known to end a line")
+        if not any("\n" in text for text in texts.values()):
+            pytest.skip("no input has a line end to rewrite, so the row itself is this test")
+        for name, text in texts.items():
+            (tmp_path / name).write_bytes(text.replace("\r\n", "\n").replace("\n", ending).encode("utf-8"))
+        monkeypatch.chdir(tmp_path)
+        code = main(case.argv.split())
+        out, err = capsys.readouterr()
+        faults = differences(case, code, out.encode("utf-8"), err.encode("utf-8"))
+        assert not faults, "\n".join(faults)
 
 
 class TestOutputErrors:
@@ -355,6 +384,12 @@ class TestUsage:
         with pytest.raises(SystemExit) as info:
             main(["run", "--semantics", "x", program])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("command", ["run", "trace", "check", "invert"])
+    def test_empty_path_names_no_file(self, capsys, command):
+        # a case row splits its command line at spaces, so it cannot pass ""
+        missing = os.strerror(errno.ENOENT)
+        assert run_cli(capsys, command, "") == (2, "", f"error: cannot read : {missing}\n")
 
     def test_usage_error_then_run_in_one_process(self, workspace, capsys):
         # the argument parser is built once per process and reused, so a
