@@ -45,7 +45,7 @@ from itertools import chain, compress, cycle, islice, repeat
 from .state import Cell, DEFAULT_CELL, State, _new_cell
 from .syntax import (
     _INVERSE,
-    _KEYWORD,
+    _PREFIX,
     Dec,
     For,
     Inc,
@@ -203,9 +203,9 @@ def pop_r(cell: Cell) -> Cell:
 # counters are 0, and only an illegal POP under `r` ever raises a counter,
 # so there `push_r` always takes its first clause, the pair push, and a
 # legal POP is the pair pop.  An observed run calls its observer after each
-# atom it steps, with the atom's label and name from the Program's
-# `_labels` table, by opcode and slot, and the slot's live value, stack
-# list and counter.
+# atom it steps, with the atom's label (its opcode's `_LABELS` prefix, then
+# the slot's name), the name, and the slot's live value, stack list and
+# counter.
 #
 # A loop entry's arg is ``(leader slot, cache, index, atoms before)``.  The
 # cache, one per FOR node, holds the loop's two plans, each made on first
@@ -291,6 +291,9 @@ _INC, _DEC, _PUSH, _POP, _LOOP = range(5)
 # The opcode each atom class compiles to, run forward and inverted.
 _FORWARD = {Inc: _INC, Dec: _DEC, Push: _PUSH, Pop: _POP}
 _OPCODES = (_FORWARD, {cls: _FORWARD[inverse] for cls, inverse in _INVERSE.items()})
+# By opcode, the start of an observed atom's label; `_FORWARD` lists the
+# atom classes in the order of their opcodes.
+_LABELS = tuple(_PREFIX[cls] for cls in _FORWARD)
 # A loop cache: 0 and 1 hold its plans, then its body term and its heat.
 _BODY, _HEAT = 2, 3
 # Not count > 1: that slowed minimize 9-18%, as a closure costs about 4 us to make, a count-2 entry 1 us to step.
@@ -304,12 +307,8 @@ def _loop_cache(body: Term) -> list:
     return [None, None, body, 0]
 
 
-def _unknown_semantics(semantics: str) -> ValueError:
-    return ValueError(f"unknown semantics {semantics!r}; expected 'n', 'a' or 'r'")
-
-
-# The semantics `Program.run` and `eval_traced` accept, and the CLI offers;
-# only an illegal POP in `_execute` tells them apart.
+# The semantics `Program.run` accepts, and the CLI offers; only an illegal
+# POP in `_execute` tells them apart.
 _SEMANTICS = ("n", "a", "r")
 
 _MOST_PUSHES = 2**24  # the most values a closed-form call pushes; past it, the block steps
@@ -403,7 +402,7 @@ def _execute(
     the iterations left with it, so a count of any size runs, and an abort
     reads what is left; a loop run once goes on with its block itself, its
     countdown `_NONE_LEFT`."""
-    labels = program._labels
+    names = program.variables
     frames: list[tuple] = []
     it = iter(block)
     while True:
@@ -465,8 +464,8 @@ def _execute(
                 break
             if observe is not None:
                 slot = arg[0] if op == _POP else arg
-                label, name = labels[op][slot]
-                observe(label, name, values[slot], stacks[slot], counters[slot])
+                name = names[slot]
+                observe(_LABELS[op] + name, name, values[slot], stacks[slot], counters[slot])
         else:
             if not frames:
                 return scheduled, -1
@@ -484,15 +483,15 @@ class Program:
     name, which only the POP step's branch for an illegal POP reads: the
     one place where the semantics differ, from which an assert abort
     returns its position.  An observed run also hands it its observer,
-    which reads each atom's label and name from `_labels`, a table made on
-    the first observed run.  A perfect loop nest runs as its innermost
-    loop, with the product of the counts, and a hot leaf loop of an
-    unobserved run whose atoms keep no POP runs in the closed form
+    which gets each atom's label, joined from its opcode's keyword and its
+    slot's name as the step runs.  A perfect loop nest runs as its
+    innermost loop, with the product of the counts, and a hot leaf loop of
+    an unobserved run whose atoms keep no POP runs in the closed form
     `_leaf_function` makes from its block, once per Program.
     `idle` holds the ids of the term's idle FOR nodes.
     """
 
-    __slots__ = ("term", "variables", "_slots", "_loops", "_top", "_labels")
+    __slots__ = ("term", "variables", "_slots", "_loops", "_top")
 
     def __init__(self, term: Term, slots: dict[str, int], idle: Iterable[int]):
         self.term = term
@@ -501,8 +500,6 @@ class Program:
         # each FOR node's cache, by the node's id; an idle loop's is empty
         self._loops: dict[int, list | tuple] = dict.fromkeys(idle, ())
         self._top = _loop_cache(term)  # the whole program's cache
-        # by opcode and slot, each atom's trace label and name, once observed
-        self._labels: list | None = None
 
     def run(self, state: State, semantics: str = "r", order: str = "+", observe: _Observer | None = None) -> RunOutcome:
         """Run from `state` under semantics "n", "a" or "r".
@@ -520,7 +517,7 @@ class Program:
         semantics refuse a state with a nonzero counter.
         """
         if semantics not in _SEMANTICS:
-            raise _unknown_semantics(semantics)
+            raise ValueError(f"unknown semantics {semantics!r}; expected 'n', 'a' or 'r'")
         if order.strip("+-"):
             raise ValueError(f"order must be made of '+' and '-', got {order!r}")
         slots = self._load(state, semantics)
@@ -544,9 +541,6 @@ class Program:
     def _exec(self, values, stacks, counters, semantics: str, order: str, observe: _Observer | None = None):
         """Run the passes of `order` in place on the slot lists.  Returns
         None, or the AbortRecord of an assert run that aborts."""
-        if observe is not None and self._labels is None:
-            # `_FORWARD` lists the atom classes in the order of their opcodes
-            self._labels = [[(f"{_KEYWORD[cls]} {name}", name) for name in self.variables] for cls in _FORWARD]
         steps, top = 0, self._top
         for sign in order:
             block, atoms, _ = top[_DIRECTION[sign]] or self._plan(top, _DIRECTION[sign])
@@ -634,8 +628,6 @@ def eval_traced(term: Term, state: State, semantics: str = "r") -> tuple[list[Tr
     state; under the assert semantics an abort instead ends the steps with
     one carrying the record, and the final state is None.
     """
-    if semantics not in _SEMANTICS:
-        raise _unknown_semantics(semantics)
     steps: list[TraceStep] = []
     append = steps.append
 

@@ -222,17 +222,12 @@ def invert(term: Term) -> Term:
     # loop, whose body's run is the current one.
     frames: list[tuple] = []
     items, done, leader = reversed(_parts(term)), [], None
-    # Each distinct atom's inverse is built once and then shared.
-    inverses: dict[tuple[type, str], Term] = {}
     while True:
         for t in items:
             cls = type(t)
             swap = _INVERSE.get(cls)
             if swap is not None:
-                inverse = inverses.get((cls, t.var))
-                if inverse is None:
-                    inverse = inverses[cls, t.var] = _atom(swap, t.var)  # the name was checked in `t`
-                done.append(inverse)
+                done.append(_atom(swap, t.var))  # the name was checked in `t`
             elif cls is For:
                 frames.append((items, done, leader))
                 items, done, leader = reversed(_parts(t.body)), [], t.leader

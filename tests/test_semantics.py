@@ -332,6 +332,11 @@ class TestTracedEvaluation:
         with pytest.raises(ValueError):
             eval_traced(Skip(), State(), "q")
 
+    def test_ill_formed_program_refused_before_its_semantics(self):
+        # the program is compiled first, as `compile_program(t).run(s, "q")` does
+        with pytest.raises(IllFormedProgramError):
+            eval_traced(For("x", Inc("x")), State(), "q")
+
     @settings(max_examples=50)
     @given(wf_terms(), states)
     def test_last_snapshot_matches_eval_r(self, term, state):
