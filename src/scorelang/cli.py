@@ -6,6 +6,15 @@ an assert-semantics abort, 2 on usage or parse errors, on input that
 cannot be read, on output that cannot be written and when memory runs
 out, 3 on a property failure.
 
+The options are declared once, to argparse, in `_argparser`.  A command
+line in the one spelling `_read_command_line` reads (exact option
+strings, each value as its own token, the positionals in one run) is read
+from a table derived once from that parser's actions, without argparse's
+pass over the line, which took more than a quarter of a small in-process
+`run`.  Every other line goes to argparse, which gives the help, the errors and
+the spellings only it reads: abbreviated options, `--option=value`, `-sa`
+and `--`.
+
 Every command runs with the cyclic garbage collector paused: what the
 commands build holds no reference cycles, and on a 20,000-atom program
 collection passes took about a fifth of a run (see `main`).
@@ -196,6 +205,112 @@ def _argparser() -> argparse.ArgumentParser:
     return top
 
 
+def _defaults(parser: argparse.ArgumentParser) -> dict:
+    """The attributes `parser` sets before it reads a token, as argparse sets them."""
+    defaults = {}
+    for action in parser._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+    return {**parser._defaults, **defaults}
+
+
+def _syntax(parser: argparse.ArgumentParser, base: dict) -> tuple | None:
+    """The table of the command that `parser` reads: the Namespace's
+    attributes before any token (`base`, then the parser's defaults); its
+    flags, option string -> (dest, the value it stores); its options that
+    take one value, option string -> (dest, type, choices); each
+    positional's (dest, type, choices), in order; and how many positionals
+    come first and must be given.  None when one of its actions is of a
+    kind `_read_command_line` does not read."""
+    if parser._has_negative_number_optionals:
+        return None  # then argparse reads "-1" as an option, not as `_is_argument` does
+    flags, options, positionals, required = {}, {}, [], 0
+    for action in parser._actions:
+        strings, entry = action.option_strings, (action.dest, action.type, action.choices)
+        if isinstance(action, argparse._HelpAction):
+            continue  # its -h and --help are left to argparse
+        if strings and action.required:
+            return None  # argparse reports a line without it
+        if strings and isinstance(action, argparse._StoreConstAction):  # store_true and its kin
+            flags.update(dict.fromkeys(strings, (action.dest, action.const)))
+        elif type(action) is not argparse._StoreAction:
+            return None
+        elif strings and action.nargs is None:
+            options.update(dict.fromkeys(strings, entry))
+        elif not strings and (action.nargs == "?" or action.nargs is None and required == len(positionals)):
+            required += action.nargs is None  # a required positional after an optional one is not read
+            positionals.append(entry)
+        else:
+            return None
+    return {**base, **_defaults(parser)}, flags, options, positionals, required
+
+
+@functools.cache  # derived once per process from the parser, which is built once
+def _command_table() -> dict[str, tuple | None]:
+    top = _argparser()
+    sub = next(action for action in top._actions if isinstance(action, argparse._SubParsersAction))
+    return {name: _syntax(parser, {**_defaults(top), sub.dest: name}) for name, parser in sub.choices.items()}
+
+
+def _is_argument(token: str) -> bool:
+    """Whether argparse reads `token` as an argument, not as an option: it
+    does not start with "-", or it is "-" and ASCII digits, which argparse
+    reads as a negative number while no option string looks like one."""
+    return not token.startswith("-") or token[1:].isdigit() and token.isascii()
+
+
+def _read_command_line(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace `_argparser().parse_args(argv)` returns, read from the
+    command's table, for a line in the one spelling this reads; else None.
+
+    After the command, every token is an exact option string of a flag; an
+    exact option string of an option, then a value that `_is_argument`,
+    converts with the option's type and lies in its choices; or one of a
+    single run of positionals, at least the required ones and at most all.
+    Each option's last value wins.  Anything else, such as -h, an
+    abbreviation, `--opt=value`, `-sa` or `--`, returns None, and argparse
+    reads the line: its help, its errors and its other spellings.  This
+    never raises and never prints."""
+    syntax = _command_table().get(argv[0]) if argv and type(argv[0]) is str else None
+    if syntax is None:
+        return None
+    base, flags, options, positionals, required = syntax
+    values, given, run_ended = {}, 0, False  # `given`: positionals so far
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if type(token) is not str:
+            return None
+        if _is_argument(token):
+            if run_ended or given == len(positionals):
+                return None
+            dest, convert, choices = positionals[given]
+            given += 1
+        elif token in flags:
+            run_ended = given > 0
+            dest, const = flags[token]
+            values[dest] = const
+            continue
+        elif token in options:
+            run_ended = given > 0
+            dest, convert, choices = options[token]
+            token = next(tokens, "-")  # a missing value declines as an option would
+            if type(token) is not str or not _is_argument(token):
+                return None
+        else:
+            return None
+        try:
+            values[dest] = token if convert is None else convert(token)
+            if choices is not None and values[dest] not in choices:
+                return None
+        except Exception:  # argparse reports the error, or raises it
+            return None
+    if given < required:
+        return None
+    namespace = argparse.Namespace()
+    vars(namespace).update(base, **values)
+    return namespace
+
+
 _COMMANDS = {
     "run": cmd_run,
     "invert": cmd_invert,
@@ -209,6 +324,10 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit status.
 
+    `argv` (by default the process's arguments) is read by
+    `_read_command_line`, or, for a line it declines, by argparse, which
+    builds the same Namespace for every line both read.
+
     Every command runs with the cyclic collector paused, if it was on, and
     `main` turns it back on when the command ends, however it ends.  Terms,
     blocks, slot lists, states and reports hold no reference cycles, so
@@ -218,7 +337,9 @@ def main(argv: list[str] | None = None) -> int:
     collections.  A 1,500-case fuzz batch made 3 collections, under 1 ms
     of 85 ms, and the oracle's cells are freed as it goes, so it makes
     none: the pause can only save them."""
-    args = _argparser().parse_args(argv)
+    args = _read_command_line(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        args = _argparser().parse_args(argv)
     paused = gc.isenabled()
     if paused:
         gc.disable()

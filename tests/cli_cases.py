@@ -12,9 +12,10 @@ scorelang code.
 Every fixed command line of the CLI tests is a row here.  `test_cli.py`
 keeps only the checks a row cannot make: those that set the interpreter's
 int-to-string limit, call the CLI twice in one process, monkeypatch or spy
-on it, read argparse's exits and help text, write to a full device or a
-closed pipe, compute their expected output with scorelang itself, or run
-every row again in-process with its line ends rewritten to CRLF and CR.
+on it, read argparse's exits and help text, compare the CLI's own reading
+of a command line with argparse's, write to a full device or a closed
+pipe, compute their expected output with scorelang itself, or run every
+row again in-process with its line ends rewritten to CRLF and CR.
 
 `test_cli_cases.py` runs the table through `python -m scorelang`, and CI
 runs it against the installed console script with
@@ -816,6 +817,26 @@ CASES = [
     Case("nest-600-invert", "invert nest.score", NEST_600, partial(nest, 600, "DEC x")),
     Case("nest-600-run", "run nest.score nest.sst", NEST_600, partial(nest_final, 600)),
     Case("nest-600-trace", "trace nest.score nest.sst", NEST_600, partial(nest_trace, 600)),
+]
+
+# Spellings that only argparse reads, not the CLI's own reader of a
+# well-formed line: an abbreviated option, `--option=value`, a short
+# option with its value attached, and `--` before a positional.  Each row
+# is its canonical row with the command line respelled, so it must give
+# that row's exit code, stdout and stderr byte for byte.
+ARGPARSE_SPELLINGS = {
+    "run-a-abort": {
+        "abbreviated": "run --sem a p.score s.sst",
+        "equals": "run --semantics=a p.score s.sst",
+        "attached": "run -sa p.score s.sst",
+    },
+    "trace-a-backward": {"abbreviated": "trace --back -s a loop.score loop.sst"},
+    "check-well-formed": {"double-dash": "check -- p.score"},
+}
+CASES += [
+    case._replace(name=f"{case.name}-{spelling}", argv=argv)
+    for case in CASES
+    for spelling, argv in ARGPARSE_SPELLINGS.get(case.name, {}).items()
 ]
 
 

@@ -1,6 +1,7 @@
 """The CLI checks that a row of `cli_cases.CASES` cannot make.  They set
 the interpreter's int-to-string limit, call the CLI twice in one process,
-monkeypatch or spy on it, read argparse's exits and help text, write to a
+monkeypatch or spy on it, read argparse's exits and help text, compare
+the CLI's own reading of a command line with argparse's, write to a
 full device or a closed pipe, compute their expected output with
 scorelang itself, or run every row again with its line ends rewritten.
 Every fixed command line is a row of that table."""
@@ -24,7 +25,7 @@ import scorelang
 from scorelang import Cell, Fail, Pass, exhaustive_pop_injective, harness, pop_r
 from scorelang import cli
 from scorelang.cli import main
-from cli_cases import CASES, SCORELANG, _bytes, differences, flat, run_fresh, source_env
+from cli_cases import ARGPARSE_SPELLINGS, CASES, SCORELANG, _bytes, differences, flat, run_fresh, source_env
 import reference_walker
 
 
@@ -414,6 +415,123 @@ class TestUsage:
         monkeypatch.setitem(cli._COMMANDS, "invert", too_deep)
         program = workspace("p.score", "SKIP")
         assert run_cli(capsys, "invert", program) == (2, "", "error: program nested too deeply\n")
+
+    def test_positionals_split_by_an_option_are_left_to_argparse(self, workspace, capsys):
+        # argparse up to 3.13.0 refuses the state after an option
+        # ("unrecognized arguments"); its usage lines differ between
+        # versions, so only the exit code and stdout are pinned
+        program, state = workspace("p.score", "INC x"), workspace("s.sst", "x = 1")
+        argv = ["run", program, "-s", "a", state]
+        assert cli._read_command_line(argv) is None
+        try:
+            cli._argparser().parse_args(argv)
+        except SystemExit:
+            capsys.readouterr()
+        else:
+            pytest.skip("this version of argparse reads a positional after an option")
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert (info.value.code, capsys.readouterr().out) == (2, "")
+
+
+def subcommands():
+    """Each command's name and its parser, as `cli._argparser()` declares them."""
+    top = cli._argparser()
+    return next(action for action in top._actions if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def reader_tokens(parser, kinds=None):
+    """The tokens of `parser`'s command lines in `TestCommandLineReader`:
+    the option strings of its first `kinds` actions of each kind (a flag,
+    an option with a value; all of them if None), one abbreviation of each
+    long one and `--option=a`; `-sa`, `--`, `-h`, `-`, `""` and `-1`; `x`,
+    a bad choice and not an integer; and `a` and `3`, two positional words
+    that are also a good choice and a good integer."""
+    given, strings = {}, []
+    for action in parser._actions:
+        if action.option_strings and not isinstance(action, argparse._HelpAction):
+            kind = given[type(action)] = given.get(type(action), 0) + 1
+            if kinds is None or kind <= kinds:
+                strings += action.option_strings
+    longs = [string for string in strings if string.startswith("--")]
+    spellings = [*(string[:-1] for string in longs), *(f"{string}=a" for string in longs[:1])]
+    return [*strings, *spellings, "-sa", "--", "-h", "-", "", "-1", "x", "a", "3"]
+
+
+class TestCommandLineReader:
+    """`cli._read_command_line` returns None, or exactly the Namespace
+    argparse builds, and `main` leaves argparse every line it declines."""
+
+    def test_reads_as_argparse_does(self):
+        # every line of up to two tokens after the command, and every line
+        # of three or four from a pool with one action of each kind, since
+        # the reader reads every option of one kind by the same rule
+        top = cli._argparser()
+        accepted = {}
+        for name, parser in subcommands().items():
+            lines = [
+                *(line for k in range(3) for line in product(reader_tokens(parser), repeat=k)),
+                *(line for k in (3, 4) for line in product(reader_tokens(parser, 1), repeat=k)),
+            ]
+            accepted[name] = 0
+            for line in lines:
+                argv = [name, *line]
+                args = cli._read_command_line(argv)
+                if args is not None:
+                    assert list(vars(args).items()) == list(vars(top.parse_args(argv)).items()), argv
+                    accepted[name] += 1
+        assert all(accepted.values()), accepted
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The argument lists argparse's `parse_known_args` is called with."""
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def spy(parser, args=None, namespace=None):
+            calls.append(args)
+            return parse_known_args(parser, args, namespace)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        return calls
+
+    @pytest.mark.parametrize(("line", "code"), [("-h", 0), ("frobnicate", 2), ("run -s x p.score", 2)])
+    def test_help_and_errors_reach_argparse(self, parses, capsys, line, code):
+        with pytest.raises(SystemExit) as info:
+            main(line.split())
+        assert info.value.code == code
+        assert parses
+
+    def test_table_rows_and_benchmark_lines_never_reach_argparse(self, parses, monkeypatch):
+        benchmark = [
+            "run -s n p.score s.sst",
+            "trace -s r p.score s.sst",
+            "run p.score s.sst",
+            "check p.score",
+            "invert p.score",
+            "fuzz --json --cases 200 --seed 7",
+            "oracle --injectivity --value 3 --stack-len 4 --elem 2 --counter 3",
+        ]
+        respelled = {f"{name}-{spelling}" for name, rows in ARGPARSE_SPELLINGS.items() for spelling in rows}
+        lines = [case.argv for case in CASES if case.name not in respelled] + benchmark
+        read = []
+        for name in cli._COMMANDS:
+            monkeypatch.setitem(cli._COMMANDS, name, lambda args: read.append(args) or 0)
+        for line in lines:
+            assert cli._read_command_line(line.split()) is not None, line
+            assert main(line.split()) == 0
+        assert parses == []
+        assert read == [cli._argparser().parse_args(line.split()) for line in lines]
+
+    def test_respelled_rows_are_read_by_argparse_alone(self):
+        # as its canonical row's line, which the reader reads
+        rows = {case.name: case.argv.split() for case in CASES}
+        for name, spellings in ARGPARSE_SPELLINGS.items():
+            canonical = cli._read_command_line(rows[name])
+            for spelling in spellings:
+                argv = rows[f"{name}-{spelling}"]
+                assert cli._read_command_line(argv) is None, argv
+                assert cli._argparser().parse_args(argv) == canonical, argv
 
 
 # Inputs of `TestCollectorPause`, by placeholder in its command lines.
