@@ -39,7 +39,7 @@ from .semantics import (
     NonzeroCounterError,
     compile_program,
 )
-from .state import _declared_state, dump_state, parse_state_declarations
+from .state import _SHORT_STACK, _declared_state, _stack_text, dump_state, parse_state_declarations
 from .syntax import _render, check_well_formed
 
 EXIT_OK = 0
@@ -89,8 +89,9 @@ def _run_program(args: argparse.Namespace, out: list[str], observe=None) -> int:
             out.append(f"ABORT\nstep: {step}\ninstruction: {instruction}\nvariable: {record.variable}\n")
         else:
             out.append(f"ABORT at step {step}: {instruction}\n")
-        value, stack = record.observed.value, [*record.observed.stack]
-        out.append(f"reason: {record.reason}\nvalue: {value}\nstack: {stack}\n")
+        value, stack = record.observed.value, record.observed.stack
+        long = len(stack) > _SHORT_STACK  # printed as `dump_state` prints it, after the value
+        out.append(f"reason: {record.reason}\nvalue: {value}\nstack: {_stack_text(stack) if long else [*stack]}\n")
     else:
         names = {*program.variables, *(name for name, _ in declarations)}
         out.append("FINAL\n" + dump_state(outcome.state, names))
@@ -161,7 +162,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         tail = None if instruction[0] == "P" else tails.get(name)
         if tail is None:
             value = str(value)  # first, so an int too long to write is reported as it was
-            tail = tails[name] = f", {stack[::-1]}, {counter}\n"
+            stack = _stack_text(stack[::-1]) if len(stack) > _SHORT_STACK else stack[::-1]
+            tail = tails[name] = f", {stack}, {counter}\n"
         append(f"step {len(out) + 1}: {instruction}\n{name} = {value}{tail}")
 
     return _run_program(args, out, observe)

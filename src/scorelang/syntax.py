@@ -90,29 +90,35 @@ class _Unary(Term):
         _require_identifier(self.var)
 
 
-# The four atoms declare no slot of their own, so `_Unary`'s ``var`` slot is
-# the only one on every Python version.  ``dataclass(slots=True)`` on a
-# subclass would add a second ``var`` slot under Python 3.10, shadowing the
-# one `_atom` sets.
+# The four atoms are plain subclasses of `_Unary` with no slot of their own,
+# so `_Unary`'s ``var`` slot is the only one, the one `_atom` sets.  They
+# inherit its generated methods, which read ``self.__class__``: the repr
+# names the atom, `==` holds only between atoms of one class, and assigning
+# ``var`` raises `FrozenInstanceError`.  Decorating each with `dataclass`
+# again would only make the same methods anew at every import.
 
 
-@dataclass(frozen=True)
 class Inc(_Unary):
+    """INC x: add one to x."""
+
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Dec(_Unary):
+    """DEC x: subtract one from x."""
+
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Push(_Unary):
+    """PUSH x: save x's value on its stack and set x to 0."""
+
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Pop(_Unary):
+    """POP x: move the top of x's stack back into its value."""
+
     __slots__ = ()
 
 

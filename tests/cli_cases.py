@@ -181,6 +181,39 @@ def push_final(bottom: str) -> str:
     return f"FINAL\nn = 100000, [], 0\ny = 0, [{'2, 0, ' * 99999}{bottom}], 0\nz = 100000, [], 0\n"
 
 
+def grow_stack(count: int, bottom: int) -> str:
+    """y's stack, top first, after `count` iterations of `PUSH_GROW` from
+    y = `bottom`: the first PUSH saves `bottom`, and every later one the 1
+    that INC y left."""
+    return ", ".join(["1"] * (count - 1) + [str(bottom)])
+
+
+def grow_final(count: int, bottom: int) -> str:
+    """The final state of `PUSH_GROW` at n = `count` from y = `bottom`."""
+    return f"FINAL\nn = {count}, [], 0\ny = 1, [{grow_stack(count, bottom)}], 0\n"
+
+
+def grow_trace(count: int, bottom: int) -> str:
+    """The trace of `PUSH_GROW` at n = `count` from y = `bottom`: each
+    iteration's PUSH y and INC y print y's stack so far."""
+    blocks = []
+    for k in range(1, count + 1):
+        stack = grow_stack(k, bottom)
+        blocks += [f"PUSH y\ny = 0, [{stack}]", f"INC y\ny = 1, [{stack}]"]
+    return "".join(f"step {i}: {block}, 0\n" for i, block in enumerate(blocks, start=1)) + grow_final(count, bottom)
+
+
+def grow_abort_trace(count: int, bottom: int) -> str:
+    """The trace under a of `PUSH_GROW` at n = `count` from y = `bottom`,
+    then POP y: the loop's steps, then the abort of the POP, which finds
+    y = 1 over the stack the loop built."""
+    steps = grow_trace(count, bottom).split("FINAL")[0]
+    return (
+        f"{steps}ABORT at step {2 * count + 1}: POP y\n"
+        f"reason: value-nonzero\nvalue: 1\nstack: [{grow_stack(count, bottom)}]\n"
+    )
+
+
 def grid_report(value: int, stack_len: int, elem: int, counter: int, injectivity: bool = False) -> str:
     """What a passing `oracle` prints for its bounds: the grid's cells,
     (2v+1)(c+1) for each of the sum over k <= s of (2e+1)**k stacks."""
@@ -295,6 +328,10 @@ PERFECT_FINAL = "FINAL\nk = -3, [], 0\nm = 300, [], 0\nx = 900, [], 0\n"
 RUNAWAY = "FOR x { POP z; FOR z { FOR y { DEC w } }; FOR w { INC y; INC z } }\n"
 # a hot leaf that pushes and never pops runs in closed form
 PUSH_LEAF = "FOR n { INC z; PUSH y; INC y; INC y; PUSH y }\n"
+# a pushing loop, whose final stack is as long as its count; and that loop
+# then a POP that aborts under a, over the stack it built
+PUSH_GROW = "FOR n { PUSH y; INC y }\n"
+GROW_ABORT = {"grow.score": "FOR n { PUSH y; INC y }; POP y\n", "grow.sst": "n = 100\ny = -2\n"}
 # a hot leaf that keeps a POP has no closed form and steps
 POP_LEAF = {"pop.score": "FOR n { POP y; INC y; PUSH y }\n", "pop.sst": "n = 1000000\ny = 0, []\n"}
 POP_FINAL = "FINAL\nn = 1000000, [], 0\n"
@@ -629,6 +666,42 @@ CASES = [
         {"push.score": PUSH_LEAF, "push.sst": "n = 100000\ny = 3, [7], 1\n"},
         out=partial(push_final, "5, 7"),
         bound=20,
+    ),
+    # a stack of 5,000 values under each semantics: all of them small, and
+    # all but the bottom one, which is beyond any small-int table
+    *(
+        Case(
+            f"push-grow-{semantics}{name}",
+            f"run -s {semantics} grow.score grow.sst",
+            {"grow.score": PUSH_GROW, "grow.sst": f"n = 5000\ny = {bottom}\n"},
+            out=partial(grow_final, 5000, bottom),
+            bound=20,
+        )
+        for semantics in "nar"
+        for name, bottom in (("", 3), ("-big-bottom", 1234567))
+    ),
+    # every PUSH block of this trace prints y's stack so far, up to 300 long
+    Case(
+        "push-grow-trace",
+        "trace grow.score grow.sst",
+        {"grow.score": PUSH_GROW, "grow.sst": "n = 300\ny = -7\n"},
+        out=partial(grow_trace, 300, -7),
+        bound=20,
+    ),
+    # the POP after the loop aborts under a, over the 100 values it pushed
+    Case(
+        "push-grow-abort-a",
+        "run -s a grow.score grow.sst",
+        GROW_ABORT,
+        out=_abort(201, "POP y", "value-nonzero", 1, grow_stack(100, -2)),
+        code=1,
+    ),
+    Case(
+        "push-grow-abort-trace-a",
+        "trace -s a grow.score grow.sst",
+        GROW_ABORT,
+        out=partial(grow_abort_trace, 100, -2),
+        code=1,
     ),
     # a million iterations within the time bound: under n each POP after
     # the first takes the value the last PUSH saved, under r each PUSH

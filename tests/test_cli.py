@@ -83,6 +83,33 @@ class TestRun:
         assert (code, out) == (2, "")
         assert err.startswith("error: Exceeds the limit")
 
+    @pytest.mark.parametrize(
+        ("argv", "pop", "expected"),
+        [
+            (["run"], "", [2]),  # the FINAL line
+            (["run", "-s", "a"], "; POP y", [2]),  # the abort block's stack line
+            (["trace"], "", [1, 2, 2]),  # two PUSH blocks, then the FINAL line
+            (["trace", "-s", "a"], "; POP y", [1, 2, 2]),  # two PUSH blocks, then the abort block
+        ],
+    )
+    def test_long_stacks_print_through_the_stack_printer(self, workspace, capsys, monkeypatch, argv, pop, expected):
+        # y's stack grows to two past the short-stack bound, and the
+        # stack printer prints it, as the list repr, whenever it is longer
+        short, printed = scorelang.state._SHORT_STACK, []
+
+        def spy(stack):
+            printed.append(len(stack) - short)
+            return repr(list(stack))
+
+        monkeypatch.setattr(scorelang.state, "_stack_text", spy)
+        monkeypatch.setattr(cli, "_stack_text", spy)
+        program = workspace("p.score", "FOR n { PUSH y; INC y }" + pop)
+        state = workspace("s.sst", f"n = {short + 2}\ny = 5\n")
+        code, out, err = run_cli(capsys, *argv, program, state)
+        assert (code, err) == (1 if pop else 0, "")
+        assert f"[{', '.join(['1'] * (short + 1))}, 5]" in out
+        assert printed == expected
+
     @pytest.mark.parametrize("command", ["run", "trace"])
     def test_output_is_built_before_it_is_written(self, workspace, capsys, command):
         # x's 640 nines parse at the lowest limit `str` accepts, but INC x

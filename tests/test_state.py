@@ -1,6 +1,7 @@
 import enum
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -434,3 +435,70 @@ class TestDumpState:
             names = {"x", "y", "z"}
             assert dump_state(state, names) == "x = 3, [1, 2, 1], 1\ny = 5, [], 0\nz = 0, [], 0\n"
             assert parse_state(dump_state(state, names)) == state
+
+
+class TestStackText:
+    """`state._stack_text`, the printer of every stack longer than
+    `_SHORT_STACK`, prints what a list repr prints, whether its ints are
+    in its table or not."""
+
+    K, SHORT = state._DECIMAL_BOUND, state._SHORT_STACK
+
+    def stacks(self):
+        """Stacks, top first, of every length and kind of element it must
+        print: in the table, at its edges, past them, negative and huge."""
+        K, SHORT = self.K, self.SHORT
+        huge = 10**40
+        rng = random.Random(42)
+        yield from ([1] * n for n in (0, 1, SHORT, SHORT + 1, 10_000))
+        yield from ([v] * (SHORT + 1) for v in (K, -K, K + 1, -K - 1, -1, 0))
+        yield [*range(-K - 2, K + 3)]
+        yield [rng.randint(-2 * K, 2 * K) for _ in range(10_000)]
+        yield [huge] + [1] * 10_000
+        yield [1] * 10_000 + [-huge]
+        yield [1] * 10_000 + [1234567]
+
+    def test_prints_the_list_repr(self):
+        for stack in self.stacks():
+            expected = repr(stack)
+            assert state._stack_text(tuple(stack)) == expected, stack[:3]  # a State's tuple
+            run_list = stack[::-1]  # a run's list, top at the end, which `trace` prints reversed
+            assert state._stack_text(run_list[::-1]) == expected, stack[:3]
+
+    def test_dump_state_prints_every_length_so(self):
+        for stack in self.stacks():
+            cell = Cell(-3, tuple(stack), 2)
+            assert dump_state(State({"y": cell}), {"y"}) == f"y = -3, {stack}, 2\n"
+
+    def test_table_holds_the_text_of_every_int_within_its_bound(self):
+        state._stack_text((0,) * (self.SHORT + 1))
+        assert state._DECIMALS == {i: repr(i) for i in range(-self.K, self.K + 1)}
+
+    def test_only_long_stacks_reach_the_printer(self, monkeypatch):
+        printed = []
+
+        def spy(stack):
+            printed.append(len(stack))
+            return repr(list(stack))
+
+        monkeypatch.setattr(state, "_stack_text", spy)
+        cells = {f"s{n}": Cell(0, (1,) * n) for n in (1, self.SHORT, self.SHORT + 1, 500)}
+        dump_state(State(cells), cells)
+        assert printed == [self.SHORT + 1, 500]
+
+    @pytest.mark.parametrize("at", [0, -1], ids=["top", "bottom"])
+    def test_an_int_past_the_digit_limit_raises_as_the_list_repr_does(self, at):
+        stack = [1] * (self.SHORT + 1)
+        stack[at] = 10**640
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(ValueError) as expected:
+                repr(stack)
+            with pytest.raises(ValueError) as printed:
+                state._stack_text(tuple(stack))
+            with pytest.raises(ValueError) as dumped:
+                dump_state(State({"x": Cell(0, tuple(stack))}), {"x"})
+            assert str(printed.value) == str(dumped.value) == str(expected.value)
+        finally:
+            sys.set_int_max_str_digits(limit)
