@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import asdict, dataclass, field
-from itertools import chain, product, repeat
+from itertools import chain, islice, product, repeat
 from typing import Callable, Iterable, Iterator
 
 from .semantics import AbortRecord, Program, compile_program, pop_r, push_r
@@ -108,10 +108,15 @@ _KINDS = {
     for seq in (False, True)
 }
 
-# `_gen` and `_draw` make the draws of `Random.choices`,
-# `Random.choice` and `Random.randint` through `Random.random` and
-# `Random._randbelow`, as those methods do, so each seed draws what it drew
-# through them.
+# `_gen` and `_drawer` draw what `Random.choices`, `Random.choice` and
+# `Random.randint` would, so each seed draws what it drew through them on
+# Python 3.10-3.13.  A kind is `choices`' draw, ``int(random() * n)``; every
+# other draw below n is `Random._randbelow`'s: ``getrandbits(k)`` for k =
+# n.bit_length(), again while the draw is n or more.  They take those bits
+# straight from `rng.getrandbits`, without a Python call per draw, as
+# `random.Random` does; a subclass that overrides `random` but not
+# `getrandbits` draws below n through `random` instead, and its draws
+# here differ from its methods'.
 
 
 def _gen(rng: random.Random, names: list[str], depth: int, allow_seq: bool) -> Term:
@@ -125,7 +130,11 @@ def _gen(rng: random.Random, names: list[str], depth: int, allow_seq: bool) -> T
         first = _gen(rng, names, depth - 1, allow_seq=False)
         second = _gen(rng, names, depth - 1, allow_seq=True)
         return _sequence((first, *_parts(second)))
-    i = rng._randbelow(len(names))  # rng.choice(names)
+    n = len(names)  # i is rng.choice(names)'s index
+    bits = n.bit_length()
+    i = rng.getrandbits(bits)
+    while i >= n:
+        i = rng.getrandbits(bits)
     if kind is For:
         return _loop(names[i], _gen(rng, names[:i] + names[i + 1 :], depth - 1, allow_seq=True))
     return _atom(kind, names[i])
@@ -147,26 +156,38 @@ def gen_state(cfg: GenConfig, names: Iterable[str], rng: random.Random | None = 
     if rng is None:
         rng = random.Random(cfg.seed)
     names = sorted(set(names))
-    drawn = zip(names, *_draw(rng, cfg, range(len(names))))
+    drawn = zip(names, *_drawer(rng, cfg)(range(len(names))))
     return State({name: Cell(v, tuple(s[::-1]), c) for name, v, s, c in drawn})
 
 
-def _draw(rng: random.Random, cfg: GenConfig, slots: range | list[int]) -> tuple[list, list, list]:
-    """Slot lists drawn for names whose slots, in sorted-name order, are
-    `slots`: per name a value, a stack length, its elements from the top
-    down and a counter.  As in a loaded program, each stack list has its
-    top at the end.  A default cell is drawn like any other, and
-    `gen_state` leaves it out."""
+def _drawer(rng: random.Random, cfg: GenConfig) -> Callable[[range | list[int]], tuple[list, list, list]]:
+    """A function that draws slot lists from `rng` for names whose slots,
+    in sorted-name order, are its argument: per name a value, a stack
+    length, its elements from the top down and a counter.  As in a loaded
+    program, each stack list has its top at the end.  A default cell is
+    drawn like any other, and `gen_state` leaves it out.  Each draw comes
+    from a lazy C iterator that takes the bits of one `Random._randbelow`
+    call from `rng` when it is read, and no sooner, so a reseeded `rng`
+    serves every later call."""
+    bits = rng.getrandbits
+
+    def below(n: int) -> Iterator[int]:  # rng._randbelow(n), once per item read
+        return filter(n.__gt__, map(bits, repeat(n.bit_length())))
+
     lo, hi = cfg.value_range
-    below, width = rng._randbelow, hi - lo + 1  # rng.randint(lo, hi) is below(width) + lo
-    lengths, counts = cfg.max_stack_len + 1, cfg.max_counter + 1
-    size = len(slots)
-    values, stacks, counters = [0] * size, [None] * size, [0] * size
-    for slot in slots:
-        values[slot] = below(width) + lo
-        stacks[slot] = [below(width) + lo for _ in range(below(lengths))][::-1]
-        counters[slot] = below(counts)
-    return values, stacks, counters
+    elements = map(lo.__add__, below(hi - lo + 1))  # rng.randint(lo, hi), once per item read
+    lengths, counts = below(cfg.max_stack_len + 1), below(cfg.max_counter + 1)
+
+    def draw(slots: range | list[int]) -> tuple[list, list, list]:
+        size = len(slots)
+        values, stacks, counters = [0] * size, [None] * size, [0] * size
+        for slot in slots:
+            values[slot] = next(elements)
+            stacks[slot] = [*islice(elements, next(lengths))][::-1]
+            counters[slot] = next(counts)
+        return values, stacks, counters
+
+    return draw
 
 
 def zero_counters(state: State) -> State:
@@ -189,9 +210,10 @@ def _first_diff(expected: State, got: State) -> str:
 # one compiled program on slot lists.  `run_fuzz` draws each case straight
 # into those lists and counts its results; `_check_case` loads a State into
 # them once, and each public check below, like the re-check of a shrunk
-# witness, returns its entry of it.  Every run works on a copy of the lists
-# it starts from, and the checks compare lists; a fuzz case builds a State
-# only for a failure or a correspondence witness.
+# witness, returns its entry of it.  Each run but the last works on its
+# own copy of the lists it starts from, the last on the lists of the run it
+# inverts, and the checks compare lists; a fuzz case builds a State only
+# for a failure or a correspondence witness.
 
 
 def check_strong_reversibility(program: Term, initial: State) -> Verdict:
@@ -236,6 +258,7 @@ _CORRESPONDENCE = {
     (True, True): FailureCorrespondence(True, True, None),
 }
 _PASS, _VACUOUS = Pass(), Pass(vacuous=True)
+_IF_BROKEN, _ONLY_IF_REPAIRED = _CORRESPONDENCE[False, True], _CORRESPONDENCE[True, False]
 
 
 def check_failure_correspondence(program: Term, initial: State) -> FailureCorrespondence:
@@ -246,7 +269,7 @@ def _run(program: Program, slots: tuple, semantics: str, order: str = "+") -> tu
     """A run on a copy of `slots`: the slot lists it ends with, and its
     AbortRecord or None."""
     values, stacks, counters = slots
-    after = [*values], [[*stack] for stack in stacks], [*counters]
+    after = [*values], [*map(list, stacks)], [*counters]
     return after, program._exec(*after, semantics, order)
 
 
@@ -265,11 +288,18 @@ def _check_slots(program: Program, full: tuple, base: State) -> tuple:
     reversibility runs P;-P and -P;P on the slot lists `full`; the three
     checks defined on the pair semantics see them with counters zeroed and
     share one assert and one reversible run, and weak reversibility adds
-    the assert run of the inverse when the first one completes.  The
-    counter-free lists share the values and stacks of `full`, which no run
-    changes, since each run works on a copy, and its counters too when
-    none is set.  A failure's State is `base` with the program's names set
-    from the lists it starts from."""
+    the assert run of the inverse when the first one completes.  Each run
+    works on its own copy of the lists but that last one, which goes on in
+    place from where the assert run ended, once the agreement check has
+    read its lists.  So the counter-free lists share the values and stacks
+    of `full`, which no run changes, and its counters too when none is
+    set.  No run serves two checks: were P;-P split so that its P pass
+    was also the reversible run when no counter is set, a fault that acts
+    once per run, such as an `r` run that forgets its counters as it
+    ends, would also act between P and -P, and strong reversibility would
+    no longer give the verdict it gives on whole States.  A failure's
+    State is `base` with the program's names set from the lists it starts
+    from."""
     strong = _PASS
     for order, label in (("+-", "P;-P"), ("-+", "-P;P")):
         after, _ = _run(program, full, "r", order)
@@ -284,16 +314,16 @@ def _check_slots(program: Program, full: tuple, base: State) -> tuple:
     aborted = abort is not None
     weak = agreement = _VACUOUS if aborted else _PASS
     if not aborted:
-        back, record = _run(program, after, "a", "-")
-        if record is not None:
-            weak = _fail(program, base, flat, f"inverse run aborted: {record.reason} on {record.variable}")
-        elif back != flat:
-            weak = _fail(program, base, flat, f"inverse run missed the start: {_diff(program, base, flat, back)}")
         if reversible != after:
             agreement = _fail(program, base, flat, f"semantics disagree: {_diff(program, base, after, reversible)}")
         elif broken:
             names = sorted(name for name, counter in zip(program.variables, reversible[2]) if counter)
             agreement = _fail(program, base, flat, f"reversible run left broken variables: {names}")
+        record = program._exec(*after, "a", "-")  # in place: no check reads the assert run's lists again
+        if record is not None:
+            weak = _fail(program, base, flat, f"inverse run aborted: {record.reason} on {record.variable}")
+        elif after != flat:
+            weak = _fail(program, base, flat, f"inverse run missed the start: {_diff(program, base, flat, after)}")
     return flat, strong, weak, agreement, _CORRESPONDENCE[aborted, broken]
 
 
@@ -612,6 +642,10 @@ def run_fuzz(cfg: GenConfig, cases: int) -> FuzzReport:
     # afresh once full.
     compiled: dict[str, tuple[Program, list[int]]] = {}
     rng = random.Random()
+    # `random.Random.seed` without its Python checks of the seed's type, or
+    # its reset of `gauss_next`, which no draw here reads
+    reseed = super(random.Random, rng).seed
+    draw = _drawer(rng, cfg)
     # the cases whose three verdicts all pass, and those where strong
     # reversibility passes and the other two pass vacuously, added to the
     # counts once at the end.  Adding each case's three verdicts through
@@ -619,7 +653,7 @@ def run_fuzz(cfg: GenConfig, cases: int) -> FuzzReport:
     # and was faster in only 1 of 12 paired runs.
     usual = [0, 0]
     for _ in range(cases):
-        rng.seed(master.getrandbits(64))
+        reseed(master.getrandbits(64))
         term = _gen(rng, names, cfg.max_depth, allow_seq=True)
         key = pretty(term)
         entry = compiled.get(key)
@@ -629,7 +663,7 @@ def run_fuzz(cfg: GenConfig, cases: int) -> FuzzReport:
             program = compile_program(term)
             entry = compiled[key] = program, sorted(range(len(program.variables)), key=program.variables.__getitem__)
         program, slots = entry
-        flat, strong, weak, agreement, correspondence = _check_slots(program, _draw(rng, cfg, slots), _EMPTY)
+        flat, strong, weak, agreement, correspondence = _check_slots(program, draw(slots), _EMPTY)
         if strong is _PASS and weak is agreement:  # both _PASS or both _VACUOUS
             usual[weak is _VACUOUS] += 1
         else:
@@ -637,10 +671,10 @@ def run_fuzz(cfg: GenConfig, cases: int) -> FuzzReport:
             for check, (counts, verdict) in enumerate(zip((report.strong, report.weak, report.agreement), verdicts)):
                 if not counts.add(verdict):
                     record_failure(check, verdict.program, verdict.initial, verdict.details)
-        if correspondence.direction_witness == "if":
+        if correspondence is _IF_BROKEN:
             report.if_direction_witnesses += 1
             record_failure(3, program.term, program._store(_EMPTY, *flat), _BROKEN_WITHOUT_ABORT)
-        elif correspondence.direction_witness == "only-if":
+        elif correspondence is _ONLY_IF_REPAIRED:
             report.only_if_witnesses += 1
             if len(report.only_if_samples) < _MAX_ONLY_IF_SAMPLES:
                 flat_state = program._store(_EMPTY, *flat)

@@ -54,6 +54,7 @@ from .syntax import (
     Skip,
     Term,
     Violation,
+    _frozen,
     _parts,
     _scan,
 )
@@ -95,6 +96,7 @@ class NonzeroCounterError(EvalError):
         self.variable = variable
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class AbortRecord:
     """Why an assert-semantics run stopped.
@@ -112,11 +114,13 @@ class AbortRecord:
     trace_position: int
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class Final:
     state: State
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class Aborted:
     record: AbortRecord
@@ -125,6 +129,7 @@ class Aborted:
 RunOutcome = Final | Aborted
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class TraceStep:
     """One executed atomic instruction.

@@ -10,7 +10,7 @@ purely syntactic transformation (`invert`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from operator import length_hint
 
 __all__ = [
@@ -49,6 +49,24 @@ def _require_identifier(name: str) -> None:
         raise ValueError(f"invalid variable name: {name!r}")
 
 
+def _refuse_assign(self, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _frozen(cls: type) -> type:
+    """`cls`, a slotted frozen dataclass, with a `__setattr__` and a
+    `__delattr__` that raise `FrozenInstanceError` for every name.  The
+    ones that `dataclass(frozen=True, slots=True)` generates call `super()`
+    with the class that it replaced for a name that is not a field, which
+    raises TypeError (Python 3.10-3.13)."""
+    cls.__setattr__, cls.__delattr__ = _refuse_assign, _refuse_delete
+    return cls
+
+
 class Term:
     """Base class for program terms.
 
@@ -75,11 +93,13 @@ class _Compound(Term):
         return hash(pretty(self))
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class Skip(Term):
     pass
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class _Unary(Term):
     """The shared shape of INC, DEC, PUSH and POP: one target variable."""
@@ -122,6 +142,7 @@ class Pop(_Unary):
     __slots__ = ()
 
 
+@_frozen
 @dataclass(frozen=True, slots=True, init=False, eq=False)
 class Seq(_Compound):
     """Two or more terms run in order.  Nested sequences are spliced in, so
@@ -156,6 +177,7 @@ def _sequence(parts: tuple[Term, ...] | list[Term]) -> Term:
     return new
 
 
+@_frozen
 @dataclass(frozen=True, slots=True, eq=False)
 class For(_Compound):
     leader: Identifier
@@ -255,6 +277,7 @@ def variables_of(term: Term) -> frozenset[Identifier]:
     return frozenset(_scan(term, True)[1])
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class Violation:
     """A loop leader occurring inside its own body.

@@ -1,5 +1,8 @@
 """The compiled evaluator core against the tree walker it replaced."""
 
+import copy
+import dataclasses
+import pickle
 import random
 import sys
 from dataclasses import FrozenInstanceError, fields
@@ -38,7 +41,7 @@ from scorelang import (
     variables_of,
     zero_counters,
 )
-from scorelang.syntax import _scan
+from scorelang.syntax import Violation, _scan
 import reference_frontend as ref
 from reference_walker import ref_eval_a, ref_eval_n, ref_eval_r, ref_eval_traced, ref_idle_loops
 from term_strategies import raw_terms, states, wf_terms
@@ -376,6 +379,54 @@ class TestTraceSteps:
         cells = [step.state for step in steps if step.abort is None]
         assert all(type(cell) is Cell and type(cell.stack) is tuple for cell in cells)
         assert steps[3].state.stack[0] == 1  # the value PUSH y saved last is on top
+
+
+_RECORD = AbortRecord("POP x", "x", "empty-stack", Cell(0), 3)
+_RECORD_TEXT = (
+    "AbortRecord(instruction='POP x', variable='x', reason='empty-stack', "
+    "observed=Cell(value=0, stack=(), counter=0), trace_position=3)"
+)
+# A value of each slotted frozen dataclass, made anew on each call, and its repr.
+FROZEN_VALUES = [
+    (Skip, "Skip()"),
+    (lambda: Inc("x"), "Inc(var='x')"),
+    (lambda: Dec("x"), "Dec(var='x')"),
+    (lambda: Push("x"), "Push(var='x')"),
+    (lambda: Pop("x"), "Pop(var='x')"),
+    (lambda: Seq(Skip(), Inc("x")), "Seq(parts=(Skip(), Inc(var='x')))"),
+    (lambda: For("n", Push("x")), "For(leader='n', body=Push(var='x'))"),
+    (lambda: Violation("n", ("body",)), "Violation(leader='n', path=('body',))"),
+    (lambda: AbortRecord("POP x", "x", "empty-stack", Cell(0), 3), _RECORD_TEXT),
+    (lambda: Final(State({"x": Cell(1)})), "Final(state=State({x: Cell(value=1, stack=(), counter=0)}))"),
+    (lambda: Aborted(_RECORD), f"Aborted(record={_RECORD_TEXT})"),
+    (
+        lambda: TraceStep(0, "INC x", "x", Cell(1)),
+        "TraceStep(index=0, instruction='INC x', variable='x', state=Cell(value=1, stack=(), counter=0), abort=None)",
+    ),
+]
+
+
+@pytest.mark.parametrize(("make", "text"), FROZEN_VALUES, ids=[text.split("(")[0] for _, text in FROZEN_VALUES])
+def test_frozen_values_refuse_every_attribute(make, text):
+    """Assigning or deleting any attribute raises an AttributeError, and a
+    field's raises FrozenInstanceError; repr, `==`, hash, pickling and
+    `dataclasses.replace` work as a dataclass's do.  `dataclass(slots=True)`
+    makes a new class, while the `__setattr__` and `__delattr__` it made
+    before call `super()` with the old one, which raised TypeError."""
+    value, twin = make(), make()
+    with pytest.raises(AttributeError):
+        value.other = 1
+    with pytest.raises(AttributeError):
+        del value.other
+    for field in fields(value):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, field.name, getattr(value, field.name))
+        with pytest.raises(FrozenInstanceError):
+            delattr(value, field.name)
+    assert repr(value) == text and value == twin and hash(value) == hash(twin)
+    assert pickle.loads(pickle.dumps(value)) == value and copy.deepcopy(value) == value
+    if type(value) is not Seq:  # Seq's own constructor takes its parts unnamed
+        assert dataclasses.replace(value) == value
 
 
 class TestObserver:

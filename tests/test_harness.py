@@ -169,6 +169,80 @@ class TestGeneratorPins:
         assert digest.hexdigest() == FUZZ_REPORT_HASHES[config]
 
 
+# Configurations at the edges of `Random._randbelow`'s rejection rule, which
+# draws below n from n.bit_length() bits: a bound of 1 (one name, stacks of
+# length 0, counters of 0, a value range of width 1), which still draws, and
+# widths of 2^k and 2^k + 1.
+DRAW_EDGES = {
+    "default": {},
+    "one-name": {"max_vars": 1},
+    "empty-stacks": {"max_stack_len": 0},
+    "zero-counters": {"max_counter": 0},
+    "width-1": {"value_range": (3, 3)},
+    "width-2": {"value_range": (-1, 0), "max_stack_len": 1, "max_counter": 1},
+    "width-3": {"value_range": (0, 2), "max_stack_len": 2, "max_counter": 2},
+    "width-8": {"value_range": (-4, 3), "max_stack_len": 7, "max_counter": 7},
+    "width-9": {"value_range": (-4, 4), "max_stack_len": 8, "max_counter": 8, "max_vars": 9},
+}
+
+
+def reference_slot_lists(rng, cfg, slots):
+    """`harness._drawer`'s slot lists, drawn by `Random.randint`."""
+    lo, hi = cfg.value_range
+    values, stacks, counters = [0] * len(slots), [None] * len(slots), [0] * len(slots)
+    for slot in slots:
+        values[slot] = rng.randint(lo, hi)
+        stacks[slot] = [rng.randint(lo, hi) for _ in range(rng.randint(0, cfg.max_stack_len))][::-1]
+        counters[slot] = rng.randint(0, cfg.max_counter)
+    return values, stacks, counters
+
+
+def reference_term(rng, names, depth, allow_seq=True):
+    """`gen_term`'s program, drawn by `Random.choices` and `Random.choice`."""
+    kinds = [Skip] + [Inc, Dec, Push, Pop] * bool(names)
+    kinds += [Seq] * (depth >= 2 and allow_seq) + [For] * (depth >= 2 and bool(names))
+    kind = rng.choices(kinds)[0]
+    if kind is Skip:
+        return Skip()
+    if kind is Seq:
+        first = reference_term(rng, names, depth - 1, allow_seq=False)
+        return Seq(first, reference_term(rng, names, depth - 1))
+    name = rng.choice(names)
+    if kind is For:
+        return For(name, reference_term(rng, [other for other in names if other != name], depth - 1))
+    return kind(name)
+
+
+class TestDrawsMatchTheRandomMethods:
+    """The generator takes its bits straight from `Random.getrandbits`;
+    each seed must still draw what `Random.choices`, `Random.choice` and
+    `Random.randint` draw from it, and leave the generator where they do."""
+
+    @pytest.mark.parametrize("edge", sorted(DRAW_EDGES))
+    def test_slot_lists(self, edge):
+        cfg = GenConfig(**DRAW_EDGES[edge])
+        for seed in range(40):
+            rng, reference = random.Random(seed), random.Random(seed)
+            draw = harness._drawer(rng, cfg)
+            for size in (1, 3, 0, cfg.max_vars):
+                slots = random.Random(size).sample(range(size), size)
+                assert draw(slots) == reference_slot_lists(reference, cfg, slots)
+                assert rng.getstate() == reference.getstate()
+            # the drawer reads `rng` as it draws, so it serves a reseeded `rng`
+            rng.seed(seed + 1000)
+            reference.seed(seed + 1000)
+            assert draw(range(3)) == reference_slot_lists(reference, cfg, range(3))
+
+    @pytest.mark.parametrize("edge", sorted(DRAW_EDGES))
+    def test_programs(self, edge):
+        cfg = GenConfig(**DRAW_EDGES[edge])
+        for seed in range(200):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert gen_term(cfg, rng) == reference_term(reference, _var_names(cfg.max_vars), cfg.max_depth)
+                assert rng.getstate() == reference.getstate()
+
+
 def push_clause(cell):
     """The `push_r` clause that fires on `cell`, numbered as in its docstring."""
     value, stack, counter = cell
