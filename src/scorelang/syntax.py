@@ -147,11 +147,13 @@ class Pop(_Unary):
 class Seq(_Compound):
     """Two or more terms run in order.  Nested sequences are spliced in, so
     ``Seq(a, Seq(b, c)) == Seq(Seq(a, b), c) == Seq(a, b, c)`` and no part
-    of a Seq is a Seq."""
+    of a Seq is a Seq.  The parts are given unnamed, or by name as the
+    repr and `dataclasses.replace` give them: ``Seq(parts=(a, b))``."""
 
     parts: tuple[Term, ...]
 
-    def __init__(self, *parts: Term) -> None:
+    def __init__(self, *terms: Term, parts: tuple[Term, ...] = ()) -> None:
+        parts = (*terms, *parts)
         if Seq in map(type, parts):
             flat: list[Term] = []
             for part in parts:

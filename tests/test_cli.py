@@ -1,7 +1,7 @@
 """The CLI checks that a row of `cli_cases.CASES` cannot make.  They set
 the interpreter's int-to-string limit, call the CLI twice in one process,
-monkeypatch or spy on it, read argparse's exits and help text, compare
-the CLI's own reading of a command line with argparse's, write to a
+monkeypatch or spy on it, read argparse's exits and help text, check
+which command lines reach argparse and which are remembered, write to a
 full device or a closed pipe, compute their expected output with
 scorelang itself, or run every row again with its line ends rewritten.
 Every fixed command line is a row of that table."""
@@ -449,7 +449,6 @@ class TestUsage:
         # versions, so only the exit code and stdout are pinned
         program, state = workspace("p.score", "INC x"), workspace("s.sst", "x = 1")
         argv = ["run", program, "-s", "a", state]
-        assert cli._read_command_line(argv) is None
         try:
             cli._argparser().parse_args(argv)
         except SystemExit:
@@ -461,57 +460,16 @@ class TestUsage:
         assert (info.value.code, capsys.readouterr().out) == (2, "")
 
 
-def subcommands():
-    """Each command's name and its parser, as `cli._argparser()` declares them."""
-    top = cli._argparser()
-    return next(action for action in top._actions if isinstance(action, argparse._SubParsersAction)).choices
-
-
-def reader_tokens(parser, kinds=None):
-    """The tokens of `parser`'s command lines in `TestCommandLineReader`:
-    the option strings of its first `kinds` actions of each kind (a flag,
-    an option with a value; all of them if None), one abbreviation of each
-    long one and `--option=a`; `-sa`, `--`, `-h`, `-`, `""` and `-1`; `x`,
-    a bad choice and not an integer; and `a` and `3`, two positional words
-    that are also a good choice and a good integer."""
-    given, strings = {}, []
-    for action in parser._actions:
-        if action.option_strings and not isinstance(action, argparse._HelpAction):
-            kind = given[type(action)] = given.get(type(action), 0) + 1
-            if kinds is None or kind <= kinds:
-                strings += action.option_strings
-    longs = [string for string in strings if string.startswith("--")]
-    spellings = [*(string[:-1] for string in longs), *(f"{string}=a" for string in longs[:1])]
-    return [*strings, *spellings, "-sa", "--", "-h", "-", "", "-1", "x", "a", "3"]
-
-
 class TestCommandLineReader:
-    """`cli._read_command_line` returns None, or exactly the Namespace
-    argparse builds, and `main` leaves argparse every line it declines."""
-
-    def test_reads_as_argparse_does(self):
-        # every line of up to two tokens after the command, and every line
-        # of three or four from a pool with one action of each kind, since
-        # the reader reads every option of one kind by the same rule
-        top = cli._argparser()
-        accepted = {}
-        for name, parser in subcommands().items():
-            lines = [
-                *(line for k in range(3) for line in product(reader_tokens(parser), repeat=k)),
-                *(line for k in (3, 4) for line in product(reader_tokens(parser, 1), repeat=k)),
-            ]
-            accepted[name] = 0
-            for line in lines:
-                argv = [name, *line]
-                args = cli._read_command_line(argv)
-                if args is not None:
-                    assert list(vars(args).items()) == list(vars(top.parse_args(argv)).items()), argv
-                    accepted[name] += 1
-        assert all(accepted.values()), accepted
+    """argparse reads every command line `main` is given, once per
+    distinct line while `cli._parsed` remembers it, and its help and
+    usage errors on every call."""
 
     @pytest.fixture
     def parses(self, monkeypatch):
-        """The argument lists argparse's `parse_known_args` is called with."""
+        """The argument lists argparse's `parse_known_args` is called with,
+        from an empty memory of lines."""
+        cli._parsed.cache_clear()
         calls = []
         parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -524,12 +482,19 @@ class TestCommandLineReader:
 
     @pytest.mark.parametrize(("line", "code"), [("-h", 0), ("frobnicate", 2), ("run -s x p.score", 2)])
     def test_help_and_errors_reach_argparse(self, parses, capsys, line, code):
-        with pytest.raises(SystemExit) as info:
-            main(line.split())
-        assert info.value.code == code
-        assert parses
+        # on every call: they are never remembered
+        printed = []
+        for _ in range(2):
+            parses.clear()
+            with pytest.raises(SystemExit) as info:
+                main(line.split())
+            assert info.value.code == code
+            assert parses
+            printed.append(capsys.readouterr())
+        assert printed[0] == printed[1] and printed[0].out + printed[0].err
+        assert bool(printed[0].out) == (code == 0)
 
-    def test_table_rows_and_benchmark_lines_never_reach_argparse(self, parses, monkeypatch):
+    def test_table_rows_and_benchmark_lines_reach_argparse_once(self, parses, monkeypatch):
         benchmark = [
             "run -s n p.score s.sst",
             "trace -s r p.score s.sst",
@@ -539,26 +504,49 @@ class TestCommandLineReader:
             "fuzz --json --cases 200 --seed 7",
             "oracle --injectivity --value 3 --stack-len 4 --elem 2 --counter 3",
         ]
-        respelled = {f"{name}-{spelling}" for name, rows in ARGPARSE_SPELLINGS.items() for spelling in rows}
-        lines = [case.argv for case in CASES if case.name not in respelled] + benchmark
+        lines = list(dict.fromkeys([case.argv for case in CASES] + benchmark))
         read = []
         for name in cli._COMMANDS:
             monkeypatch.setitem(cli._COMMANDS, name, lambda args: read.append(args) or 0)
         for line in lines:
-            assert cli._read_command_line(line.split()) is not None, line
-            assert main(line.split()) == 0
-        assert parses == []
-        assert read == [cli._argparser().parse_args(line.split()) for line in lines]
+            argv = line.split()
+            assert main(argv) == 0 and parses[:1] == [tuple(argv)], line
+            parses.clear()
+            assert main(argv) == 0 and parses == [], line
+        assert read[::2] == read[1::2] == [cli._argparser().parse_args(line.split()) for line in lines]
 
     def test_respelled_rows_are_read_by_argparse_alone(self):
-        # as its canonical row's line, which the reader reads
+        # as its canonical row's line
         rows = {case.name: case.argv.split() for case in CASES}
+        parse = cli._argparser().parse_args
         for name, spellings in ARGPARSE_SPELLINGS.items():
-            canonical = cli._read_command_line(rows[name])
             for spelling in spellings:
                 argv = rows[f"{name}-{spelling}"]
-                assert cli._read_command_line(argv) is None, argv
-                assert cli._argparser().parse_args(argv) == canonical, argv
+                assert parse(argv) == parse(rows[name]), argv
+
+    def test_a_command_cannot_change_the_next_calls_arguments(self, monkeypatch):
+        seen = []
+
+        def meddle(args):
+            seen.append(dict(vars(args)))
+            args.semantics, args.extra = "a", []
+            return 0
+
+        monkeypatch.setitem(cli._COMMANDS, "run", meddle)
+        for _ in range(2):
+            assert main(["run", "-s", "n", "p.score"]) == 0
+        assert seen == [vars(cli._argparser().parse_args(["run", "-s", "n", "p.score"]))] * 2
+
+    def test_the_least_recent_line_is_forgotten(self, parses, monkeypatch):
+        monkeypatch.setitem(cli._COMMANDS, "oracle", lambda args: 0)
+        lines = [["oracle", "--value", str(value)] for value in range(cli._parsed.cache_info().maxsize + 1)]
+        for argv in lines:
+            main(argv)
+        parses.clear()
+        main(lines[-1])
+        assert parses == []
+        main(lines[0])
+        assert parses[:1] == [tuple(lines[0])]
 
 
 # Inputs of `TestCollectorPause`, by placeholder in its command lines.

@@ -45,6 +45,16 @@ class TestSeq:
     def test_repr(self):
         assert repr(Seq(self.A, self.B)) == "Seq(parts=(Inc(var='x'), Dec(var='y')))"
 
+    def test_parts_by_name(self):
+        # as the repr and `dataclasses.replace` pass them
+        a, b, c = self.A, self.B, self.C
+        term = Seq(a, b)
+        assert Seq(parts=term.parts) == term and eval(repr(term)) == term
+        assert dataclasses.replace(term) == term
+        assert dataclasses.replace(term, parts=(c, Seq(b, a))).parts == (c, b, a)
+        with pytest.raises(ValueError):
+            Seq(parts=(a,))
+
 
 class TestInvert:
     def test_push_becomes_pop(self):
