@@ -193,6 +193,14 @@ def grow_final(count: int, bottom: int) -> str:
     return f"FINAL\nn = {count}, [], 0\ny = 1, [{grow_stack(count, bottom)}], 0\n"
 
 
+def grow_twice_final(count: int, middle: int, bottom: int) -> str:
+    """The final state of `GROW_TWICE` at n = `count` from y = `bottom`,
+    with m = `middle` - 1: m INC y take the 1 the first loop left to
+    `middle`, which the second loop pushes first."""
+    stack = f"{grow_stack(count, middle)}, {grow_stack(count, bottom)}"
+    return f"FINAL\nm = {middle - 1}, [], 0\nn = {count}, [], 0\ny = 1, [{stack}], 0\n"
+
+
 def grow_trace(count: int, bottom: int) -> str:
     """The trace of `PUSH_GROW` at n = `count` from y = `bottom`: each
     iteration's PUSH y and INC y print y's stack so far."""
@@ -331,6 +339,10 @@ PUSH_LEAF = "FOR n { INC z; PUSH y; INC y; INC y; PUSH y }\n"
 # a pushing loop, whose final stack is as long as its count; and that loop
 # then a POP that aborts under a, over the stack it built
 PUSH_GROW = "FOR n { PUSH y; INC y }\n"
+GROW_TWICE = {
+    "grow.score": "FOR n { PUSH y; INC y }; FOR m { INC y }; FOR n { PUSH y; INC y }\n",
+    "grow.sst": "n = 2500\nm = 1234566\ny = 3\n",
+}
 GROW_ABORT = {"grow.score": "FOR n { PUSH y; INC y }; POP y\n", "grow.sst": "n = 100\ny = -2\n"}
 # a hot leaf that keeps a POP has no closed form and steps
 POP_LEAF = {"pop.score": "FOR n { POP y; INC y; PUSH y }\n", "pop.sst": "n = 1000000\ny = 0, []\n"}
@@ -679,6 +691,26 @@ CASES = [
         )
         for semantics in "nar"
         for name, bottom in (("", 3), ("-big-bottom", 1234567))
+    ),
+    # 70,000 values, past one piece of the closed form's extension and of
+    # the printer's lookups, which each take at most 65,536
+    *(
+        Case(
+            f"push-grow-{semantics}-70000",
+            f"run -s {semantics} grow.score grow.sst",
+            {"grow.score": PUSH_GROW, "grow.sst": "n = 70000\ny = 3\n"},
+            out=partial(grow_final, 70000, 3),
+            bound=20,
+        )
+        for semantics in "nar"
+    ),
+    # a stack whose one value beyond any small-int table is in its middle
+    Case(
+        "push-grow-big-middle",
+        "run grow.score grow.sst",
+        GROW_TWICE,
+        out=partial(grow_twice_final, 2500, 1234567, 3),
+        bound=20,
     ),
     # every PUSH block of this trace prints y's stack so far, up to 300 long
     Case(

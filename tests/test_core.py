@@ -1356,6 +1356,60 @@ class TestPushLoops:
         completes = State({"m": Cell(3), "n": Cell(4), "z": Cell(0, (0,) * 3, 0)})
         assert_runs_match_reference(program, [*states, completes], "a")
 
+    # bodies whose pushing slot y pushes a pattern of 1, 2 and 3 values
+    PATTERNS = {
+        1: "FOR n { PUSH y; INC y }",
+        2: "FOR n { PUSH y; INC y; PUSH y; DEC y; DEC y }",
+        3: "FOR n { INC y; PUSH y; DEC y; PUSH y; PUSH y; INC y; INC y; INC x }",
+    }
+
+    @staticmethod
+    def piece_counts(pushes):
+        """Counts whose pushes fall either side of one piece and of two."""
+        repeats = core._PUSH_PIECE // pushes or 1
+        return [repeats - 1, repeats, repeats + 1, 2 * repeats + 1]
+
+    @pytest.mark.parametrize("pushes", PATTERNS)
+    @pytest.mark.parametrize("piece", [2, 6])
+    def test_pieces_against_the_reference_walker(self, hot, declined, monkeypatch, pushes, piece):
+        # with pieces this small, counts either side of them stay cheap for
+        # the walker, which copies a stack tuple on every PUSH; a piece of
+        # 2 holds less than one pattern of 3, which is then its own piece
+        monkeypatch.setattr(core, "_PUSH_PIECE", piece)
+        program = parse(self.PATTERNS[pushes])
+        inverse = invert(program)  # its inverted entries push: "inverted"
+        counts = self.piece_counts(pushes)
+        states = [State({"n": Cell(n), "y": Cell(5, (-3,), 0)}) for count in counts for n in (count, -count)]
+        for term in (program, inverse):
+            assert_runs_match_reference(term, states)
+        declined.clear()
+        for term, sign in ((program, 1), (inverse, -1)):
+            runs = compile_program(term)
+            for semantics in "nar":
+                for count in counts:
+                    state = State({"n": Cell(sign * count), "y": Cell(5, (-3,), 0)})
+                    assert runs.run(state, semantics) == Final(ref_eval_r(term, state))
+        assert declined == []  # every one of these calls ran in closed form
+
+    @pytest.mark.parametrize("pushes", PATTERNS)
+    def test_counts_either_side_of_a_piece(self, hot, monkeypatch, pushes):
+        # At the real piece the walker would take about 20 s a run (65,537
+        # pushes copy 2 * 10**9 tuple slots), so the closed form is checked
+        # against the stepped block, which the test above and every other
+        # here check against the walker: with no pushes allowed, every
+        # closed-form call declines and the block steps.
+        program = parse(self.PATTERNS[pushes])
+        for term, sign in ((program, 1), (invert(program), -1)):
+            for count in self.piece_counts(pushes)[:3]:
+                state = State({"n": Cell(sign * count), "y": Cell(5, (-3,), 0)})
+                with monkeypatch.context() as patch:
+                    patch.setattr(core, "_MOST_PUSHES", 0)
+                    stepped = compile_program(term).run(state, "r")
+                assert len(stepped.state.get("y").stack) == count * pushes + 1
+                runs = compile_program(term)
+                for semantics in "nar":
+                    assert runs.run(state, semantics) == stepped
+
     ATOMS = (Inc, Dec, Push)
 
     @settings(max_examples=200, deadline=SLOW_EXAMPLE_DEADLINE)

@@ -2,6 +2,9 @@ import enum
 import random
 import re
 import sys
+import tracemalloc
+from itertools import cycle, islice
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given
@@ -19,7 +22,7 @@ from scorelang import (
     tl,
 )
 from reference_state import _parse_lines
-from scorelang import state
+from scorelang import semantics, state
 from scorelang.syntax import KEYWORDS
 from term_strategies import cells, idents, states
 
@@ -502,3 +505,119 @@ class TestStackText:
             assert str(printed.value) == str(dumped.value) == str(expected.value)
         finally:
             sys.set_int_max_str_digits(limit)
+
+    PIECE = state._PIECE
+
+    @pytest.mark.parametrize("length", [2, PIECE - 1, PIECE, PIECE + 1])
+    def test_lengths_at_the_piece_bounds(self, length):
+        # ints of the whole table in turn, so every piece's order shows; a
+        # length one past a piece leaves the last value alone in its piece
+        K = self.K
+        stack = [i % (2 * K + 1) - K for i in range(length)]
+        for values in (stack, stack[::-1]):  # a State's tuple, and the list `trace` passes
+            assert state._stack_text(tuple(values)) == state._stack_text(values) == repr(values)
+
+    @pytest.mark.parametrize("length", [2, PIECE - 1, PIECE, PIECE + 1, 2 * PIECE + 1])
+    def test_each_lookup_takes_from_two_values_to_a_piece(self, monkeypatch, length):
+        # itemgetter gives one key's text bare, so no lookup takes fewer
+        # than two values, and none more than a piece; at most the last
+        # value is looked up alone
+        sizes = []
+
+        def spy(*keys):
+            sizes.append(len(keys))
+            return itemgetter(*keys)
+
+        monkeypatch.setattr(state, "itemgetter", spy)
+        stack = [1] * length
+        assert state._stack_text(stack) == repr(stack)
+        assert all(2 <= size <= self.PIECE for size in sizes)
+        assert sum(sizes) >= length - 1
+
+    @pytest.mark.parametrize("length", [2, PIECE - 1, PIECE, PIECE + 1])
+    @pytest.mark.parametrize("at", [0, 1, -2, -1], ids=["top", "second", "second-last", "bottom"])
+    def test_a_value_beyond_the_table_at_the_piece_bounds(self, length, at):
+        stack = [1] * length
+        stack[at] = -1234567
+        for values in (stack, stack[::-1]):
+            assert state._stack_text(tuple(values)) == state._stack_text(list(values)) == repr(values)
+
+    def spy_on_repr(self, monkeypatch):
+        """The arguments of each `repr` call `state` makes while in use."""
+        calls = []
+
+        def spy(value):
+            calls.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(state, "repr", spy, raising=False)
+        return calls
+
+    @pytest.mark.parametrize("at", [0, 5_000, -1], ids=["top", "middle", "bottom"])
+    def test_a_few_values_beyond_the_table_skip_the_list_repr(self, monkeypatch, at):
+        # the table serves every value but the one beyond it, whose text is
+        # made alone, for this call: the stack never goes to the list repr
+        stack = [1, -2, 3] * 3_334
+        stack[at] = 1234567
+        calls = self.spy_on_repr(monkeypatch)
+        assert state._stack_text(tuple(stack)) == f"{stack}"
+        assert calls == [1234567]
+        assert 1234567 not in state._DECIMALS
+        repeated = [1] * 9_920 + [10**20, -(10**20)] * 40  # few distinct values, however often
+        calls.clear()
+        assert state._stack_text(tuple(repeated)) == f"{repeated}"
+        assert sorted(calls) == [-(10**20), 10**20]
+
+    @pytest.mark.parametrize(
+        "stack",
+        [
+            [10**6 + i for i in range(10_000)],  # every value beyond the table
+            [1] * 32 + [10**6 + i for i in range(10_000)],  # most of the distinct ones
+        ],
+        ids=["all", "after-the-first"],
+    )
+    def test_a_stack_mostly_beyond_the_table_takes_the_list_repr(self, monkeypatch, stack):
+        calls = self.spy_on_repr(monkeypatch)
+        assert state._stack_text(tuple(stack)) == f"{stack}"
+        assert calls == [stack]
+
+    def test_printing_and_growing_a_long_stack_peaks_no_higher_than_before(self):
+        # The stack a pushing loop leaves, 2**20 values, grown by the closed
+        # form and printed top first, against what the closed form and the
+        # printer did before pieces: an iterator over the repeated pattern,
+        # and one text lookup per value joined at once.
+        count = 2**20
+        grow = semantics._leaf_function(((semantics._PUSH, 0), (semantics._INC, 0)))
+        state._stack_text((0,) * 64)  # the table, filled beforehand on both sides
+        expected = f"[{'1, ' * (count - 1)}3]"
+
+        def grown_and_printed():
+            stacks = [[]]
+            assert grow([3], stacks, [0], count)
+            return state._stack_text(stacks[0][::-1])
+
+        def as_before():
+            stack = []
+            stack.extend(islice(cycle((1,)), count))
+            stack[0] = 3
+            return "[" + ", ".join(map(state._DECIMALS.__getitem__, stack[::-1])) + "]"
+
+        def printed():  # a State's tuple, then a run's reversed list, as `trace` prints it
+            return state._stack_text(values), state._stack_text(listed)
+
+        def printed_as_before():
+            return tuple("[" + ", ".join(map(state._DECIMALS.__getitem__, v)) + "]" for v in (values, listed))
+
+        values = (1,) * (count - 1) + (3,)
+        listed = [*values]
+        peaks = {}
+        for f in (grown_and_printed, as_before, printed, printed_as_before):
+            tracemalloc.start()
+            try:
+                texts = f()
+                peaks[f.__name__] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert texts in (expected, (expected, expected))
+        assert peaks["grown_and_printed"] <= peaks["as_before"]
+        assert peaks["printed"] <= peaks["printed_as_before"]
