@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator
 
 from .semantics import AbortRecord, Program, compile_program, pop_r, push_r
 from .state import Cell, DEFAULT_CELL, State, _new_cell, dump_state
-from .syntax import _KEYWORD, For, Pop, Push, Seq, Skip, Term, _atom, _loop, _parts, _sequence, pretty
+from .syntax import _KEYWORD, For, Pop, Push, Seq, Skip, Term, _Record, _atom, _loop, _parts, _sequence, pretty
 
 __all__ = [
     "GenConfig",
@@ -40,8 +40,8 @@ __all__ = [
     "zero_counters",
 ]
 
-@dataclass(frozen=True)
-class GenConfig:
+@dataclass(init=False, repr=False, eq=False)
+class GenConfig(_Record):
     """The seed and the size bounds of random programs and states.
 
     Each node of a program is drawn uniformly from the constructors that
@@ -68,14 +68,17 @@ class GenConfig:
             raise ValueError("max_stack_len and max_counter must be non-negative")
 
 
-@dataclass(frozen=True)
-class Pass:
+@dataclass(init=False, repr=False, eq=False)
+class Pass(_Record):
+    """A check that held, on `cases_run` cases; `vacuous` when it held only
+    because an assert run aborted."""
+
     cases_run: int = 1
     vacuous: bool = False
 
 
-@dataclass(frozen=True)
-class Fail:
+@dataclass(init=False, repr=False, eq=False)
+class Fail(_Record):
     """A replayable counterexample; program/initial are None only for the
     cell-grid oracle, which checks cells rather than runs."""
 
@@ -233,8 +236,8 @@ def check_agreement_a_r(program: Term, initial: State) -> Verdict:
     return _check_case(compile_program(program), initial, "a")[3]
 
 
-@dataclass(frozen=True)
-class FailureCorrespondence:
+@dataclass(init=False, repr=False, eq=False)
+class FailureCorrespondence(_Record):
     """How an aborting assert run relates to the reversible run's final
     broken variables.
 
@@ -411,7 +414,7 @@ def _term_shrinks(term: Term) -> Iterator[Term]:
             yield _plug(term.body, outer)
             todo.append((term.body, (_BODY_OF, term.leader, outer)))
         elif type(term) is not Skip:
-            yield _plug(Skip(), outer)
+            yield _plug(_SKIP, outer)
 
 
 # Where a subterm sits in its enclosing term: the links of the way out,
@@ -470,7 +473,7 @@ def minimize(
 
 def _shrink(value, shrinks: Callable[[object], Iterator], fails: Callable[[object], bool]):
     """Replace `value` by its first failing shrink until none fails.  A
-    shrink is always a new object, so an unchanged result is `value`."""
+    shrink is never `value` itself, so an unchanged result is `value`."""
     while True:
         for candidate in shrinks(value):
             if fails(candidate):
@@ -480,8 +483,14 @@ def _shrink(value, shrinks: Callable[[object], Iterator], fails: Callable[[objec
             return value
 
 
-@dataclass
-class CheckCounts:
+@dataclass(init=False, repr=False, eq=False)
+class CheckCounts(_Record):
+    """How many cases one check of a fuzz batch passed, passed vacuously
+    and failed."""
+
+    # mutable and so unhashable, unlike the other records
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
     passed: int = 0
     vacuous: int = 0
     failed: int = 0
@@ -497,8 +506,11 @@ class CheckCounts:
         return True
 
 
-@dataclass(frozen=True)
-class FuzzWitness:
+@dataclass(init=False, repr=False, eq=False)
+class FuzzWitness(_Record):
+    """A reported fuzz case: the check's name, the program and state as
+    printed, and what went wrong."""
+
     check: str
     program: str
     state: str
@@ -518,8 +530,8 @@ _SEEDED_WITNESS_STATE = State({"x": Cell(5, (2,), 0)})
 _EMPTY = State()  # the base of a fuzz case's States, which hold only its program's names
 
 
-@dataclass
-class FuzzReport:
+@dataclass(init=False, repr=False, eq=False)
+class FuzzReport(_Record):
     """Aggregated results of one randomized batch.
 
     The "if" correspondence direction (a broken reversible run implies an
@@ -527,6 +539,9 @@ class FuzzReport:
     counted and sampled but expected, starting with the always-included
     seeded witness ``POP x; PUSH x`` from ``x = (5, [2], 0)``.
     """
+
+    # mutable and so unhashable, unlike the other records
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     seed: int
     cases: int

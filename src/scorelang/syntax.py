@@ -10,7 +10,7 @@ purely syntactic transformation (`invert`).
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass
 from operator import length_hint
 
 __all__ = [
@@ -49,25 +49,79 @@ def _require_identifier(name: str) -> None:
         raise ValueError(f"invalid variable name: {name!r}")
 
 
-def _refuse_assign(self, name: str, value: object) -> None:
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+# The package's record classes (the terms here, the run outcomes in
+# `semantics`, the check results in `harness`) are dataclasses declared
+# with ``init=False, repr=False, eq=False``, so that `dataclass` compiles
+# none of their methods with `exec` at each import, and take them from
+# `_Record`, written once here.  `dataclasses.fields`, `replace` and
+# `asdict` work on them as on any dataclass.  A record's fields are its
+# ``__match_args__``: `dataclass` lists every field there.
 
 
-def _refuse_delete(self, name: str) -> None:
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
+def _rebuild(cls: type, values: tuple) -> _Record:
+    """The record of class `cls` with field values `values`, the inverse of
+    `_Record.__reduce__`.  It binds them through `_Record.__init__`, since
+    a `Seq`'s own constructor takes its parts unnamed."""
+    new = object.__new__(cls)
+    _Record.__init__(new, *values)
+    return new
 
 
-def _frozen(cls: type) -> type:
-    """`cls`, a slotted frozen dataclass, with a `__setattr__` and a
-    `__delattr__` that raise `FrozenInstanceError` for every name.  The
-    ones that `dataclass(frozen=True, slots=True)` generates call `super()`
-    with the class that it replaced for a name that is not a field, which
-    raises TypeError (Python 3.10-3.13)."""
-    cls.__setattr__, cls.__delattr__ = _refuse_assign, _refuse_delete
-    return cls
+class _Record:
+    """A frozen record.  The constructor takes its fields in order, by
+    position or by name, fills the rest from their defaults and then calls
+    `__post_init__`; the repr, `==` (within one class), the hash and
+    pickling read the fields; assigning or deleting any attribute raises
+    `FrozenInstanceError`.  A mutable record takes `object`'s
+    `__setattr__` and `__delattr__` back, and None as its `__hash__`."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__match_args__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} arguments but {len(args)} were given")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in names[len(args) :]:
+            field = self.__dataclass_fields__[name]
+            value = kwargs.pop(name, field.default)
+            if value is MISSING and field.default_factory is MISSING:
+                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
+            object.__setattr__(self, name, field.default_factory() if value is MISSING else value)
+        if kwargs:
+            raise TypeError(f"{type(self).__name__}() got an unexpected or repeated argument {next(iter(kwargs))!r}")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """A record whose fields need a check overrides this."""
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return _rebuild, (type(self), self._values())
 
 
-class Term:
+class Term(_Record):
     """Base class for program terms.
 
     Terms are immutable trees compared structurally; a `Seq` holds a flat
@@ -80,7 +134,8 @@ class Term:
 class _Compound(Term):
     """`Seq` and `For` compare and hash through their printed text, which
     is canonical (``parse(pretty(t)) == t``), so no nest is too deep for
-    `==` or `hash`, unlike the recursive methods `dataclass` generates."""
+    `==` or `hash`; `_Record`'s methods compare and hash the fields, and
+    so would recurse into the body or the parts."""
 
     __slots__ = ()
 
@@ -93,14 +148,12 @@ class _Compound(Term):
         return hash(pretty(self))
 
 
-@_frozen
-@dataclass(frozen=True, slots=True)
+@dataclass(init=False, repr=False, eq=False, slots=True)
 class Skip(Term):
-    pass
+    """SKIP: do nothing."""
 
 
-@_frozen
-@dataclass(frozen=True, slots=True)
+@dataclass(init=False, repr=False, eq=False, slots=True)
 class _Unary(Term):
     """The shared shape of INC, DEC, PUSH and POP: one target variable."""
 
@@ -112,10 +165,9 @@ class _Unary(Term):
 
 # The four atoms are plain subclasses of `_Unary` with no slot of their own,
 # so `_Unary`'s ``var`` slot is the only one, the one `_atom` sets.  They
-# inherit its generated methods, which read ``self.__class__``: the repr
-# names the atom, `==` holds only between atoms of one class, and assigning
-# ``var`` raises `FrozenInstanceError`.  Decorating each with `dataclass`
-# again would only make the same methods anew at every import.
+# inherit its fields and `_Record`'s methods, which read the class of the
+# instance: the repr names the atom, `==` holds only between atoms of one
+# class, and assigning ``var`` raises `FrozenInstanceError`.
 
 
 class Inc(_Unary):
@@ -142,8 +194,7 @@ class Pop(_Unary):
     __slots__ = ()
 
 
-@_frozen
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@dataclass(init=False, repr=False, eq=False, slots=True)
 class Seq(_Compound):
     """Two or more terms run in order.  Nested sequences are spliced in, so
     ``Seq(a, Seq(b, c)) == Seq(Seq(a, b), c) == Seq(a, b, c)`` and no part
@@ -179,9 +230,11 @@ def _sequence(parts: tuple[Term, ...] | list[Term]) -> Term:
     return new
 
 
-@_frozen
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(init=False, repr=False, eq=False, slots=True)
 class For(_Compound):
+    """FOR x { body }: run the body |v| times, inverted if v < 0, for x's
+    value v at entry."""
+
     leader: Identifier
     body: Term
 
@@ -279,9 +332,8 @@ def variables_of(term: Term) -> frozenset[Identifier]:
     return frozenset(_scan(term, True)[1])
 
 
-@_frozen
-@dataclass(frozen=True, slots=True)
-class Violation:
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class Violation(_Record):
     """A loop leader occurring inside its own body.
 
     `path` is the chain of field names from the checked term's root down
