@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import chain, islice, product, repeat
 from typing import Callable, Iterable, Iterator
 
-from .semantics import AbortRecord, Program, compile_program, pop_r, push_r
+from .semantics import Program, compile_program, pop_r, push_r
 from .state import Cell, DEFAULT_CELL, State, _new_cell, dump_state
 from .syntax import _KEYWORD, For, Pop, Push, Seq, Skip, Term, _Record, _atom, _loop, _parts, _sequence, pretty
 
@@ -268,9 +268,9 @@ def check_failure_correspondence(program: Term, initial: State) -> FailureCorres
     return _check_case(compile_program(program), initial, "a")[4]
 
 
-def _run(program: Program, slots: tuple, semantics: str, order: str = "+") -> tuple[tuple, AbortRecord | None]:
-    """A run on a copy of `slots`: the slot lists it ends with, and its
-    AbortRecord or None."""
+def _run(program: Program, slots: tuple, semantics: str, order: str = "+") -> tuple[tuple, tuple | None]:
+    """A run on a copy of `slots`: the slot lists it ends with, and what
+    `Program._exec` returns, None unless an assert run aborts."""
     values, stacks, counters = slots
     after = [*values], [*map(list, stacks)], [*counters]
     return after, program._exec(*after, semantics, order)
@@ -322,8 +322,9 @@ def _check_slots(program: Program, full: tuple, base: State) -> tuple:
         elif broken:
             names = sorted(name for name, counter in zip(program.variables, reversible[2]) if counter)
             agreement = _fail(program, base, flat, f"reversible run left broken variables: {names}")
-        record = program._exec(*after, "a", "-")  # in place: no check reads the assert run's lists again
-        if record is not None:
+        inverse = program._exec(*after, "a", "-")  # in place: no check reads the assert run's lists again
+        if inverse is not None:
+            record = program._abort_record(*after, *inverse)
             weak = _fail(program, base, flat, f"inverse run aborted: {record.reason} on {record.variable}")
         elif after != flat:
             weak = _fail(program, base, flat, f"inverse run missed the start: {_diff(program, base, flat, after)}")

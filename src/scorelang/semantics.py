@@ -42,7 +42,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 
-from .state import Cell, DEFAULT_CELL, State, _new_cell
+from .state import _PIECE, Cell, DEFAULT_CELL, State, _new_cell
 from .syntax import (
     _INVERSE,
     _PREFIX,
@@ -111,16 +111,6 @@ class AbortRecord(_Record):
     reason: str
     observed: Cell
     trace_position: int
-
-    # A plain constructor: a 1,500-case fuzz batch builds about 300 records,
-    # and with `_Record`'s, `run_fuzz` took 1.02-1.04x as long (in-process,
-    # 2-CPU host, Python 3.11.7).
-    def __init__(self, instruction: str, variable: str, reason: str, observed: Cell, trace_position: int) -> None:
-        object.__setattr__(self, "instruction", instruction)
-        object.__setattr__(self, "variable", variable)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "observed", observed)
-        object.__setattr__(self, "trace_position", trace_position)
 
 
 @dataclass(init=False, repr=False, eq=False, slots=True)
@@ -287,7 +277,7 @@ def pop_r(cell: Cell) -> Cell:
 # v + x0, x1, ..., x(m-1), then (xm + x0, x1, ..., x(m-1)) count - 1
 # times, and is left holding xm.  So `_leaf_function` returns a closure
 # that adds to each value and extends each stack list with its pattern
-# repeated, at most `_PUSH_PIECE` values at a time, each piece one list
+# repeated, at most `_PIECE` values at a time, each piece one list
 # extension in C from one tuple repetition made once per call, so the
 # temporary stays bounded.  An iterator over the pattern cost as much at
 # 5,000 values (6.5 ns per value, Python 3.11) and 6.2 ns at 2^20, where
@@ -333,7 +323,6 @@ def _loop_cache(body: Term) -> list:
 _SEMANTICS = ("n", "a", "r")
 
 _MOST_PUSHES = 2**24  # the most values a closed-form call pushes; past it, the block steps
-_PUSH_PIECE = 65_536  # the most values one extension of a stack list adds, unless one pattern holds more
 
 
 def _closed_form(block: tuple) -> list[tuple[int, list[int]]] | None:
@@ -367,7 +356,7 @@ def _leaf_function(block: tuple):
     keep a POP (`_closed_form`), so that it always steps.  No loop's block
     is empty, since an idle loop gets no entry.  The closure makes one
     addition per slot without a PUSH, and per slot with one, one list
-    extension per piece of at most `_PUSH_PIECE` values of its repeated
+    extension per piece of at most `_PIECE` values of its repeated
     pattern (a pattern of more values is a piece alone), and declines when
     a pushing slot's counter is not 0 or the call would push more than
     `_MOST_PUSHES` values."""
@@ -377,9 +366,9 @@ def _leaf_function(block: tuple):
     moves = [(k, x[0]) for k, x in forms if len(x) == 1]
     # from value v and counter 0, count iterations push v + x0, x1, ...,
     # x(m-1), then (xm + x0, x1, ..., x(m-1)) count - 1 times, and leave xm;
-    # a piece repeats the pattern as often as `_PUSH_PIECE` values allow
+    # a piece repeats the pattern as often as `_PIECE` values allow
     grows = [
-        (k, x[0], (x[-1] + x[0], *x[1:-1]), x[-1], _PUSH_PIECE // (len(x) - 1) or 1) for k, x in forms if len(x) > 1
+        (k, x[0], (x[-1] + x[0], *x[1:-1]), x[-1], _PIECE // (len(x) - 1) or 1) for k, x in forms if len(x) > 1
     ]
     pushes = sum(len(pattern) for _, _, pattern, *_ in grows)
 
@@ -553,12 +542,12 @@ class Program:
         if order.strip("+-"):
             raise ValueError(f"order must be made of '+' and '-', got {order!r}")
         slots = self._load(state, semantics)
-        record = self._exec(*slots, semantics, order, observe)
-        if record is not None:
-            return Aborted(record)
+        aborted = self._exec(*slots, semantics, order, observe)
+        if aborted is not None:
+            return Aborted(self._abort_record(*slots, *aborted))
         return Final(self._store(state, *slots))
 
-    # `run` composes the three steps below.  The harness's checks call them
+    # `run` composes the steps below.  The harness's checks call them
     # apart, to load a state once and run each pass on a copy of its lists.
 
     def _load(self, state: State, semantics: str) -> tuple[list, list, list]:
@@ -572,17 +561,23 @@ class Program:
 
     def _exec(self, values, stacks, counters, semantics: str, order: str, observe: _Observer | None = None):
         """Run the passes of `order` in place on the slot lists.  Returns
-        None, or the AbortRecord of an assert run that aborts."""
+        None, or for an assert run that aborts, the steps run before its
+        POP aborted and the POP's slot, from which `_abort_record` builds
+        the record for those callers that read it."""
         steps, top = 0, self._top
         for sign in order:
             block, atoms, _ = top[_DIRECTION[sign]] or self._plan(top, _DIRECTION[sign])
             steps, failed = _execute(self, block, atoms, steps + atoms, values, stacks, counters, semantics, observe)
             if failed >= 0:
-                value, name = values[failed], self.variables[failed]
-                reason = "value-nonzero" if value else "empty-stack"
-                observed = Cell(value, tuple(reversed(stacks[failed])), 0)
-                return AbortRecord(f"POP {name}", name, reason, observed, steps)
+                return steps, failed
         return None
+
+    def _abort_record(self, values, stacks, counters, steps: int, slot: int) -> AbortRecord:
+        """The AbortRecord of an assert run that `_exec` stopped after
+        `steps` steps at a POP of `slot`, from the slot lists it left."""
+        value, name = values[slot], self.variables[slot]
+        reason = "value-nonzero" if value else "empty-stack"
+        return AbortRecord(f"POP {name}", name, reason, Cell(value, tuple(reversed(stacks[slot])), 0), steps)
 
     def _store(self, state: State, values, stacks, counters) -> State:
         """`state` with the program's names set from the slot lists."""

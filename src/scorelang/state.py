@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterable, Mapping
-from itertools import filterfalse
 from operator import itemgetter
 from typing import NamedTuple, NoReturn
 
@@ -302,54 +301,41 @@ def _declared_state(declarations: list[tuple[str, Cell]]) -> State:
 # quarter as much per element (Python 3.11); the pieces keep its
 # transient tuples bounded on a stack of millions.
 # The table holds about 26 KB: one of ±256 raised the peak memory of the
-# benchmark's `cli_loops` by 0.6% (2-CPU host).  A stack with a few values
-# beyond the table is joined from a copy of it that holds their text too;
-# a stack that is mostly beyond it, or whose text cannot be made, goes to
-# the list repr.
+# benchmark's `cli_loops` by 0.6% (2-CPU host).  A stack with any value
+# beyond the table goes to the list repr.
 _SHORT_STACK = 32
 _DECIMAL_BOUND = 128
 _DECIMALS: dict[int, str] = {}
-_PIECE = 65_536  # the most values one itemgetter call looks up
+# The most values one itemgetter call looks up, and one extension of a
+# stack list adds in `semantics._leaf_function`.
+_PIECE = 65_536
 
 
-def _joined(stack: tuple[int, ...] | list[int], texts: dict[int, str]) -> str:
-    """The `texts` of the ints of `stack` joined by ", ", one itemgetter
-    call per piece.  A last value alone in its piece is looked up alone,
-    since itemgetter gives a single key's text bare."""
+def _joined(stack: tuple[int, ...] | list[int]) -> str:
+    """The `_DECIMALS` texts of the ints of `stack` joined by ", ", one
+    itemgetter call per piece; a KeyError for a value beyond the table.
+    A last value alone in its piece is looked up alone, since itemgetter
+    gives a single key's text bare."""
     end = len(stack) - 1
     if 0 < end < _PIECE:  # one piece, the usual case, with no slice or list of pieces
-        return ", ".join(itemgetter(*stack)(texts))
-    pieces = [", ".join(itemgetter(*stack[i : i + _PIECE])(texts)) for i in range(0, end, _PIECE)]
+        return ", ".join(itemgetter(*stack)(_DECIMALS))
+    pieces = [", ".join(itemgetter(*stack[i : i + _PIECE])(_DECIMALS)) for i in range(0, end, _PIECE)]
     if not end % _PIECE:
-        pieces.append(texts[stack[end]])
+        pieces.append(_DECIMALS[stack[end]])
     return ", ".join(pieces)
 
 
 def _stack_text(stack: tuple[int, ...] | list[int]) -> str:
     """`repr(list(stack))` for a sequence of plain ints, which callers
-    use for more than `_SHORT_STACK` of them.  The table is tried first;
-    misses are looked for only after it fails, and their text is made for
-    this call alone.  The list repr is cheaper, and taken, when most of
-    the first `_SHORT_STACK` values miss or most of the distinct values
-    do, and when an int is too long for the interpreter's digit limit, so
-    the first such int raises the `ValueError` it does."""
+    use for more than `_SHORT_STACK` of them: joined from the table, or
+    the list repr itself when a value is beyond it, so an int too long
+    for the interpreter's digit limit raises the `ValueError` it does."""
     if not _DECIMALS:
         _DECIMALS.update({i: repr(i) for i in range(-_DECIMAL_BOUND, _DECIMAL_BOUND + 1)})
-    if not stack or stack[0] in _DECIMALS:  # else the table fails at once
-        try:
-            return "[" + _joined(stack, _DECIMALS) + "]"
-        except KeyError:
-            pass
-    if sum(map(_DECIMALS.__contains__, stack[:_SHORT_STACK])) * 2 > _SHORT_STACK:
-        missing = set(filterfalse(_DECIMALS.__contains__, stack))
-        if len(missing) * 2 <= len(stack):
-            texts = _DECIMALS.copy()
-            try:
-                texts.update(zip(missing, map(repr, missing)))
-            except ValueError:
-                return repr(list(stack))
-            return "[" + _joined(stack, texts) + "]"
-    return repr(list(stack))
+    try:
+        return "[" + _joined(stack) + "]"
+    except KeyError:
+        return repr(list(stack))
 
 
 def dump_state(state: State, names: Iterable[str]) -> str:

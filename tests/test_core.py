@@ -1366,7 +1366,7 @@ class TestPushLoops:
     @staticmethod
     def piece_counts(pushes):
         """Counts whose pushes fall either side of one piece and of two."""
-        repeats = core._PUSH_PIECE // pushes or 1
+        repeats = core._PIECE // pushes or 1
         return [repeats - 1, repeats, repeats + 1, 2 * repeats + 1]
 
     @pytest.mark.parametrize("pushes", PATTERNS)
@@ -1375,7 +1375,7 @@ class TestPushLoops:
         # with pieces this small, counts either side of them stay cheap for
         # the walker, which copies a stack tuple on every PUSH; a piece of
         # 2 holds less than one pattern of 3, which is then its own piece
-        monkeypatch.setattr(core, "_PUSH_PIECE", piece)
+        monkeypatch.setattr(core, "_PIECE", piece)
         program = parse(self.PATTERNS[pushes])
         inverse = invert(program)  # its inverted entries push: "inverted"
         counts = self.piece_counts(pushes)

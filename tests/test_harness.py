@@ -34,6 +34,7 @@ from scorelang import (
     compile_program,
     eval_a,
     eval_r,
+    eval_traced,
     exhaustive_pop_injective,
     exhaustive_pop_push_inverse,
     gen_state,
@@ -371,6 +372,18 @@ class TestGenConfigValidation:
             GenConfig(max_stack_len=-1)
 
 
+def _inverse_starts_above(real):
+    """`Program._exec` whose inverse assert runs start one above where the
+    forward run ended, so that a POP x of the inverse finds a nonzero value."""
+
+    def exec_(self, values, stacks, counters, semantics, order, observe=None):
+        if semantics == "a" and order == "-":
+            values[:] = [value + 1 for value in values]
+        return real(self, values, stacks, counters, semantics, order, observe)
+
+    return exec_
+
+
 class TestChecks:
     def test_strong_on_over_popping_loop(self):
         verdict = check_strong_reversibility(
@@ -422,17 +435,7 @@ class TestChecks:
         assert report.direction_witness is None
 
     def test_weak_fails_when_the_inverse_run_aborts(self, monkeypatch):
-        # the inverse assert run starts one above where the forward run
-        # ended, so its POP x finds a nonzero value
-        def fault(real):
-            def exec_(self, values, stacks, counters, semantics, order, observe=None):
-                if semantics == "a" and order == "-":
-                    values[:] = [value + 1 for value in values]
-                return real(self, values, stacks, counters, semantics, order, observe)
-
-            return exec_
-
-        monkeypatch.setattr(Program, "_exec", fault(Program._exec))
+        monkeypatch.setattr(Program, "_exec", _inverse_starts_above(Program._exec))
         verdict = check_weak_reversibility_a(Push("x"), State())
         assert verdict == Fail(Push("x"), State(), "inverse run aborted: value-nonzero on x")
 
@@ -767,6 +770,28 @@ class TestRunFuzz:
         report = run_fuzz(GenConfig(seed=1), 1500)
         assert report.ok and report.only_if_samples
         assert len(built) <= 10
+
+    def test_abort_records_are_built_only_where_they_are_read(self, monkeypatch):
+        """The batch asks only whether each assert run aborted, so it builds
+        no AbortRecord; the calls that hand one on, or print its fields,
+        still build theirs."""
+        built = []
+        real = semantics.AbortRecord.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(semantics.AbortRecord, "__init__", counted)
+        report = run_fuzz(GenConfig(seed=7), 1500)
+        assert report.ok and report.weak.vacuous > 300  # so many assert runs aborted
+        assert built == []
+        start = State({"x": Cell(5, (2,), 0)})
+        assert eval_a(Pop("x"), start).record.observed == Cell(5, (2,), 0)
+        assert eval_traced(Pop("x"), start, "a")[0][-1].abort.reason == "value-nonzero"
+        monkeypatch.setattr(Program, "_exec", _inverse_starts_above(Program._exec))
+        assert check_weak_reversibility_a(Push("x"), State()).details == "inverse run aborted: value-nonzero on x"
+        assert [observed for _, _, _, observed, _ in built] == [Cell(5, (2,), 0), Cell(5, (2,), 0), Cell(1, (0,), 0)]
 
     def test_deterministic_reports(self):
         first = run_fuzz(GenConfig(seed=11), 100)

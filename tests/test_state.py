@@ -440,6 +440,13 @@ class TestDumpState:
             assert parse_state(dump_state(state, names)) == state
 
 
+def _one_beyond_the_table(at):
+    """10,002 values of the table, with 1234567 at `at`."""
+    stack = [1, -2, 3] * 3_334
+    stack[at] = 1234567
+    return stack
+
+
 class TestStackText:
     """`state._stack_text`, the printer of every stack longer than
     `_SHORT_STACK`, prints what a list repr prints, whether its ints are
@@ -543,7 +550,9 @@ class TestStackText:
             assert state._stack_text(tuple(values)) == state._stack_text(list(values)) == repr(values)
 
     def spy_on_repr(self, monkeypatch):
-        """The arguments of each `repr` call `state` makes while in use."""
+        """The arguments of each `repr` call `state` makes while in use,
+        once the table is filled, which makes a call per int in it."""
+        state._stack_text((0,) * 64)
         calls = []
 
         def spy(value):
@@ -553,30 +562,20 @@ class TestStackText:
         monkeypatch.setattr(state, "repr", spy, raising=False)
         return calls
 
-    @pytest.mark.parametrize("at", [0, 5_000, -1], ids=["top", "middle", "bottom"])
-    def test_a_few_values_beyond_the_table_skip_the_list_repr(self, monkeypatch, at):
-        # the table serves every value but the one beyond it, whose text is
-        # made alone, for this call: the stack never goes to the list repr
-        stack = [1, -2, 3] * 3_334
-        stack[at] = 1234567
-        calls = self.spy_on_repr(monkeypatch)
-        assert state._stack_text(tuple(stack)) == f"{stack}"
-        assert calls == [1234567]
-        assert 1234567 not in state._DECIMALS
-        repeated = [1] * 9_920 + [10**20, -(10**20)] * 40  # few distinct values, however often
-        calls.clear()
-        assert state._stack_text(tuple(repeated)) == f"{repeated}"
-        assert sorted(calls) == [-(10**20), 10**20]
-
     @pytest.mark.parametrize(
         "stack",
         [
             [10**6 + i for i in range(10_000)],  # every value beyond the table
             [1] * 32 + [10**6 + i for i in range(10_000)],  # most of the distinct ones
+            _one_beyond_the_table(0),  # one value alone: at the top,
+            _one_beyond_the_table(5_000),  # the middle
+            _one_beyond_the_table(-1),  # and the bottom
         ],
-        ids=["all", "after-the-first"],
+        ids=["all", "after-the-first", "one-top", "one-middle", "one-bottom"],
     )
     def test_a_stack_mostly_beyond_the_table_takes_the_list_repr(self, monkeypatch, stack):
+        # so does a stack with a single value beyond it: the table serves
+        # whole stacks or none
         calls = self.spy_on_repr(monkeypatch)
         assert state._stack_text(tuple(stack)) == f"{stack}"
         assert calls == [stack]
