@@ -58,7 +58,7 @@ def tokenize(src: str) -> list[str]:
     """The lexemes of `src` in order (words, ";", "{" and "}"), followed by
     "" for the end of input.  Raises ParseError at the first character
     that no lexeme, whitespace or comment accounts for."""
-    code = _COMMENT_RE.sub(" ", src) if "#" in src else src
+    code = _COMMENT_RE.sub(" ", src)
     fault = _FAULT_RE.search(code)
     if fault is not None:
         raise ParseError(*_position(code, fault.start()), f"unexpected character {fault.group()!r}")
@@ -148,7 +148,7 @@ def parse(src: str) -> Term:
     character that is not ASCII or a stray blank, a piece `_read` refuses
     or an unmatched "}" goes to `_raise_fault`, which reads the lexemes
     from that piece on; a loop left open raises at the end of input."""
-    code = _COMMENT_RE.sub(" ", src) if "#" in src else src
+    code = _COMMENT_RE.sub(" ", src)
     # \x1c-\x1f are the ASCII characters that `str.split` takes for blanks
     # and the grammar does not.
     if not code.isascii() or "\x1c" in code or "\x1d" in code or "\x1e" in code or "\x1f" in code:

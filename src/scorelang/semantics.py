@@ -553,7 +553,7 @@ class Program:
     def _load(self, state: State, semantics: str) -> tuple[list, list, list]:
         """The slot lists of `state`: values, stacks with the top at the
         end, and counters.  The pair semantics refuse a nonzero counter."""
-        cells = state.as_dict()
+        cells = state._cells  # read only: `_store` copies it to write
         if semantics != "r" and any(cell.counter for cell in cells.values()):
             raise NonzeroCounterError(min(name for name, cell in cells.items() if cell.counter))
         loaded = [cells.get(name, DEFAULT_CELL) for name in self.variables]

@@ -77,28 +77,28 @@ _plain_ints = {int}.issuperset  # of the types of a stack's elements
 
 
 def _as_cell(cell) -> Cell:
-    """`cell` as a Cell of plain ints with a tuple stack, after checking
-    every field.  An int subclass gives its int value, since it may print
-    otherwise (IntEnum does).  A bool is an int, but not an integer here:
-    it would be dumped as True or False, which no state file can hold."""
-    value, stack, counter = cell
-    if type(stack) is not tuple:
+    """A fresh Cell equal to `cell`, of plain ints with a tuple stack, after
+    checking every field; anything but a (value, stack, counter) triple
+    with an iterable stack raises a ValueError that names it.  An int
+    subclass gives its int value, since it may print otherwise (IntEnum
+    does).  A bool is an int, but not an integer here: it would be dumped
+    as True or False, which no state file can hold.  A tuple stack of
+    plain ints is kept as it is, with no copy: one pass over its element
+    types is all it costs."""
+    try:
+        value, stack, counter = cell
         stack = tuple(stack)
-    if type(value) is not int:
-        if not isinstance(value, int) or type(value) is bool:
-            raise ValueError(f"cell value must be an integer, got {value!r}")
-        value = int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"cell must be a triple (value, iterable stack, counter), got {cell!r}") from None
+    if not isinstance(value, int) or type(value) is bool:
+        raise ValueError(f"cell value must be an integer, got {value!r}")
     if not _plain_ints(map(type, stack)):
         if not all(map(_is_int, stack)) or bool in map(type, stack):
             raise ValueError(f"cell stack must contain integers, got {stack!r}")
         stack = tuple(map(int, stack))
-    if type(counter) is not int or counter < 0:
-        if not isinstance(counter, int) or type(counter) is bool or counter < 0:
-            raise ValueError(f"cell counter must be a non-negative integer, got {counter!r}")
-        counter = int(counter)
-    if type(cell) is Cell and value is cell[0] and stack is cell[1] and counter is cell[2]:
-        return cell
-    return _new_cell(Cell, (value, stack, counter))
+    if not isinstance(counter, int) or type(counter) is bool or counter < 0:
+        raise ValueError(f"cell counter must be a non-negative integer, got {counter!r}")
+    return _new_cell(Cell, (int(value), stack, int(counter)))
 
 
 def _bind(store: dict[str, Cell], name: str, cell) -> None:
@@ -201,8 +201,7 @@ def parse_state_declarations(src: str) -> list[tuple[str, Cell]]:
     `_fault`, which finds the fault's column.
     """
     text = src.replace("\r\n", "\n").replace("\r", "\n")
-    if "#" in text:
-        text = _COMMENT_RE.sub("", text)
+    text = _COMMENT_RE.sub("", text)
     cells: dict[str, Cell] = {}
     for lineno, (name, value, stack, counter, fault) in enumerate(_LINE_RE.findall(text), start=1):
         if name:
@@ -317,8 +316,6 @@ def _joined(stack: tuple[int, ...] | list[int]) -> str:
     A last value alone in its piece is looked up alone, since itemgetter
     gives a single key's text bare."""
     end = len(stack) - 1
-    if 0 < end < _PIECE:  # one piece, the usual case, with no slice or list of pieces
-        return ", ".join(itemgetter(*stack)(_DECIMALS))
     pieces = [", ".join(itemgetter(*stack[i : i + _PIECE])(_DECIMALS)) for i in range(0, end, _PIECE)]
     if not end % _PIECE:
         pieces.append(_DECIMALS[stack[end]])

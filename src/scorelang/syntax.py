@@ -204,15 +204,12 @@ class Seq(_Compound):
     parts: tuple[Term, ...]
 
     def __init__(self, *terms: Term, parts: tuple[Term, ...] = ()) -> None:
-        parts = (*terms, *parts)
-        if Seq in map(type, parts):
-            flat: list[Term] = []
-            for part in parts:
-                flat += part.parts if type(part) is Seq else (part,)
-            parts = tuple(flat)
-        if len(parts) < 2:
-            raise ValueError(f"a sequence needs at least two parts, got {len(parts)}")
-        object.__setattr__(self, "parts", parts)
+        flat: list[Term] = []
+        for part in (*terms, *parts):
+            flat += part.parts if type(part) is Seq else (part,)
+        if len(flat) < 2:
+            raise ValueError(f"a sequence needs at least two parts, got {len(flat)}")
+        object.__setattr__(self, "parts", tuple(flat))
 
 
 def _parts(term: Term) -> tuple[Term, ...]:

@@ -46,6 +46,16 @@ class TestHeadTail:
         tl(stack)
 
 
+# Every way a cell enters a State: the constructor, from a dict or from
+# pairs, and `set`, on an empty and on a non-empty state.
+_WAYS_IN = (
+    lambda cell: State({"x": cell}),
+    lambda cell: State([("x", cell)]),
+    lambda cell: State().set("x", cell),
+    lambda cell: State({"y": Cell(1)}).set("x", cell),
+)
+
+
 class TestStateMap:
     def test_get_stored(self):
         state = State({"x": Cell(5, (2,), 0)})
@@ -118,15 +128,31 @@ class TestStateMap:
     @pytest.mark.parametrize("as_cell", [False, True])
     def test_every_way_in_rejects_a_bad_cell(self, fields, message, as_cell):
         cell = Cell(*fields) if as_cell else fields
-        for build in (
-            lambda: State({"x": cell}),
-            lambda: State([("x", cell)]),
-            lambda: State().set("x", cell),
-            lambda: State({"y": Cell(1)}).set("x", cell),
-        ):
+        for build in _WAYS_IN:
             with pytest.raises(ValueError) as raised:
-                build()
+                build(cell)
             assert str(raised.value) == message
+
+    @pytest.mark.parametrize("cell", [5, None, (1, 5, 0), (1, 2), (1, (), 0, 0)], ids=repr)
+    def test_every_way_in_refuses_a_non_triple_by_name(self, cell):
+        message = f"cell must be a triple (value, iterable stack, counter), got {cell!r}"
+        for build in _WAYS_IN:
+            with pytest.raises(ValueError) as raised:
+                build(cell)
+            assert str(raised.value) == message
+
+    def test_a_stored_cell_is_a_fresh_equal_tuple(self):
+        cell = Cell(1, (2, 3), 1)
+        for build in _WAYS_IN:
+            stored = build(cell).get("x")
+            assert stored == cell and type(stored) is Cell
+            assert stored is not cell
+
+    def test_a_tuple_stack_of_plain_ints_is_stored_as_it_is(self):
+        # neither copied nor converted, however long
+        stack = tuple(range(-50_000, 50_000))
+        assert State({"x": Cell(0, stack)}).get("x").stack is stack
+        assert State().set("x", Cell(0, stack, 2)).get("x").stack is stack
 
     def test_rejects_bad_name(self):
         with pytest.raises(ValueError):
