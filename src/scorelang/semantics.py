@@ -27,18 +27,22 @@ cannot occur in a well-formed body, every run terminates with work bounded
 by the program size times the product of loop-entry magnitudes; no fuel or
 timeout is involved.
 
-`compile_program` checks a program and numbers its variables once, and
-the `Program` it returns runs any number of states under any of the three
+`compile_program` checks a program, numbers its variables and builds the
+forward block of the program and of each loop in one walk, and the
+`Program` it returns runs any number of states under any of the three
 semantics, forward, inverted, or one direction after the other (P;-P),
-traced or not, compiling each block on first use, once for all of these
-runs.  The four `eval_*` functions compile and run once.  An ill-formed
-program is refused when it is compiled, and the two pair semantics refuse
-input states with a nonzero counter.
+traced or not.  A loop's inverted block is its forward block read
+backwards with each atom swapped for its inverse, the local syntactic
+inverse of the R-semantics, and is derived from it on the loop's first
+inverted entry, once for all of these runs.  The four `eval_*` functions
+compile and run once.  An ill-formed program is refused when it is
+compiled, and the two pair semantics refuse input states with a nonzero
+counter.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 
@@ -54,9 +58,10 @@ from .syntax import (
     Skip,
     Term,
     Violation,
+    _not_a_term,
     _Record,
     _parts,
-    _scan,
+    check_well_formed,
 )
 
 __all__ = [
@@ -187,14 +192,16 @@ def pop_r(cell: Cell) -> Cell:
 
 # ---------------------------------------------------------------- the core
 #
-# `compile_program` checks a term against the strict leader proviso and
-# numbers its variables from one walk, `syntax._scan`, the walk that
-# `check_well_formed` and `variables_of` also read, so the rule is checked
-# in one place.  Each name gets a slot, in order of first occurrence, loop
-# bodies included, so every block of the program agrees on the slots
-# whichever run compiles it.  A run loads each slot from its state into
-# three lists (values, stacks with the top at the end, counters), so every
-# step is an O(1) list update.
+# `compile_program` makes one walk of a term, with a stack of open loop
+# bodies in place of recursion.  It numbers the names, checks the strict
+# leader proviso and builds the forward blocks as it goes.  Each name gets
+# a slot in order of first occurrence, a leader at its FOR, loop bodies
+# that never run included.  The walk only notes whether some name occurs
+# inside a loop it leads; for such a term it calls `check_well_formed`,
+# whose walk, `syntax._scan`, builds the IllFormedProgramError report, so
+# the rule's report is made in one place.  A run loads each slot from its
+# state into three lists (values, stacks with the top at the end,
+# counters), so every step is an O(1) list update.
 #
 # A program compiles into blocks: tuples of flat ``(opcode, arg)`` entries,
 # where ``arg`` is a variable's slot for INC/DEC/PUSH, and the slot and the
@@ -213,13 +220,17 @@ def pop_r(cell: Cell) -> Cell:
 # counter.
 #
 # A loop entry's arg is ``(leader slot, cache, index, atoms before)``.  The
-# cache, one per FOR node, holds the loop's two plans, each made on first
-# use, its body and its heat; the whole program has such a cache too.  A
-# plan's index is its direction, 1 meaning the body runs inverted, so a
-# negative count flips it with ``^= 1``.  So no (loop, direction) block is
-# compiled twice, and one that never runs is never compiled.  The inverted
-# block is compiled straight from the term, with the entries in reverse
-# order and INC/DEC and PUSH/POP swapped.
+# cache, each loop entry's own, holds the loop's two plans and its heat;
+# the whole program has such a cache too.  A plan's index is its
+# direction, 1 meaning the body runs inverted, so a negative count flips
+# it with ``^= 1``.  The walk builds each loop's forward plan when the
+# loop's body closes.  The inverted plan is derived from the forward block
+# by `_inverted_plan` on the loop's first inverted entry: the entries in
+# reverse order, INC/DEC and PUSH/POP swapped, the atoms before each POP
+# and loop entry counted anew, and each inner loop entry pointing at plan
+# 1 of its own cache, so a loop's heat is shared by both directions.  So
+# no block is built twice, and no inverted block of a loop that never runs
+# inverted is built.
 #
 # A plan is ``(block, atoms, run)``: the block, its atom count, and how an
 # entry runs it.  ``run`` is None while the loop is cold: the block steps
@@ -230,11 +241,11 @@ def pop_r(cell: Cell) -> Cell:
 # steps, so the observer sees every atom.
 #
 # An idle loop, one whose body holds no atom at any depth, changes nothing
-# however large its count.  The walk that `compile_program` makes anyway,
-# `syntax._scan`, records the idle FOR nodes, and their caches are empty
-# (``()``), so `_compile` gives them no entry and their bodies are never
-# compiled.  Deciding idleness with a walk of the body when its block is
-# first compiled would walk a count-1 nest n deep n times over.
+# however large its count.  Its forward block is empty when its body
+# closes, since an idle inner loop got no entry either, so the walk gives
+# it no entry and no cache, and no run ever reaches its body.  Deciding
+# idleness with a walk of the body when its block is first compiled would
+# walk a count-1 nest n deep n times over.
 #
 # Under the assert semantics the abort position needs the number of steps
 # run so far.  Rather than count every step, a run adds the body's atom
@@ -257,8 +268,9 @@ def pop_r(cell: Cell) -> Cell:
 # product, stepped or in closed form.  Each iteration runs the same atoms
 # in the same order as level-by-level stepping, and `scheduled` gets the
 # same total, so no abort position moves.  The outer levels' plans are
-# made, for their blocks, but they never step and count no heat.  A mixed
-# nest, one with atoms beside its inner loop, steps its outer level.
+# there, forward or derived, for their blocks, but they never step and
+# count no heat.  A mixed nest, one with atoms beside its inner loop,
+# steps its outer level.
 #
 # A hot leaf loop, one whose block holds no loop entry, runs in closed form
 # in an unobserved run when its atoms keep no POP.  `_closed_form` reduces
@@ -296,26 +308,23 @@ def pop_r(cell: Cell) -> Cell:
 # either direction, and a plan gets its run, the closure or False, on the
 # first unobserved entry past `_HOT`, so a loop that runs a few iterations
 # never pays for `_closed_form`'s walk and the closure.  The plan lives in
-# the loop's cache, so a Program makes each closure at most once.
+# the loop entry's cache, so a Program makes each closure at most once per
+# loop entry and direction.
 
 _INC, _DEC, _PUSH, _POP, _LOOP = range(5)
-# The opcode each atom class compiles to, run forward and inverted.
+# The opcode each atom class compiles to.
 _FORWARD = {Inc: _INC, Dec: _DEC, Push: _PUSH, Pop: _POP}
-_OPCODES = (_FORWARD, {cls: _FORWARD[inverse] for cls, inverse in _INVERSE.items()})
-# By opcode, the start of an observed atom's label; `_FORWARD` lists the
-# atom classes in the order of their opcodes.
+# By atom opcode, the start of an observed atom's label and the opcode of
+# its inverse; `_FORWARD` lists the atom classes in the order of their
+# opcodes.
 _LABELS = tuple(_PREFIX[cls] for cls in _FORWARD)
-# A loop cache: 0 and 1 hold its plans, then its body term and its heat.
-_BODY, _HEAT = 2, 3
+_SWAPPED = tuple(_FORWARD[_INVERSE[cls]] for cls in _FORWARD)
+# A loop cache: 0 and 1 hold its plans, forward and inverted, then its heat.
+_HEAT = 2
 # Not count > 1: that slowed minimize 9-18%, as a closure costs about 4 us to make, a count-2 entry 1 us to step.
 _HOT = 500  # iterations a loop schedules before its plans get runs, so `_closed_form` pays off
 _DIRECTION = {"+": 0, "-": 1}  # the passes of `Program.run`'s order
 _NONE_LEFT = iter(())  # the countdown of a loop run once, which has no iteration left to yield
-
-
-def _loop_cache(body: Term) -> list:
-    """A fresh loop cache for `body`: no plan made yet, cold."""
-    return [None, None, body, 0]
 
 
 # The semantics `Program.run` accepts, and the CLI offers; only an illegal
@@ -403,9 +412,9 @@ def _abort_position(scheduled: int, left: int, frames: list[tuple]) -> int:
 
 
 def _execute(
-    program: Program, block, atoms: int, scheduled: int, values, stacks, counters, semantics: str, observe
+    names: tuple[str, ...], block, atoms: int, scheduled: int, values, stacks, counters, semantics: str, observe
 ) -> tuple:
-    """Run one block of `program` on the slot lists under `semantics`, one
+    """Run one block of a program on the slot lists under `semantics`, one
     of `_SEMANTICS`, with `scheduled` counting the steps scheduled so far,
     the block's own included.  Returns the number of steps run and -1 when
     the block completes, else, from the branch of the POP step where the
@@ -422,8 +431,7 @@ def _execute(
     nesting does not recurse.  The countdown yields, for each iteration,
     the iterations left with it, so a count of any size runs, and an abort
     reads what is left; a loop run once goes on with its block itself, its
-    countdown `_NONE_LEFT`."""
-    names = program.variables
+    countdown `_NONE_LEFT`.  `names` are the program's variables, by slot."""
     frames: list[tuple] = []
     it = iter(block)
     while True:
@@ -457,7 +465,7 @@ def _execute(
                     if count < 0:
                         count = -count
                         index ^= 1
-                    body, body_atoms, run = cache[index] or program._plan(cache, index)
+                    body, body_atoms, run = cache[index] or _inverted_plan(cache)
                     if body_atoms or len(body) > 1:
                         break
                     # a perfect nest: no step of it can change the inner count
@@ -493,34 +501,54 @@ def _execute(
             it, atoms = frames.pop()[:2]
 
 
+def _inverted_plan(cache: list) -> tuple:
+    """The inverted plan of a loop cache, or of a whole program's, derived
+    from its forward block on first use, which every caller reaches through
+    ``cache[1] or ...``: the entries in reverse order, INC/DEC and PUSH/POP
+    swapped, the atoms before each POP and loop entry counted anew, and
+    each loop entry pointing at the inverted plan of its own cache."""
+    block, atoms, _ = cache[0]
+    entries: list[tuple] = []
+    before = 0
+    for op, arg in reversed(block):
+        if op == _LOOP:
+            arg = (arg[0], arg[1], 1, before)
+        else:
+            op = _SWAPPED[op]
+            arg = (arg, before) if op == _POP else arg[0] if op == _PUSH else arg
+            before += 1
+        entries.append((op, arg))
+    plan = cache[1] = (tuple(entries), atoms, None)
+    return plan
+
+
 class Program:
-    """A well-formed term, checked and numbered once, to run over many states.
+    """A well-formed term, checked, numbered and compiled once, to run over
+    many states.
 
     `variables` holds every name of the term, loop leaders and the names of
-    bodies that never run included, in order of first occurrence.  Blocks
-    are compiled on first use and kept, one per direction, and every run
-    executes the same blocks, traced or not, under all three semantics, so
-    each later run only executes.  A run hands `_execute` its semantics'
-    name, which only the POP step's branch for an illegal POP reads: the
-    one place where the semantics differ, from which an assert abort
-    returns its position.  An observed run also hands it its observer,
-    which gets each atom's label, joined from its opcode's keyword and its
-    slot's name as the step runs.  A perfect loop nest runs as its
-    innermost loop, with the product of the counts, and a hot leaf loop of
-    an unobserved run whose atoms keep no POP runs in the closed form
-    `_leaf_function` makes from its block, once per Program.
-    `idle` holds the ids of the term's idle FOR nodes.
+    bodies that never run included, in order of first occurrence.  Every
+    forward block is built by `compile_program`'s walk, and a loop's
+    inverted block is derived from its forward block on the loop's first
+    inverted entry, so every run executes the same blocks, traced or not,
+    under all three semantics, and each later run only executes.  A run
+    hands `_execute` its semantics' name, which only the POP step's branch
+    for an illegal POP reads: the one place where the semantics differ,
+    from which an assert abort returns its position.  An observed run also
+    hands it its observer, which gets each atom's label, joined from its
+    opcode's keyword and its slot's name as the step runs.  A perfect loop
+    nest runs as its innermost loop, with the product of the counts, and a
+    hot leaf loop of an unobserved run whose atoms keep no POP runs in the
+    closed form `_leaf_function` makes from its block, once per loop entry
+    and direction.  `top` is the whole program's cache.
     """
 
-    __slots__ = ("term", "variables", "_slots", "_loops", "_top")
+    __slots__ = ("term", "variables", "_top")
 
-    def __init__(self, term: Term, slots: dict[str, int], idle: Iterable[int]):
+    def __init__(self, term: Term, variables: tuple[str, ...], top: list):
         self.term = term
-        self.variables: tuple[str, ...] = tuple(slots)
-        self._slots = slots
-        # each FOR node's cache, by the node's id; an idle loop's is empty
-        self._loops: dict[int, list | tuple] = dict.fromkeys(idle, ())
-        self._top = _loop_cache(term)  # the whole program's cache
+        self.variables = variables
+        self._top = top
 
     def run(self, state: State, semantics: str = "r", order: str = "+", observe: _Observer | None = None) -> RunOutcome:
         """Run from `state` under semantics "n", "a" or "r".
@@ -566,8 +594,10 @@ class Program:
         the record for those callers that read it."""
         steps, top = 0, self._top
         for sign in order:
-            block, atoms, _ = top[_DIRECTION[sign]] or self._plan(top, _DIRECTION[sign])
-            steps, failed = _execute(self, block, atoms, steps + atoms, values, stacks, counters, semantics, observe)
+            block, atoms, _ = top[_DIRECTION[sign]] or _inverted_plan(top)
+            steps, failed = _execute(
+                self.variables, block, atoms, steps + atoms, values, stacks, counters, semantics, observe
+            )
             if failed >= 0:
                 return steps, failed
         return None
@@ -589,48 +619,59 @@ class Program:
                 cells.pop(name, None)
         return State._trusted(cells)
 
-    def _plan(self, cache: list, index: int) -> tuple:
-        """The plan of a cache's term at `index`, made on first use, which
-        every caller reaches through `cache[index] or ...`: its block, its
-        atom count, and its run, None while cold."""
-        plan = cache[index] = (*self._compile(cache[_BODY], index), None)
-        return plan
-
-    def _compile(self, term: Term, index: int) -> tuple[tuple, int]:
-        """The block of `term` at `index`, run inverted when 1, and its atom
-        count.  No part of a sequence is a sequence, an idle loop gets no
-        entry, and a loop body is compiled when `_execute` first enters the
-        loop in that direction, so this is one pass over the parts."""
-        ops, slots, loops = _OPCODES[index], self._slots, self._loops
-        entries: list[tuple] = []
-        atoms = 0
-        parts = _parts(term)
-        for t in parts[::-1] if index else parts:
-            kind = type(t)
-            if kind is Skip:
-                continue
-            if kind is For:
-                cache = loops.get(id(t))
-                if cache is None:
-                    cache = loops[id(t)] = _loop_cache(t.body)
-                if cache:
-                    entries.append((_LOOP, (slots[t.leader], cache, index, atoms)))
-            else:
-                slot = slots[t.var]
-                op = ops[kind]
-                entries.append((op, (slot, atoms) if op == _POP else slot))
-                atoms += 1
-        return tuple(entries), atoms
-
 
 def compile_program(term: Term) -> Program:
-    """Check `term` against the strict leader proviso and number its
-    variables, in one walk.  A program that breaks the proviso raises
-    IllFormedProgramError with every violation."""
-    violations, slots, idle = _scan(term, False)
-    if violations:
-        raise IllFormedProgramError(violations)
-    return Program(term, slots, idle)
+    """Check `term` against the strict leader proviso, number its variables
+    and build its forward blocks, in one walk.  A program that breaks the
+    proviso raises IllFormedProgramError with every violation."""
+    # While a loop's body is open, its leader maps to the complement of its
+    # slot, ~slot, so a name read back as a negative slot occurs inside a
+    # loop it leads, which the proviso forbids.
+    slots: dict[str, int] = {}
+    led = False
+    # A frame is a run of parts whose loop's body is open: its parts still
+    # to compile, its entries and its atoms so far, and the loop leader's
+    # name and slot.  The open body's run is the current one.
+    frames: list[tuple] = []
+    items, entries, atoms = iter(_parts(term)), [], 0
+    opcodes = _FORWARD
+    while True:
+        for t in items:
+            cls = type(t)
+            op = opcodes.get(cls)
+            if op is not None:
+                name = t.var
+                slot = slots.get(name)
+                if slot is None:
+                    slot = slots[name] = len(slots)
+                elif slot < 0:
+                    led, slot = True, ~slot
+                entries.append((op, (slot, atoms) if op == _POP else slot))
+                atoms += 1
+            elif cls is For:
+                name = t.leader
+                slot = slots.get(name)
+                if slot is None:
+                    slot = len(slots)
+                elif slot < 0:
+                    led, slot = True, ~slot
+                slots[name] = ~slot
+                frames.append((items, entries, atoms, name, slot))
+                items, entries, atoms = iter(_parts(t.body)), [], 0
+                break
+            elif cls is not Skip:
+                raise _not_a_term(t)
+        else:
+            if not frames:
+                break
+            block, body_atoms = tuple(entries), atoms
+            items, entries, atoms, name, slot = frames.pop()
+            slots[name] = slot
+            if block:  # an idle loop, whose body holds no atom at any depth, gets no entry
+                entries.append((_LOOP, (slot, [(block, body_atoms, None), None, 0], 0, atoms)))
+    if led:
+        raise IllFormedProgramError(check_well_formed(term))
+    return Program(term, tuple(slots), [(tuple(entries), atoms, None), None, 0])
 
 
 def eval_n(term: Term, state: State) -> State:

@@ -370,33 +370,30 @@ def check_well_formed(term: Term, *, relaxed: bool = False) -> list[Violation]:
     return _scan(term, relaxed)[0]
 
 
-def _scan(term: Term, relaxed: bool) -> tuple[list[Violation], dict[Identifier, int], set[int]]:
-    """The one walk behind `check_well_formed`, `variables_of` and
-    `semantics.compile_program`: the proviso's violations in source order,
-    every name of `term`, loop bodies included, numbered in order of first
-    occurrence, and the ids of its idle FOR nodes, those whose body holds
-    no atom at any depth."""
+def _scan(term: Term, relaxed: bool) -> tuple[list[Violation], dict[Identifier, int]]:
+    """The one walk behind `check_well_formed` and `variables_of`: the
+    proviso's violations in source order, and every name of `term`, loop
+    bodies included, numbered in order of first occurrence.
+    `semantics.compile_program` makes a walk of its own that builds blocks
+    as it goes, and calls `check_well_formed` only for a term that breaks
+    the strict proviso, to report its violations."""
     violations: list[Violation] = []
     slots: dict[str, int] = {}
     opens: list[int] = []  # per slot, how many open loops that name leads
-    idle: set[int] = set()
-    atoms = 0  # the atoms met so far
     # A frame is a run of parts being checked, the root's or an open loop
     # body's: its parts still to check, its length, the frame of the run
-    # holding the loop (None for the root), the loop leader's slot, the loop
-    # and the atoms met before its body.  The frames of the open runs form
-    # a chain, which `_path` follows.
+    # holding the loop (None for the root) and the loop leader's slot.  The
+    # frames of the open runs form a chain, which `_path` follows.
     parts = _parts(term)
-    frame: tuple | None = (iter(parts), len(parts), None, -1, None, 0)
+    frame: tuple | None = (iter(parts), len(parts), None, -1)
     while frame is not None:
-        items, _, up, leader, loop, before = frame
+        items, _, up, leader = frame
         for t in items:
             cls = type(t)
             if cls is For:
                 name = t.leader
             elif cls in _INVERSE:
                 name = t.var
-                atoms += 1
             elif cls is Skip:
                 continue
             else:
@@ -410,15 +407,13 @@ def _scan(term: Term, relaxed: bool) -> tuple[list[Violation], dict[Identifier, 
             if cls is For:
                 opens[slot] += 1
                 parts = _parts(t.body)
-                frame = (iter(parts), len(parts), frame, slot, t, atoms)
+                frame = (iter(parts), len(parts), frame, slot)
                 break
         else:
             if leader >= 0:
                 opens[leader] -= 1
-                if atoms == before:
-                    idle.add(id(loop))
             frame = up
-    return violations, slots, idle
+    return violations, slots
 
 
 def pretty(term: Term) -> str:

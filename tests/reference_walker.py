@@ -6,8 +6,9 @@ every negative loop entry and snapshots the whole state after each traced
 step.  It recurses along sequences, so it is only fit for small terms.
 
 `ref_idle_loops` keeps the walk of each loop body that once told the core
-whether a loop is idle, as the oracle for the idle loops `syntax._scan`
-records in its one walk.
+whether a loop is idle, as the oracle for the loops that
+`compile_program`'s one walk gives no entry: a loop is idle, and gets
+none, exactly when its forward block is empty as its body closes.
 """
 
 from __future__ import annotations

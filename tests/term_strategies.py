@@ -75,3 +75,21 @@ def wf_terms(draw, max_depth=4, names=NAMES, stack_ops=True):
     leader = draw(st.sampled_from(names))
     rest = tuple(n for n in names if n != leader)
     return For(leader, draw(wf_terms(max_depth - 1, rest, stack_ops)))
+
+
+@st.composite
+def leader_reusing_terms(draw, max_depth=3):
+    """Terms that break the strict proviso: a loop whose body reuses its
+    leader as an INC, DEC, PUSH or POP target or as a nested loop's
+    leader, among other parts, inside up to two more loops."""
+    leader = draw(idents)
+    kind = draw(st.sampled_from([*_VAR_ATOMS, "for"]))
+    reuse = For(leader, draw(raw_terms(max_depth))) if kind == "for" else _VAR_ATOMS[kind](leader)
+    rest = [draw(raw_terms(max_depth)) for _ in range(draw(st.integers(0, 2)))]
+    term = For(leader, Seq(*draw(st.permutations([reuse, *rest]))) if rest else reuse)
+    for _ in range(draw(st.integers(0, 2))):
+        parts = [draw(raw_terms(max_depth)) for _ in range(draw(st.integers(0, 2)))]
+        term = Seq(*draw(st.permutations([term, *parts]))) if parts else term
+        if draw(st.booleans()):
+            term = For(draw(idents), term)
+    return term

@@ -1,5 +1,6 @@
 """The compiled evaluator core against the tree walker it replaced."""
 
+import builtins
 import copy
 import dataclasses
 import pickle
@@ -21,14 +22,15 @@ from scorelang import (
     Final,
     For,
     GenConfig,
+    IllFormedProgramError,
     Inc,
     Pop,
-    Program,
     Push,
     Seq,
     Skip,
     State,
     TraceStep,
+    check_well_formed,
     compile_program,
     eval_a,
     eval_n,
@@ -41,10 +43,10 @@ from scorelang import (
     variables_of,
     zero_counters,
 )
-from scorelang.syntax import Violation, _scan
+from scorelang.syntax import Violation, _parts, _scan
 import reference_frontend as ref
 from reference_walker import ref_eval_a, ref_eval_n, ref_eval_r, ref_eval_traced, ref_idle_loops
-from term_strategies import raw_terms, states, wf_terms
+from term_strategies import leader_reusing_terms, raw_terms, states, wf_terms
 
 
 def assert_same_trace(term, state, semantics):
@@ -275,67 +277,136 @@ class TestLoopCompilation:
         assert calls == []
 
 
+def caches_of(cache):
+    """The caches of the loop entries in `cache`'s forward block, in order:
+    each loop entry's own."""
+    return [arg[1] for op, arg in cache[0][0] if op == core._LOOP]
+
+
+def loop_caches(program):
+    """Every cache of `program`, the whole program's first, reached through
+    the forward blocks, where every loop entry of the program sits."""
+    found, todo = [], [program._top]
+    while todo:
+        cache = todo.pop()
+        found.append(cache)
+        todo += reversed(caches_of(cache))
+    return found
+
+
+def forward_blocks(program):
+    """The forward block of each of `program`'s caches, by `loop_caches`."""
+    return [cache[0][0] for cache in loop_caches(program)]
+
+
 @pytest.fixture
-def compiled_blocks(monkeypatch):
-    """The (term id, block index) of every block compiled while it is in use."""
-    compiled = []
-    real = Program._compile
+def derived(monkeypatch):
+    """The cache of every inverted plan derived while the fixture is in use."""
+    caches = []
+    real = core._inverted_plan
 
-    def logged(self, term, index):
-        compiled.append((id(term), index))
-        return real(self, term, index)
+    def logged(cache):
+        caches.append(cache)
+        return real(cache)
 
-    monkeypatch.setattr(Program, "_compile", logged)
-    return compiled
+    monkeypatch.setattr(core, "_inverted_plan", logged)
+    return caches
+
+
+def assert_derived_once(program, derived):
+    """Each cache of `program` had its inverted plan derived at most once,
+    and holds the plan derived; the caches no run entered inverted hold
+    none.  Returns how many were derived."""
+    ids = [id(cache) for cache in derived]
+    assert len(ids) == len(set(ids))
+    for cache in loop_caches(program):
+        assert (cache[1] is not None) == (id(cache) in ids)
+    return len(ids)
 
 
 class TestSharedBlocks:
-    """A Program compiles each (node, direction) block once, for all three
+    """`compile_program` builds each forward block once, and a Program
+    derives each loop's inverted block at most once, for all three
     semantics, traced and untraced runs alike."""
 
-    def test_each_block_compiles_once_for_all_semantics(self, compiled_blocks):
+    def test_each_block_compiles_once_for_all_semantics(self, derived):
         # Every POP is legal, so the three semantics run the same steps: the
         # first enters every loop the others do.  Forward, m's count of -1
         # runs its body inverted; backward, inside n's inverted body, forward.
         program = compile_program(parse("FOR n { INC x; FOR m { POP y; PUSH y } }; PUSH z; POP z"))
+        blocks = forward_blocks(program)
+        assert len(blocks) == 3  # the program, n's loop and m's loop
         state = State({"n": Cell(2), "m": Cell(-1), "y": Cell(0, (1,), 0)})
         for observe in (None, lambda *step: None):
             for order in "+-":
                 for semantics in "nar":
-                    before = len(compiled_blocks)
+                    before = len(derived)
                     assert isinstance(program.run(state, semantics, order, observe), Final)
-                    assert semantics == "n" or len(compiled_blocks) == before
-        # the program, n's loop and m's loop, both directions, which the
-        # traced runs share with the untraced ones
-        assert len(compiled_blocks) == len(set(compiled_blocks)) == 3 * 2
+                    assert semantics == "n" or len(derived) == before
+        # the inverted blocks of all three, which the traced runs share
+        # with the untraced ones, and the forward blocks built at compile
+        assert assert_derived_once(program, derived) == 3
+        assert list(map(id, forward_blocks(program))) == list(map(id, blocks))
 
-    def test_blocks_compiled_by_an_aborting_run_are_reused(self, compiled_blocks):
-        # the assert run aborts at POP w inside k's body, which it compiled;
-        # the other two run past that POP through the same block
-        program = compile_program(parse("FOR n { FOR m { INC y; PUSH z }; FOR k { POP w; DEC v } }; INC u"))
-        state = State({"n": Cell(1), "k": Cell(2), "w": Cell(3, (1,), 0)})
+    def test_blocks_compiled_by_an_aborting_run_are_reused(self, derived):
+        # the assert run aborts at POP w inside k's inverted body, which it
+        # derived; the other two run past that POP through the same block
+        program = compile_program(parse("FOR n { FOR m { INC y; PUSH z }; FOR k { PUSH w; DEC v } }; INC u"))
+        blocks = forward_blocks(program)
+        state = State({"n": Cell(1), "k": Cell(-2), "w": Cell(3, (1,), 0)})
         assert isinstance(program.run(state, "a"), Aborted)
-        n_body = program.term.parts[0].body
-        assert compiled_blocks == [(id(program.term), 0), (id(n_body), 0), (id(n_body.parts[1].body), 0)]
-        agreed = {"n": Cell(1), "k": Cell(2), "u": Cell(1), "v": Cell(-2)}  # w alone differs
+        k_cache = caches_of(caches_of(program._top)[0])[1]
+        assert derived == [k_cache]
+        agreed = {"n": Cell(1), "k": Cell(-2), "u": Cell(1), "v": Cell(2)}  # w alone differs
         assert program.run(state, "r").state == State({**agreed, "w": Cell(3, (1,), 2)})
         assert program.run(state, "n").state == State(agreed)
-        assert len(compiled_blocks) == 3
+        assert derived == [k_cache]
+        assert list(map(id, forward_blocks(program))) == list(map(id, blocks))
 
-    def test_traced_runs_compile_the_blocks_untraced_runs_reuse(self, compiled_blocks):
+    def test_traced_runs_compile_the_blocks_untraced_runs_reuse(self, derived):
         # the traced runs enter every loop both ways: m's count of -1 runs
         # its body inverted inside n's forward body, and forward inside n's
         # inverted one, and k's loop runs in both passes
         program = compile_program(parse("FOR n { INC x; FOR m { POP y; PUSH y } }; FOR k { DEC z }"))
+        blocks = forward_blocks(program)
         state = State({"n": Cell(2), "m": Cell(-1), "k": Cell(3), "y": Cell(0, (1,), 0)})
         for semantics in "nar":
             observed_run(program, state, semantics, "+-")
         # the program, n's, m's and k's loops, both directions
-        assert len(compiled_blocks) == len(set(compiled_blocks)) == 4 * 2
+        assert len(blocks) == assert_derived_once(program, derived) == 4
         for semantics in "nar":
             for order in SPELLED:
                 assert isinstance(program.run(state, semantics, order), Final)
-        assert len(compiled_blocks) == 4 * 2
+        assert len(derived) == 4
+        assert list(map(id, forward_blocks(program))) == list(map(id, blocks))
+
+    def test_forward_blocks_are_built_once_by_compile_program(self, monkeypatch, derived):
+        # A spy on `tuple`, which makes each block from its list of entries,
+        # sees compile_program build one forward block per loop that has an
+        # entry, and one for the program; i's idle body makes an empty one,
+        # which gets no entry.  No run builds a block of its own, and each
+        # inverted block is derived once, for every semantics and pass
+        # order, observed and not.
+        built = []
+
+        def spy(*args):
+            built.append(builtins.tuple(*args))
+            return built[-1]
+
+        term = parse("FOR n { INC x; FOR m { POP y; PUSH y }; FOR i { SKIP } }; PUSH z; FOR k { DEC w }; POP z")
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "tuple", spy, raising=False)
+            program = compile_program(term)
+        blocks = [made for made in built if made and type(made[0]) is tuple]  # not the names' tuple
+        assert len(blocks) == 4 and () in built
+        assert sorted(map(id, blocks)) == sorted(map(id, forward_blocks(program)))
+        state = State({"n": Cell(2), "m": Cell(-1), "k": Cell(-3), "y": Cell(0, (1,), 0)})
+        for semantics in "nar":
+            for order in SPELLED:
+                for observe in (None, lambda *step: None):
+                    assert isinstance(program.run(state, semantics, order, observe), Final)
+        assert assert_derived_once(program, derived) == 4
+        assert sorted(map(id, blocks)) == sorted(map(id, forward_blocks(program)))
 
 
 class TestTraceSteps:
@@ -546,31 +617,59 @@ class TestIdleLoops:
                     expected = Final(expected.state.set("n", Cell(10**18)))
                 assert runs.run(huge, semantics, "+-") == expected
 
-    def test_idle_bodies_are_never_compiled(self, compiled_blocks):
-        # n's loop and the n loop in k's body are idle; only the program's
-        # blocks and k's body's are compiled, in both directions, once for
-        # traced and untraced runs
+    def test_idle_bodies_are_never_compiled(self, derived):
+        # n's loop and the n loop in k's body are idle and get no entry;
+        # only the program's blocks and k's body's exist, in both
+        # directions, once for traced and untraced runs
         program = compile_program(parse("FOR n { FOR m { SKIP } }; FOR k { INC y; FOR n { SKIP; SKIP } }"))
         state = State({"n": Cell(3), "m": Cell(-2), "k": Cell(2)})
         for observe in (None, lambda *step: None):
             for semantics in "nar":
                 assert program.run(state, semantics, "+-", observe) == Final(state)
-        k_body = program.term.parts[1].body
-        assert sorted(compiled_blocks) == sorted((id(t), i) for t in (program.term, k_body) for i in range(2))
+        caches = loop_caches(program)
+        assert [len(block) for block in forward_blocks(program)] == [1, 1]  # k's entry; INC y
+        assert assert_derived_once(program, derived) == len(caches) == 2
+
+
+def assert_entries_follow(run, block, names, idle):
+    """`block`, compiled forward from the run of parts `run`, holds one
+    entry per atom of the run and per FOR node not in `idle`, in order,
+    each with its part's opcode, name and atoms before it, and each loop
+    entry's own cache holds its body's block likewise.  Returns the run's
+    atom count."""
+    parts = [t for t in _parts(run) if type(t) is not Skip and id(t) not in idle]
+    assert len(block) == len(parts)
+    atoms = 0
+    for t, (op, arg) in zip(parts, block):
+        if type(t) is For:
+            leader, cache, index, before = arg
+            assert (op, names[leader], index, before) == (core._LOOP, t.leader, 0, atoms)
+            assert cache[0][1] == assert_entries_follow(t.body, cache[0][0], names, idle)
+        else:
+            assert op == core._FORWARD[type(t)]
+            assert names[arg[0] if op == core._POP else arg] == t.var
+            assert op != core._POP or arg[1] == atoms
+            atoms += 1
+    return atoms
 
 
 class TestIdleLoopIds:
-    """The walk behind `check_well_formed`, `variables_of` and
-    `compile_program` records the idle FOR nodes that a walk of each loop
-    body finds, and still finds the violations and the names it did."""
+    """A FOR node gets a loop entry exactly when it is not one of the idle
+    loops that a walk of each loop body finds, and the walk behind
+    `check_well_formed` and `variables_of` still finds the violations and
+    the names it did."""
 
     @staticmethod
     def assert_scan_matches(term):
         for relaxed in (False, True):
-            violations, slots, idle = _scan(term, relaxed)
-            assert idle == ref_idle_loops(term)
+            violations, slots = _scan(term, relaxed)
             assert violations == ref.check_well_formed(term, relaxed=relaxed)
             assert tuple(slots) == ref.variables_in_order(term)
+        if not ref.check_well_formed(term):
+            program = compile_program(term)
+            assert program.variables == ref.variables_in_order(term)
+            block, atoms, _ = program._top[0]
+            assert atoms == assert_entries_follow(term, block, program.variables, ref_idle_loops(term))
 
     @settings(max_examples=300)
     @given(st.one_of(wf_terms(max_depth=6), raw_terms(max_depth=6)))
@@ -588,9 +687,98 @@ class TestIdleLoopIds:
         busy = For("k", Seq(Inc("x"), For("j", Skip())))  # busy, holding an idle loop
         shared = For("j", Seq(Push("y"), For("i", Skip())))  # one node at two places
         term = Seq(outer, busy, shared, For("w", Seq(shared, inner)))
-        idle = _scan(term, False)[2]
-        assert idle == {id(inner), id(outer), id(busy.body.parts[1]), id(shared.body.parts[1])}
+        assert ref_idle_loops(term) == {id(inner), id(outer), id(busy.body.parts[1]), id(shared.body.parts[1])}
         self.assert_scan_matches(term)
+        # busy, shared and w's loop; shared again in w's body, with a cache
+        # of its own
+        program = compile_program(term)
+        top = caches_of(program._top)
+        assert len(top) == 3 and len(caches_of(top[0])) == len(caches_of(top[1])) == 0
+        assert caches_of(top[2])[0] is not top[1]
+        assert len(loop_caches(program)) == 1 + 4
+
+
+def assert_derived_like_inverse(cache, inverse_cache, names, inverse_names):
+    """The inverted plan of `cache`, derived from its forward block, matches
+    entry for entry the forward block of `inverse_cache`, the same loop's
+    in the inverse program: the same opcodes and atoms before each POP and
+    loop entry, slots read back as the same names, and each loop entry's
+    own inverted plan matching its counterpart's forward block in turn."""
+    derived, atoms, _ = cache[1] or core._inverted_plan(cache)
+    forward, inverse_atoms, _ = inverse_cache[0]
+    assert atoms == inverse_atoms and len(derived) == len(forward)
+    for (op, arg), (inverse_op, inverse_arg) in zip(derived, forward):
+        assert op == inverse_op
+        if op == core._LOOP:
+            leader, inner, index, before = arg
+            inverse_leader, inverse_inner, inverse_index, inverse_before = inverse_arg
+            assert (names[leader], index, before) == (inverse_names[inverse_leader], 1, inverse_before)
+            assert inverse_index == 0
+            assert_derived_like_inverse(inner, inverse_inner, names, inverse_names)
+        elif op == core._POP:
+            assert (names[arg[0]], arg[1]) == (inverse_names[inverse_arg[0]], inverse_arg[1])
+        else:
+            assert names[arg] == inverse_names[inverse_arg]
+
+
+class TestDerivedInvertedBlocks:
+    """Each loop's inverted block, derived from its forward block, is the
+    block that compiling the inverted term gives the same loop, and a
+    backward assert run aborts as the inverted term does."""
+
+    @staticmethod
+    def assert_derived_matches(term, flat):
+        inverted = invert(term)
+        program, inverse = compile_program(term), compile_program(inverted)
+        # the loop entries of the inverse's forward blocks sit at the FOR
+        # nodes of the inverted term, so the derived blocks' sit at the
+        # same loops of this one
+        block, atoms, _ = inverse._top[0]
+        assert atoms == assert_entries_follow(inverted, block, inverse.variables, ref_idle_loops(inverted))
+        assert_derived_like_inverse(program._top, inverse._top, program.variables, inverse.variables)
+        assert program.run(flat, "a", "-") == ref_eval_a(inverted, flat)
+
+    @settings(max_examples=300, deadline=SLOW_EXAMPLE_DEADLINE)
+    @given(wf_terms(max_depth=6), states)
+    def test_hypothesis_terms(self, term, full):
+        self.assert_derived_matches(term, zero_counters(full))
+
+    def test_fuzz_corpus(self):
+        aborted = 0
+        for program, _, flat in fuzz_corpus(GenConfig(seed=49), 1000):
+            self.assert_derived_matches(program, flat)
+            aborted += isinstance(compile_program(program).run(flat, "a", "-"), Aborted)
+        assert 0 < aborted < 1000  # both outcomes of the backward assert run were compared
+
+
+class TestRefusal:
+    """`compile_program` detects the proviso in its own walk, and refuses a
+    term exactly when `check_well_formed` reports a violation, with the
+    same violations and message."""
+
+    @staticmethod
+    def refused(term):
+        """Whether `compile_program` refused `term`, having checked that it
+        did so exactly as `check_well_formed` reports."""
+        violations = check_well_formed(term)
+        if not violations:
+            assert compile_program(term).term is term
+            return False
+        with pytest.raises(IllFormedProgramError) as refusal:
+            compile_program(term)
+        assert refusal.value.violations == violations
+        assert str(refusal.value) == str(IllFormedProgramError(violations))
+        return True
+
+    @settings(max_examples=300)
+    @given(st.one_of(raw_terms(max_depth=5), wf_terms(max_depth=5)))
+    def test_hypothesis_terms(self, term):
+        self.refused(term)
+
+    @settings(max_examples=300)
+    @given(leader_reusing_terms())
+    def test_leaders_reused_in_their_loops(self, term):
+        assert self.refused(term)
 
 
 def logged_blocks(monkeypatch, name):
@@ -722,7 +910,7 @@ class TestLeafFunctions:
         state = State({"m": Cell(m), "k": Cell(2)})
         assert program.run(state, "r") == Final(ref_eval_r(program.term, state))
         assert nest_blocks(planned) == planned_nests
-        k_cache = program._loops[id(program.term.body.parts[1])]
+        k_cache = caches_of(caches_of(program._top)[0])[0]
         assert k_cache[core._HEAT] == 502 and callable(k_cache[0][2])
 
     def test_traced_runs_generate_nothing(self, hot):
@@ -804,8 +992,9 @@ class TestLeafFunctions:
         assert nest_blocks(hot)[0]
 
     def test_idle_inner_loops_and_a_shared_loop(self, hot):
-        # k's loop is one node at three places, two of them in n's body;
-        # m's and i's loops are idle and get no entry
+        # k's loop is one node at three places, two of them in n's body,
+        # and each place's entry has a cache of its own; m's and i's loops
+        # are idle and get no entry
         shared = For("k", Seq(Inc("x"), Pop("y")))
         idle = For("m", Seq(Skip(), For("i", Skip())))
         program = Seq(For("n", Seq(shared, idle, Push("y"), shared)), For("j", Seq(Dec("x"), shared, idle)))
@@ -814,7 +1003,11 @@ class TestLeafFunctions:
             State({"n": Cell(-2), "j": Cell(3), "k": Cell(-3), "m": Cell(-1), "y": Cell(5, (), 1)}),
         ]
         assert_runs_match_reference(program, states)
-        assert nest_blocks(hot) == [True, False, True, False, True, True]  # only k's body is a leaf
+        # n's and j's bodies hold k's loop, both ways; k's body is a leaf at
+        # each of its three places, both ways
+        assert sorted(nest_blocks(hot)) == [False] * 6 + [True] * 4
+        n_cache, j_cache = caches_of(compile_program(program)._top)
+        assert len(caches_of(n_cache)) == 2 and len(caches_of(j_cache)) == 1
 
     def test_abort_after_a_hot_nest(self, planned):
         # the nest schedules 700 * 3 steps in one call, which the abort's
@@ -979,8 +1172,8 @@ class TestPerfectNests:
         program = compile_program(parse("FOR m { FOR k { FOR j { INC x; PUSH y } } }"))
         state = State({"m": Cell(30), "k": Cell(-5), "j": Cell(4)})
         assert program.run(state, "r") == Final(ref_eval_r(program.term, state))
-        j_loop = program.term.body.body
-        assert planned == [program._loops[id(j_loop)][1][0]]
+        j_cache = caches_of(caches_of(caches_of(program._top)[0])[0])[0]
+        assert planned == [j_cache[1][0]]
 
     def test_no_generated_block_holds_a_loop(self, monkeypatch):
         made = []
@@ -1034,7 +1227,7 @@ class TestObservedHotLoops:
     @staticmethod
     def leaf_plans(program):
         """The plans made so far of the loops whose blocks hold no loop entry."""
-        plans = (plan for cache in program._loops.values() for plan in cache[:2] if plan)
+        plans = (plan for cache in loop_caches(program)[1:] for plan in cache[:2] if plan)
         return [plan for plan in plans if not any(op == core._LOOP for op, _ in plan[0])]
 
     def test_traced_runs_after_untraced_runs_made_the_loops_hot(self, hot):
