@@ -666,7 +666,8 @@ def run_fuzz(cfg: GenConfig, cases: int) -> FuzzReport:
     # reversibility passes and the other two pass vacuously, added to the
     # counts once at the end.  Adding each case's three verdicts through
     # `CheckCounts.add` instead gave `verify` `fuzz_cases_per_s` 0.951x,
-    # and was faster in only 1 of 12 paired runs.
+    # faster in only 1 of 12 paired runs, and 0.950x again, slower in 10
+    # of 10, where a byte-identical copy read 1.003x.
     usual = [0, 0]
     for _ in range(cases):
         reseed(master.getrandbits(64))

@@ -198,10 +198,10 @@ def pop_r(cell: Cell) -> Cell:
 # a slot in order of first occurrence, a leader at its FOR, loop bodies
 # that never run included.  The walk only notes whether some name occurs
 # inside a loop it leads; for such a term it calls `check_well_formed`,
-# whose walk, `syntax._scan`, builds the IllFormedProgramError report, so
-# the rule's report is made in one place.  A run loads each slot from its
-# state into three lists (values, stacks with the top at the end,
-# counters), so every step is an O(1) list update.
+# whose walk builds the IllFormedProgramError report, so the rule's report
+# is made in one place.  A run loads each slot from its state into three
+# lists (values, stacks with the top at the end, counters), so every step
+# is an O(1) list update.
 #
 # A program compiles into blocks: tuples of flat ``(opcode, arg)`` entries,
 # where ``arg`` is a variable's slot for INC/DEC/PUSH, and the slot and the

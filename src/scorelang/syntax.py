@@ -325,8 +325,10 @@ def invert(term: Term) -> Term:
 
 
 def variables_of(term: Term) -> frozenset[Identifier]:
-    """All identifiers occurring syntactically in `term` (targets and leaders)."""
-    return frozenset(_scan(term, True)[1])
+    """All identifiers occurring syntactically in `term` (targets and leaders),
+    read from its canonical printed text, whose only other words are
+    keywords."""
+    return frozenset(re.findall(_IDENT, pretty(term))) - KEYWORDS
 
 
 @dataclass(init=False, repr=False, eq=False, slots=True)
@@ -367,25 +369,17 @@ def check_well_formed(term: Term, *, relaxed: bool = False) -> list[Violation]:
     count.  With ``relaxed=True`` only INC and DEC of the leader are
     rejected.  Violations come in source order.
     """
-    return _scan(term, relaxed)[0]
-
-
-def _scan(term: Term, relaxed: bool) -> tuple[list[Violation], dict[Identifier, int]]:
-    """The one walk behind `check_well_formed` and `variables_of`: the
-    proviso's violations in source order, and every name of `term`, loop
-    bodies included, numbered in order of first occurrence.
-    `semantics.compile_program` makes a walk of its own that builds blocks
-    as it goes, and calls `check_well_formed` only for a term that breaks
-    the strict proviso, to report its violations."""
+    # `semantics.compile_program` makes a walk of its own that builds blocks
+    # as it goes, and calls this only for a term that breaks the strict
+    # proviso, to report its violations.
     violations: list[Violation] = []
-    slots: dict[str, int] = {}
-    opens: list[int] = []  # per slot, how many open loops that name leads
+    opens: dict[Identifier, int] = {}  # per name, how many open loops it leads
     # A frame is a run of parts being checked, the root's or an open loop
     # body's: its parts still to check, its length, the frame of the run
-    # holding the loop (None for the root) and the loop leader's slot.  The
+    # holding the loop (None for the root) and the loop's leader.  The
     # frames of the open runs form a chain, which `_path` follows.
     parts = _parts(term)
-    frame: tuple | None = (iter(parts), len(parts), None, -1)
+    frame: tuple | None = (iter(parts), len(parts), None, None)
     while frame is not None:
         items, _, up, leader = frame
         for t in items:
@@ -398,22 +392,18 @@ def _scan(term: Term, relaxed: bool) -> tuple[list[Violation], dict[Identifier, 
                 continue
             else:
                 raise _not_a_term(t)
-            slot = slots.get(name)
-            if slot is None:  # a name met for the first time leads no open loop
-                slot = slots[name] = len(opens)
-                opens.append(0)
-            elif opens[slot] and (cls is Inc or cls is Dec or not relaxed):
+            if opens.get(name) and (cls is Inc or cls is Dec or not relaxed):
                 violations.append(Violation(name, _path(frame)))
             if cls is For:
-                opens[slot] += 1
+                opens[name] = opens.get(name, 0) + 1
                 parts = _parts(t.body)
-                frame = (iter(parts), len(parts), frame, slot)
+                frame = (iter(parts), len(parts), frame, name)
                 break
         else:
-            if leader >= 0:
+            if up is not None:
                 opens[leader] -= 1
             frame = up
-    return violations, slots
+    return violations
 
 
 def pretty(term: Term) -> str:

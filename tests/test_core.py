@@ -43,7 +43,7 @@ from scorelang import (
     variables_of,
     zero_counters,
 )
-from scorelang.syntax import Violation, _parts, _scan
+from scorelang.syntax import Violation, _parts
 import reference_frontend as ref
 from reference_walker import ref_eval_a, ref_eval_n, ref_eval_r, ref_eval_traced, ref_idle_loops
 from term_strategies import leader_reusing_terms, raw_terms, states, wf_terms
@@ -655,16 +655,14 @@ def assert_entries_follow(run, block, names, idle):
 
 class TestIdleLoopIds:
     """A FOR node gets a loop entry exactly when it is not one of the idle
-    loops that a walk of each loop body finds, and the walk behind
-    `check_well_formed` and `variables_of` still finds the violations and
-    the names it did."""
+    loops that a walk of each loop body finds, and `check_well_formed` and
+    `variables_of` still find the violations and the names they did."""
 
     @staticmethod
     def assert_scan_matches(term):
         for relaxed in (False, True):
-            violations, slots = _scan(term, relaxed)
-            assert violations == ref.check_well_formed(term, relaxed=relaxed)
-            assert tuple(slots) == ref.variables_in_order(term)
+            assert check_well_formed(term, relaxed=relaxed) == ref.check_well_formed(term, relaxed=relaxed)
+        assert variables_of(term) == frozenset(ref.variables_in_order(term))
         if not ref.check_well_formed(term):
             program = compile_program(term)
             assert program.variables == ref.variables_in_order(term)

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 from hypothesis import given
@@ -157,6 +158,14 @@ class TestVariablesOf:
 
     def test_deduplicates(self):
         assert variables_of(For("x", Seq(Inc("y"), Inc("y")))) == {"x", "y"}
+
+    def test_many_leader_writes_take_linear_time(self):
+        # each INC n is a violation of the proviso, whose path grows with
+        # its index, so a walk that built them all took seconds here
+        term = For("n", Seq(*[Inc("n")] * 20_000, Inc("x")))
+        started = time.perf_counter()
+        assert variables_of(term) == {"n", "x"}
+        assert time.perf_counter() - started < 1.0
 
 
 class TestPretty:
