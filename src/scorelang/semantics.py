@@ -42,7 +42,7 @@ counter.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 
@@ -89,10 +89,18 @@ class EvalError(Exception):
 
 
 class IllFormedProgramError(EvalError):
-    def __init__(self, violations: list[Violation]):
-        leaders = ", ".join(sorted({v.leader for v in violations}))
-        super().__init__(f"program is not well formed (leader(s) occur in loop body: {leaders})")
-        self.violations = violations
+    """A term that breaks the strict leader proviso.  The message names the
+    `leaders` that occur inside their own loops; `violations`, the list
+    `check_well_formed` returns for `term`, is built when read, so a
+    caller that prints only the message never builds a violation's path."""
+
+    def __init__(self, term: Term, leaders: Iterable[str]):
+        super().__init__(f"program is not well formed (leader(s) occur in loop body: {', '.join(sorted(leaders))})")
+        self.term = term
+
+    @property
+    def violations(self) -> list[Violation]:
+        return check_well_formed(self.term)
 
 
 class NonzeroCounterError(EvalError):
@@ -196,12 +204,13 @@ def pop_r(cell: Cell) -> Cell:
 # bodies in place of recursion.  It numbers the names, checks the strict
 # leader proviso and builds the forward blocks as it goes.  Each name gets
 # a slot in order of first occurrence, a leader at its FOR, loop bodies
-# that never run included.  The walk only notes whether some name occurs
-# inside a loop it leads; for such a term it calls `check_well_formed`,
-# whose walk builds the IllFormedProgramError report, so the rule's report
-# is made in one place.  A run loads each slot from its state into three
-# lists (values, stacks with the top at the end, counters), so every step
-# is an O(1) list update.
+# that never run included.  The walk notes each leader it finds inside a
+# loop it leads, and when it ends refuses such a term with an
+# IllFormedProgramError that names them.  The error's violations are
+# `check_well_formed`'s, built only when read, so the rule's report is made
+# in one place and a refusal costs one walk.  A run loads each slot from
+# its state into three lists (values, stacks with the top at the end,
+# counters), so every step is an O(1) list update.
 #
 # A program compiles into blocks: tuples of flat ``(opcode, arg)`` entries,
 # where ``arg`` is a variable's slot for INC/DEC/PUSH, and the slot and the
@@ -623,12 +632,16 @@ class Program:
 def compile_program(term: Term) -> Program:
     """Check `term` against the strict leader proviso, number its variables
     and build its forward blocks, in one walk.  A program that breaks the
-    proviso raises IllFormedProgramError with every violation."""
+    proviso raises IllFormedProgramError, which names the leaders found
+    inside their own loops and builds the violations only when they are
+    read."""
     # While a loop's body is open, its leader maps to the complement of its
     # slot, ~slot, so a name read back as a negative slot occurs inside a
-    # loop it leads, which the proviso forbids.
+    # loop it leads, which the proviso forbids.  `led` holds the leaders
+    # found so.  An inner FOR of the same leader sets the slot back when it
+    # closes, but that FOR is itself an occurrence, so its leader is in `led`.
     slots: dict[str, int] = {}
-    led = False
+    led: dict[str, int] = {}
     # A frame is a run of parts whose loop's body is open: its parts still
     # to compile, its entries and its atoms so far, and the loop leader's
     # name and slot.  The open body's run is the current one.
@@ -645,7 +658,7 @@ def compile_program(term: Term) -> Program:
                 if slot is None:
                     slot = slots[name] = len(slots)
                 elif slot < 0:
-                    led, slot = True, ~slot
+                    slot = led[name] = ~slot
                 entries.append((op, (slot, atoms) if op == _POP else slot))
                 atoms += 1
             elif cls is For:
@@ -654,7 +667,7 @@ def compile_program(term: Term) -> Program:
                 if slot is None:
                     slot = len(slots)
                 elif slot < 0:
-                    led, slot = True, ~slot
+                    slot = led[name] = ~slot
                 slots[name] = ~slot
                 frames.append((items, entries, atoms, name, slot))
                 items, entries, atoms = iter(_parts(t.body)), [], 0
@@ -670,7 +683,7 @@ def compile_program(term: Term) -> Program:
             if block:  # an idle loop, whose body holds no atom at any depth, gets no entry
                 entries.append((_LOOP, (slot, [(block, body_atoms, None), None, 0], 0, atoms)))
     if led:
-        raise IllFormedProgramError(check_well_formed(term))
+        raise IllFormedProgramError(term, led)
     return Program(term, tuple(slots), [(tuple(entries), atoms, None), None, 0])
 
 

@@ -37,8 +37,6 @@ __all__ = [
     "Cell",
     "DEFAULT_CELL",
     "State",
-    "hd",
-    "tl",
     "parse_state",
     "parse_state_declarations",
     "dump_state",
@@ -60,16 +58,6 @@ DEFAULT_CELL = Cell(0, (), 0)
 # Builds a Cell from a (value, stack, counter) tuple without the Python-level
 # `Cell.__new__`, which costs more than the rest of storing a cell.
 _new_cell = tuple.__new__
-
-
-def hd(stack: tuple[int, ...]) -> int:
-    """Total head: the top element, or 0 for the empty stack."""
-    return stack[0] if stack else 0
-
-
-def tl(stack: tuple[int, ...]) -> tuple[int, ...]:
-    """Total tail: everything below the top; the empty stack is a fixed point."""
-    return stack[1:]
 
 
 _is_int = int.__instancecheck__

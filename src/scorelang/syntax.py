@@ -370,8 +370,9 @@ def check_well_formed(term: Term, *, relaxed: bool = False) -> list[Violation]:
     rejected.  Violations come in source order.
     """
     # `semantics.compile_program` makes a walk of its own that builds blocks
-    # as it goes, and calls this only for a term that breaks the strict
-    # proviso, to report its violations.
+    # as it goes and names the leaders of a term that breaks the strict
+    # proviso; its IllFormedProgramError calls this only when its
+    # `violations` are read.
     violations: list[Violation] = []
     opens: dict[Identifier, int] = {}  # per name, how many open loops it leads
     # A frame is a run of parts being checked, the root's or an open loop

@@ -135,6 +135,17 @@ def nest(depth: int, atom: str = "INC x") -> str:
     return "".join(f"FOR a{i} {{ " for i in range(depth)) + atom + " }" * depth + "\n"
 
 
+def leader_nest(depth: int) -> str:
+    """`FOR n { FOR n { ... INC x } }`, `depth` loops deep, and a newline:
+    each inner loop's leader occurs in the loop around it."""
+    return "FOR n { " * depth + "INC x" + " }" * depth + "\n"
+
+
+def leader_writes(count: int) -> str:
+    """`FOR n { INC n; ... INC n; INC x }` with `count` INC n, and a newline."""
+    return "FOR n { " + "INC n; " * count + "INC x }\n"
+
+
 def nest_state(depth: int) -> str:
     return "".join(f"a{i} = 1\n" for i in range(depth))
 
@@ -876,6 +887,19 @@ CASES = [
         {"p.score": "FOR x {INC x}"},
         err="error: program is not well formed (leader(s) occur in loop body: x)\n",
         code=2,
+    ),
+    # refusals in time linear in the program, which name the leader once
+    # however often it occurs in its loop
+    *(
+        Case(
+            f"run-ill-formed-{name}",
+            "run p.score",
+            {"p.score": partial(source, 100_000)},
+            err="error: program is not well formed (leader(s) occur in loop body: n)\n",
+            code=2,
+            bound=10,
+        )
+        for name, source in (("writes", leader_writes), ("nest", leader_nest))
     ),
     # the pair semantics refuse a state with a counter, which r takes
     Case(

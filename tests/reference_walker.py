@@ -33,11 +33,9 @@ from scorelang import (
     State,
     Term,
     check_well_formed,
-    hd,
     invert,
     pop_r,
     push_r,
-    tl,
 )
 
 
@@ -98,7 +96,7 @@ def _run(term: Term, cells: dict[str, Cell], mode: str, log: _StepLog | None) ->
             if mode == "r":
                 cells[x] = pop_r(cell)
             elif mode == "n":
-                cells[x] = Cell(hd(cell.stack), tl(cell.stack), 0)
+                cells[x] = Cell(cell.stack[0] if cell.stack else 0, cell.stack[1:], 0)
             else:
                 value, stack, _ = cell
                 if value != 0:
@@ -126,7 +124,7 @@ def _run(term: Term, cells: dict[str, Cell], mode: str, log: _StepLog | None) ->
 def _check_preconditions(term: Term, state: State, *, pair_view: bool) -> None:
     violations = check_well_formed(term)
     if violations:
-        raise IllFormedProgramError(violations)
+        raise IllFormedProgramError(term, {v.leader for v in violations})
     if pair_view:
         for name in sorted(state.variables()):
             if state.get(name).counter != 0:

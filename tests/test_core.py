@@ -765,7 +765,7 @@ class TestRefusal:
         with pytest.raises(IllFormedProgramError) as refusal:
             compile_program(term)
         assert refusal.value.violations == violations
-        assert str(refusal.value) == str(IllFormedProgramError(violations))
+        assert str(refusal.value) == str(IllFormedProgramError(term, {v.leader for v in violations}))
         return True
 
     @settings(max_examples=300)
@@ -777,6 +777,26 @@ class TestRefusal:
     @given(leader_reusing_terms())
     def test_leaders_reused_in_their_loops(self, term):
         assert self.refused(term)
+
+    @settings(max_examples=100)
+    @given(leader_reusing_terms())
+    def test_refusal_builds_no_violation(self, term):
+        # the refusal names the leaders its own walk found; the violations,
+        # each with its path, are built only when read
+        calls = []
+        real = check_well_formed
+
+        def counted(term, **options):
+            calls.append(term)
+            return real(term, **options)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "check_well_formed", counted)
+            with pytest.raises(IllFormedProgramError) as refusal:
+                compile_program(term)
+            assert calls == []
+            assert refusal.value.violations == real(term)
+            assert calls == [term]
 
 
 def logged_blocks(monkeypatch, name):

@@ -19,6 +19,7 @@ from scorelang import (
     Push,
     Seq,
     check_well_formed,
+    compile_program,
     invert,
     parse,
     pretty,
@@ -295,7 +296,7 @@ class TestWalkersAgainstReference:
         if a == b:
             assert hash(a) == hash(b)
 
-    @pytest.mark.parametrize("walker", [invert, pretty, variables_of, check_well_formed])
+    @pytest.mark.parametrize("walker", [invert, pretty, variables_of, check_well_formed, compile_program])
     def test_rejects_non_terms(self, walker):
         # a non-term in a sequence, at the root, in a loop body, after a
         # closed loop and in the body of a body: where a walker opens or

@@ -56,7 +56,6 @@ PUBLIC = [
     "exhaustive_pop_push_inverse",
     "gen_state",
     "gen_term",
-    "hd",
     "invert",
     "is_identifier",
     "minimize",
@@ -67,7 +66,6 @@ PUBLIC = [
     "pretty",
     "push_r",
     "run_fuzz",
-    "tl",
     "variables_of",
     "zero_counters",
 ]

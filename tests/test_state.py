@@ -16,34 +16,13 @@ from scorelang import (
     ParseError,
     State,
     dump_state,
-    hd,
     parse_state,
     parse_state_declarations,
-    tl,
 )
 from reference_state import _parse_lines
 from scorelang import semantics, state
 from scorelang.syntax import KEYWORDS
 from term_strategies import cells, idents, states
-
-
-class TestHeadTail:
-    def test_empty_stack(self):
-        assert hd(()) == 0
-        assert tl(()) == ()
-
-    def test_nonempty(self):
-        assert hd((7, 3)) == 7
-        assert tl((7, 3)) == (3,)
-
-    def test_singleton(self):
-        assert hd((-4,)) == -4
-        assert tl((5,)) == ()
-
-    @given(st.lists(st.integers(), max_size=6).map(tuple))
-    def test_total(self, stack):
-        hd(stack)
-        tl(stack)
 
 
 # Every way a cell enters a State: the constructor, from a dict or from
