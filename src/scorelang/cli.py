@@ -35,7 +35,7 @@ from .semantics import (
     NonzeroCounterError,
     compile_program,
 )
-from .state import _SHORT_STACK, _declared_state, _stack_text, dump_state, parse_state_declarations
+from .state import _cell_end, _declared_state, _stack_repr, dump_state, parse_state_declarations
 from .syntax import _render, check_well_formed
 
 EXIT_OK = 0
@@ -43,6 +43,16 @@ EXIT_ABORT = 1
 EXIT_USAGE = 2
 EXIT_PROPERTY = 3
 _WRITE_PIECE = 1 << 16  # characters of output per write
+
+
+def _write(text: str) -> None:
+    """Write `text` to stdout, as every command writes its output, in
+    pieces of `_WRITE_PIECE` characters: a pipe whose reader has gone can
+    take a short write of one large text unseen, but then fails the next
+    write."""
+    write = sys.stdout.write
+    for start in range(0, len(text), _WRITE_PIECE):
+        write(text[start : start + _WRITE_PIECE])
 
 
 def _read(path: str) -> str:
@@ -85,17 +95,12 @@ def _run_program(args: argparse.Namespace, out: list[str], observe=None) -> int:
             out.append(f"ABORT\nstep: {step}\ninstruction: {instruction}\nvariable: {record.variable}\n")
         else:
             out.append(f"ABORT at step {step}: {instruction}\n")
-        value, stack = record.observed.value, record.observed.stack
-        long = len(stack) > _SHORT_STACK  # printed as `dump_state` prints it, after the value
-        out.append(f"reason: {record.reason}\nvalue: {value}\nstack: {_stack_text(stack) if long else [*stack]}\n")
+        value, stack = record.observed.value, record.observed.stack  # printed in this order, as `dump_state` does
+        out.append(f"reason: {record.reason}\nvalue: {value}\nstack: {_stack_repr(stack)}\n")
     else:
         names = {*program.variables, *(name for name, _ in declarations)}
         out.append("FINAL\n" + dump_state(outcome.state, names))
-    text = "".join(out)
-    # Written in pieces: a pipe whose reader has gone can take a short
-    # write of one large text unseen, but then fails the next write.
-    for start in range(0, len(text), _WRITE_PIECE):
-        sys.stdout.write(text[start : start + _WRITE_PIECE])
+    _write("".join(out))
     return EXIT_ABORT if isinstance(outcome, Aborted) else EXIT_OK
 
 
@@ -105,7 +110,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_invert(args: argparse.Namespace) -> int:
     term = parse(_read(args.program))
-    print(_render(term, 1))  # the inverse, printed from `term` in one walk
+    _write(_render(term, 1) + "\n")  # the inverse, printed from `term` in one walk
     return EXIT_OK
 
 
@@ -113,10 +118,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     term = parse(_read(args.program))
     violations = check_well_formed(term, relaxed=args.relaxed)
     if not violations:
-        print("ok")
+        _write("ok\n")
         return EXIT_OK
     for violation in violations:
-        print(f"violation: leader '{violation.leader}' occurs at {'.'.join(violation.path)}")
+        _write(f"violation: leader '{violation.leader}' occurs at {'.'.join(violation.path)}\n")
     return EXIT_PROPERTY
 
 
@@ -125,10 +130,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     bounds = {**vars(args), "value_range": (args.value_min, args.value_max)}
     cfg = GenConfig(**{field.name: bounds[field.name] for field in dataclasses.fields(GenConfig)})
     report = run_fuzz(cfg, args.cases)
-    if args.json:
-        print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
-    else:
-        sys.stdout.write(report.to_text())
+    _write(json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n" if args.json else report.to_text())
     return EXIT_OK if report.ok else EXIT_PROPERTY
 
 
@@ -136,12 +138,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     _require_non_negative(args, "value", "stack_len", "elem", "counter")
     verdict = exhaustive_pop_push_inverse(args.value, args.stack_len, args.elem, args.counter)
     if isinstance(verdict, Fail):
-        print(f"FAIL: {verdict.details}")
+        _write(f"FAIL: {verdict.details}\n")
         return EXIT_PROPERTY
-    print(f"{verdict.cases_run} cells checked")
-    if args.injectivity:
-        # push(pop(c)) == c held on every grid cell, so no two grid cells pop alike
-        print("0 collisions")
+    # with --injectivity: push(pop(c)) == c held on every grid cell, so no two grid cells pop alike
+    _write(f"{verdict.cases_run} cells checked\n" + ("0 collisions\n" if args.injectivity else ""))
     return EXIT_OK
 
 
@@ -158,8 +158,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         tail = None if instruction[0] == "P" else tails.get(name)
         if tail is None:
             value = str(value)  # first, so an int too long to write is reported as it was
-            stack = _stack_text(stack[::-1]) if len(stack) > _SHORT_STACK else stack[::-1]
-            tail = tails[name] = f", {stack}, {counter}\n"
+            tail = tails[name] = _cell_end(stack[::-1], counter)
         append(f"step {len(out) + 1}: {instruction}\n{name} = {value}{tail}")
 
     return _run_program(args, out, observe)

@@ -25,14 +25,18 @@ __all__ = ["ParseError", "parse"]
 
 
 class ParseError(Exception):
-    """A lexical or grammatical fault at a 1-based (line, column) position."""
+    """A lexical or grammatical fault at a 1-based (line, column) position.
+    Its `args` are its constructor's, so it pickles and copies as raised."""
 
     def __init__(self, line: int, column: int, message: str, expected: tuple[str, ...] = ()):
-        super().__init__(f"{line}:{column}: {message}")
+        super().__init__(line, column, message, tuple(expected))
         self.line = line
         self.column = column
         self.message = message
         self.expected = tuple(expected)
+
+    def __str__(self) -> str:
+        return f"{self.line}:{self.column}: {self.message}"
 
 
 _COMMENT_RE = re.compile(r"#[^\r\n]*")

@@ -92,11 +92,16 @@ class IllFormedProgramError(EvalError):
     """A term that breaks the strict leader proviso.  The message names the
     `leaders` that occur inside their own loops; `violations`, the list
     `check_well_formed` returns for `term`, is built when read, so a
-    caller that prints only the message never builds a violation's path."""
+    caller that prints only the message never builds a violation's path.
+    Its `args` are the term and the sorted leaders, so it pickles and
+    copies as raised."""
 
     def __init__(self, term: Term, leaders: Iterable[str]):
-        super().__init__(f"program is not well formed (leader(s) occur in loop body: {', '.join(sorted(leaders))})")
+        super().__init__(term, tuple(sorted(leaders)))
         self.term = term
+
+    def __str__(self) -> str:
+        return f"program is not well formed (leader(s) occur in loop body: {', '.join(self.args[1])})"
 
     @property
     def violations(self) -> list[Violation]:
@@ -105,8 +110,11 @@ class IllFormedProgramError(EvalError):
 
 class NonzeroCounterError(EvalError):
     def __init__(self, variable: str):
-        super().__init__(f"variable {variable!r} has a nonzero counter; pair semantics require counter 0")
+        super().__init__(variable)
         self.variable = variable
+
+    def __str__(self) -> str:
+        return f"variable {self.variable!r} has a nonzero counter; pair semantics require counter 0"
 
 
 @dataclass(init=False, repr=False, eq=False, slots=True)

@@ -276,17 +276,19 @@ def _declared_state(declarations: list[tuple[str, Cell]]) -> State:
     return State._trusted({name: cell for name, cell in declarations if cell != DEFAULT_CELL})
 
 
-# Every stack the CLI prints is the list repr of its plain ints, top first.
-# A stack of at most `_SHORT_STACK` elements is printed inline, as a list
-# repr; a longer one goes through `_stack_text`, which joins the decimal
-# text of each element from `_DECIMALS`, the text of every int within
-# ±`_DECIMAL_BOUND`, filled on the first long stack rather than at import,
-# so a call that prints no long stack never pays for it.  A list repr
-# converts every int afresh, about 79 ns per element.  One
-# `operator.itemgetter` call looks up the texts of a whole piece of at
-# most `_PIECE` elements in C, and with the join that costs about a
-# quarter as much per element (Python 3.11); the pieces keep its
-# transient tuples bounded on a stack of millions.
+# Every stack the CLI prints is the list repr of its plain ints, top first,
+# written by `_stack_repr`.  A stack of at most `_SHORT_STACK` elements is
+# printed inline, as a list repr, and an empty one as "[]" with no list
+# built; short stacks never reach the table join, which cost `trace` about
+# an eighth of its steps per second when they did.  A longer stack goes
+# through `_stack_text`, which joins the decimal text of each element from
+# `_DECIMALS`, the text of every int within ±`_DECIMAL_BOUND`, filled on
+# the first long stack rather than at import, so a call that prints no
+# long stack never pays for it.  A list repr converts every int afresh,
+# about 79 ns per element.  One `operator.itemgetter` call looks up the
+# texts of a whole piece of at most `_PIECE` elements in C, and with the
+# join that costs about a quarter as much per element (Python 3.11); the
+# pieces keep its transient tuples bounded on a stack of millions.
 # The table holds about 26 KB: one of ±256 raised the peak memory of the
 # benchmark's `cli_loops` by 0.6% (2-CPU host).  A stack with any value
 # beyond the table goes to the list repr.
@@ -323,18 +325,32 @@ def _stack_text(stack: tuple[int, ...] | list[int]) -> str:
         return repr(list(stack))
 
 
+def _stack_repr(stack: tuple[int, ...] | list[int]) -> str:
+    """`repr(list(stack))` for a sequence of plain ints, top first: the
+    one text every stack the CLI prints has.  An empty stack is "[]", a
+    short one its list repr, and one of more than `_SHORT_STACK` values
+    goes through `_stack_text`."""
+    return _stack_text(stack) if len(stack) > _SHORT_STACK else f"{[*stack]}" if stack else "[]"
+
+
+def _cell_end(stack: tuple[int, ...] | list[int], counter: int) -> str:
+    """What follows a cell's value on its line: ``, [stack], counter``
+    and the line end, as `dump_state` and the trace of a run write it."""
+    return f", {_stack_repr(stack)}, {counter}\n"
+
+
 def dump_state(state: State, names: Iterable[str]) -> str:
     """Render `names` (sorted) in the state file format, all fields explicit.
 
     Round trip: parsing the output agrees with `state` on `names`.  A
     state holds plain ints, whose repr is their str, so each stack prints
-    as one list repr, a long one through `_stack_text`.
+    as one list repr.  The value is written first, so an int too long to
+    write is reported as it was.
     """
     get = state._cells.get
     lines = []
     append = lines.append
     for name in sorted(set(names)):
         value, stack, counter = get(name, DEFAULT_CELL)
-        long = len(stack) > _SHORT_STACK  # printed after the value, which may fail first
-        append(f"{name} = {value}, {_stack_text(stack) if long else [*stack] if stack else '[]'}, {counter}\n")
+        append(f"{name} = {value}{_cell_end(stack, counter)}")
     return "".join(lines)

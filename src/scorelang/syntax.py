@@ -58,15 +58,6 @@ def _require_identifier(name: str) -> None:
 # ``__match_args__``: `dataclass` lists every field there.
 
 
-def _rebuild(cls: type, values: tuple) -> _Record:
-    """The record of class `cls` with field values `values`, the inverse of
-    `_Record.__reduce__`.  It binds them through `_Record.__init__`, since
-    a `Seq`'s own constructor takes its parts unnamed."""
-    new = object.__new__(cls)
-    _Record.__init__(new, *values)
-    return new
-
-
 class _Record:
     """A frozen record.  The constructor takes its fields in order, by
     position or by name, fills the rest from their defaults and then calls
@@ -118,7 +109,7 @@ class _Record:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
-        return _rebuild, (type(self), self._values())
+        return type(self), self._values()
 
 
 class Term(_Record):
@@ -132,10 +123,10 @@ class Term(_Record):
 
 
 class _Compound(Term):
-    """`Seq` and `For` compare and hash through their printed text, which
-    is canonical (``parse(pretty(t)) == t``), so no nest is too deep for
-    `==` or `hash`; `_Record`'s methods compare and hash the fields, and
-    so would recurse into the body or the parts."""
+    """`Seq` and `For` compare, hash, pickle and copy through their printed
+    text, which is canonical (``parse(pretty(t)) == t``), so no nest is too
+    deep for them; `_Record`'s methods read the fields, and so would
+    recurse into the body or the parts."""
 
     __slots__ = ()
 
@@ -146,6 +137,11 @@ class _Compound(Term):
 
     def __hash__(self) -> int:
         return hash(pretty(self))
+
+    def __reduce__(self) -> tuple:
+        from .parser import parse  # the parser imports this module
+
+        return parse, (pretty(self),)
 
 
 @dataclass(init=False, repr=False, eq=False, slots=True)

@@ -25,7 +25,18 @@ import scorelang
 from scorelang import Cell, Fail, Pass, exhaustive_pop_injective, harness, pop_r
 from scorelang import cli
 from scorelang.cli import main
-from cli_cases import ARGPARSE_SPELLINGS, CASES, SCORELANG, _bytes, differences, flat, run_fresh, source_env
+from cli_cases import (
+    ARGPARSE_SPELLINGS,
+    CASES,
+    PUSH_GROW,
+    SCORELANG,
+    _bytes,
+    differences,
+    flat,
+    leader_writes,
+    run_fresh,
+    source_env,
+)
 import reference_walker
 
 
@@ -102,7 +113,6 @@ class TestRun:
             return repr(list(stack))
 
         monkeypatch.setattr(scorelang.state, "_stack_text", spy)
-        monkeypatch.setattr(cli, "_stack_text", spy)
         program = workspace("p.score", "FOR n { PUSH y; INC y }" + pop)
         state = workspace("s.sst", f"n = {short + 2}\ny = 5\n")
         code, out, err = run_cli(capsys, *argv, program, state)
@@ -129,26 +139,35 @@ class TestRun:
             assert err.startswith("error: Exceeds the limit")
 
 
+def _texts(case):
+    """The text inputs of `case` by name, or None if one is not UTF-8 or
+    holds a lone CR, which is not known to end a line: such a row has no
+    text to rewrite."""
+    texts = {}
+    for name, content in case.files.items():
+        try:
+            texts[name] = _bytes(content).decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        if "\r" in texts[name].replace("\r\n", ""):
+            return None
+    return texts
+
+
+# The rows with a line end to rewrite; a row with none is itself this test.
+LINE_END_CASES = [case for case in CASES if any("\n" in text for text in (_texts(case) or {}).values())]
+
+
 class TestLineEnds:
-    """Every row of the case table, run in-process with its text inputs'
-    line ends rewritten, gives the row's exit code, stdout and stderr: no
-    input is translated as it is read, and both parsers take CRLF and CR
-    as they take LF."""
+    """Every row of the case table with a line end in its text inputs, run
+    in-process with those line ends rewritten, gives the row's exit code,
+    stdout and stderr: no input is translated as it is read, and both
+    parsers take CRLF and CR as they take LF."""
 
     @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
-    @pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
+    @pytest.mark.parametrize("case", LINE_END_CASES, ids=[case.name for case in LINE_END_CASES])
     def test_row_gives_its_output(self, case, ending, tmp_path, monkeypatch, capsys):
-        texts = {}
-        for name, content in case.files.items():
-            try:
-                texts[name] = _bytes(content).decode("utf-8")
-            except UnicodeDecodeError:
-                pytest.skip(f"{name} is not UTF-8, so it has no text to rewrite")
-            if "\r" in texts[name].replace("\r\n", ""):
-                pytest.skip(f"{name} holds a lone CR, which is not known to end a line")
-        if not any("\n" in text for text in texts.values()):
-            pytest.skip("no input has a line end to rewrite, so the row itself is this test")
-        for name, text in texts.items():
+        for name, text in _texts(case).items():
             (tmp_path / name).write_bytes(text.replace("\r\n", "\n").replace("\n", ending).encode("utf-8"))
         monkeypatch.chdir(tmp_path)
         code = main(case.argv.split())
@@ -162,7 +181,10 @@ class TestOutputErrors:
     gone, else with one line on stderr."""
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("command", ["run {p}", "trace {p}", "check {p}", "invert {p}", "fuzz --cases 5"])
+    @pytest.mark.parametrize(
+        "command",
+        ["run {p}", "trace {p}", "check {p}", "invert {p}", "fuzz --cases 5", "fuzz --cases 5 --json", "oracle"],
+    )
     def test_full_device_exits_two(self, workspace, command):
         program = workspace("p.score", "FOR n { INC x }")
         argv = [*SCORELANG, *command.format(p=program).split()]
@@ -171,14 +193,23 @@ class TestOutputErrors:
         assert (proc.returncode, proc.stderr) == (2, f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n")
 
     @pytest.mark.parametrize(
-        "command, head", [("invert", b"INC y; DEC"), ("trace", b"step 1: IN")], ids=["invert", "trace"]
+        "command, source, state, head",
+        [
+            # the inverse or the trace of a 300,000-atom program
+            ("invert", flat(("INC x", "DEC y"), 150_000), "", b"INC y; DEC"),
+            ("trace", flat(("INC x", "DEC y"), 150_000), "", b"step 1: IN"),
+            # 300 violations, about 330 KB, written a line at a time
+            ("check", leader_writes(300), "", b"violation:"),
+            # one FINAL line of y's 100,000 stacked values
+            ("run", PUSH_GROW, "n = 100000\n", b"FINAL\nn = "),
+        ],
+        ids=["invert", "trace", "check", "run"],
     )
-    def test_reader_gone_exits_two_silently(self, workspace, command, head):
-        # the inverse or the trace of a 300,000-atom program is far more
-        # than a pipe holds
-        program = workspace("big.score", flat(("INC x", "DEC y"), 150_000))
+    def test_reader_gone_exits_two_silently(self, workspace, command, source, state, head):
+        # each output is far more than a pipe holds
+        files = [workspace("big.score", source)] + ([workspace("big.sst", state)] if state else [])
         proc = subprocess.Popen(
-            [*SCORELANG, command, program], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env()
+            [*SCORELANG, command, *files], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env()
         )
         killer = threading.Timer(120, proc.kill)  # ends a run that hangs
         killer.start()

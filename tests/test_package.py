@@ -1,7 +1,9 @@
-"""The package's public names, and the names the benchmark wraps."""
+"""The package's public names, the names the benchmark wraps, and the
+README's library examples."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import scorelang
@@ -99,3 +101,16 @@ def test_benchmark_traces_existing_functions():
         namespace = importlib.import_module(f"scorelang.{module}")
         missing = [name for name in functions if not callable(getattr(namespace, name, None))]
         assert not missing, f"scorelang.{module} lacks {missing}"
+
+
+def test_readme_library_examples_run(capsys):
+    """README.md's ```python blocks, run in order in one namespace, give
+    what their comments say: the printed inverse and the variables."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(block, namespace)
+    assert capsys.readouterr().out == "FOR x { POP s }; FOR x { PUSH s }\n"
+    assert namespace["program"].variables == ("x", "s")

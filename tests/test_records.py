@@ -33,6 +33,9 @@ from scorelang import (
     State,
     TraceStep,
     Violation,
+    compile_program,
+    eval_a,
+    parse,
 )
 from scorelang.syntax import _Unary
 
@@ -265,3 +268,38 @@ def test_fields_bind_by_position_by_name_and_by_default():
     assert TraceStep(0, "INC x", "x", None).abort is None
     assert Fail(details="d", program=None, initial=None) == Fail(None, None, "d")
     assert For(body=Skip(), leader="n") == For("n", Skip())
+
+
+def _raised(call):
+    """The exception `call` raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return info.value
+
+
+def _round_trips(value):
+    """`value` through pickle, `copy.copy` and `copy.deepcopy`."""
+    return pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)
+
+
+@pytest.mark.parametrize(
+    ("call", "fields"),
+    [
+        (lambda: parse("INC"), ("line", "column", "message", "expected")),
+        (lambda: compile_program(parse("FOR n { INC n; FOR m { DEC m } }")), ("term", "violations")),
+        (lambda: eval_a(parse("INC x"), State({"x": Cell(0, (), 1)})), ("variable",)),
+    ],
+    ids=["ParseError", "IllFormedProgramError", "NonzeroCounterError"],
+)
+def test_raised_errors_pickle_and_copy(call, fields):
+    error = _raised(call)
+    for twin in _round_trips(error):
+        assert type(twin) is type(error) and str(twin) == str(error)
+        assert [getattr(twin, name) for name in fields] == [getattr(error, name) for name in fields]
+
+
+def test_a_deep_nest_pickles_and_copies():
+    # `parse`, `==` and `hash` take it without recursing, and so must these
+    nest = parse("FOR n { " * 3_000 + "INC x; PUSH y" + " }" * 3_000)
+    for twin in _round_trips(nest):
+        assert type(twin) is For and twin == nest and hash(twin) == hash(nest)
