@@ -33,7 +33,7 @@ from .semantics import (
     Aborted,
     IllFormedProgramError,
     NonzeroCounterError,
-    compile_program,
+    _compile_text,
 )
 from .state import _cell_end, _declared_state, _stack_repr, dump_state, parse_state_declarations
 from .syntax import _render, check_well_formed
@@ -81,12 +81,18 @@ def _run_program(args: argparse.Namespace, out: list[str], observe=None) -> int:
     blocks in `out`, then the abort block or FINAL and the final state of
     the program's names and the state file's.  An observed run's abort
     block opens with one `ABORT at step N: POP x` line, as its step blocks
-    do.  The state file is read before the program is checked, so its
-    errors come first.  The whole text is built before any of it is
-    written, so a value that cannot be rendered leaves stdout empty."""
-    term = parse(_read(args.program))
+    do.  The program is compiled straight from its text, and no term is
+    built unless it is refused.  The errors come in this order: the
+    program file's (reading, then parsing), the state file's (reading,
+    then parsing), the program's refusal as ill formed, then the pair
+    semantics' refusal of a nonzero counter.  The whole text is built
+    before any of it is written, so a value that cannot be rendered
+    leaves stdout empty."""
+    source = _read(args.program)
+    program, leaders = _compile_text(source)
     declarations = [] if args.state is None else parse_state_declarations(_read(args.state))
-    program = compile_program(term)
+    if leaders:
+        raise IllFormedProgramError(parse(source), leaders)
     outcome = program.run(_declared_state(declarations), args.semantics, "-" if args.backward else "+", observe)
     if isinstance(outcome, Aborted):
         record = outcome.record

@@ -46,6 +46,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 
+from .parser import _pieces, _read, parse
 from .state import _PIECE, Cell, DEFAULT_CELL, State, _new_cell
 from .syntax import (
     _INVERSE,
@@ -216,9 +217,12 @@ def pop_r(cell: Cell) -> Cell:
 # loop it leads, and when it ends refuses such a term with an
 # IllFormedProgramError that names them.  The error's violations are
 # `check_well_formed`'s, built only when read, so the rule's report is made
-# in one place and a refusal costs one walk.  A run loads each slot from
-# its state into three lists (values, stacks with the top at the end,
-# counters), so every step is an O(1) list update.
+# in one place and a refusal costs one walk.  `_compile_text` compiles a
+# program text the same way as it reads the text's pieces, with no term:
+# a FOR piece opens a body and a "}" closes it, by the walk's own step,
+# `_close_loop`.  A run loads each slot from its state into three lists
+# (values, stacks with the top at the end, counters), so every step is an
+# O(1) list update.
 #
 # A program compiles into blocks: tuples of flat ``(opcode, arg)`` entries,
 # where ``arg`` is a variable's slot for INC/DEC/PUSH, and the slot and the
@@ -557,7 +561,10 @@ class Program:
     nest runs as its innermost loop, with the product of the counts, and a
     hot leaf loop of an unobserved run whose atoms keep no POP runs in the
     closed form `_leaf_function` makes from its block, once per loop entry
-    and direction.  `top` is the whole program's cache.
+    and direction.  `top` is the whole program's cache.  `term` is the
+    term compiled, or None for a program that `_compile_text` compiled
+    straight from its text, which builds no term: only the CLI's `run`
+    and `trace` run such a program, and they never read `term`.
     """
 
     __slots__ = ("term", "variables", "_top")
@@ -637,6 +644,23 @@ class Program:
         return State._trusted(cells)
 
 
+def _close_loop(frames: list[tuple], entries: list, atoms: int, slots: dict[str, int]) -> tuple:
+    """Close the innermost open loop, whose body compiled to `entries` and
+    `atoms` atoms, and pop its frame from the walk's `frames`: the
+    enclosing run's entries and atoms, the leader's name and slot, and the
+    enclosing run's parts still to compile, if any.  The leader's slot is
+    set back, and unless the loop is idle, its block empty, the enclosing
+    run gets the loop's entry, with a cache holding its forward plan.
+    Returns the enclosing run's entries, atoms and parts still to
+    compile."""
+    outer, before, name, slot, items = frames.pop()
+    slots[name] = slot
+    block = tuple(entries)
+    if block:  # an idle loop, whose body holds no atom at any depth, gets no entry
+        outer.append((_LOOP, (slot, [(block, atoms, None), None, 0], 0, before)))
+    return outer, before, items
+
+
 def compile_program(term: Term) -> Program:
     """Check `term` against the strict leader proviso, number its variables
     and build its forward blocks, in one walk.  A program that breaks the
@@ -650,9 +674,9 @@ def compile_program(term: Term) -> Program:
     # closes, but that FOR is itself an occurrence, so its leader is in `led`.
     slots: dict[str, int] = {}
     led: dict[str, int] = {}
-    # A frame is a run of parts whose loop's body is open: its parts still
-    # to compile, its entries and its atoms so far, and the loop leader's
-    # name and slot.  The open body's run is the current one.
+    # A frame is a run of parts whose loop's body is open: its entries and
+    # its atoms so far, the loop leader's name and slot, and its parts still
+    # to compile.  The open body's run is the current one.
     frames: list[tuple] = []
     items, entries, atoms = iter(_parts(term)), [], 0
     opcodes = _FORWARD
@@ -677,7 +701,7 @@ def compile_program(term: Term) -> Program:
                 elif slot < 0:
                     slot = led[name] = ~slot
                 slots[name] = ~slot
-                frames.append((items, entries, atoms, name, slot))
+                frames.append((entries, atoms, name, slot, items))
                 items, entries, atoms = iter(_parts(t.body)), [], 0
                 break
             elif cls is not Skip:
@@ -685,14 +709,76 @@ def compile_program(term: Term) -> Program:
         else:
             if not frames:
                 break
-            block, body_atoms = tuple(entries), atoms
-            items, entries, atoms, name, slot = frames.pop()
-            slots[name] = slot
-            if block:  # an idle loop, whose body holds no atom at any depth, gets no entry
-                entries.append((_LOOP, (slot, [(block, body_atoms, None), None, 0], 0, atoms)))
+            entries, atoms, items = _close_loop(frames, entries, atoms, slots)
     if led:
         raise IllFormedProgramError(term, led)
     return Program(term, tuple(slots), [(tuple(entries), atoms, None), None, 0])
+
+
+def _compile_text(src: str) -> tuple[Program | None, dict[str, int]]:
+    """The Program that `compile_program(parse(src))` builds, compiled as
+    the text is read, with no term built, and the leaders found inside
+    their own loops.  The program is not refused here: when there are
+    leaders, it is None, so that its blocks are freed before the term is
+    built, and a caller raises ``IllFormedProgramError(parse(src),
+    leaders)`` at the point it chooses.  The text is read in `parse`'s
+    pieces, each distinct piece by `_read` once, and compiled as
+    `compile_program`'s walk compiles the parts, a FOR's piece opening its
+    loop's body and a "}" closing it.  A piece `_read` refuses, a "}" with
+    no loop open or a loop left open at the end goes to `parse`, which
+    raises the source's ParseError."""
+    _, unread = _pieces(src)
+    # Per piece text, what `_read` reads, but for an atom its name, its
+    # entry (shared by every piece of that text) or None for a POP, whose
+    # entry holds the atoms before it, and its slot, numbered when the
+    # piece is first read.
+    known: dict[str, tuple | str | Skip] = {}
+    slots: dict[str, int] = {}
+    led: dict[str, int] = {}
+    frames: list[tuple] = []  # `compile_program`'s, with no parts still to compile
+    entries, atoms = [], 0
+    for piece in unread:
+        item = known.get(piece)
+        if item is None:
+            item = _read(piece)
+            if item is None:
+                break
+            op = _FORWARD.get(type(item))
+            if op is not None:
+                name = item.var
+                slot = slots.get(name)
+                if slot is None:
+                    slot = slots[name] = len(slots)
+                elif slot < 0:
+                    slot = ~slot
+                item = (name, None if op == _POP else (op, slot), slot)
+            known[piece] = item
+        if type(item) is tuple:
+            name, entry, slot = item
+            if slots[name] < 0:
+                led[name] = slot
+            entries.append(entry or (_POP, (slot, atoms)))
+            atoms += 1
+        elif type(item) is not str:
+            pass  # SKIP
+        elif item != "}":
+            slot = slots.get(item)
+            if slot is None:
+                slot = len(slots)
+            elif slot < 0:
+                slot = led[item] = ~slot
+            slots[item] = ~slot
+            frames.append((entries, atoms, item, slot, None))
+            entries, atoms = [], 0
+        elif frames:
+            entries, atoms, _ = _close_loop(frames, entries, atoms, slots)
+        else:
+            break
+    else:
+        if not frames:
+            return None if led else Program(None, tuple(slots), [(tuple(entries), atoms, None), None, 0]), led
+    parse(src)  # the same pieces, read alike, hold a fault, which `parse` raises
+    raise AssertionError(f"program has no fault: {src!r}")
 
 
 def eval_n(term: Term, state: State) -> State:

@@ -143,6 +143,29 @@ class _Compound(Term):
 
         return parse, (pretty(self),)
 
+    def __repr__(self) -> str:
+        """`_Record`'s repr, written from a stack of what is still to come,
+        text or a compound term, in place of recursion."""
+        out: list[str] = []
+        todo: list = [self]
+        while todo:
+            t = todo.pop()
+            if not isinstance(t, _Compound):
+                out.append(t)
+                continue
+            pieces: list = [type(t).__qualname__, "("]
+            for k, name in enumerate(t.__match_args__):
+                value = getattr(t, name)
+                many = type(value) is tuple  # a Seq's parts
+                pieces.append(f"{', ' * bool(k)}{name}={'(' * many}")
+                for i, v in enumerate(value if many else (value,)):
+                    pieces += (", " * bool(i), v if isinstance(v, _Compound) else repr(v))
+                if many:
+                    pieces.append(",)" if len(value) == 1 else ")")
+            pieces.append(")")
+            todo += reversed(pieces)
+        return "".join(out)
+
 
 @dataclass(init=False, repr=False, eq=False, slots=True)
 class Skip(Term):
@@ -219,7 +242,7 @@ def _sequence(parts: tuple[Term, ...] | list[Term]) -> Term:
     if len(parts) == 1:
         return parts[0]
     new = object.__new__(Seq)
-    object.__setattr__(new, "parts", tuple(parts))
+    _set_parts(new, tuple(parts))
     return new
 
 
@@ -235,11 +258,12 @@ class For(_Compound):
         _require_identifier(self.leader)
 
 
-# The slots of `For` and of the atoms, set straight through their member
+# The slots of `For`, `Seq` and the atoms, set straight through their member
 # descriptors, past the frozen classes' `__setattr__`.
 _set_leader = For.__dict__["leader"].__set__
 _set_body = For.__dict__["body"].__set__
 _set_var = _Unary.__dict__["var"].__set__
+_set_parts = Seq.__dict__["parts"].__set__
 
 
 def _loop(leader: Identifier, body: Term) -> For:

@@ -370,6 +370,16 @@ POP_5 = {"p.score": "POP x", "s.sst": "x = 5, [2]"}
 POP_PUSH = {"p.score": "POP x; PUSH x", "s.sst": "x = 5, [2]"}
 COUNTER = {"p.score": "INC x", "s.sst": "x = 1, [], 2"}
 RECOVER = "FOR z { POP s; INC y }; PUSH y"
+# the order of `run`'s and `trace`'s errors, each row a program and a state
+# file that both hold one, and the error that comes first: the program's
+# parse error, then the state file's, then the refusal of an ill-formed
+# program, then a counter that the pair semantics refuse
+ILL_FORMED = "error: program is not well formed (leader(s) occur in loop body: x)\n"
+ERROR_ORDER = {
+    "parse-then-state": ("", "FOR x POP s", "x = 1, [2", "parse error: 1:7: expected '{' after FOR x, found 'POP'\n"),
+    "state-then-ill-formed": ("", "FOR x {INC x}", "x = 1, [2", "parse error: 1:10: expected ']' to close the stack\n"),
+    "ill-formed-then-counter": ("-s n ", "FOR x {INC x}", COUNTER["s.sst"], ILL_FORMED),
+}
 RECOVER_FINAL = "FINAL\ns = 7, [], 1\ny = 0, [1], 0\nz = 2, [], 0\n"
 ROUND_TRIP_INVERSE = "INC y; FOR x { PUSH s; POP s }\n"
 
@@ -885,8 +895,19 @@ CASES = [
         "run-ill-formed",
         "run p.score",
         {"p.score": "FOR x {INC x}"},
-        err="error: program is not well formed (leader(s) occur in loop body: x)\n",
+        err=ILL_FORMED,
         code=2,
+    ),
+    *(
+        Case(
+            f"{command}-{name}",
+            f"{command} {options}p.score s.sst",
+            {"p.score": program, "s.sst": state},
+            err=err,
+            code=2,
+        )
+        for command in ("run", "trace")
+        for name, (options, program, state, err) in ERROR_ORDER.items()
     ),
     # refusals in time linear in the program, which name the leader once
     # however often it occurs in its loop

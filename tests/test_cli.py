@@ -63,6 +63,20 @@ class TestRun:
         second = run_cli(capsys, "run", program)
         assert first == second
 
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    def test_a_term_is_parsed_only_to_refuse_a_program(self, workspace, capsys, monkeypatch, command):
+        # the program is compiled from its text; only the refusal of an
+        # ill-formed one parses it, for the error's term
+        parsed = []
+        for module in (cli, scorelang.semantics):
+            real = module.parse
+            monkeypatch.setattr(module, "parse", lambda src, real=real: parsed.append(src) or real(src))
+        state = workspace("s.sst", "n = 2\n")
+        for source, code in (("FOR n { INC x }", 0), ("FOR n { INC n }", 2)):
+            parsed.clear()
+            assert run_cli(capsys, command, workspace("p.score", source), state)[0] == code
+            assert parsed == [source] * (code == 2)
+
     @pytest.mark.parametrize(("source", "semantics"), [("", "r"), ("; POP x", "a")])
     def test_value_too_long_to_print_leaves_stdout_empty(self, workspace, capsys, source, semantics):
         # the nest runs in closed form and leaves x = 10**4400, past the

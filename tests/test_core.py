@@ -14,16 +14,19 @@ from hypothesis import strategies as st
 
 import scorelang
 import scorelang.semantics as core
+from scorelang import cli
 from scorelang import (
     AbortRecord,
     Aborted,
     Cell,
     Dec,
+    EvalError,
     Final,
     For,
     GenConfig,
     IllFormedProgramError,
     Inc,
+    ParseError,
     Pop,
     Push,
     Seq,
@@ -40,13 +43,17 @@ from scorelang import (
     gen_term,
     invert,
     parse,
+    parse_state,
+    pretty,
     variables_of,
     zero_counters,
 )
 from scorelang.syntax import Violation, _parts
+import cli_cases
 import reference_frontend as ref
 from reference_walker import ref_eval_a, ref_eval_n, ref_eval_r, ref_eval_traced, ref_idle_loops
 from term_strategies import leader_reusing_terms, raw_terms, states, wf_terms
+from test_frontend import PARSE_FAULTS
 
 
 def assert_same_trace(term, state, semantics):
@@ -797,6 +804,167 @@ class TestRefusal:
             assert calls == []
             assert refusal.value.violations == real(term)
             assert calls == [term]
+
+
+def assert_same_blocks(program, expected):
+    """`program`'s forward blocks are `expected`'s, entry by entry, in
+    caches that no run has entered: the same opcodes and args, and each
+    loop entry's leader, direction and atoms before, with its own cache
+    compared in turn."""
+    todo = [(program._top, expected._top)]
+    while todo:
+        cache, other = todo.pop()
+        assert cache[1:] == other[1:] == [None, 0]  # no inverted plan, no heat
+        (block, atoms, run), (other_block, other_atoms, other_run) = cache[0], other[0]
+        assert (atoms, run, len(block)) == (other_atoms, other_run, len(other_block))
+        for (op, arg), (other_op, other_arg) in zip(block, other_block):
+            assert op == other_op
+            if op == core._LOOP:
+                assert (arg[0], arg[2], arg[3]) == (other_arg[0], other_arg[2], other_arg[3])
+                todo.append((arg[1], other_arg[1]))
+            else:
+                assert arg == other_arg
+
+
+def outcome(program, state, semantics, order):
+    """What `program.run` gives, or the type and text of what it raises."""
+    try:
+        return program.run(state, semantics, order)
+    except EvalError as error:
+        return type(error), str(error)
+
+
+def compiled_alike(src, states=(), runs=(), from_empty=True):
+    """`_compile_text(src)` gives what `compile_program(parse(src))` does:
+    the same variables, forward blocks and outcomes, from the empty state
+    (if `from_empty`) and each of `states` (counters zeroed for the pair
+    semantics) under every semantics and the orders "+", "-" and "+-", and
+    from each (state, semantics, order) of `runs`; or the same leaders
+    found in their own loops; or the same ParseError.  Returns which."""
+    try:
+        term = parse(src)
+    except ParseError as error:
+        with pytest.raises(ParseError) as info:
+            core._compile_text(src)
+        assert info.value.args == error.args  # line, column, message, expected
+        return "parse error"
+    program, leaders = core._compile_text(src)
+    try:
+        expected = compile_program(term)
+    except IllFormedProgramError as refusal:
+        assert (program, tuple(sorted(leaders))) == (None, refusal.args[1])
+        return "ill formed"
+    assert not leaders and program.term is None
+    assert program.variables == expected.variables
+    assert_same_blocks(program, expected)
+    grid = [
+        (state if semantics == "r" else zero_counters(state), semantics, order)
+        for state in (State(),) * from_empty + tuple(states)
+        for semantics in "nar"
+        for order in ("+", "-", "+-")
+    ]
+    for run in (*grid, *runs):
+        assert outcome(program, *run) == outcome(expected, *run)
+    return "compiled"
+
+
+def case_programs():
+    """Each program text of the CLI case table, with the runs of it that
+    its `run` and `trace` rows make: each row's state, semantics and
+    direction, where the state file parses."""
+    programs = {}
+    for case in cli_cases.CASES:
+        texts = {name: cli_cases._bytes(content) for name, content in case.files.items()}
+        runs = []
+        command = case.argv.split()
+        if command[0] in ("run", "trace") and case.code != 2:
+            args = cli._argparser().parse_args(command)
+            state = State() if args.state is None else parse_state(texts[args.state].decode())
+            runs.append((state, args.semantics, "-" if args.backward else "+"))
+        for name, text in texts.items():
+            if name.endswith(".score"):
+                try:
+                    programs.setdefault(text.decode(), []).extend(runs)
+                except UnicodeDecodeError:
+                    pass
+    return programs
+
+
+class TestCompiledFromText:
+    """`_compile_text`, which `run` and `trace` compile with, builds from
+    the program text, with no term, the Program that `compile_program`
+    builds from the parsed term, finds the same breach leaders, and raises
+    the parser's errors."""
+
+    def test_fuzz_corpus(self):
+        for program, full, _ in fuzz_corpus(GenConfig(seed=53), 500):
+            for term in (program, invert(program)):
+                assert compiled_alike(pretty(term), [full]) == "compiled"
+
+    def test_cli_case_programs(self):
+        # Each program runs as its rows run it, since a row's state may run
+        # for ever under another semantics or order (LATE's 2**64
+        # iterations abort under a).  Each also runs the whole grid from
+        # the empty state, but for the rows' 10**6-atom sequences, texts
+        # of millions of characters, each run of which steps every atom:
+        # the 10,000-atom sequence below takes the grid instead.
+        programs = case_programs().items()
+        found = {compiled_alike(src, runs=runs, from_empty=len(src) < 2_000_000) for src, runs in programs}
+        assert found == {"compiled", "ill formed", "parse error"}
+
+    def test_long_flat_sequence_and_deep_nest(self):
+        flat = "; ".join(["INC x", "PUSH y", "POP y", "DEC z"] * 2_500)
+        state = State({"x": Cell(2, (1,), 1), "y": Cell(0, (3,), 0), "z": Cell(-1)})
+        assert compiled_alike(flat, [state]) == "compiled"
+        nest = "".join(f"FOR a{i} {{ " for i in range(2_000)) + "INC x; POP y" + " }" * 2_000
+        counts = State({f"a{i}": Cell(1 - 2 * (i % 2)) for i in range(2_000)})
+        assert compiled_alike(nest, [counts, counts.set("y", Cell(0, (4,), 0))]) == "compiled"
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "SKIP",
+            "SKIP; SKIP",
+            "FOR n { SKIP }",
+            "FOR n { FOR m { SKIP } }; INC x",
+            "INC x; FOR n { FOR m { SKIP } }; FOR k { INC y; FOR n { SKIP; SKIP } }; POP x",
+            "FOR n { SKIP; FOR m { FOR k { SKIP; SKIP } } }; FOR k { SKIP; PUSH y }",
+        ],
+    )
+    def test_idle_loops_and_skip_bodies(self, src):
+        huge = State({"n": Cell(10**18), "m": Cell(-(10**18)), "k": Cell(2), "x": Cell(0, (5,), 0)})
+        assert compiled_alike(src, [huge]) == "compiled"
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "FOR n { INC n }",
+            "FOR n { FOR n { SKIP } }",
+            "FOR x { FOR y { PUSH x; POP y } }; FOR y { INC y }",
+            "INC n; FOR n { SKIP; FOR m { DEC m; INC n } }",
+        ],
+    )
+    def test_leaders_in_their_loops(self, src):
+        assert compiled_alike(src) == "ill formed"
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            *(src for sources in PARSE_FAULTS.values() for src in sources),
+            "",
+            "INC x\r\nINC \u00e9",
+            "INC x # \u00e9\n\tDEC \x1c",
+            "\ufeffINC x",
+            "FOR a { INC x }; }",
+        ],
+    )
+    def test_parse_faults(self, src):
+        assert compiled_alike(src) == "parse error"
+
+    @settings(max_examples=200, deadline=SLOW_EXAMPLE_DEADLINE)
+    @given(st.one_of(wf_terms(max_depth=5), leader_reusing_terms()), states)
+    def test_hypothesis_terms(self, term, full):
+        assert compiled_alike(pretty(term), [full]) != "parse error"
 
 
 def logged_blocks(monkeypatch, name):

@@ -245,6 +245,18 @@ class TestInstructionReader:
         assert outcome(ref.parse, src)[0] == "term"
         assert_read_alike(src)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+    def test_pieces_are_split_a_run_at_a_time(self, monkeypatch, chunk):
+        # the text is split in runs of about `_CHUNK` characters, each cut
+        # at a ";", and gives the pieces of one split; a fault's offset,
+        # worked out from the pieces left, spans the runs
+        monkeypatch.setattr(parser, "_CHUNK", chunk)
+        sources = ["", ";", "INC x;;", "FOR n{INC x};SKIP", NEST + "INC x } } } SKIP", "INC x; " * 9 + "} INC x"]
+        for src in sources + [src for sources in PARSE_FAULTS.values() for src in sources]:
+            code, pieces = parser._pieces(src)
+            assert [*pieces] == code.replace("{", " {;").replace("}", ";}").split(";")
+            assert_read_alike(src)
+
     def test_ascii_blanks(self):
         # `parse` refuses \x1c-\x1f before it splits, so that its blanks
         # are the grammar's: space, tab, LF, CR, VT and FF.

@@ -38,6 +38,7 @@ from scorelang import (
     parse,
 )
 from scorelang.syntax import _Unary
+from test_core import fuzz_corpus
 
 RECORDS = [
     Skip,
@@ -296,6 +297,31 @@ def test_raised_errors_pickle_and_copy(call, fields):
     for twin in _round_trips(error):
         assert type(twin) is type(error) and str(twin) == str(error)
         assert [getattr(twin, name) for name in fields] == [getattr(error, name) for name in fields]
+
+
+def recursive_repr(term):
+    """The repr that `_Record`'s method gives a term, each field's repr
+    made by recursion."""
+    if type(term) is Seq:
+        return f"Seq(parts=({', '.join(map(recursive_repr, term.parts))}))"
+    if type(term) is For:
+        return f"For(leader={term.leader!r}, body={recursive_repr(term.body)})"
+    return repr(term)
+
+
+def test_term_reprs_are_unchanged():
+    for program, _, _ in fuzz_corpus(GenConfig(seed=52), 500):
+        assert repr(program) == recursive_repr(program)
+
+
+def test_a_deep_nest_and_its_refusal_print():
+    # the repr of a nest past the recursion limit, and so of the error that
+    # refuses one, whose `args` hold the term
+    nest = parse("FOR a { " * 3_000 + "INC x" + " }" * 3_000)
+    text = "For(leader='a', body=" * 3_000 + "Inc(var='x')" + ")" * 3_000
+    assert repr(nest) == text
+    refusal = _raised(lambda: compile_program(parse("FOR n { " * 3_000 + "INC x" + " }" * 3_000)))
+    assert repr(refusal) == "IllFormedProgramError(" + text.replace("'a'", "'n'") + ", ('n',))"
 
 
 def test_a_deep_nest_pickles_and_copies():
